@@ -11,8 +11,8 @@ from .core import (ConeMap, ExtVec, Side, SubsetMask, hilbert_distance,
                    project, reciprocal_conjugate, restrict_lower,
                    restrict_upper)
 from .errors import (ConespecError, DimensionTooLargeError, EmptySupportError,
-                     FlagMissingError, MixedPolesError, ParseError,
-                     SemanticError, ValidationError, ZeroRowError)
+                     FlagMissingError, MixedPolesError, NumericRangeError,
+                     ParseError, SemanticError, ValidationError, ZeroRowError)
 from .existence import (Analyzer, ClassRadius, Convergence, ConvexReport,
                         Route, SubsetCertificate, Uniqueness, Verdict,
                         VerdictKind, check_subset, classify, classify_convex,

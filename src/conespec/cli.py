@@ -17,7 +17,7 @@ from typing import Optional
 
 from .core import INF, Side, SubsetMask
 from .errors import ConespecError, DimensionTooLargeError
-from .existence import Verdict, VerdictKind, classify
+from .existence import SUBSET_SWEEP_CAP, Verdict, VerdictKind, classify
 from .graphs import HypergraphProbe, digraph_of, digraph_to_dot, \
     hypergraph_to_dot
 from .spectral import NonconvergedError, cw_upper, solve_eigenvector
@@ -30,7 +30,6 @@ EXIT_BY_KIND = {
     VerdictKind.INDETERMINATE: 3,
 }
 
-GENERIC_CAP = 24
 CONVEX_CAP = 10_000
 
 
@@ -38,7 +37,7 @@ CONVEX_CAP = 10_000
 class RunConfig:
     tolerance: float = 1e-9
     budget: int = 10_000
-    max_n: int = GENERIC_CAP
+    max_n: int = SUBSET_SWEEP_CAP
     output: str = "json"
     prune: bool = True
     workers: int = 1
@@ -152,12 +151,11 @@ def _read_text(path: str) -> str:
 
 def cmd_analyze(path: str, config: RunConfig) -> int:
     f = dsl.parse_map(_read_text(path)).cone_map
-    if not f.multiplicatively_convex and f.dimension > min(config.max_n,
-                                                           GENERIC_CAP):
+    cap = min(config.max_n, SUBSET_SWEEP_CAP)
+    if not f.multiplicatively_convex and f.dimension > cap:
         raise DimensionTooLargeError(
-            f"n = {f.dimension} exceeds the generic sweep cap "
-            f"{min(config.max_n, GENERIC_CAP)} and the map is not "
-            "multiplicatively convex")
+            f"n = {f.dimension} exceeds the generic sweep cap {cap} and the "
+            "map is not multiplicatively convex")
     if f.dimension > CONVEX_CAP:
         raise DimensionTooLargeError(f"n = {f.dimension} exceeds {CONVEX_CAP}")
     start = time.monotonic()
@@ -266,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="disable subset pruning (debug)")
         p.add_argument("--workers", type=int, default=1,
                        help="parallel subset checks")
-        p.add_argument("--max-n", type=int, default=GENERIC_CAP,
+        p.add_argument("--max-n", type=int, default=SUBSET_SWEEP_CAP,
                        help="cap for the generic subset sweep")
         p.add_argument("--timing", action="store_true",
                        help="include wall time in the output (not reproducible)")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple
 
 from .errors import MixedPolesError
 
@@ -96,6 +96,17 @@ class ExtVec:
         return self.entries[j]
 
 
+def iter_bits(bits: int) -> Iterator[int]:
+    """The indices of the set bits of a nonnegative int, in increasing order.
+
+    Costs one step per set bit, so sparse masks over large n stay cheap.
+    """
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
+
+
 @dataclass(frozen=True, order=True)
 class SubsetMask:
     """A subset of coordinate indices [0, n) stored as a bitmask."""
@@ -125,7 +136,7 @@ class SubsetMask:
         return SubsetMask(0, n)
 
     def indices(self) -> Tuple[int, ...]:
-        return tuple(j for j in range(self.n) if self.bits >> j & 1)
+        return tuple(iter_bits(self.bits))
 
     def complement(self) -> "SubsetMask":
         return SubsetMask(self.bits ^ ((1 << self.n) - 1), self.n)

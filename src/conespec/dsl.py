@@ -434,8 +434,7 @@ def serialize_expr(e: Expr) -> str:
     if isinstance(e, Sum):
         return " + ".join(serialize_expr(t) for t in e.terms)
     if isinstance(e, Linear):
-        return " + ".join(f"{w!r}*x{j + 1}" for j, w in enumerate(e.weights)
-                          if w > 0.0)
+        return " + ".join(f"{w!r}*x{j + 1}" for j, w in e.nonzeros)
     if isinstance(e, Min):
         return "min(" + ", ".join(serialize_expr(t) for t in e.terms) + ")"
     if isinstance(e, Max):
@@ -452,8 +451,7 @@ def _serialize_tight(e: Expr) -> str:
     if isinstance(e, (Sum, Linear)):
         return "sum(" + ", ".join(serialize_expr(t) for t in e.terms) + ")" \
             if isinstance(e, Sum) else \
-            "sum(" + ", ".join(f"{w!r}*x{j + 1}"
-                               for j, w in enumerate(e.weights) if w > 0.0) + ")"
+            "sum(" + ", ".join(f"{w!r}*x{j + 1}" for j, w in e.nonzeros) + ")"
     return serialize_expr(e)
 
 

@@ -21,6 +21,10 @@ class DimensionTooLargeError(ConespecError):
     """The generic subset sweep is capped; use the convex fast path instead."""
 
 
+class NumericRangeError(ConespecError):
+    """A value of the problem does not fit the floating-point range."""
+
+
 class FlagMissingError(ConespecError):
     """An operation requiring a capability flag was called on an unflagged map."""
 

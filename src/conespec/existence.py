@@ -473,9 +473,7 @@ def infer_uniqueness_and_convergence(f: ConeMap, verdict: Verdict) -> Verdict:
         uniqueness = Uniqueness.UNIQUE
     if verdict.eigen is not None:
         pattern = sparsity_probe(f, verdict.eigen.vector)
-        digraph = Digraph.from_arcs(
-            pattern.n, ((i, j) for i in range(pattern.n)
-                        for j in range(pattern.n) if pattern.matrix[i][j]))
+        digraph = Digraph.from_arcs(pattern.n, pattern.arcs())
         scc = scc_decompose(digraph)
         finals = [i for i, fin in enumerate(scc.final) if fin]
         if len(scc.order) == 1:

@@ -13,7 +13,8 @@ import threading
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from .core import INF, ConeMap, Side, SubsetMask
+from .core import INF, ConeMap, Side, SubsetMask, iter_bits
+from .maps import pole_masks
 
 
 class HypergraphProbe:
@@ -155,25 +156,31 @@ class Digraph:
 
 
 def digraph_of(f: ConeMap) -> Digraph:
-    """The growth digraph: arc (i, j) when output i blows up as x_j -> inf."""
+    """The growth digraph: arc (i, j) when output i blows up as x_j -> inf.
+
+    On AST maps the arcs of output i are the inf mask of `pole_masks`, one
+    symbolic pass over its expression, so the cost is linear in the size of
+    the map rather than n evaluations of it.  Black-box maps are probed at
+    large finite arguments.
+    """
     n = f.dimension
+    if f.is_ast:
+        full = (1 << n) - 1
+        return Digraph.from_arcs(n, [
+            (i, j) for i, e in enumerate(f.exprs)
+            for j in iter_bits(pole_masks(e, full)[0])])
     probe = HypergraphProbe(f, Side.UPPER)
     arcs = []
     for j in range(n):
         mask = SubsetMask.of([j], n)
-        if f.is_ast:
-            point = tuple(INF if k == j else 1.0 for k in range(n))
-            out = tuple(e.evaluate(point) for e in f.exprs)
-            arcs.extend((i, j) for i in range(n) if out[i] == INF)
-        else:
-            # reuse the heuristic probe for off-diagonal arcs, then test (j, j)
-            targets = probe.hyperarc_targets(mask)
-            arcs.extend((i, j) for i in targets)
-            t = 1e12
-            x1 = tuple(t if k == j else 1.0 for k in range(n))
-            x2 = tuple(t * t if k == j else 1.0 for k in range(n))
-            if f.eval_interior(x2)[j] / f.eval_interior(x1)[j] > math.sqrt(t):
-                arcs.append((j, j))
+        # reuse the heuristic probe for off-diagonal arcs, then test (j, j)
+        targets = probe.hyperarc_targets(mask)
+        arcs.extend((i, j) for i in targets)
+        t = 1e12
+        x1 = tuple(t if k == j else 1.0 for k in range(n))
+        x2 = tuple(t * t if k == j else 1.0 for k in range(n))
+        if f.eval_interior(x2)[j] / f.eval_interior(x1)[j] > math.sqrt(t):
+            arcs.append((j, j))
     return Digraph.from_arcs(n, arcs)
 
 

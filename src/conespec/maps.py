@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
-from .core import INF, ConeMap, ExtVec, Side, SubsetMask
+from .core import INF, ConeMap, ExtVec, Side, SubsetMask, iter_bits
 from .errors import EmptySupportError, ZeroRowError
 
 # ---------------------------------------------------------------------------
@@ -97,21 +97,30 @@ class Sum(Expr):
 
 @dataclass(frozen=True)
 class Linear(Expr):
-    """A nonnegative linear form sum_j w_j x_j; zero weights never probe x_j."""
+    """A nonnegative linear form sum_j w_j x_j stored by its nonzeros only.
 
-    weights: Tuple[float, ...]
+    `nonzeros` holds the pairs (j, w_j) with w_j > 0, in increasing j.
+    Coordinates outside them are never read, so evaluation and every
+    transform cost O(nnz) rather than O(n).
+    """
+
+    nonzeros: Tuple[Tuple[int, float], ...]
 
     def __post_init__(self):
-        if all(w == 0.0 for w in self.weights):
+        if not self.nonzeros:
             raise ZeroRowError("linear form needs a positive weight")
-        if any(w < 0.0 or not math.isfinite(w) for w in self.weights):
-            raise ValueError("linear weights must be finite and nonnegative")
+        last = -1
+        for j, w in self.nonzeros:
+            if not (w > 0.0 and math.isfinite(w)):
+                raise ValueError("linear weights must be finite and positive")
+            if j <= last:
+                raise ValueError("linear indices must be increasing")
+            last = j
 
     def evaluate(self, x):
         total = 0.0
-        for j, w in enumerate(self.weights):
-            if w > 0.0:
-                total += w * x[j]
+        for j, w in self.nonzeros:
+            total += w * x[j]
         return total
 
 
@@ -279,15 +288,16 @@ def pin(e: Expr, assignment: Dict[int, float]) -> Expr:
             return c
         return _scale(e.factor, c)
     if isinstance(e, Linear):
-        weights = list(e.weights)
-        for j, w in enumerate(weights):
-            if w > 0.0 and j in assignment:
-                if assignment[j] == INF:
-                    return Pole(INF)
-                weights[j] = 0.0
-        if all(w == 0.0 for w in weights):
+        kept = []
+        for j, w in e.nonzeros:
+            v = assignment.get(j)
+            if v is None:
+                kept.append((j, w))
+            elif v == INF:
+                return Pole(INF)
+        if not kept:
             return Pole(0.0)
-        return Linear(tuple(weights))
+        return e if len(kept) == len(e.nonzeros) else Linear(tuple(kept))
     if isinstance(e, Sum):
         kept = []
         for t in e.terms:
@@ -429,11 +439,8 @@ def _reindex(e: Expr, table: Dict[int, int]) -> Expr:
     if isinstance(e, Scale):
         return Scale(e.factor, _reindex(e.child, table))
     if isinstance(e, Linear):
-        weights = [0.0] * len(table)
-        for j, w in enumerate(e.weights):
-            if w > 0.0:
-                weights[table[j]] = w
-        return Linear(tuple(weights))
+        # the table is increasing, so the pairs stay in index order
+        return Linear(tuple((table[j], w) for j, w in e.nonzeros))
     if isinstance(e, Sum):
         return Sum(tuple(_reindex(t, table) for t in e.terms))
     if isinstance(e, Min):
@@ -457,7 +464,7 @@ def conjugate_expr(e: Expr) -> Expr:
     if isinstance(e, Scale):
         return _scale(1.0 / e.factor, conjugate_expr(e.child))
     if isinstance(e, Linear):
-        support = [(j, w) for j, w in enumerate(e.weights) if w > 0.0]
+        support = e.nonzeros
         total = sum(w for _, w in support)
         if len(support) == 1:
             j, w = support[0]
@@ -502,9 +509,11 @@ def matrix_map(rows: Sequence[Sequence[float]]) -> ConeMap:
         row = tuple(float(v) for v in row)
         if len(row) != n:
             raise ValueError("matrix must be square")
-        if all(v == 0.0 for v in row):
+        # negative and non-finite entries are kept so that Linear rejects them
+        nonzeros = tuple((j, v) for j, v in enumerate(row) if v != 0.0)
+        if not nonzeros:
             raise ZeroRowError(f"row {i + 1} of the matrix is zero")
-        exprs.append(Linear(row))
+        exprs.append(Linear(nonzeros))
     return from_exprs(exprs, n)
 
 
@@ -624,22 +633,66 @@ def build_shapley_conjugate(game) -> ConeMap:
 
 
 # ---------------------------------------------------------------------------
+# Growth structure
+
+def pole_masks(e: Expr, full: int) -> Tuple[int, int]:
+    """Where e is inf and where it is 0, over all unit pins to inf at once.
+
+    Bit j of the first mask is set when e evaluates to inf at the point with
+    x_j = inf and every other coordinate 1; bit j of the second mask when it
+    evaluates to 0 there.  `full` is the mask of all n coordinates.  Each
+    node applies its exact one-sided evaluation rule to its children's
+    masks, so one pass over the tree gives what n evaluations would.
+    """
+    if isinstance(e, Linear):
+        return sum(1 << j for j, _ in e.nonzeros), 0
+    if isinstance(e, Coord):
+        return 1 << e.index, 0
+    if isinstance(e, Pole):
+        return (full, 0) if e.value == INF else (0, full)
+    if isinstance(e, Scale):
+        return pole_masks(e.child, full)
+    any_inf = any_zero = 0
+    all_inf = all_zero = full
+    for t in e.children():
+        inf, zero = pole_masks(t, full)
+        any_inf |= inf
+        any_zero |= zero
+        all_inf &= inf
+        all_zero &= zero
+    if isinstance(e, PowerMean) and e.r == 0.0:
+        return any_inf & ~any_zero, any_zero  # a zero factor absorbs first
+    if isinstance(e, (Sum, Max)) or (isinstance(e, PowerMean) and e.r > 0.0):
+        return any_inf, all_zero
+    if isinstance(e, (Min, PowerMean)):
+        # a child's two masks are disjoint, so all_inf already avoids any_zero
+        return all_inf, any_zero
+    raise TypeError(f"unknown node {type(e).__name__}")
+
+
+# ---------------------------------------------------------------------------
 # Jacobian sparsity
 
 @dataclass(frozen=True)
 class SparsityPattern:
-    """Boolean dependency matrix; entry (i, j) means output i grows with x_j."""
+    """Dependency pattern: bit j of rows[i] means output i grows with x_j."""
 
-    matrix: Tuple[Tuple[bool, ...], ...]
+    rows: Tuple[int, ...]
     exact: bool
 
     @property
     def n(self) -> int:
-        return len(self.matrix)
+        return len(self.rows)
+
+    @property
+    def matrix(self) -> Tuple[Tuple[bool, ...], ...]:
+        """The pattern as an n x n boolean matrix."""
+        return tuple(tuple(bool(bits >> j & 1) for j in range(self.n))
+                     for bits in self.rows)
 
     def arcs(self):
-        return {(i, j) for i in range(self.n) for j in range(self.n)
-                if self.matrix[i][j]}
+        return {(i, j) for i, bits in enumerate(self.rows)
+                for j in iter_bits(bits)}
 
 
 def _symbolic_deps(e: Expr) -> int:
@@ -648,7 +701,7 @@ def _symbolic_deps(e: Expr) -> int:
     if isinstance(e, Pole):
         return 0
     if isinstance(e, Linear):
-        return sum(1 << j for j, w in enumerate(e.weights) if w > 0.0)
+        return sum(1 << j for j, _ in e.nonzeros)
     bits = 0
     for c in e.children():
         bits |= _symbolic_deps(c)
@@ -665,11 +718,8 @@ def sparsity_probe(f: ConeMap, u: ExtVec, tol: float = 1e-7) -> SparsityPattern:
         raise ValueError("sparsity probe needs an interior point")
     n = f.dimension
     if f.is_ast and f.analytic:
-        rows = []
-        for e in f.exprs:
-            bits = _symbolic_deps(e)
-            rows.append(tuple(bool(bits >> j & 1) for j in range(n)))
-        return SparsityPattern(tuple(rows), exact=True)
+        return SparsityPattern(tuple(_symbolic_deps(e) for e in f.exprs),
+                               exact=True)
 
     base = f.eval_interior(u.entries)
     cols = []
@@ -684,9 +734,10 @@ def sparsity_probe(f: ConeMap, u: ExtVec, tol: float = 1e-7) -> SparsityPattern:
         cols.append([(fu[i] - fl[i]) / (2.0 * h) for i in range(n)])
     rows = []
     for i in range(n):
-        row = []
+        bits = 0
         for j in range(n):
             scale = base[i] / u.entries[j]
-            row.append(abs(cols[j][i]) > tol * max(scale, 1e-300))
-        rows.append(tuple(row))
+            if abs(cols[j][i]) > tol * max(scale, 1e-300):
+                bits |= 1 << j
+        rows.append(bits)
     return SparsityPattern(tuple(rows), exact=False)

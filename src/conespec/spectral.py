@@ -20,7 +20,7 @@ from typing import List, Optional, Tuple
 
 from .core import (INF, ConeMap, ExtVec, Side, SubsetMask, reciprocal,
                    sup_normalized)
-from .errors import ConespecError
+from .errors import ConespecError, NumericRangeError
 from . import maps as _maps
 
 DEFAULT_BUDGET = 10_000
@@ -112,6 +112,23 @@ def _embed_witness(values: Tuple[float, ...], face: SubsetMask) -> ExtVec:
     return ExtVec.of(full)
 
 
+def _ratio_range(fx: Tuple[float, ...],
+                 x: Tuple[float, ...]) -> Tuple[float, float]:
+    """(min, max) of fx_i / x_i at an interior iterate.
+
+    An interior point has a finite image, so an infinite ratio means the
+    map's values left the float range; that is reported instead of being
+    iterated into inf/inf.
+    """
+    ratios = [v / u for v, u in zip(fx, x)]
+    hi = max(ratios)
+    if not hi < INF:
+        raise NumericRangeError(
+            "a map value overflowed the float range during the (f + id) "
+            "iteration; rescale the coefficients")
+    return min(ratios), hi
+
+
 def _core_bracket(g: ConeMap, x0: Tuple[float, ...], budget: int,
                   tol: float) -> Tuple[float, float, Tuple[float, ...], Tuple[float, ...], int, bool]:
     """Best sandwich found by the normalized (g + id) iteration."""
@@ -124,8 +141,7 @@ def _core_bracket(g: ConeMap, x0: Tuple[float, ...], budget: int,
     for k in range(budget):
         iterations = k + 1
         fx = g.eval_interior(x)
-        hi = max(v / u for v, u in zip(fx, x))
-        lo = min(v / u for v, u in zip(fx, x))
+        lo, hi = _ratio_range(fx, x)
         if hi < best_up:
             best_up, wit_up = hi, x
         if lo > best_lo:
@@ -284,10 +300,11 @@ def solve_eigenvector(f: ConeMap, x0: Optional[ExtVec] = None,
     x = sup_normalized(x)
     best_up, best_lo = INF, 0.0
     wit_up = wit_lo = x
+    iterations = 0
     for k in range(budget):
+        iterations = k + 1
         fx = f.eval_interior(x)
-        hi = max(v / u for v, u in zip(fx, x))
-        lo = min(v / u for v, u in zip(fx, x))
+        lo, hi = _ratio_range(fx, x)
         if hi < best_up:
             best_up, wit_up = hi, x
         if lo > best_lo:
@@ -301,7 +318,7 @@ def solve_eigenvector(f: ConeMap, x0: Optional[ExtVec] = None,
             break
     raise NonconvergedError(CWBracket(
         best_lo, best_up, ExtVec.interior(wit_lo), ExtVec.interior(wit_up),
-        budget, False))
+        iterations, False))
 
 
 def iterate_normalized(f: ConeMap, x0: ExtVec, k: int) -> List[ExtVec]:

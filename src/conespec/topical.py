@@ -6,7 +6,9 @@ multiplicative conjugate exp . T . log is order-preserving and homogeneous
 on the open cone, so every multiplicative result transfers.  Additive
 evaluation is native (never an exp/log round trip) so long horizons and
 large payoffs do not overflow; the conjugate is used for structure queries
-and spectral brackets.
+and spectral brackets.  Its coefficients are exp(payoff), so building it
+raises NumericRangeError for a payoff whose exponential is 0 or inf in
+floating point (|payoff| above about 709).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from .core import INF, ConeMap, SubsetMask
-from .errors import ValidationError
+from .errors import NumericRangeError, ValidationError
 from . import existence, maps as _maps
 from .existence import Route, Verdict, VerdictKind
 from .spectral import DEFAULT_BUDGET
@@ -129,16 +131,24 @@ def build_shapley(game: GameSpec) -> TopicalMap:
 
 def _conjugate_of_game(game: GameSpec) -> ConeMap:
     exprs = []
-    for controller, acts in zip(game.controllers, game.actions):
+    for i, (controller, acts) in enumerate(zip(game.controllers, game.actions)):
         branches = []
-        for act in acts:
+        for k, act in enumerate(acts):
             support = [(j, p) for j, p in enumerate(act.transition) if p > 0.0]
             if len(support) == 1:
                 node: _maps.Expr = _maps.Coord(support[0][0])
             else:
                 node = _maps.PowerMean(0.0, tuple(p for _, p in support),
                                        tuple(_maps.Coord(j) for j, _ in support))
-            scale = math.exp(act.payoff)
+            try:
+                scale = math.exp(act.payoff)
+            except OverflowError:
+                scale = INF
+            if not 0.0 < scale < INF:
+                raise NumericRangeError(
+                    f"/actions/{i}/{k}/payoff: exp({act.payoff!r}) is outside "
+                    "the float range, so the multiplicative conjugate cannot "
+                    "be built")
             branches.append(_maps.Scale(scale, node) if scale != 1.0 else node)
         if len(branches) == 1:
             exprs.append(branches[0])

@@ -190,6 +190,22 @@ class TestDimensionCap:
         assert doc["kind"] == "nonempty_bounded"
 
 
+class TestNumericRange:
+    def test_overflowing_map_exit_one(self, tmp_path, capsys):
+        path = write(tmp_path, "big.conemap",
+                     "format: 1\ndim: 2\ncoord 1: 1e308*x1 + 1e308*x2\n"
+                     "coord 2: x1 + x2\n")
+        assert cli.main(["analyze", path]) == 1
+        assert "float range" in capsys.readouterr().err
+
+    def test_overflowing_payoff_exit_one(self, tmp_path, capsys):
+        doc = json.loads(GAME_JSON)
+        doc["actions"][0][0]["payoff"] = 800.0
+        path = write(tmp_path, "g.game.json", json.dumps(doc))
+        assert cli.main(["game", path]) == 1
+        assert "/actions/0/0/payoff" in capsys.readouterr().err
+
+
 class TestSingleStateGame:
     def test_eigenvalue_equals_payoff(self, tmp_path, capsys):
         doc = {"format": 1, "controllers": ["min"],

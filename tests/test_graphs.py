@@ -1,11 +1,16 @@
 """Hypergraphs, growth digraph, strongly connected structure, DOT output."""
 
+import random
+
 import pytest
 
 import conespec as cs
 from conespec.core import INF, ConeMap, ExtVec, Side, SubsetMask
+from conespec.existence import Uniqueness, VerdictKind
 from conespec.graphs import Digraph, HypergraphProbe, digraph_to_dot, \
     hypergraph_to_dot
+from conespec.maps import (Coord, Linear, Max, Min, Pole, PowerMean, Scale,
+                           Sum, from_exprs)
 
 from conftest import (make_game, make_schoen, make_tensor_example,
                       random_mplus_map)
@@ -287,3 +292,134 @@ class TestConcurrentProbes:
             results = list(pool.map(probe.reach, masks))
         serial = [probe.reach(J) for J in masks]
         assert [r.bits for r in results] == [r.bits for r in serial]
+
+
+# ---------------------------------------------------------------------------
+# The symbolic growth digraph against per-coordinate probing
+
+NODE_TYPES = (Coord, Pole, Scale, Sum, Linear, Min, Max, PowerMean)
+
+
+def probe_digraph_arcs(f):
+    """Reference: arc (i, j) when f_i = inf at x_j = inf, other entries 1."""
+    n = f.dimension
+    arcs = set()
+    for j in range(n):
+        point = tuple(INF if k == j else 1.0 for k in range(n))
+        out = tuple(e.evaluate(point) for e in f.exprs)
+        arcs |= {(i, j) for i in range(n) if out[i] == INF}
+    return arcs
+
+
+def with_restrictions(f):
+    """f, its conjugate, and every lower and upper restriction of both."""
+    n = f.dimension
+    for g in (f, cs.reciprocal_conjugate(f)):
+        yield g
+        for J in all_proper(n):
+            yield cs.restrict_lower(g, J)
+            yield cs.restrict_upper(g, J)
+
+
+def random_rows(rng, n, density=0.4):
+    rows = [[float(rng.uniform(0.1, 3.0)) if rng.random() < density else 0.0
+             for _ in range(n)] for _ in range(n)]
+    for i, row in enumerate(rows):
+        if not any(row):
+            row[int(rng.integers(0, n))] = 1.0
+    return rows
+
+
+def random_tree(rng, n, depth):
+    """A random node over every node type, poles included."""
+    kind = int(rng.integers(0, 8 if depth > 0 else 3))
+    if kind == 0:
+        return Coord(int(rng.integers(0, n)))
+    if kind == 1:
+        return Pole(0.0 if rng.random() < 0.5 else INF)
+    if kind == 2:
+        support = sorted(int(j) for j in rng.choice(
+            n, size=int(rng.integers(1, n + 1)), replace=False))
+        return Linear(tuple((j, float(rng.uniform(0.1, 3.0)))
+                            for j in support))
+    if kind == 3:
+        return Scale(float(rng.uniform(0.1, 3.0)),
+                     random_tree(rng, n, depth - 1))
+    terms = tuple(random_tree(rng, n, depth - 1)
+                  for _ in range(int(rng.integers(1, 4))))
+    if kind == 4:
+        return Sum(terms)
+    if kind == 5:
+        return Min(terms)
+    if kind == 6:
+        return Max(terms)
+    weights = [float(w) for w in rng.uniform(0.2, 1.0, size=len(terms))]
+    total = sum(weights)
+    return PowerMean(float(rng.choice([-2.0, -1.0, 0.0, 0.5, 1.0, 2.0])),
+                     tuple(w / total for w in weights), terms)
+
+
+class TestSymbolicDigraph:
+    def _check(self, f):
+        for g in with_restrictions(f):
+            assert set(cs.digraph_of(g).arcs) == probe_digraph_arcs(g)
+
+    def test_fixtures(self):
+        self._check(make_tensor_example())
+        self._check(make_schoen())
+        self._check(make_schoen(b=(1, 0, 1, 1), c=(0, 1, 1, 0)))
+        for r1 in (-1.0, 0.0, 1.0):
+            self._check(cs.build_shapley(
+                make_game(r1, 0.5, 0.0, 0.3, 2.0, -1.0, 0.4, 0.6)).conjugate)
+
+    def test_random_maps(self, rng):
+        for n in range(1, 7):
+            self._check(random_mplus_map(rng, n))
+            rows = random_rows(rng, n)
+            self._check(cs.matrix_map(rows))
+            self._check(cs.max_times_map(rows))
+
+    def test_random_trees_with_poles(self, rng):
+        for n in range(1, 7):
+            for _ in range(4):
+                f = from_exprs([random_tree(rng, n, 3) for _ in range(n)], n)
+                self._check(f)
+
+    def test_ast_digraph_evaluates_nothing(self, monkeypatch):
+        calls = []
+
+        def counted(original):
+            def evaluate(self, x):
+                calls.append(type(self).__name__)
+                return original(self, x)
+            return evaluate
+
+        for cls in NODE_TYPES:
+            monkeypatch.setattr(cls, "evaluate", counted(cls.evaluate))
+        maps = [make_tensor_example(), make_schoen(),
+                cs.build_shapley(make_game(0.0, 0.5, 1.0, 0.3, 2.0, -1.0,
+                                           0.5, 0.5)).conjugate,
+                cs.matrix_map([[0.0, 1.0, 2.0], [1.0, 0.0, 0.0],
+                               [0.0, 3.0, 0.0]])]
+        for f in maps:
+            cs.digraph_of(f)
+        assert calls == []
+        for f in maps:
+            probe_digraph_arcs(f)
+        assert len(calls) > 0  # the counter does see evaluations
+
+    def test_classify_sparse_thousand(self):
+        # four random entries per row plus a full cycle, as in the benchmark
+        rnd = random.Random(7)
+        n = 1000
+        rows = []
+        for i in range(n):
+            row = [0.0] * n
+            for j in rnd.sample(range(n), 4):
+                row[j] = rnd.uniform(0.1, 3.0)
+            row[(i + 1) % n] = rnd.uniform(0.2, 2.0)
+            rows.append(row)
+        v = cs.classify(cs.matrix_map(rows))
+        assert v.kind is VerdictKind.NONEMPTY_BOUNDED
+        assert v.uniqueness is Uniqueness.UNIQUE
+        assert v.eigen.residual <= 1e-10

@@ -84,6 +84,44 @@ class TestTensorMap:
             cs.build_tensor_map([[0.0, 0.0], [1.0, 1.0]])
 
 
+class TestSparseLinear:
+    def test_evaluation_bit_identical_to_dense_sum(self, rng):
+        for _ in range(60):
+            n = int(rng.integers(1, 40))
+            row = [float(rng.uniform(1e-3, 1e3)) if rng.random() < 0.3
+                   else 0.0 for _ in range(n)]
+            row[int(rng.integers(0, n))] = float(rng.uniform(1e-3, 1e3))
+            x = tuple(float(v) for v in rng.uniform(1e-3, 1e3, size=n))
+            dense = 0.0
+            for j, w in enumerate(row):
+                if w > 0.0:
+                    dense += w * x[j]
+            e = Linear(tuple((j, w) for j, w in enumerate(row) if w > 0.0))
+            assert e.evaluate(x) == dense
+            f = cs.matrix_map([row] + [[1.0] * n for _ in range(n - 1)])
+            assert f.exprs[0] == e
+            assert f.eval_interior(x)[0] == dense
+
+    def test_stores_nonzeros_only(self):
+        f = cs.matrix_map([[0.0, 2.0, 0.0], [1.0, 0.0, 3.0], [0.0, 0.0, 4.0]])
+        assert [e.nonzeros for e in f.exprs] == [
+            ((1, 2.0),), ((0, 1.0), (2, 3.0)), ((2, 4.0),)]
+
+    def test_validation(self):
+        with pytest.raises(ZeroRowError):
+            Linear(())
+        with pytest.raises(ZeroRowError):
+            cs.matrix_map([[0.0, 0.0], [1.0, 1.0]])
+        for bad in (((0, -1.0),), ((0, 0.0),), ((0, INF),),
+                    ((0, math.nan),), ((1, 1.0), (0, 1.0)),
+                    ((0, 1.0), (0, 2.0)), ((-1, 1.0),)):
+            with pytest.raises(ValueError):
+                Linear(bad)
+        for row in ([1.0, -1.0], [1.0, INF], [math.nan, 1.0]):
+            with pytest.raises(ValueError):
+                cs.matrix_map([row, [1.0, 1.0]])
+
+
 class TestShapleyConjugate:
     def test_example_coordinate_structure(self, rng):
         r = (0.3, -0.5, 1.0, 0.2, 2.0, -1.0)

@@ -6,6 +6,8 @@ import pytest
 
 import conespec as cs
 from conespec.core import INF, ConeMap, ExtVec, Side, SubsetMask
+from conespec.errors import NumericRangeError
+from conespec.maps import Coord, Scale, Sum, from_exprs
 from conespec.spectral import NonconvergedError, plus_identity, ratios_at
 
 from conftest import (make_game, make_schoen, make_tensor_example,
@@ -129,6 +131,27 @@ class TestSolveEigenvector:
             cs.solve_eigenvector(f, budget=200)
         b = info.value.bracket
         assert b.lower <= 2.0 + 1e-12 and b.upper >= 1.0 - 1e-12
+
+    def test_nonconverged_reports_iterations_run(self):
+        # the second coordinate decays by (1 + 1e-3) / 2 per step and
+        # crosses the underflow guard long before the budget runs out
+        f = cs.matrix_map([[1, 0], [0, 1e-3]])
+        with pytest.raises(NonconvergedError) as info:
+            cs.solve_eigenvector(f)
+        assert info.value.bracket.iterations == 999
+        with pytest.raises(NonconvergedError) as info:
+            cs.solve_eigenvector(f, budget=200)
+        assert info.value.bracket.iterations == 200
+
+    def test_overflowing_map_raises_range_error(self):
+        f = from_exprs([Sum((Scale(1e308, Coord(0)), Scale(1e308, Coord(1)))),
+                        Sum((Coord(0), Coord(1)))], 2)
+        with pytest.raises(NumericRangeError):
+            cs.solve_eigenvector(f)
+        with pytest.raises(NumericRangeError):
+            cs.cw_upper(f)
+        with pytest.raises(NumericRangeError):
+            cs.classify(f)
 
 
 class TestIterateNormalized:

@@ -6,7 +6,7 @@ import pytest
 
 import conespec as cs
 from conespec.core import SubsetMask
-from conespec.errors import ValidationError
+from conespec.errors import NumericRangeError, ValidationError
 from conespec.existence import Route, VerdictKind
 from conespec.topical import variation_norm
 
@@ -27,6 +27,16 @@ class TestGameSpec:
     def test_state_needs_an_action(self):
         with pytest.raises(ValidationError):
             cs.GameSpec(("min",), ((),))
+
+    def test_payoff_beyond_exp_range_raises(self):
+        A = cs.GameAction
+        for payoff in (800.0, -800.0):
+            game = cs.GameSpec(("min", "max"),
+                               ((A(0.0, (1.0, 0.0)),),
+                                (A(1.0, (0.0, 1.0)), A(payoff, (0.5, 0.5)))))
+            with pytest.raises(NumericRangeError) as info:
+                cs.build_shapley(game)
+            assert "/actions/1/1/payoff" in str(info.value)
 
     def test_controller_tags(self):
         with pytest.raises(ValidationError):
