@@ -17,10 +17,12 @@ from typing import Optional
 
 from .core import INF, Side, SubsetMask
 from .errors import ConespecError, DimensionTooLargeError
-from .existence import SUBSET_SWEEP_CAP, Verdict, VerdictKind, classify
+from .existence import (STRICTNESS_TOL, SUBSET_SWEEP_CAP, Verdict,
+                        VerdictKind, classify)
 from .graphs import HypergraphProbe, digraph_of, digraph_to_dot, \
     hypergraph_to_dot
-from .spectral import NonconvergedError, cw_upper, solve_eigenvector
+from .spectral import (DEFAULT_BUDGET, NonconvergedError, cw_upper,
+                       solve_eigenvector)
 from .topical import build_shapley, check_additive_eigenvector, mean_payoff
 from . import dsl
 
@@ -35,8 +37,8 @@ CONVEX_CAP = 10_000
 
 @dataclass
 class RunConfig:
-    tolerance: float = 1e-9
-    budget: int = 10_000
+    tolerance: float = STRICTNESS_TOL
+    budget: int = DEFAULT_BUDGET
     max_n: int = SUBSET_SWEEP_CAP
     output: str = "json"
     prune: bool = True
@@ -214,7 +216,12 @@ def cmd_game(path: str, config: RunConfig) -> int:
     verdict = check_additive_eigenvector(T, budget=config.budget,
                                          tol=config.tolerance)
     elapsed = time.monotonic() - start if config.timing else None
-    bracket = cw_upper(T.conjugate, config.budget)
+    displacement = verdict.multiplicative.displacement
+    if displacement is not None:
+        # classify bracketed the same map with the same budget and tolerance
+        bracket = displacement.r_bracket
+    else:
+        bracket = cw_upper(T.conjugate, config.budget)
     doc = verdict_doc(verdict.multiplicative, elapsed)
     doc["scale"] = "additive"
     doc["additive_eigenvalue_bracket"] = {
@@ -255,10 +262,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("file", help="input file, or - for stdin")
-        p.add_argument("--tol", type=float, default=1e-9,
-                       help="strictness tolerance (default 1e-9)")
-        p.add_argument("--budget", type=int, default=10_000,
-                       help="iteration budget (default 10000)")
+        p.add_argument("--tol", type=float, default=STRICTNESS_TOL,
+                       help="strictness tolerance (default %(default)g)")
+        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                       help="iteration budget (default %(default)d)")
         p.add_argument("--format", choices=("json", "human"), default="json")
         p.add_argument("--no-prune", action="store_true",
                        help="disable subset pruning (debug)")

@@ -18,9 +18,6 @@ from .errors import MixedPolesError
 
 INF = math.inf
 
-#: Relative comparison tolerance used across the package unless overridden.
-DEFAULT_TOL = 1e-9
-
 
 def is_ext_scalar(v: float) -> bool:
     """True when v is a valid extended scalar: 0, inf, or a positive finite."""
@@ -183,6 +180,9 @@ class ConeMap:
     evaluator: Optional[Callable[[Tuple[float, ...]], Sequence[float]]] = None
     multiplicatively_convex: bool = False
     analytic: bool = False
+    # the compiled interior evaluator of an AST map, built on first use
+    _interior: Optional[Callable[[Tuple[float, ...]], Tuple[float, ...]]] = \
+        field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if (self.exprs is None) == (self.evaluator is None):
@@ -211,10 +211,22 @@ class ConeMap:
         return result
 
     def eval_interior(self, values: Sequence[float]) -> Tuple[float, ...]:
-        """Evaluate at an interior point given as raw floats."""
-        if self.exprs is not None:
-            return tuple(e.evaluate(tuple(values)) for e in self.exprs)
-        return tuple(float(v) for v in self.evaluator(tuple(values)))
+        """Evaluate at an interior point given as raw floats.
+
+        An AST map compiles its expressions on the first call
+        (`maps.interior_evaluator`) and keeps the result; its outputs are
+        bit-identical to `Expr.evaluate`, which still evaluates boundary
+        and extended points through `__call__`.
+        """
+        if self.exprs is None:
+            return tuple(float(v) for v in self.evaluator(tuple(values)))
+        evaluate = self._interior
+        if evaluate is None:
+            from .maps import interior_evaluator
+
+            evaluate = interior_evaluator(self.exprs)
+            object.__setattr__(self, "_interior", evaluate)
+        return evaluate(tuple(values))
 
 
 ZERO_FILL = 0.0

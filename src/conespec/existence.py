@@ -26,11 +26,11 @@ from .maps import face_map, restrict_map, sparsity_probe
 from .spectral import (CWBracket, DisplacementInterval, EigenResult,
                        NonconvergedError, cw_lower, cw_upper,
                        min_displacement, solve_eigenvector,
-                       DEFAULT_BUDGET)
+                       DEFAULT_BUDGET, DEFAULT_TOL)
 
 SUBSET_SWEEP_CAP = 24
 STRICTNESS_TOL = 1e-9
-BRACKET_TOL = 1e-10
+BRACKET_TOL = DEFAULT_TOL
 
 
 class Route(Enum):
@@ -371,7 +371,7 @@ def classify_convex(f: ConeMap, budget: int = DEFAULT_BUDGET,
     for comp in scc.order:
         mask = SubsetMask.of(comp, n)
         if mask.is_full():
-            b = cw_upper(f, budget, BRACKET_TOL)
+            b = cw_upper(f, budget, BRACKET_TOL, components=scc)
         else:
             b = cw_upper(restrict_map(f, mask, 0.0), budget, BRACKET_TOL)
         brackets.append(b)

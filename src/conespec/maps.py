@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 from .core import INF, ConeMap, ExtVec, Side, SubsetMask, iter_bits
 from .errors import EmptySupportError, ZeroRowError
@@ -189,6 +189,15 @@ def _pow_safe(v: float, r: float) -> float:
         return INF
 
 
+def _plain_sum(terms: Iterable[float]) -> float:
+    # Left to right from 0.0, like the `+` chains of the compiled evaluator;
+    # builtin sum compensates float rounding from Python 3.12 on.
+    total = 0.0
+    for t in terms:
+        total += t
+    return total
+
+
 def eval_mean(r: float, sigma: Sequence[float], values: Sequence[float]) -> float:
     """The (r, sigma)-mean of `values`, with exact one-sided pole handling.
 
@@ -200,6 +209,10 @@ def eval_mean(r: float, sigma: Sequence[float], values: Sequence[float]) -> floa
     * r < 0: any supported zero gives 0; supported infs drop out of the sum
       (their reciprocal contributes 0), and if every term drops the mean
       is inf.
+
+    The weighted terms are added one at a time from 0.0 in order, so the
+    result is the same on every Python version and bit-identical to the
+    compiled interior evaluator (`interior_evaluator`).
     """
     pairs = [(w, v) for w, v in zip(sigma, values) if w > 0.0]
     if not pairs:
@@ -207,21 +220,21 @@ def eval_mean(r: float, sigma: Sequence[float], values: Sequence[float]) -> floa
     if r > 0.0:
         if any(v == INF for _, v in pairs):
             return INF
-        total = sum(w * _pow_safe(v, r) for w, v in pairs)
+        total = _plain_sum(w * _pow_safe(v, r) for w, v in pairs)
         return _pow_safe(total, 1.0 / r) if total > 0.0 else 0.0
     if r == 0.0:
         if any(v == 0.0 for _, v in pairs):
             return 0.0
         if any(v == INF for _, v in pairs):
             return INF
-        return math.exp(sum(w * math.log(v) for w, v in pairs))
+        return math.exp(_plain_sum(w * math.log(v) for w, v in pairs))
     # r < 0
     if any(v == 0.0 for _, v in pairs):
         return 0.0
     finite = [(w, v) for w, v in pairs if v < INF]
     if not finite:
         return INF
-    total = sum(w * _pow_safe(v, r) for w, v in finite)
+    total = _plain_sum(w * _pow_safe(v, r) for w, v in finite)
     return 0.0 if total == INF else _pow_safe(total, 1.0 / r)
 
 
@@ -265,6 +278,100 @@ def from_exprs(exprs: Sequence[Expr], dimension: int) -> ConeMap:
         multiplicatively_convex=all(_is_mult_convex(e) for e in exprs),
         analytic=all(_is_analytic(e) for e in exprs),
     )
+
+
+# ---------------------------------------------------------------------------
+# Compiled interior evaluation
+
+def _literal(v) -> Optional[str]:
+    """Source text that reads back as exactly the float v, if there is one."""
+    if type(v) is not float or math.isnan(v) or v == -INF:
+        return None
+    return "INF" if v == INF else repr(v)
+
+
+class _Emitter:
+    """Writes expression trees as inline Python source over the point `x`.
+
+    Every node is written with the operations its `evaluate` performs, in
+    the same order.  Only integers, float literals and names this class
+    chooses reach the source.  Nodes it does not inline (`Linear`, whose
+    loop costs more to compile than it saves, and nodes with constants that
+    have no literal) are called through their own `evaluate`.
+    """
+
+    def __init__(self):
+        self.namespace: Dict[str, object] = {
+            "INF": INF, "_exp": math.exp, "_log": math.log}
+
+    def _out_of_line(self, e: Expr) -> str:
+        name = f"_node{len(self.namespace)}"
+        self.namespace[name] = e.evaluate
+        return f"{name}(x)"
+
+    def emit(self, e: Expr) -> str:
+        if type(e) is Coord and type(e.index) is int:
+            return f"x[{e.index}]"
+        if type(e) is Pole and _literal(e.value) is not None:
+            return _literal(e.value)
+        if type(e) is Scale and _literal(e.factor) is not None:
+            return f"({_literal(e.factor)} * {self.emit(e.child)})"
+        if type(e) is Sum:
+            return "(0.0 + " + " + ".join(map(self.emit, e.terms)) + ")"
+        if type(e) in (Min, Max):
+            if len(e.terms) == 1:
+                return self.emit(e.terms[0])
+            name = "min" if type(e) is Min else "max"
+            return f"{name}(" + ", ".join(map(self.emit, e.terms)) + ")"
+        if type(e) is PowerMean and type(e.r) is float and math.isfinite(e.r):
+            inverse = 1.0 / e.r if e.r != 0.0 else 0.0
+            weights = [_literal(w) for w in e.weights]
+            if None not in weights and math.isfinite(inverse):
+                if e.r == 0.0:
+                    terms = (f"{w} * _log({self.emit(t)})"
+                             for w, t in zip(weights, e.terms))
+                    return "_exp(0.0 + " + " + ".join(terms) + ")"
+                terms = (f"{w} * {self.emit(t)} ** {_literal(e.r)}"
+                         for w, t in zip(weights, e.terms))
+                return ("((0.0 + " + " + ".join(terms) + ") ** "
+                        f"{_literal(inverse)})")
+        return self._out_of_line(e)
+
+
+def interior_evaluator(exprs: Sequence[Expr]
+                       ) -> Callable[[Tuple[float, ...]], Tuple[float, ...]]:
+    """A function x -> (e(x) for e in exprs), bit-identical to `Expr.evaluate`.
+
+    The trees are compiled once into a single Python function, so an
+    evaluation no longer walks them.  A point where the compiled arithmetic
+    raises (a zero under a geometric mean's log, 0.0 to a negative power, a
+    power that overflows) is evaluated again by the interpreter, which
+    applies the exact pole rules of `eval_mean` and `_pow_safe`; every
+    other point takes the same floating-point operations in the same order
+    as the interpreter.  Maps whose outputs are all `Coord`, `Pole` or
+    `Linear` (every `matrix_map`) have nothing worth inlining and keep the
+    interpreter, as do trees too deep for the Python compiler.
+    """
+    exprs = tuple(exprs)
+
+    def interpret(x):
+        return tuple(e.evaluate(x) for e in exprs)
+
+    if all(type(e) in (Coord, Pole, Linear) for e in exprs):
+        return interpret
+    emitter = _Emitter()
+    emitter.namespace["_interpret"] = interpret
+    try:
+        outputs = "".join(emitter.emit(e) + ", " for e in exprs)
+        source = ("def _interior(x):\n"
+                  "    try:\n"
+                  f"        return ({outputs})\n"
+                  "    except (ArithmeticError, ValueError):\n"
+                  "        return _interpret(x)\n")
+        exec(compile(source, "<interior evaluator>", "exec"), emitter.namespace)
+    except (RecursionError, SyntaxError):
+        return interpret
+    return emitter.namespace["_interior"]
 
 
 # ---------------------------------------------------------------------------

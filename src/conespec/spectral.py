@@ -21,6 +21,7 @@ from typing import List, Optional, Tuple
 from .core import (INF, ConeMap, ExtVec, Side, SubsetMask, reciprocal,
                    sup_normalized)
 from .errors import ConespecError, NumericRangeError
+from .graphs import SCCDecomposition, digraph_of, scc_decompose
 from . import maps as _maps
 
 DEFAULT_BUDGET = 10_000
@@ -156,14 +157,17 @@ def _core_bracket(g: ConeMap, x0: Tuple[float, ...], budget: int,
 
 
 def cw_upper(f: ConeMap, budget: int = DEFAULT_BUDGET,
-             tol: float = DEFAULT_TOL) -> CWBracket:
+             tol: float = DEFAULT_TOL,
+             components: Optional[SCCDecomposition] = None) -> CWBracket:
     """Bracket [lambda, r] of a map, or of a lower restriction on its face.
 
     The support of the face is stabilized first (a lower restriction may
     collapse part of its face to zero); if everything collapses the spectral
     radius is exactly zero.  On multiplicatively convex AST maps the radius
     is assembled from strongly connected faces, where the iteration is
-    guaranteed to converge.
+    guaranteed to converge.  `components`, the decomposition of f's growth
+    digraph when the caller already has it, is reused only if no part of
+    the support collapses; a collapsed face has a digraph of its own.
     """
     n = f.dimension
     if f.is_ast:
@@ -181,7 +185,8 @@ def cw_upper(f: ConeMap, budget: int = DEFAULT_BUDGET,
         embed = lambda v: _embed_witness(v, support)
 
     if g.is_ast and g.multiplicatively_convex and g.dimension > 1:
-        bracket = _convex_radius(g, budget, tol)
+        bracket = _convex_radius(g, budget, tol,
+                                 components if g is f else None)
         if bracket is not None:
             lo, up, wlo, wup, iters, conv = bracket
             result = CWBracket(lo, up, embed(wlo), embed(wup), iters, conv)
@@ -199,11 +204,11 @@ def _attach_collapse(bracket: CWBracket, support: SubsetMask, n: int) -> CWBrack
     return replace(bracket, collapsed_support=support.indices())
 
 
-def _convex_radius(g: ConeMap, budget: int, tol: float):
+def _convex_radius(g: ConeMap, budget: int, tol: float,
+                   scc: Optional[SCCDecomposition]):
     """r(g) = max over strongly connected components C of r(g^C_0)."""
-    from .graphs import digraph_of, scc_decompose
-
-    scc = scc_decompose(digraph_of(g))
+    if scc is None:
+        scc = scc_decompose(digraph_of(g))
     if len(scc.order) <= 1:
         return None
     best = None

@@ -92,6 +92,8 @@ class TopicalMap:
         self.game = game
         self.n = game.n
         self.conjugate = _conjugate_of_game(game)
+        # the last iterate T^k(0) computed, as (k, iterate)
+        self._from_zero: Tuple[int, Tuple[float, ...]] = (0, (0.0,) * game.n)
 
     def additive(self, x: Sequence[float]) -> Tuple[float, ...]:
         """Evaluate T(x); coordinates of x may be +-inf (one-sided)."""
@@ -111,6 +113,15 @@ class TopicalMap:
         x = tuple(float(v) for v in x0)
         for _ in range(k):
             x = self.additive(x)
+        return x
+
+    def iterate_from_zero(self, k: int) -> Tuple[float, ...]:
+        """T^k(0), continuing the last such iterate when k is not below it."""
+        done, x = self._from_zero
+        if k < done:
+            done, x = 0, (0.0,) * self.n
+        x = self.iterate_additive(x, k - done)
+        self._from_zero = (k, x)
         return x
 
     def additive_hyperarc_targets(self, upper: bool, tail: SubsetMask
@@ -233,13 +244,17 @@ def check_additive_eigenvector(T: TopicalMap, budget: int = DEFAULT_BUDGET,
 
 
 def mean_payoff(T: TopicalMap, state: int, k: int) -> float:
-    """The k-stage average optimal payoff T^k(0)_state / k."""
+    """The k-stage average optimal payoff T^k(0)_state / k.
+
+    Calls in order of nondecreasing k share one trajectory from 0
+    (`TopicalMap.iterate_from_zero`), so every state at several horizons
+    costs as many operator evaluations as the largest horizon.
+    """
     if k < 1:
         raise ValueError("horizon must be at least 1")
     if not 0 <= state < T.n:
         raise ValueError("state index out of range")
-    x = T.iterate_additive((0.0,) * T.n, k)
-    return x[state] / k
+    return T.iterate_from_zero(k)[state] / k
 
 
 def variation_norm(x: Sequence[float]) -> float:

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import conespec as cs
-from conespec.maps import (Coord, Linear, Max, Min, PowerMean, Scale, Sum,
-                           from_exprs, monomial)
+from conespec.core import INF
+from conespec.maps import (Coord, Linear, Max, Min, Pole, PowerMean, Scale,
+                           Sum, from_exprs, monomial)
 
 # Five fixed seeds for the property suites; CONESPEC_SEED shifts the base.
 _BASE = int(os.environ.get("CONESPEC_SEED", "0"))
@@ -121,6 +122,35 @@ def random_mplus_map(rng, n) -> cs.ConeMap:
             terms.append(Scale(coeff, node) if coeff != 1.0 else node)
         exprs.append(terms[0] if len(terms) == 1 else Sum(tuple(terms)))
     return from_exprs(exprs, n)
+
+
+def random_tree(rng, n, depth):
+    """A random node over every node type, poles included."""
+    kind = int(rng.integers(0, 8 if depth > 0 else 3))
+    if kind == 0:
+        return Coord(int(rng.integers(0, n)))
+    if kind == 1:
+        return Pole(0.0 if rng.random() < 0.5 else INF)
+    if kind == 2:
+        support = sorted(int(j) for j in rng.choice(
+            n, size=int(rng.integers(1, n + 1)), replace=False))
+        return Linear(tuple((j, float(rng.uniform(0.1, 3.0)))
+                            for j in support))
+    if kind == 3:
+        return Scale(float(rng.uniform(0.1, 3.0)),
+                     random_tree(rng, n, depth - 1))
+    terms = tuple(random_tree(rng, n, depth - 1)
+                  for _ in range(int(rng.integers(1, 4))))
+    if kind == 4:
+        return Sum(terms)
+    if kind == 5:
+        return Min(terms)
+    if kind == 6:
+        return Max(terms)
+    weights = [float(w) for w in rng.uniform(0.2, 1.0, size=len(terms))]
+    total = sum(weights)
+    return PowerMean(float(rng.choice([-2.0, -1.0, 0.0, 0.5, 1.0, 2.0])),
+                     tuple(w / total for w in weights), terms)
 
 
 def random_irreducible_matrix(rng, n):

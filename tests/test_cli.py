@@ -5,7 +5,9 @@ import math
 
 import pytest
 
+import conespec as cs
 import conespec.cli as cli
+from conespec import dsl
 
 from conftest import game_conjugate_text
 from test_dsl import GAME_JSON, tensor_text
@@ -131,6 +133,44 @@ class TestGame:
         out = json.loads(capsys.readouterr().out)
         routes = {tuple(s["subset"]): s["route"] for s in out["subsets"]}
         assert routes[(1,)] == "numeric_reverse"
+
+    def test_bracket_reused_from_displacement(self, tmp_path, capsys,
+                                              monkeypatch):
+        doc = json.loads(GAME_JSON)
+        doc["actions"][0][0]["payoff"] = 3.0
+        path = write(tmp_path, "g.game.json", json.dumps(doc))
+        expected = cli.cw_upper(
+            cs.build_shapley(dsl.parse_game(json.dumps(doc))).conjugate)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("bracket computed a second time")
+
+        monkeypatch.setattr(cli, "cw_upper", refuse)
+        assert cli.main(["game", path]) == 2
+        out = json.loads(capsys.readouterr().out)
+        assert out["additive_eigenvalue_bracket"] == {
+            "lower": math.log(expected.lower),
+            "upper": math.log(expected.upper),
+            "converged": expected.converged}
+
+    def test_one_trajectory_for_mean_payoffs(self, tmp_path, capsys,
+                                             monkeypatch):
+        calls = []
+        additive = cs.TopicalMap.additive
+
+        def counted(T, x):
+            calls.append(x)
+            return additive(T, x)
+
+        monkeypatch.setattr(cs.TopicalMap, "additive", counted)
+        path = write(tmp_path, "g.game.json", GAME_JSON)
+        assert cli.main(["game", path]) == 0
+        assert len(calls) == 1024
+        payoffs = json.loads(capsys.readouterr().out)["mean_payoff"]
+        T = cs.build_shapley(dsl.parse_game(GAME_JSON))
+        for k in (64, 256, 1024):
+            assert payoffs[str(k)] == [cs.mean_payoff(T, s, k)
+                                       for s in range(3)]
 
     def test_validation_error(self, tmp_path, capsys):
         doc = json.loads(GAME_JSON)

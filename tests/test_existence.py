@@ -162,6 +162,33 @@ class TestClassifyConvex:
         assert by_comp[(3,)].bracket.upper == pytest.approx(1.0, rel=1e-9)
         assert by_comp[(2,)].bracket.upper == 0.0
 
+    def test_irreducible_map_builds_one_digraph(self, monkeypatch):
+        from conespec import existence, spectral
+        from conespec.graphs import digraph_of
+
+        calls = []
+
+        def counted(f):
+            calls.append(f)
+            return digraph_of(f)
+
+        monkeypatch.setattr(existence, "digraph_of", counted)
+        monkeypatch.setattr(spectral, "digraph_of", counted)
+        f = cs.matrix_map([[0.0, 2.0, 1.0], [1.0, 0.0, 0.0],
+                           [0.5, 3.0, 0.0]])
+        v = cs.classify_convex(f, solve=False)
+        assert calls == [f]
+        assert v.convex_report.classes[0].bracket == cs.cw_upper(f)
+
+    def test_decomposition_ignored_on_a_collapsed_face(self):
+        # coordinate 3 of the restriction is 0, so the bracket runs on the
+        # two-dimensional face {1, 2}, not on the digraph handed in
+        f = cs.restrict_lower(from_exprs((Coord(1), Coord(0), Coord(2)), 3),
+                              mask([1, 2], 3))
+        scc = cs.scc_decompose(cs.digraph_of(f))
+        assert scc.order == ((0, 1), (2,))
+        assert cs.cw_upper(f, components=scc) == cs.cw_upper(f)
+
 
 class TestInference:
     def test_analytic_class_map_unique(self):

@@ -13,7 +13,7 @@ from conespec.maps import (Coord, Linear, Max, Min, Pole, PowerMean, Scale,
                            Sum, from_exprs)
 
 from conftest import (make_game, make_schoen, make_tensor_example,
-                      random_mplus_map)
+                      random_mplus_map, random_tree)
 
 
 def mask(ix, n):
@@ -328,35 +328,6 @@ def random_rows(rng, n, density=0.4):
         if not any(row):
             row[int(rng.integers(0, n))] = 1.0
     return rows
-
-
-def random_tree(rng, n, depth):
-    """A random node over every node type, poles included."""
-    kind = int(rng.integers(0, 8 if depth > 0 else 3))
-    if kind == 0:
-        return Coord(int(rng.integers(0, n)))
-    if kind == 1:
-        return Pole(0.0 if rng.random() < 0.5 else INF)
-    if kind == 2:
-        support = sorted(int(j) for j in rng.choice(
-            n, size=int(rng.integers(1, n + 1)), replace=False))
-        return Linear(tuple((j, float(rng.uniform(0.1, 3.0)))
-                            for j in support))
-    if kind == 3:
-        return Scale(float(rng.uniform(0.1, 3.0)),
-                     random_tree(rng, n, depth - 1))
-    terms = tuple(random_tree(rng, n, depth - 1)
-                  for _ in range(int(rng.integers(1, 4))))
-    if kind == 4:
-        return Sum(terms)
-    if kind == 5:
-        return Min(terms)
-    if kind == 6:
-        return Max(terms)
-    weights = [float(w) for w in rng.uniform(0.2, 1.0, size=len(terms))]
-    total = sum(weights)
-    return PowerMean(float(rng.choice([-2.0, -1.0, 0.0, 0.5, 1.0, 2.0])),
-                     tuple(w / total for w in weights), terms)
 
 
 class TestSymbolicDigraph:

@@ -7,12 +7,14 @@ import pytest
 import conespec as cs
 from conespec.core import INF, ExtVec, SubsetMask
 from conespec.errors import EmptySupportError, ZeroRowError
+from conespec import maps
 from conespec.maps import (Coord, Linear, Max, Min, Pole, PowerMean, Scale,
-                           Sum, eval_mean, from_exprs, monomial, pin, theta)
+                           Sum, eval_mean, from_exprs, interior_evaluator,
+                           monomial, pin, theta)
 
 from conftest import (make_game, make_schoen, make_tensor_example,
-                      random_interior, random_mplus_map, tensor_example_raw,
-                      value_iteration_oracle)
+                      random_interior, random_mplus_map, random_tree,
+                      tensor_example_raw, value_iteration_oracle)
 
 
 class TestEvalMean:
@@ -323,3 +325,108 @@ class TestPinEquivalence:
                     assert via_pin == via_ext
                 else:
                     assert via_pin == pytest.approx(via_ext, rel=1e-12)
+
+
+def _outcome(evaluate, x):
+    """The repr of the outputs, or the type of the exception raised."""
+    try:
+        return repr(evaluate(x))
+    except Exception as exc:  # the exception type is what gets compared
+        return type(exc).__name__
+
+
+class TestCompiledInterior:
+    """The compiled interior evaluator against the interpreter it replaces."""
+
+    @staticmethod
+    def _interpreted(exprs):
+        return lambda x: tuple(e.evaluate(x) for e in exprs)
+
+    def test_random_trees_match_interpreter(self, rng):
+        for _ in range(300):
+            n = int(rng.integers(1, 6))
+            exprs = [random_tree(rng, n, int(rng.integers(0, 5)))
+                     for _ in range(n)]
+            for g in (from_exprs(exprs, n),
+                      cs.reciprocal_conjugate(from_exprs(exprs, n))):
+                fast = interior_evaluator(g.exprs)
+                slow = self._interpreted(g.exprs)
+                for _ in range(6):
+                    if rng.random() < 0.5:
+                        x = tuple(float(v) for v in
+                                  10.0 ** rng.uniform(-300.0, 300.0, size=n))
+                    else:
+                        x = tuple(float(v) for v in
+                                  rng.uniform(0.1, 10.0, size=n))
+                    assert _outcome(fast, x) == _outcome(slow, x)
+
+    def test_single_term_min_max_and_poles(self):
+        exprs = (Min((Scale(2.0, Coord(0)),)),
+                 Max((Sum((Coord(1), Pole(0.0))),)),
+                 Sum((Pole(INF), Coord(0))),
+                 PowerMean(-1.0, (0.5, 0.5), (Pole(INF), Coord(2))))
+        fast = interior_evaluator(exprs)
+        for x in ((1.0, 2.0, 3.0), (1e-300, 1e300, 5e-324)):
+            assert repr(fast(x)) == repr(self._interpreted(exprs)(x))
+
+    @pytest.mark.parametrize("node, x", [
+        # an underflowing scale puts a zero under a geometric mean's log
+        (PowerMean(0.0, (0.5, 0.5), (Scale(1e-200, Coord(0)), Coord(1))),
+         (1e-200, 1.0)),
+        # the same zero raised to a negative power
+        (PowerMean(-1.0, (0.5, 0.5), (Scale(1e-200, Coord(0)), Coord(1))),
+         (1e-200, 1.0)),
+        # a power that overflows: the interpreter's _pow_safe gives inf
+        (PowerMean(2.0, (0.5, 0.5), (Coord(0), Coord(1))), (1e200, 1.0)),
+        # every term of a negative-exponent mean overflows to inf
+        (PowerMean(-0.5, (0.5, 0.5), (Scale(1e200, Coord(0)),
+                                      Scale(1e200, Coord(1)))),
+         (1e200, 1e200)),
+    ])
+    def test_fallback_points(self, monkeypatch, node, x):
+        fast = interior_evaluator((node, Coord(0)))
+        ordinary = repr(self._interpreted((node, Coord(0)))((1.0, 1.0)))
+        expected = repr(self._interpreted((node, Coord(0)))(x))
+        calls = []
+        original = PowerMean.evaluate
+
+        def counted(self, point):
+            calls.append(point)
+            return original(self, point)
+
+        # the compiled code inlines the mean, so only the fallback calls it
+        monkeypatch.setattr(PowerMean, "evaluate", counted)
+        assert repr(fast((1.0, 1.0))) == ordinary
+        assert calls == []
+        assert repr(fast(x)) == expected
+        assert calls == [x]
+
+    def test_tree_too_deep_to_compile(self):
+        e = Coord(0)
+        for _ in range(250):
+            e = Scale(1.5, Sum((e, Coord(1))))
+        x = (1.0, 2.0)
+        assert interior_evaluator((e,))(x) == (e.evaluate(x),)
+
+    def test_cached_on_the_map(self):
+        f = make_schoen()
+        x = (1.0, 2.0, 3.0, 4.0)
+        assert f.eval_interior(x) == self._interpreted(f.exprs)(x)
+        evaluator = f._interior
+        assert evaluator is not None
+        f.eval_interior((2.0, 2.0, 2.0, 2.0))
+        assert f._interior is evaluator
+
+    def test_matrix_map_is_never_compiled(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a linear map was compiled")
+
+        # shadows the builtin for the code generator only
+        monkeypatch.setattr(maps, "compile", refuse, raising=False)
+        f = cs.matrix_map([[0.0, 2.0, 1.0], [1.0, 0.0, 0.0],
+                           [0.5, 3.0, 0.0]])
+        assert cs.classify(f).kind is cs.VerdictKind.NONEMPTY_BOUNDED
+        cs.cw_upper(cs.restrict_lower(f, SubsetMask.of([0, 1], 3)))
+        # the guard does see compilation: the conjugate has power means
+        with pytest.raises(AssertionError):
+            cs.reciprocal_conjugate(f).eval_interior((1.0, 1.0, 1.0))

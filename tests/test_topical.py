@@ -162,6 +162,15 @@ class TestMeanPayoff:
         assert values[1] == pytest.approx(1.0, abs=1e-2)
         assert max(values) - min(values) > 1.0
 
+    def test_shared_trajectory_matches_restarts(self):
+        T = cs.build_shapley(make_game(3.0, 0.5, 1.0, 0.3, 2.0, -1.0,
+                                       0.4, 0.6))
+        # increasing, repeated and decreasing horizons, one state at a time
+        for k in (7, 64, 64, 256, 1024, 7, 300):
+            for s in range(3):
+                fresh = T.iterate_additive((0.0,) * 3, k)[s] / k
+                assert cs.mean_payoff(T, s, k) == fresh
+
     def test_validation(self):
         T = cs.build_shapley(make_game(0, 0, 1, 0, 2, 0, 0.5, 0.5))
         with pytest.raises(ValueError):
