@@ -180,8 +180,9 @@ class ConeMap:
     evaluator: Optional[Callable[[Tuple[float, ...]], Sequence[float]]] = None
     multiplicatively_convex: bool = False
     analytic: bool = False
-    # the compiled interior evaluator of an AST map, built on first use
-    _interior: Optional[Callable[[Tuple[float, ...]], Tuple[float, ...]]] = \
+    # the compiled interior evaluator and (f + id) loop of an AST map,
+    # built on first use by `maps.compile_interior`
+    _interior: Optional[Tuple[Callable, Optional[Callable]]] = \
         field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -210,23 +211,34 @@ class ConeMap:
             raise MixedPolesError("upper-side evaluation produced zero")
         return result
 
+    def _compiled(self) -> Tuple[Callable, Optional[Callable]]:
+        compiled = self._interior
+        if compiled is None:
+            from .maps import compile_interior
+
+            compiled = compile_interior(self.exprs)
+            object.__setattr__(self, "_interior", compiled)
+        return compiled
+
     def eval_interior(self, values: Sequence[float]) -> Tuple[float, ...]:
         """Evaluate at an interior point given as raw floats.
 
         An AST map compiles its expressions on the first call
-        (`maps.interior_evaluator`) and keeps the result; its outputs are
+        (`maps.compile_interior`) and keeps the result; its outputs are
         bit-identical to `Expr.evaluate`, which still evaluates boundary
         and extended points through `__call__`.
         """
         if self.exprs is None:
             return tuple(float(v) for v in self.evaluator(tuple(values)))
-        evaluate = self._interior
-        if evaluate is None:
-            from .maps import interior_evaluator
+        return self._compiled()[0](tuple(values))
 
-            evaluate = interior_evaluator(self.exprs)
-            object.__setattr__(self, "_interior", evaluate)
-        return evaluate(tuple(values))
+    def interior_loop(self) -> Optional[Callable]:
+        """The compiled normalized (f + id) loop of an AST map, or None.
+
+        None for black-box maps and for maps `maps.compile_interior` does
+        not compile; `spectral` iterates those with its plain-Python loop.
+        """
+        return None if self.exprs is None else self._compiled()[1]
 
 
 ZERO_FILL = 0.0

@@ -13,7 +13,6 @@ which needs only linearly many brackets.
 
 from __future__ import annotations
 
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -116,11 +115,21 @@ def _strictly_below(hi: float, lo: float, tol: float) -> bool:
 
 
 class Analyzer:
-    """Shared caches for one classification run."""
+    """Caches for one classification run.
+
+    `memo` holds the brackets of reduced maps (see `spectral.cw_upper`) and
+    the verdict kinds of faces, keyed by their expressions.  The top-level
+    analyzer creates it and its face sub-analyses share it, because a
+    restriction of a face is a restriction of f: each distinct map is
+    bracketed, and each distinct face classified, once per classification.
+    Plain dict operations suffice under `workers`, since a racing duplicate
+    computes the same value.
+    """
 
     def __init__(self, f: ConeMap, budget: int = DEFAULT_BUDGET,
                  tol: float = STRICTNESS_TOL, bracket_tol: float = BRACKET_TOL,
-                 prune: bool = True, workers: int = 1):
+                 prune: bool = True, workers: int = 1,
+                 memo: Optional[dict] = None):
         self.f = f
         self.n = f.dimension
         self.budget = budget
@@ -128,45 +137,40 @@ class Analyzer:
         self.bracket_tol = bracket_tol
         self.prune = prune
         self.workers = max(1, workers)
+        self.memo = {} if memo is None else memo
         self.lower_probe = HypergraphProbe(f, Side.LOWER)
         self.upper_probe = HypergraphProbe(f, Side.UPPER)
         self._r0_cache: Dict[int, CWBracket] = {}
         self._linf_cache: Dict[int, CWBracket] = {}
-        self._face_kind_cache: Dict[Tuple[str, int], VerdictKind] = {}
-        self._lock = threading.Lock()
 
     # -- brackets ---------------------------------------------------------
 
     def r0_bracket(self, J: SubsetMask) -> CWBracket:
         """Certified bracket for r(f^J_0), after stabilizing the support."""
         stable = self.lower_probe.reach(J.complement()).complement()
-        with self._lock:
-            hit = self._r0_cache.get(stable.bits)
+        hit = self._r0_cache.get(stable.bits)
         if hit is not None:
             return hit
         if stable.is_empty():
             b = CWBracket(0.0, 0.0, None, None, 0, True, collapsed_support=())
         else:
             b = cw_upper(restrict_map(self.f, stable, 0.0),
-                         self.budget, self.bracket_tol)
-        with self._lock:
-            self._r0_cache[stable.bits] = b
+                         self.budget, self.bracket_tol, memo=self.memo)
+        self._r0_cache[stable.bits] = b
         return b
 
     def linf_bracket(self, J: SubsetMask) -> CWBracket:
         """Certified bracket for lambda(f^{[n]\\J}_inf)."""
         kept = self.upper_probe.reach(J).complement()
-        with self._lock:
-            hit = self._linf_cache.get(kept.bits)
+        hit = self._linf_cache.get(kept.bits)
         if hit is not None:
             return hit
         if kept.is_empty():
             b = CWBracket(INF, INF, None, None, 0, True, collapsed_support=())
         else:
             b = cw_lower(restrict_map(self.f, kept, INF),
-                         self.budget, self.bracket_tol)
-        with self._lock:
-            self._linf_cache[kept.bits] = b
+                         self.budget, self.bracket_tol, memo=self.memo)
+        self._linf_cache[kept.bits] = b
         return b
 
     # -- subset checks ----------------------------------------------------
@@ -191,17 +195,13 @@ class Analyzer:
     # -- face classification for pruning ----------------------------------
 
     def _face_kind(self, keep: SubsetMask, fill: float) -> VerdictKind:
-        key = ("lower" if fill == 0.0 else "upper", keep.bits)
-        with self._lock:
-            hit = self._face_kind_cache.get(key)
-        if hit is not None:
-            return hit
         face = face_map(self.f, keep, fill)
-        sub = Analyzer(face, self.budget, self.tol, self.bracket_tol,
-                       prune=self.prune)
-        kind = sub.classify(solve=False).kind
-        with self._lock:
-            self._face_kind_cache[key] = kind
+        key = ("face", face.exprs)
+        kind = self.memo.get(key)
+        if kind is None:
+            sub = Analyzer(face, self.budget, self.tol, self.bracket_tol,
+                           prune=self.prune, memo=self.memo)
+            kind = self.memo[key] = sub.classify(solve=False).kind
         return kind
 
     # -- the sweep ---------------------------------------------------------
@@ -281,17 +281,30 @@ class Analyzer:
         if kind is VerdictKind.NO_INTERIOR_EIGENVECTOR and solve:
             rev = next(c for c in certs if c.route is Route.NUMERIC_REVERSE)
             disp = min_displacement(self.f, self.budget, self.bracket_tol,
-                                    certificate=(rev.r_bracket, rev.lambda_bracket))
+                                    certificate=(rev.r_bracket, rev.lambda_bracket),
+                                    memo=self.memo)
             verdict = replace(verdict, displacement=disp)
         if kind is VerdictKind.NONEMPTY_BOUNDED and solve:
-            try:
-                eigen = solve_eigenvector(self.f, budget=self.budget,
-                                          tol=self.bracket_tol)
-                verdict = replace(verdict, eigen=eigen)
-            except NonconvergedError:
-                pass
-            verdict = infer_uniqueness_and_convergence(self.f, verdict)
+            verdict = _with_eigenvector(self.f, verdict, self.budget,
+                                        self.bracket_tol)
         return verdict
+
+
+def _with_eigenvector(f: ConeMap, verdict: Verdict, budget: int, tol: float,
+                      outcome=None) -> Verdict:
+    """A nonempty-bounded verdict with its eigenvector and flags filled in.
+
+    `outcome` is `solve_eigenvector`'s result (or the NonconvergedError it
+    raises) when the caller already has it; otherwise it is solved here.
+    """
+    if outcome is None:
+        try:
+            outcome = solve_eigenvector(f, budget=budget, tol=tol)
+        except NonconvergedError as exc:
+            outcome = exc
+    if isinstance(outcome, EigenResult):
+        verdict = replace(verdict, eigen=outcome)
+    return infer_uniqueness_and_convergence(f, verdict)
 
 
 def check_subset(f: ConeMap, J: SubsetMask, budget: int = DEFAULT_BUDGET,
@@ -322,14 +335,15 @@ def classify(f: ConeMap, budget: int = DEFAULT_BUDGET,
         return verdict
     analyzer = Analyzer(f, budget, tol, prune=prune, workers=workers)
     if fast_path and f.is_ast:
-        quick = _unique_final_class_shortcut(f, budget, tol, solve)
+        quick = _unique_final_class_shortcut(f, budget, tol, solve,
+                                             analyzer.memo)
         if quick is not None:
             return quick
     return analyzer.classify(solve=solve)
 
 
 def _unique_final_class_shortcut(f: ConeMap, budget: int, tol: float,
-                                 solve: bool) -> Optional[Verdict]:
+                                 solve: bool, memo: dict) -> Optional[Verdict]:
     """A unique final class C with r(f^{[n]\\C}_0) < r(f) settles the verdict."""
     scc = scc_decompose(digraph_of(f))
     finals = [i for i, fin in enumerate(scc.final) if fin]
@@ -339,20 +353,16 @@ def _unique_final_class_shortcut(f: ConeMap, budget: int, tol: float,
     if C.is_full():
         rest = CWBracket(0.0, 0.0, None, None, 0, True)
     else:
-        rest = cw_upper(restrict_map(f, C.complement(), 0.0), budget, BRACKET_TOL)
-    full = cw_upper(f, budget, BRACKET_TOL)
+        rest = cw_upper(restrict_map(f, C.complement(), 0.0), budget,
+                        BRACKET_TOL, memo=memo)
+    full = cw_upper(f, budget, BRACKET_TOL, memo=memo)
     if not _strictly_below(rest.upper, full.lower, tol):
         return None
     verdict = Verdict(kind=VerdictKind.NONEMPTY_BOUNDED,
                       detail="unique final class with strictly smaller "
                              "complementary spectral radius")
     if solve:
-        try:
-            eigen = solve_eigenvector(f, budget=budget, tol=BRACKET_TOL)
-            verdict = replace(verdict, eigen=eigen)
-        except NonconvergedError:
-            pass
-        verdict = infer_uniqueness_and_convergence(f, verdict)
+        verdict = _with_eigenvector(f, verdict, budget, BRACKET_TOL)
     return verdict
 
 
@@ -368,10 +378,14 @@ def classify_convex(f: ConeMap, budget: int = DEFAULT_BUDGET,
     n = f.dimension
     scc = scc_decompose(digraph_of(f))
     brackets = []
+    # one component: the verdict is nonempty_bounded, so when the
+    # eigenvector is wanted it comes from the whole-map bracket's trajectory
+    solved = [] if solve else None
     for comp in scc.order:
         mask = SubsetMask.of(comp, n)
         if mask.is_full():
-            b = cw_upper(f, budget, BRACKET_TOL, components=scc)
+            b = cw_upper(f, budget, BRACKET_TOL, components=scc,
+                         solved=solved)
         else:
             b = cw_upper(restrict_map(f, mask, 0.0), budget, BRACKET_TOL)
         brackets.append(b)
@@ -448,12 +462,8 @@ def classify_convex(f: ConeMap, budget: int = DEFAULT_BUDGET,
         disp = min_displacement(f, budget, BRACKET_TOL, certificate=(top, lam))
         verdict = replace(verdict, displacement=disp)
     if kind is VerdictKind.NONEMPTY_BOUNDED and solve:
-        try:
-            eigen = solve_eigenvector(f, budget=budget, tol=BRACKET_TOL)
-            verdict = replace(verdict, eigen=eigen)
-        except NonconvergedError:
-            pass
-        verdict = infer_uniqueness_and_convergence(f, verdict)
+        verdict = _with_eigenvector(f, verdict, budget, BRACKET_TOL,
+                                    solved[0] if solved else None)
     return verdict
 
 

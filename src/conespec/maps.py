@@ -10,12 +10,13 @@ reduced to genuine lower-dimensional maps.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .core import INF, ConeMap, ExtVec, Side, SubsetMask, iter_bits
-from .errors import EmptySupportError, ZeroRowError
+from .errors import EmptySupportError, NumericRangeError, ZeroRowError
 
 # ---------------------------------------------------------------------------
 # Nodes
@@ -281,7 +282,7 @@ def from_exprs(exprs: Sequence[Expr], dimension: int) -> ConeMap:
 
 
 # ---------------------------------------------------------------------------
-# Compiled interior evaluation
+# Compiled interior evaluation and (f + id) loop
 
 def _literal(v) -> Optional[str]:
     """Source text that reads back as exactly the float v, if there is one."""
@@ -290,28 +291,36 @@ def _literal(v) -> Optional[str]:
     return "INF" if v == INF else repr(v)
 
 
+def _point(n: int) -> str:
+    """The locals x0, ..., x{n-1} as a tuple display."""
+    return "(" + "".join(f"x{j}, " for j in range(n)) + ")"
+
+
 class _Emitter:
-    """Writes expression trees as inline Python source over the point `x`.
+    """Writes expression trees as inline Python source over the locals
+    x0, ..., x{n-1}.
 
     Every node is written with the operations its `evaluate` performs, in
     the same order.  Only integers, float literals and names this class
     chooses reach the source.  Nodes it does not inline (`Linear`, whose
-    loop costs more to compile than it saves, and nodes with constants that
-    have no literal) are called through their own `evaluate`.
+    loop costs more to compile than it saves, nodes with constants that
+    have no literal, and coordinates out of range) are called through their
+    own `evaluate` on the point as a tuple.
     """
 
-    def __init__(self):
+    def __init__(self, n: int):
+        self.n = n
         self.namespace: Dict[str, object] = {
             "INF": INF, "_exp": math.exp, "_log": math.log}
 
     def _out_of_line(self, e: Expr) -> str:
         name = f"_node{len(self.namespace)}"
         self.namespace[name] = e.evaluate
-        return f"{name}(x)"
+        return f"{name}({_point(self.n)})"
 
     def emit(self, e: Expr) -> str:
-        if type(e) is Coord and type(e.index) is int:
-            return f"x[{e.index}]"
+        if type(e) is Coord and type(e.index) is int and 0 <= e.index < self.n:
+            return f"x{e.index}"
         if type(e) is Pole and _literal(e.value) is not None:
             return _literal(e.value)
         if type(e) is Scale and _literal(e.factor) is not None:
@@ -338,40 +347,152 @@ class _Emitter:
         return self._out_of_line(e)
 
 
-def interior_evaluator(exprs: Sequence[Expr]
-                       ) -> Callable[[Tuple[float, ...]], Tuple[float, ...]]:
-    """A function x -> (e(x) for e in exprs), bit-identical to `Expr.evaluate`.
+def _extreme(var: str, items: Sequence[str], op: str, indent: str) -> List[str]:
+    """Lines setting `var` to the max (op ">") or min (op "<") of `items`.
 
-    The trees are compiled once into a single Python function, so an
-    evaluation no longer walks them.  A point where the compiled arithmetic
-    raises (a zero under a geometric mean's log, 0.0 to a negative power, a
-    power that overflows) is evaluated again by the interpreter, which
-    applies the exact pole rules of `eval_mean` and `_pow_safe`; every
-    other point takes the same floating-point operations in the same order
-    as the interpreter.  Maps whose outputs are all `Coord`, `Pole` or
-    `Linear` (every `matrix_map`) have nothing worth inlining and keep the
-    interpreter, as do trees too deep for the Python compiler.
+    They make the comparisons builtin max and min make, in the same order
+    (a later item replaces the current one only when strictly beyond it),
+    so the result is the same, NaN included, without a call.
+    """
+    lines = [f"{indent}{var} = {items[0]}"]
+    for item in items[1:]:
+        lines += [f"{indent}if {item} {op} {var}:", f"{indent}    {var} = {item}"]
+    return lines
+
+
+def _loop_source(n: int) -> str:
+    """The normalized (f + id) iteration in dimension n, over scalar locals.
+
+    The generated `_trajectory(body, x, ...)` takes a map's compiled body,
+    a function from the n coordinates to the n outputs, followed by the
+    arguments of `spectral._plain_trajectory`, and returns what it returns.
+    Per iterate it performs the same floating-point operations and
+    comparisons in the same order, without building a tuple except for a
+    new best witness.
+    """
+    xs = [f"x{i}" for i in range(n)]
+    fs = [f"f{i}" for i in range(n)]
+    rs = [f"r{i}" for i in range(n)]
+    ys = [f"y{i}" for i in range(n)]
+    point = _point(n)
+    lines = [
+        "def _trajectory(body, x, budget, tol, gap_stop, residual_stop, "
+        "guard):",
+        f"    {', '.join(xs)}, = x",
+        *_extreme("m", xs, ">", "    "),
+        *(f"    {v} = {v} / m" for v in xs),
+        "    best_up = INF",
+        "    best_lo = 0.0",
+        f"    wit_up = wit_lo = {point}",
+        "    gap = eigen = None",
+        "    k = 0",
+        "    while k < budget:",
+        "        k += 1",
+        f"        {', '.join(fs)}, = body({', '.join(xs)})",
+        *(f"        {r} = {v} / {u}" for r, v, u in zip(rs, fs, xs)),
+        *_extreme("hi", rs, ">", "        "),
+        "        if not hi < INF:",
+        "            return None",
+        *_extreme("lo", rs, "<", "        "),
+        "        if hi < best_up:",
+        "            best_up = hi",
+        f"            wit_up = {point}",
+        "        if lo > best_lo:",
+        "            best_lo = lo",
+        f"            wit_lo = {point}",
+        "        if gap_stop and best_up - best_lo <= "
+        "tol * (guard if guard > best_up else best_up):",
+        "            gap = (best_lo, best_up, wit_lo, wit_up, k)",
+        "            gap_stop = False",
+        "            if not residual_stop:",
+        "                break",
+        "        if residual_stop and lo > 0.0:",
+        "            residual = _log(hi) - _log(lo)",
+        "            if residual <= tol:",
+        f"                eigen = ({point}, hi, residual, k)",
+        "                residual_stop = False",
+        "                if not gap_stop:",
+        "                    break",
+        *(f"        {y} = {u} + {v}" for y, u, v in zip(ys, xs, fs)),
+        *_extreme("m", ys, ">", "        "),
+        *(f"        {u} = {y} / m" for u, y in zip(xs, ys)),
+        *_extreme("m", xs, "<", "        "),
+        "        if m < guard:",
+        "            break",
+        "    return k, best_lo, best_up, wit_lo, wit_up, gap, eigen",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+#: the largest dimension whose (f + id) loop is generated; the unrolled
+#: source grows with n, and compiling it costs about 0.2 ms and 40 KB of
+#: transient memory per coordinate, so larger maps take the plain loop
+LOOP_MAX_DIMENSION = 64
+
+
+@functools.lru_cache(maxsize=None)
+def _loop(n: int) -> Callable:
+    """The (f + id) loop of `_loop_source`, compiled once per dimension."""
+    namespace: Dict[str, object] = {"INF": INF, "_log": math.log}
+    exec(compile(_loop_source(n), "<(f + id) loop>", "exec"), namespace)
+    return namespace["_trajectory"]
+
+
+def compile_interior(exprs: Sequence[Expr]
+                     ) -> Tuple[Callable[[Tuple[float, ...]], Tuple[float, ...]],
+                                Optional[Callable]]:
+    """The interior evaluator of a map and its compiled (f + id) loop.
+
+    The map is compiled once into a Python function of its n coordinates,
+    its body; the evaluator, x -> (e(x) for e in exprs), calls it, and the
+    loop is the dimension's `_loop` bound to it.  Outputs are bit-identical
+    to `Expr.evaluate`: a point where the compiled arithmetic raises (a
+    zero under a geometric mean's log, 0.0 to a negative power, a power
+    that overflows) is evaluated again by the interpreter, which applies
+    the exact pole rules of `eval_mean` and `_pow_safe`; every other point
+    takes the same floating-point operations in the same order as the
+    interpreter.  Maps whose outputs are all `Coord`, `Pole` or `Linear`
+    (every `matrix_map`) have nothing worth inlining, and trees too deep
+    for the Python compiler cannot be compiled: both keep the interpreter
+    and have no loop.  Maps above `LOOP_MAX_DIMENSION` have a compiled body
+    but no loop.  `spectral` iterates maps without a loop with its
+    plain-Python loop.
     """
     exprs = tuple(exprs)
+    n = len(exprs)
 
     def interpret(x):
         return tuple(e.evaluate(x) for e in exprs)
 
     if all(type(e) in (Coord, Pole, Linear) for e in exprs):
-        return interpret
-    emitter = _Emitter()
-    emitter.namespace["_interpret"] = interpret
+        return interpret, None
+    emitter = _Emitter(n)
+    namespace = emitter.namespace
+    namespace["_interpret"] = interpret
     try:
         outputs = "".join(emitter.emit(e) + ", " for e in exprs)
-        source = ("def _interior(x):\n"
+        source = (f"def _body({', '.join(f'x{j}' for j in range(n))}):\n"
                   "    try:\n"
                   f"        return ({outputs})\n"
                   "    except (ArithmeticError, ValueError):\n"
-                  "        return _interpret(x)\n")
-        exec(compile(source, "<interior evaluator>", "exec"), emitter.namespace)
+                  f"        return _interpret({_point(n)})\n")
+        exec(compile(source, "<interior evaluator>", "exec"), namespace)
+        loop = _loop(n) if n <= LOOP_MAX_DIMENSION else None
     except (RecursionError, SyntaxError):
-        return interpret
-    return emitter.namespace["_interior"]
+        return interpret, None
+    body = namespace["_body"]
+
+    def evaluate(x):
+        # the interpreter reads only the coordinates it needs, at any length
+        return body(*x) if len(x) == n else interpret(x)
+
+    return evaluate, None if loop is None else functools.partial(loop, body)
+
+
+def interior_evaluator(exprs: Sequence[Expr]
+                       ) -> Callable[[Tuple[float, ...]], Tuple[float, ...]]:
+    """The interior evaluator of `compile_interior`."""
+    return compile_interior(exprs)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -473,10 +594,24 @@ def pin(e: Expr, assignment: Dict[int, float]) -> Expr:
 
 
 def _scale(factor: float, e: Expr) -> Expr:
-    if isinstance(e, Scale):
-        factor = factor * e.factor
-        e = e.child
+    if isinstance(e, Scale) and 0.0 < factor < INF:
+        merged = factor * e.factor
+        if not 0.0 < merged < INF:
+            raise NumericRangeError(
+                f"the coefficient product {factor!r} * {e.factor!r} leaves "
+                "the float range; rescale the coefficients")
+        factor, e = merged, e.child
     return e if factor == 1.0 else Scale(factor, e)
+
+
+def _inverse(c: float) -> float:
+    """1 / c for a positive finite coefficient; it overflows below ~5.6e-309."""
+    inverse = 1.0 / c
+    if inverse == INF:
+        raise NumericRangeError(
+            f"the reciprocal of the coefficient {c!r} overflows the float "
+            "range; rescale the coefficients")
+    return inverse
 
 
 def restrict_map(f: ConeMap, J: SubsetMask, fill: float) -> ConeMap:
@@ -569,16 +704,16 @@ def conjugate_expr(e: Expr) -> Expr:
     if isinstance(e, Pole):
         return Pole(0.0 if e.value == INF else INF)
     if isinstance(e, Scale):
-        return _scale(1.0 / e.factor, conjugate_expr(e.child))
+        return _scale(_inverse(e.factor), conjugate_expr(e.child))
     if isinstance(e, Linear):
         support = e.nonzeros
         total = sum(w for _, w in support)
         if len(support) == 1:
             j, w = support[0]
-            return _scale(1.0 / w, Coord(j))
+            return _scale(_inverse(w), Coord(j))
         mean = PowerMean(-1.0, tuple(w / total for _, w in support),
                          tuple(Coord(j) for j, _ in support))
-        return _scale(1.0 / total, mean)
+        return _scale(_inverse(total), mean)
     if isinstance(e, Sum):
         k = len(e.terms)
         mean = PowerMean(-1.0, tuple(1.0 / k for _ in e.terms),

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .core import (INF, ConeMap, ExtVec, Side, SubsetMask, reciprocal,
                    sup_normalized)
@@ -113,52 +113,136 @@ def _embed_witness(values: Tuple[float, ...], face: SubsetMask) -> ExtVec:
     return ExtVec.of(full)
 
 
-def _ratio_range(fx: Tuple[float, ...],
-                 x: Tuple[float, ...]) -> Tuple[float, float]:
-    """(min, max) of fx_i / x_i at an interior iterate.
+def _plain_trajectory(g: ConeMap, x: Sequence[float], budget: int, tol: float,
+                      gap_stop: bool, residual_stop: bool, guard: float):
+    """The normalized (g + id) iteration from x, in plain Python.
 
-    An interior point has a finite image, so an infinite ratio means the
-    map's values left the float range; that is reported instead of being
-    iterated into inf/inf.
+    Each iterate x yields the ratios g(x)_i / x_i; their max and min feed
+    the best sandwich seen so far.  Two stop rules can be asked for:
+    `gap_stop` fires when the best sandwich closes to the relative
+    tolerance `tol`, `residual_stop` when the current iterate's own ratios
+    agree within `tol` in log scale (an iterate whose min ratio is 0 has an
+    infinite residual).  The loop ends once every rule asked for has fired,
+    after `budget` iterates, or when an iterate entry falls below `guard`.
+
+    Returns (iterations, best_lo, best_up, wit_lo, wit_up, gap, eigen):
+    the best sandwich over all iterates with its witnesses; `gap`, the
+    best sandwich, its witnesses and the iteration count when the gap rule
+    fired, else None; `eigen`, the iterate, its max ratio, its residual and
+    the iteration count when the residual rule fired, else None.  Returns
+    None when a map value overflows the float range: an interior point has
+    a finite image, so an infinite ratio is reported instead of being
+    iterated into inf/inf.  The loop that `maps.compile_interior` binds to
+    an AST map performs the same float operations in the same order.
     """
-    ratios = [v / u for v, u in zip(fx, x)]
-    hi = max(ratios)
-    if not hi < INF:
-        raise NumericRangeError(
-            "a map value overflowed the float range during the (f + id) "
-            "iteration; rescale the coefficients")
-    return min(ratios), hi
-
-
-def _core_bracket(g: ConeMap, x0: Tuple[float, ...], budget: int,
-                  tol: float) -> Tuple[float, float, Tuple[float, ...], Tuple[float, ...], int, bool]:
-    """Best sandwich found by the normalized (g + id) iteration."""
-    x = sup_normalized(x0)
+    x = sup_normalized(x)
     best_up = INF
     best_lo = 0.0
     wit_up = wit_lo = x
-    iterations = 0
-    converged = False
-    for k in range(budget):
-        iterations = k + 1
+    gap = eigen = None
+    k = 0
+    while k < budget:
+        k += 1
         fx = g.eval_interior(x)
-        lo, hi = _ratio_range(fx, x)
+        ratios = [v / u for v, u in zip(fx, x)]
+        hi = max(ratios)
+        if not hi < INF:
+            return None
+        lo = min(ratios)
         if hi < best_up:
             best_up, wit_up = hi, x
         if lo > best_lo:
             best_lo, wit_lo = lo, x
-        if best_up - best_lo <= tol * max(best_up, UNDERFLOW_GUARD):
-            converged = True
-            break
+        if gap_stop and best_up - best_lo <= tol * max(best_up, guard):
+            gap = (best_lo, best_up, wit_lo, wit_up, k)
+            gap_stop = False
+            if not residual_stop:
+                break
+        if residual_stop and lo > 0.0:
+            residual = math.log(hi) - math.log(lo)
+            if residual <= tol:
+                eigen = (x, hi, residual, k)
+                residual_stop = False
+                if not gap_stop:
+                    break
         x = sup_normalized(tuple(u + v for u, v in zip(x, fx)))
-        if min(x) < UNDERFLOW_GUARD:
-            break  # trajectory left the face numerically; bracket stays sound
-    return best_lo, best_up, wit_lo, wit_up, iterations, converged
+        if min(x) < guard:
+            break  # trajectory left the face numerically; brackets stay sound
+    return k, best_lo, best_up, wit_lo, wit_up, gap, eigen
+
+
+def _trajectory(g: ConeMap, x0: Sequence[float], budget: int, tol: float,
+                gap_stop: bool, residual_stop: bool):
+    """`_plain_trajectory`, run by g's compiled loop when it has one."""
+    loop = g.interior_loop()
+    if loop is None:
+        run = _plain_trajectory(g, x0, budget, tol, gap_stop, residual_stop,
+                                UNDERFLOW_GUARD)
+    else:
+        run = loop(x0, budget, tol, gap_stop, residual_stop, UNDERFLOW_GUARD)
+    if run is None:
+        raise NumericRangeError(
+            "a map value overflowed the float range during the (f + id) "
+            "iteration; rescale the coefficients")
+    return run
+
+
+def _sandwich(run) -> Tuple[float, float, Tuple[float, ...],
+                            Tuple[float, ...], int, bool]:
+    """A trajectory's bracket: at the first gap hit, else over all iterates."""
+    iterations, lo, up, wlo, wup, gap, _ = run
+    if gap is not None:
+        return gap + (True,)
+    return lo, up, wlo, wup, iterations, False
+
+
+def _solution(run) -> Union[EigenResult, NonconvergedError]:
+    """A trajectory's eigenvector at the first residual hit, or the error
+    that carries its bracket over all iterates."""
+    iterations, lo, up, wlo, wup, _, eigen = run
+    if eigen is None:
+        return NonconvergedError(CWBracket(
+            lo, up, ExtVec.interior(wlo), ExtVec.interior(wup),
+            iterations, False))
+    x, hi, residual, k = eigen
+    return EigenResult(ExtVec.interior(x), hi, residual, k)
+
+
+def _core_bracket(g: ConeMap, x0: Tuple[float, ...], budget: int,
+                  tol: float, solved: Optional[list] = None
+                  ) -> Tuple[float, float, Tuple[float, ...], Tuple[float, ...], int, bool]:
+    """Best sandwich found by the normalized (g + id) iteration.
+
+    With a list `solved`, the iteration also runs until solve_eigenvector's
+    stop rule has fired, and that solve's outcome is appended to the list.
+    """
+    run = _trajectory(g, x0, budget, tol, True, solved is not None)
+    if solved is not None:
+        solved.append(_solution(run))
+    return _sandwich(run)
+
+
+def _memo_bracket(g: ConeMap, budget: int, tol: float,
+                  memo: Optional[dict]):
+    """`_core_bracket` of g from the all-ones vector, looked up in `memo`.
+
+    Only AST maps are memoized, by their expressions: equal expressions
+    iterate identically, so a hit is bit-identical to a new run.
+    """
+    if memo is None or not g.is_ast:
+        return _core_bracket(g, (1.0,) * g.dimension, budget, tol)
+    key = (g.exprs, budget, tol)
+    hit = memo.get(key)
+    if hit is None:
+        hit = memo[key] = _core_bracket(g, (1.0,) * g.dimension, budget, tol)
+    return hit
 
 
 def cw_upper(f: ConeMap, budget: int = DEFAULT_BUDGET,
              tol: float = DEFAULT_TOL,
-             components: Optional[SCCDecomposition] = None) -> CWBracket:
+             components: Optional[SCCDecomposition] = None,
+             memo: Optional[dict] = None,
+             solved: Optional[list] = None) -> CWBracket:
     """Bracket [lambda, r] of a map, or of a lower restriction on its face.
 
     The support of the face is stabilized first (a lower restriction may
@@ -168,6 +252,15 @@ def cw_upper(f: ConeMap, budget: int = DEFAULT_BUDGET,
     guaranteed to converge.  `components`, the decomposition of f's growth
     digraph when the caller already has it, is reused only if no part of
     the support collapses; a collapsed face has a digraph of its own.
+    `memo`, a dict shared by the calls of one classification, keeps the
+    iteration's result per reduced map, so each one is iterated once.
+    `solved`, a list, asks for f's eigenvector from the same trajectory:
+    when this bracket iterates f itself from the all-ones vector (no part
+    of the support collapses and no convex decomposition applies), which
+    is `solve_eigenvector(f)`'s trajectory, the iteration runs until both
+    stop rules have fired, and the solve's outcome (its EigenResult, or the
+    NonconvergedError it would raise) is appended; both results are
+    bit-identical to separate calls.  Otherwise the list stays empty.
     """
     n = f.dimension
     if f.is_ast:
@@ -186,14 +279,17 @@ def cw_upper(f: ConeMap, budget: int = DEFAULT_BUDGET,
 
     if g.is_ast and g.multiplicatively_convex and g.dimension > 1:
         bracket = _convex_radius(g, budget, tol,
-                                 components if g is f else None)
+                                 components if g is f else None, memo)
         if bracket is not None:
             lo, up, wlo, wup, iters, conv = bracket
             result = CWBracket(lo, up, embed(wlo), embed(wup), iters, conv)
             return _attach_collapse(result, support, n)
 
-    lo, up, wlo, wup, iters, conv = _core_bracket(
-        g, (1.0,) * g.dimension, budget, tol)
+    if solved is not None and g is f:
+        core = _core_bracket(f, (1.0,) * n, budget, tol, solved)
+    else:
+        core = _memo_bracket(g, budget, tol, memo)
+    lo, up, wlo, wup, iters, conv = core
     result = CWBracket(lo, up, embed(wlo), embed(wup), iters, conv)
     return _attach_collapse(result, support, n)
 
@@ -205,7 +301,8 @@ def _attach_collapse(bracket: CWBracket, support: SubsetMask, n: int) -> CWBrack
 
 
 def _convex_radius(g: ConeMap, budget: int, tol: float,
-                   scc: Optional[SCCDecomposition]):
+                   scc: Optional[SCCDecomposition],
+                   memo: Optional[dict] = None):
     """r(g) = max over strongly connected components C of r(g^C_0)."""
     if scc is None:
         scc = scc_decompose(digraph_of(g))
@@ -217,7 +314,7 @@ def _convex_radius(g: ConeMap, budget: int, tol: float,
     for comp in scc.order:
         mask = SubsetMask.of(comp, g.dimension)
         sub = _maps.restrict_map(g, mask, 0.0)
-        b = cw_upper(sub, budget, tol)
+        b = cw_upper(sub, budget, tol, memo=memo)
         iterations += b.iterations
         all_converged = all_converged and b.converged
         if best is None or b.upper > best[1]:
@@ -233,16 +330,17 @@ def _convex_radius(g: ConeMap, budget: int, tol: float,
 
 
 def cw_lower(f: ConeMap, budget: int = DEFAULT_BUDGET,
-             tol: float = DEFAULT_TOL) -> CWBracket:
+             tol: float = DEFAULT_TOL,
+             memo: Optional[dict] = None) -> CWBracket:
     """Bracket [lambda, r] computed through the reciprocal conjugate.
 
     lambda(f) = 1 / r(L f L), so the conjugate's bracket inverts into a
     bracket for f whose lower end is tight for lambda.  Upper restrictions
     become lower restrictions of the conjugate, so face stabilization and
-    the convex decomposition apply transparently.
+    the convex decomposition apply transparently.  `memo` is as in cw_upper.
     """
     conj = _maps.conjugate_map(f)
-    b = cw_upper(conj, budget, tol)
+    b = cw_upper(conj, budget, tol, memo=memo)
     if b.upper == 0.0:
         return CWBracket(INF, INF, None, None, b.iterations, True,
                          collapsed_support=b.collapsed_support)
@@ -266,16 +364,17 @@ class DisplacementInterval:
 
 def min_displacement(f: ConeMap, budget: int = DEFAULT_BUDGET,
                      tol: float = DEFAULT_TOL,
-                     certificate: Optional[Tuple[CWBracket, CWBracket]] = None
-                     ) -> DisplacementInterval:
+                     certificate: Optional[Tuple[CWBracket, CWBracket]] = None,
+                     memo: Optional[dict] = None) -> DisplacementInterval:
     """Enclose the minimum displacement via the two Collatz-Wielandt brackets.
 
     Iteration alone only yields a joint [lambda, r] enclosure, so the lower
     end is zero unless a subset certificate (a pair of brackets for some
     r(f^J_0) and lambda(f^{[n]\\J}_inf) in reverse order) is supplied.
+    `memo` is as in cw_upper.
     """
-    rb = cw_upper(f, budget, tol)
-    lb = cw_lower(f, budget, tol)
+    rb = cw_upper(f, budget, tol, memo=memo)
+    lb = cw_lower(f, budget, tol, memo=memo)
     hi = math.log(rb.upper) - math.log(lb.lower)
     lo = 0.0
     if rb.lower > 0.0 and lb.upper < INF:
@@ -301,29 +400,14 @@ def solve_eigenvector(f: ConeMap, x0: Optional[ExtVec] = None,
     else:
         if x0.side is not Side.INTERIOR:
             raise ValueError("starting point must be interior")
+        if x0.n != f.dimension:
+            raise ValueError(f"dimension mismatch: map is {f.dimension}, "
+                             f"starting point is {x0.n}")
         x = x0.entries
-    x = sup_normalized(x)
-    best_up, best_lo = INF, 0.0
-    wit_up = wit_lo = x
-    iterations = 0
-    for k in range(budget):
-        iterations = k + 1
-        fx = f.eval_interior(x)
-        lo, hi = _ratio_range(fx, x)
-        if hi < best_up:
-            best_up, wit_up = hi, x
-        if lo > best_lo:
-            best_lo, wit_lo = lo, x
-        residual = math.log(hi) - math.log(lo)
-        if residual <= tol:
-            vec = ExtVec.interior(x)
-            return EigenResult(vec, hi, residual, k + 1)
-        x = sup_normalized(tuple(u + v for u, v in zip(x, fx)))
-        if min(x) < UNDERFLOW_GUARD:
-            break
-    raise NonconvergedError(CWBracket(
-        best_lo, best_up, ExtVec.interior(wit_lo), ExtVec.interior(wit_up),
-        iterations, False))
+    outcome = _solution(_trajectory(f, x, budget, tol, False, True))
+    if isinstance(outcome, NonconvergedError):
+        raise outcome
+    return outcome
 
 
 def iterate_normalized(f: ConeMap, x0: ExtVec, k: int) -> List[ExtVec]:

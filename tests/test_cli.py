@@ -238,6 +238,18 @@ class TestNumericRange:
         assert cli.main(["analyze", path]) == 1
         assert "float range" in capsys.readouterr().err
 
+    def test_underflowing_map_value(self, tmp_path, capsys):
+        # f_1 underflows to 0 along the iteration: solve ends without a
+        # solution instead of taking log(0); the conjugate's coefficient
+        # 1 / 1e-323 overflows, so analyze reports a range error
+        path = write(tmp_path, "tiny.conemap",
+                     "format: 1\ndim: 2\ncoord 1: 1e-323*x1\n"
+                     "coord 2: x1 + x2\n")
+        assert cli.main(["solve", path]) == 4
+        assert json.loads(capsys.readouterr().out)["converged"] is False
+        assert cli.main(["analyze", path]) == 1
+        assert "float range" in capsys.readouterr().err
+
     def test_overflowing_payoff_exit_one(self, tmp_path, capsys):
         doc = json.loads(GAME_JSON)
         doc["actions"][0][0]["payoff"] = 800.0

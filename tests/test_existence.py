@@ -5,15 +5,16 @@ import math
 import pytest
 
 import conespec as cs
+from conespec import existence, spectral
 from conespec.core import INF, ExtVec, SubsetMask
 from conespec.errors import DimensionTooLargeError, FlagMissingError
 from conespec.existence import Route, Uniqueness, Convergence, VerdictKind
 from conespec.maps import Coord, Linear, Max, Min, Scale, from_exprs
-from conespec.spectral import ratios_at
+from conespec.spectral import NonconvergedError, ratios_at
 
 from conftest import (block_radius_oracle, make_game, make_schoen,
-                      make_tensor_example, random_mplus_map,
-                      tensor_example_raw)
+                      make_tensor_example, random_irreducible_matrix,
+                      random_mplus_map, tensor_example_raw)
 
 
 def mask(ix, n):
@@ -299,3 +300,145 @@ class TestLargeConvex:
             rows[i][j] = 2.0
         v = cs.classify(cs.matrix_map(rows))
         assert v.kind is VerdictKind.NO_INTERIOR_EIGENVECTOR
+
+
+SWEEP_MAP = """\
+format: 1
+dim: 5
+coord 1: 1.7275261935629742*x1 + min(x2, 2*x3)
+coord 2: 0.8259985372803251*x2 + min(x3, 2*x4)
+coord 3: 1.3298035028885802*x3 + min(x4, 2*x1)
+coord 4: 1.8279567360596833*x4 + min(x5, 2*x2)
+coord 5: 1.2122270644014164*x5 + min(x1, 2*x5)
+"""
+
+
+class _Forgetful(dict):
+    """A memo that stores nothing: every lookup misses."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+class TestClassificationMemo:
+    """One classification brackets each reduced map and face once."""
+
+    @staticmethod
+    def _counted(monkeypatch, memo=None):
+        brackets, faces = [], []
+        core_bracket = spectral._core_bracket
+        analyzer_classify = existence.Analyzer.classify
+
+        def bracket(g, *args):
+            brackets.append(g.exprs)
+            return core_bracket(g, *args)
+
+        def classify(self, solve=True):
+            if self.memo is not top.memo:
+                raise AssertionError("a face analysis has its own memo")
+            if self is not top:
+                faces.append(self.f.exprs)
+            return analyzer_classify(self, solve)
+
+        monkeypatch.setattr(spectral, "_core_bracket", bracket)
+        monkeypatch.setattr(existence.Analyzer, "classify", classify)
+        top = existence.Analyzer(cs.parse_map(SWEEP_MAP).cone_map,
+                                 memo=memo)
+        verdict = top.classify()
+        monkeypatch.undo()
+        return verdict, brackets, faces
+
+    def test_each_map_bracketed_and_each_face_analyzed_once(self,
+                                                            monkeypatch):
+        verdict, brackets, faces = self._counted(monkeypatch)
+        assert verdict.kind is VerdictKind.NONEMPTY_BOUNDED
+        assert len(brackets) == len(set(brackets)) == 23
+        assert len(faces) == len(set(faces)) == 14
+
+    def test_without_the_memo_the_work_repeats(self, monkeypatch):
+        shared, _, _ = self._counted(monkeypatch)
+        verdict, brackets, faces = self._counted(monkeypatch, _Forgetful())
+        assert len(brackets) > 4 * len(set(brackets)) == 4 * 23
+        assert len(faces) > len(set(faces)) == 14
+        # the memo changes the work, never the result
+        assert repr(verdict) == repr(shared)
+
+
+class TestConvexSharedTrajectory:
+    """One component: the whole-map bracket and the eigenvector share a run."""
+
+    @staticmethod
+    def _runs(monkeypatch):
+        runs = []
+        trajectory = spectral._trajectory
+
+        def counted(g, *args):
+            runs.append(args[3:])
+            return trajectory(g, *args)
+
+        monkeypatch.setattr(spectral, "_trajectory", counted)
+        return runs
+
+    @staticmethod
+    def _irreducible_mplus(rng):
+        while True:
+            f = random_mplus_map(rng, 4)
+            if len(cs.scc_decompose(cs.digraph_of(f)).order) == 1:
+                return f
+
+    @pytest.mark.parametrize("make", [
+        lambda rng: cs.matrix_map(random_irreducible_matrix(rng, 30)),
+        _irreducible_mplus,
+        lambda rng: cs.max_times_map([[0.0, 2.0, 1.0], [1.0, 0.0, 3.0],
+                                      [0.5, 0.0, 0.0]]),
+    ])
+    def test_one_trajectory_equal_to_separate_calls(self, monkeypatch, rng,
+                                                    make):
+        f = make(rng)
+        assert len(cs.scc_decompose(cs.digraph_of(f)).order) == 1
+        runs = self._runs(monkeypatch)
+        verdict = cs.classify_convex(f)
+        assert runs == [(True, True)]
+        monkeypatch.undo()
+        assert verdict.kind is VerdictKind.NONEMPTY_BOUNDED
+        (cls,) = verdict.convex_report.classes
+        assert repr(cls.bracket) == repr(cs.cw_upper(f))
+        assert repr(verdict.eigen) == repr(cs.solve_eigenvector(f))
+
+    @pytest.mark.parametrize("budget, tol", [
+        (0, 1e-10), (1, 1e-10), (3, 1e-10), (40, 1e-10),
+        # at tol 0.5 the gap closes at iterate 2, the residual at 3
+        (2, 0.5), (40, 0.5)])
+    def test_budgets_and_tolerances_match_separate_calls(self, budget, tol):
+        f = cs.matrix_map([[1.0, 2.0, 0.0], [0.0, 1.0, 3.0],
+                           [0.5, 0.0, 1.0]])
+        solved = []
+        bracket = cs.cw_upper(f, budget, tol, solved=solved)
+        assert repr(bracket) == repr(cs.cw_upper(f, budget, tol))
+        assert [_outcome(o) for o in solved] == \
+            [_solved(f, budget=budget, tol=tol)]
+
+    def test_no_shared_trajectory_across_components(self, monkeypatch):
+        f = cs.matrix_map([[2.0, 1.0], [0.0, 1.0]])
+        runs = self._runs(monkeypatch)
+        solved = []
+        bracket = cs.cw_upper(f, solved=solved)
+        assert solved == [] and (True, True) not in runs
+        monkeypatch.undo()
+        assert repr(bracket) == repr(cs.cw_upper(f))
+        verdict = cs.classify_convex(f)
+        assert verdict.kind is VerdictKind.NO_INTERIOR_EIGENVECTOR
+
+
+def _outcome(outcome):
+    """repr of an EigenResult, or of a NonconvergedError's bracket."""
+    if isinstance(outcome, NonconvergedError):
+        return "nonconverged " + repr(outcome.bracket)
+    return repr(outcome)
+
+
+def _solved(f, **kwargs):
+    try:
+        return _outcome(cs.solve_eigenvector(f, **kwargs))
+    except NonconvergedError as exc:
+        return _outcome(exc)

@@ -6,7 +6,7 @@ import pytest
 
 import conespec as cs
 from conespec.core import INF, ExtVec, SubsetMask
-from conespec.errors import EmptySupportError, ZeroRowError
+from conespec.errors import EmptySupportError, NumericRangeError, ZeroRowError
 from conespec import maps
 from conespec.maps import (Coord, Linear, Max, Min, Pole, PowerMean, Scale,
                            Sum, eval_mean, from_exprs, interior_evaluator,
@@ -417,6 +417,35 @@ class TestCompiledInterior:
         f.eval_interior((2.0, 2.0, 2.0, 2.0))
         assert f._interior is evaluator
 
+    def test_one_compile_per_map_and_one_loop_per_dimension(self,
+                                                              monkeypatch):
+        maps._loop(4)  # the dimension's loop, compiled at most once
+        sources = []
+
+        def counted(source, filename, mode):
+            sources.append(filename)
+            return compile(source, filename, mode)
+
+        monkeypatch.setattr(maps, "compile", counted, raising=False)
+        f, g = make_schoen(), make_schoen(a=(2, 1, 1, 1))
+        x = (1.0, 2.0, 3.0, 4.0)
+        assert f.eval_interior(x) == self._interpreted(f.exprs)(x)
+        loop = f.interior_loop()
+        cs.solve_eigenvector(f)
+        assert f.interior_loop() is loop
+        assert sources == ["<interior evaluator>"]
+        assert g.interior_loop().func is loop.func
+        assert sources == ["<interior evaluator>"] * 2
+
+    def test_no_loop_above_the_dimension_cap(self):
+        n = maps.LOOP_MAX_DIMENSION + 1
+        f = cs.max_times_map([[2.0 if j in (i, (i + 1) % n) else 0.0
+                               for j in range(n)] for i in range(n)])
+        x = tuple(1.0 + j for j in range(n))
+        assert f.eval_interior(x) == self._interpreted(f.exprs)(x)
+        assert f.interior_loop() is None
+        assert cs.solve_eigenvector(f).eigenvalue == 2.0
+
     def test_matrix_map_is_never_compiled(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("a linear map was compiled")
@@ -430,3 +459,28 @@ class TestCompiledInterior:
         # the guard does see compilation: the conjugate has power means
         with pytest.raises(AssertionError):
             cs.reciprocal_conjugate(f).eval_interior((1.0, 1.0, 1.0))
+
+
+class TestCoefficientRange:
+    """Coefficients computed by transforms that leave the float range."""
+
+    @pytest.mark.parametrize("e", [
+        Scale(1e-323, Coord(0)),
+        Linear(((0, 1e-323),)),
+        Linear(((0, 1e-320), (1, 1e-320))),
+    ])
+    def test_conjugate_of_a_subnormal_coefficient(self, e):
+        with pytest.raises(NumericRangeError):
+            maps.conjugate_expr(e)
+
+    def test_merged_scales_overflow(self):
+        with pytest.raises(NumericRangeError):
+            maps._scale(1e200, Scale(1e200, Coord(0)))
+        with pytest.raises(NumericRangeError):
+            maps.conjugate_expr(Scale(1e-200, Scale(1e-200, Coord(0))))
+        assert maps._scale(1e200, Scale(3e-200, Coord(0))) == \
+            Scale(1e200 * 3e-200, Coord(0))
+
+    def test_invalid_factor_still_a_value_error(self):
+        with pytest.raises(ValueError):
+            maps._scale(-1.0, Scale(2.0, Coord(0)))

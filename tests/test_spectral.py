@@ -5,14 +5,17 @@ import math
 import pytest
 
 import conespec as cs
+from conespec import spectral
 from conespec.core import INF, ConeMap, ExtVec, Side, SubsetMask
 from conespec.errors import NumericRangeError
-from conespec.maps import Coord, Scale, Sum, from_exprs
+from conespec.maps import (Coord, Max, Min, PowerMean, Scale, Sum,
+                           from_exprs)
 from conespec.spectral import NonconvergedError, plus_identity, ratios_at
 
 from conftest import (make_game, make_schoen, make_tensor_example,
                       perron_oracle, random_interior,
-                      random_irreducible_matrix, random_mplus_map)
+                      random_irreducible_matrix, random_mplus_map,
+                      random_tree)
 
 
 def mask(ix, n):
@@ -153,6 +156,22 @@ class TestSolveEigenvector:
         with pytest.raises(NumericRangeError):
             cs.classify(f)
 
+    def test_starting_point_of_another_dimension(self):
+        with pytest.raises(ValueError):
+            cs.solve_eigenvector(make_schoen(), ExtVec.interior([1.0, 2.0]))
+
+    def test_map_value_underflowing_to_zero(self):
+        # f_1 = 1e-323 * x_1 rounds to 0 once x_1 < 1/2: the residual is
+        # infinite there, and x_1 halves until the underflow guard stops
+        f = from_exprs([Scale(1e-323, Coord(0)), Sum((Coord(0), Coord(1)))],
+                       2)
+        for g in (f, _interpreted(f)):
+            with pytest.raises(NonconvergedError) as info:
+                cs.solve_eigenvector(g)
+            b = info.value.bracket
+            assert b.lower < 1e-320 and b.upper == 1.0
+            assert 0 < b.iterations < 10_000
+
 
 class TestIterateNormalized:
     def test_fibonacci_converges_to_golden_vector(self):
@@ -258,3 +277,131 @@ class TestBracketProperties:
             slack = 3.0 * abs(values[0] - values[1]) + 1e-6
             assert min(values) - slack <= d.upper
             assert d.lower <= max(values) + slack
+
+
+def _interpreted(g):
+    """g as a black box over the AST interpreter: iterated by the plain loop."""
+    return ConeMap(dimension=g.dimension,
+                   evaluator=lambda x: tuple(e.evaluate(x) for e in g.exprs))
+
+
+def _run_outcome(g, x, budget, tol, gap_stop, residual_stop):
+    """The raw trajectory's repr, or the type of the exception raised."""
+    try:
+        return repr(spectral._trajectory(g, x, budget, tol, gap_stop,
+                                         residual_stop))
+    except Exception as exc:  # the exception type is what gets compared
+        return type(exc).__name__
+
+
+def _public_outcomes(g, x, budget, tol):
+    """repr of the 6-tuple bracket and of the solve outcome, or error types."""
+    try:
+        bracket = repr(spectral._core_bracket(g, x, budget, tol))
+    except Exception as exc:
+        bracket = type(exc).__name__
+    try:
+        solved = repr(cs.solve_eigenvector(g, ExtVec.interior(x), budget, tol))
+    except NonconvergedError as exc:
+        solved = "nonconverged " + repr(exc.bracket)
+    except Exception as exc:
+        solved = type(exc).__name__
+    return bracket, solved
+
+
+MODES = ((True, False), (False, True), (True, True))
+
+
+class TestCompiledLoop:
+    """The generated (f + id) loop against the plain-Python loop."""
+
+    def _assert_same(self, g, x, budget, tol=1e-10):
+        assert g.interior_loop() is not None
+        black = _interpreted(g)
+        assert black.interior_loop() is None
+        for gap_stop, residual_stop in MODES:
+            assert _run_outcome(g, x, budget, tol, gap_stop, residual_stop) \
+                == _run_outcome(black, x, budget, tol, gap_stop,
+                                residual_stop)
+        assert _public_outcomes(g, x, budget, tol) == \
+            _public_outcomes(black, x, budget, tol)
+
+    def test_random_trees_and_conjugates(self, rng):
+        compared = 0
+        for _ in range(120):
+            n = int(rng.integers(1, 6))
+            exprs = [random_tree(rng, n, int(rng.integers(0, 4)))
+                     for _ in range(n)]
+            for g in (from_exprs(exprs, n),
+                      cs.reciprocal_conjugate(from_exprs(exprs, n))):
+                if g.interior_loop() is None:
+                    continue  # all Coord, Pole or Linear: never compiled
+                if rng.random() < 0.3:
+                    x = tuple(float(v) for v in
+                              10.0 ** rng.uniform(-300.0, 300.0, size=n))
+                else:
+                    x = tuple(float(v) for v in rng.uniform(0.1, 10.0, size=n))
+                self._assert_same(g, x, int(rng.integers(0, 60)),
+                                  float(rng.choice([1e-10, 1e-3, 0.5])))
+                compared += 1
+        assert compared > 100
+
+    def test_interpreter_fallback_inside_the_loop(self, monkeypatch):
+        # an underflowing scale puts a zero under the geometric mean's log
+        # once x1 is small, so the compiled arithmetic raises there
+        node = PowerMean(0.0, (0.5, 0.5), (Scale(1e-200, Coord(0)), Coord(1)))
+        g = from_exprs((Sum((node, Coord(0))), Min((Coord(0), Coord(1)))), 2)
+        calls = []
+        original = PowerMean.evaluate
+
+        def counted(self, point):
+            calls.append(point)
+            return original(self, point)
+
+        monkeypatch.setattr(PowerMean, "evaluate", counted)
+        spectral._trajectory(g, (1e-200, 1.0), 5, 1e-10, True, True)
+        assert calls  # the compiled loop fell back to the interpreter
+        self._assert_same(g, (1e-200, 1.0), 5)
+        self._assert_same(g, (1.0, 1.0), 50)
+
+    def test_overflow_raises_range_error(self):
+        g = from_exprs([Sum((Scale(1e308, Coord(0)), Scale(1e308, Coord(1)))),
+                        Min((Coord(0), Coord(1)))], 2)
+        for gap_stop, residual_stop in MODES:
+            with pytest.raises(NumericRangeError):
+                spectral._trajectory(g, (1.0, 1.0), 10, 1e-10, gap_stop,
+                                     residual_stop)
+        self._assert_same(g, (1.0, 1.0), 10)
+
+    def test_underflow_guard_break(self):
+        # x2 shrinks by about 1 / 2 per step until it crosses the guard
+        g = from_exprs([Coord(0), Min((Scale(1e-3, Coord(1)), Coord(0)))], 2)
+        run = spectral._trajectory(g, (1.0, 1.0), 10_000, 1e-10, True, True)
+        assert run[0] < 10_000 and run[5] is None and run[6] is None
+        self._assert_same(g, (1.0, 1.0), 10_000)
+
+    @pytest.mark.parametrize("budget", [0, 1])
+    def test_tiny_budgets(self, budget):
+        g = from_exprs([Max((Coord(0), Scale(2.0, Coord(1)))),
+                        Min((Coord(0), Scale(0.5, Coord(1))))], 2)
+        self._assert_same(g, (1.0, 3.0), budget)
+        run = spectral._trajectory(g, (1.0, 3.0), budget, 1e-10, True, True)
+        assert run[0] == budget
+
+    def test_one_dimensional(self):
+        g = from_exprs([Max((Scale(2.0, Coord(0)), Coord(0)))], 1)
+        self._assert_same(g, (3.0,), 10)
+        assert cs.solve_eigenvector(g).eigenvalue == 2.0
+
+    def test_solve_and_bracket_stop_where_they_did_apart(self):
+        # the combined run records each result at its own first hit; at a
+        # coarse tolerance the gap closes an iterate before the residual
+        g = make_schoen(a=(1, 2, 1, 3), b=(2, 1, 1, 1))
+        ones = (1.0, 1.0, 1.0, 1.0)
+        both = spectral._trajectory(g, ones, 10_000, 0.5, True, True)
+        gap = spectral._trajectory(g, ones, 10_000, 0.5, True, False)
+        res = spectral._trajectory(g, ones, 10_000, 0.5, False, True)
+        assert gap[5][4] < res[6][3]
+        assert repr(both[5]) == repr(gap[5]) and repr(both[6]) == repr(res[6])
+        assert both[0] == res[0]
+        self._assert_same(g, ones, 10_000, 0.5)
