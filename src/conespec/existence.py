@@ -25,7 +25,7 @@ from .maps import face_map, restrict_map, sparsity_probe
 from .spectral import (CWBracket, DisplacementInterval, EigenResult,
                        NonconvergedError, cw_lower, cw_upper,
                        min_displacement, solve_eigenvector,
-                       DEFAULT_BUDGET, DEFAULT_TOL)
+                       _bracket_and_solution, DEFAULT_BUDGET, DEFAULT_TOL)
 
 SUBSET_SWEEP_CAP = 24
 STRICTNESS_TOL = 1e-9
@@ -118,12 +118,13 @@ class Analyzer:
     """Caches for one classification run.
 
     `memo` holds the brackets of reduced maps (see `spectral.cw_upper`) and
-    the verdict kinds of faces, keyed by their expressions.  The top-level
-    analyzer creates it and its face sub-analyses share it, because a
-    restriction of a face is a restriction of f: each distinct map is
-    bracketed, and each distinct face classified, once per classification.
-    Plain dict operations suffice under `workers`, since a racing duplicate
-    computes the same value.
+    the verdict kinds of faces, keyed by their expressions; black-box maps
+    have none and are not memoized.  The top-level analyzer creates it and
+    its face sub-analyses share it, because a restriction of a face is a
+    restriction of f: each distinct map is bracketed, and each distinct
+    face classified, once per classification.  Plain dict operations
+    suffice under `workers`, since a racing duplicate computes the same
+    value.
     """
 
     def __init__(self, f: ConeMap, budget: int = DEFAULT_BUDGET,
@@ -196,12 +197,15 @@ class Analyzer:
 
     def _face_kind(self, keep: SubsetMask, fill: float) -> VerdictKind:
         face = face_map(self.f, keep, fill)
-        key = ("face", face.exprs)
-        kind = self.memo.get(key)
+        # a black-box face has no expressions to tell it from the others
+        key = ("face", face.exprs) if face.is_ast else None
+        kind = None if key is None else self.memo.get(key)
         if kind is None:
             sub = Analyzer(face, self.budget, self.tol, self.bracket_tol,
                            prune=self.prune, memo=self.memo)
-            kind = self.memo[key] = sub.classify(solve=False).kind
+            kind = sub.classify(solve=False).kind
+            if key is not None:
+                self.memo[key] = kind
         return kind
 
     # -- the sweep ---------------------------------------------------------
@@ -378,14 +382,18 @@ def classify_convex(f: ConeMap, budget: int = DEFAULT_BUDGET,
     n = f.dimension
     scc = scc_decompose(digraph_of(f))
     brackets = []
-    # one component: the verdict is nonempty_bounded, so when the
-    # eigenvector is wanted it comes from the whole-map bracket's trajectory
-    solved = [] if solve else None
+    outcome = None
     for comp in scc.order:
         mask = SubsetMask.of(comp, n)
-        if mask.is_full():
-            b = cw_upper(f, budget, BRACKET_TOL, components=scc,
-                         solved=solved)
+        shared = None
+        if mask.is_full() and solve:
+            # one component: the verdict is nonempty_bounded, and the
+            # eigenvector comes from the whole-map bracket's trajectory
+            shared = _bracket_and_solution(f, budget, BRACKET_TOL)
+        if shared is not None:
+            b, outcome = shared
+        elif mask.is_full():
+            b = cw_upper(f, budget, BRACKET_TOL, components=scc)
         else:
             b = cw_upper(restrict_map(f, mask, 0.0), budget, BRACKET_TOL)
         brackets.append(b)
@@ -462,8 +470,7 @@ def classify_convex(f: ConeMap, budget: int = DEFAULT_BUDGET,
         disp = min_displacement(f, budget, BRACKET_TOL, certificate=(top, lam))
         verdict = replace(verdict, displacement=disp)
     if kind is VerdictKind.NONEMPTY_BOUNDED and solve:
-        verdict = _with_eigenvector(f, verdict, budget, BRACKET_TOL,
-                                    solved[0] if solved else None)
+        verdict = _with_eigenvector(f, verdict, budget, BRACKET_TOL, outcome)
     return verdict
 
 

@@ -424,12 +424,6 @@ def _loop_source(n: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-#: the largest dimension whose (f + id) loop is generated; the unrolled
-#: source grows with n, and compiling it costs about 0.2 ms and 40 KB of
-#: transient memory per coordinate, so larger maps take the plain loop
-LOOP_MAX_DIMENSION = 64
-
-
 @functools.lru_cache(maxsize=None)
 def _loop(n: int) -> Callable:
     """The (f + id) loop of `_loop_source`, compiled once per dimension."""
@@ -454,8 +448,7 @@ def compile_interior(exprs: Sequence[Expr]
     interpreter.  Maps whose outputs are all `Coord`, `Pole` or `Linear`
     (every `matrix_map`) have nothing worth inlining, and trees too deep
     for the Python compiler cannot be compiled: both keep the interpreter
-    and have no loop.  Maps above `LOOP_MAX_DIMENSION` have a compiled body
-    but no loop.  `spectral` iterates maps without a loop with its
+    and have no loop.  `spectral` iterates maps without a loop with its
     plain-Python loop.
     """
     exprs = tuple(exprs)
@@ -477,7 +470,7 @@ def compile_interior(exprs: Sequence[Expr]
                   "    except (ArithmeticError, ValueError):\n"
                   f"        return _interpret({_point(n)})\n")
         exec(compile(source, "<interior evaluator>", "exec"), namespace)
-        loop = _loop(n) if n <= LOOP_MAX_DIMENSION else None
+        loop = _loop(n)
     except (RecursionError, SyntaxError):
         return interpret, None
     body = namespace["_body"]

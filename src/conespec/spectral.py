@@ -209,17 +209,10 @@ def _solution(run) -> Union[EigenResult, NonconvergedError]:
 
 
 def _core_bracket(g: ConeMap, x0: Tuple[float, ...], budget: int,
-                  tol: float, solved: Optional[list] = None
+                  tol: float
                   ) -> Tuple[float, float, Tuple[float, ...], Tuple[float, ...], int, bool]:
-    """Best sandwich found by the normalized (g + id) iteration.
-
-    With a list `solved`, the iteration also runs until solve_eigenvector's
-    stop rule has fired, and that solve's outcome is appended to the list.
-    """
-    run = _trajectory(g, x0, budget, tol, True, solved is not None)
-    if solved is not None:
-        solved.append(_solution(run))
-    return _sandwich(run)
+    """Best sandwich found by the normalized (g + id) iteration."""
+    return _sandwich(_trajectory(g, x0, budget, tol, True, False))
 
 
 def _memo_bracket(g: ConeMap, budget: int, tol: float,
@@ -241,8 +234,7 @@ def _memo_bracket(g: ConeMap, budget: int, tol: float,
 def cw_upper(f: ConeMap, budget: int = DEFAULT_BUDGET,
              tol: float = DEFAULT_TOL,
              components: Optional[SCCDecomposition] = None,
-             memo: Optional[dict] = None,
-             solved: Optional[list] = None) -> CWBracket:
+             memo: Optional[dict] = None) -> CWBracket:
     """Bracket [lambda, r] of a map, or of a lower restriction on its face.
 
     The support of the face is stabilized first (a lower restriction may
@@ -254,13 +246,6 @@ def cw_upper(f: ConeMap, budget: int = DEFAULT_BUDGET,
     the support collapses; a collapsed face has a digraph of its own.
     `memo`, a dict shared by the calls of one classification, keeps the
     iteration's result per reduced map, so each one is iterated once.
-    `solved`, a list, asks for f's eigenvector from the same trajectory:
-    when this bracket iterates f itself from the all-ones vector (no part
-    of the support collapses and no convex decomposition applies), which
-    is `solve_eigenvector(f)`'s trajectory, the iteration runs until both
-    stop rules have fired, and the solve's outcome (its EigenResult, or the
-    NonconvergedError it would raise) is appended; both results are
-    bit-identical to separate calls.  Otherwise the list stays empty.
     """
     n = f.dimension
     if f.is_ast:
@@ -285,13 +270,30 @@ def cw_upper(f: ConeMap, budget: int = DEFAULT_BUDGET,
             result = CWBracket(lo, up, embed(wlo), embed(wup), iters, conv)
             return _attach_collapse(result, support, n)
 
-    if solved is not None and g is f:
-        core = _core_bracket(f, (1.0,) * n, budget, tol, solved)
-    else:
-        core = _memo_bracket(g, budget, tol, memo)
-    lo, up, wlo, wup, iters, conv = core
+    lo, up, wlo, wup, iters, conv = _memo_bracket(g, budget, tol, memo)
     result = CWBracket(lo, up, embed(wlo), embed(wup), iters, conv)
     return _attach_collapse(result, support, n)
+
+
+def _bracket_and_solution(f: ConeMap, budget: int, tol: float) -> Optional[
+        Tuple[CWBracket, Union[EigenResult, NonconvergedError]]]:
+    """cw_upper(f) and solve_eigenvector(f)'s outcome, from one trajectory.
+
+    For f whose growth digraph is strongly connected, cw_upper(f) applies
+    no convex decomposition, so unless part of f's support collapses it
+    iterates f itself from the all-ones vector: the solve's trajectory.
+    That trajectory then runs until both stop rules have fired, and the
+    bracket and the outcome (the EigenResult, or the NonconvergedError the
+    solve would raise) are bit-identical to separate calls.  Returns None
+    when the support collapses; the two then iterate different maps.
+    """
+    n = f.dimension
+    if f.is_ast and not _stable_lower_support(f).is_full():
+        return None
+    run = _trajectory(f, (1.0,) * n, budget, tol, True, True)
+    lo, up, wlo, wup, iters, conv = _sandwich(run)
+    bracket = CWBracket(lo, up, ExtVec.of(wlo), ExtVec.of(wup), iters, conv)
+    return bracket, _solution(run)
 
 
 def _attach_collapse(bracket: CWBracket, support: SubsetMask, n: int) -> CWBracket:

@@ -6,10 +6,11 @@ import pytest
 
 import conespec as cs
 from conespec import existence, spectral
-from conespec.core import INF, ExtVec, SubsetMask
+from conespec.core import INF, ConeMap, ExtVec, SubsetMask
 from conespec.errors import DimensionTooLargeError, FlagMissingError
 from conespec.existence import Route, Uniqueness, Convergence, VerdictKind
-from conespec.maps import Coord, Linear, Max, Min, Scale, from_exprs
+from conespec.maps import (Coord, Linear, Max, Min, PowerMean, Scale,
+                           from_exprs)
 from conespec.spectral import NonconvergedError, ratios_at
 
 from conftest import (block_radius_oracle, make_game, make_schoen,
@@ -364,6 +365,42 @@ class TestClassificationMemo:
         assert repr(verdict) == repr(shared)
 
 
+    def test_black_box_faces_are_analyzed_without_the_memo(self,
+                                                           monkeypatch):
+        # black-box faces have no expressions: keyed by them, every face
+        # would share the first one's verdict
+        f = cs.parse_map(SWEEP_MAP).cone_map
+        twin = ConeMap(dimension=5, evaluator=f.eval_interior)
+        point = (1.1, 1.3, 1.7, 1.9, 2.3)
+        analyzer_classify = existence.Analyzer.classify
+
+        def faces_of(g):
+            faces = []
+
+            def classify(self, solve=True):
+                if self.f is not g:
+                    k = self.f.dimension
+                    faces.append((k, self.f.eval_interior(point[:k])))
+                return analyzer_classify(self, solve)
+
+            monkeypatch.setattr(existence.Analyzer, "classify", classify)
+            top = existence.Analyzer(g, budget=100)
+            verdict = top.classify()
+            monkeypatch.undo()
+            return verdict, set(faces), top.memo
+
+        ast, ast_faces, _ = faces_of(f)
+        black, black_faces, memo = faces_of(twin)
+        assert len(ast_faces) == 14 and ast_faces <= black_faces
+        assert not [key for key in memo if key[0] == "face"]
+        assert [c.route for c in black.certificates] == \
+            [c.route for c in ast.certificates]
+        assert Route.PRUNED in {c.route for c in black.certificates}
+        unpruned = existence.Analyzer(twin, budget=100, prune=False)
+        assert black.kind is unpruned.classify().kind
+        assert black.kind is VerdictKind.NONEMPTY_BOUNDED
+
+
 class TestConvexSharedTrajectory:
     """One component: the whole-map bracket and the eigenvector share a run."""
 
@@ -412,22 +449,25 @@ class TestConvexSharedTrajectory:
     def test_budgets_and_tolerances_match_separate_calls(self, budget, tol):
         f = cs.matrix_map([[1.0, 2.0, 0.0], [0.0, 1.0, 3.0],
                            [0.5, 0.0, 1.0]])
-        solved = []
-        bracket = cs.cw_upper(f, budget, tol, solved=solved)
+        bracket, outcome = spectral._bracket_and_solution(f, budget, tol)
         assert repr(bracket) == repr(cs.cw_upper(f, budget, tol))
-        assert [_outcome(o) for o in solved] == \
-            [_solved(f, budget=budget, tol=tol)]
+        assert _outcome(outcome) == _solved(f, budget=budget, tol=tol)
 
     def test_no_shared_trajectory_across_components(self, monkeypatch):
         f = cs.matrix_map([[2.0, 1.0], [0.0, 1.0]])
         runs = self._runs(monkeypatch)
-        solved = []
-        bracket = cs.cw_upper(f, solved=solved)
-        assert solved == [] and (True, True) not in runs
-        monkeypatch.undo()
-        assert repr(bracket) == repr(cs.cw_upper(f))
         verdict = cs.classify_convex(f)
+        assert runs and (True, True) not in runs
+        monkeypatch.undo()
         assert verdict.kind is VerdictKind.NO_INTERIOR_EIGENVECTOR
+
+    def test_collapsed_support_is_not_shared(self, monkeypatch):
+        # f(1, 1) underflows to 0 in the first coordinate, so cw_upper
+        # brackets a face of f, not f itself
+        f = from_exprs([PowerMean(2.0, (1.0,), (Scale(1e-300, Coord(1)),)),
+                        Coord(0)], 2)
+        assert f.eval_interior((1.0, 1.0))[0] == 0.0
+        assert spectral._bracket_and_solution(f, 100, 1e-10) is None
 
 
 def _outcome(outcome):

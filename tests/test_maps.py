@@ -437,13 +437,13 @@ class TestCompiledInterior:
         assert g.interior_loop().func is loop.func
         assert sources == ["<interior evaluator>"] * 2
 
-    def test_no_loop_above_the_dimension_cap(self):
-        n = maps.LOOP_MAX_DIMENSION + 1
+    def test_large_map_has_a_loop(self):
+        n = 200
         f = cs.max_times_map([[2.0 if j in (i, (i + 1) % n) else 0.0
                                for j in range(n)] for i in range(n)])
         x = tuple(1.0 + j for j in range(n))
         assert f.eval_interior(x) == self._interpreted(f.exprs)(x)
-        assert f.interior_loop() is None
+        assert f.interior_loop() is not None
         assert cs.solve_eigenvector(f).eigenvalue == 2.0
 
     def test_matrix_map_is_never_compiled(self, monkeypatch):

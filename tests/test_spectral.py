@@ -393,6 +393,15 @@ class TestCompiledLoop:
         self._assert_same(g, (3.0,), 10)
         assert cs.solve_eigenvector(g).eigenvalue == 2.0
 
+    def test_large_dimension(self, rng):
+        n = 150
+        g = from_exprs([Sum((Scale(float(rng.uniform(0.5, 2.0)), Coord(i)),
+                             Min((Coord((i + 1) % n),
+                                  Scale(2.0, Coord((i + 7) % n))))))
+                        for i in range(n)], n)
+        x = tuple(float(v) for v in rng.uniform(0.1, 10.0, size=n))
+        self._assert_same(g, x, 40)
+
     def test_solve_and_bracket_stop_where_they_did_apart(self):
         # the combined run records each result at its own first hit; at a
         # coarse tolerance the gap closes an iterate before the residual
