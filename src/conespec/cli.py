@@ -42,7 +42,6 @@ class RunConfig:
     max_n: int = SUBSET_SWEEP_CAP
     output: str = "json"
     prune: bool = True
-    workers: int = 1
     timing: bool = False
 
 
@@ -162,7 +161,7 @@ def cmd_analyze(path: str, config: RunConfig) -> int:
         raise DimensionTooLargeError(f"n = {f.dimension} exceeds {CONVEX_CAP}")
     start = time.monotonic()
     verdict = classify(f, budget=config.budget, tol=config.tolerance,
-                       prune=config.prune, workers=config.workers)
+                       prune=config.prune)
     elapsed = time.monotonic() - start if config.timing else None
     _print_doc(verdict_doc(verdict, elapsed), config)
     return EXIT_BY_KIND[verdict.kind]
@@ -269,8 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "human"), default="json")
         p.add_argument("--no-prune", action="store_true",
                        help="disable subset pruning (debug)")
-        p.add_argument("--workers", type=int, default=1,
-                       help="parallel subset checks")
         p.add_argument("--max-n", type=int, default=SUBSET_SWEEP_CAP,
                        help="cap for the generic subset sweep")
         p.add_argument("--timing", action="store_true",
@@ -290,9 +287,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     config = RunConfig(tolerance=args.tol, budget=args.budget,
                        max_n=args.max_n, output=args.format,
-                       prune=not args.no_prune, workers=args.workers,
+                       prune=not args.no_prune,
                        timing=args.timing)
-    if config.tolerance <= 0 or config.budget < 1:
+    if not 0.0 < config.tolerance < INF or config.budget < 1:
         print("tolerance must be positive and budget at least 1",
               file=sys.stderr)
         return 1

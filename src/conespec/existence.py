@@ -13,7 +13,6 @@ which needs only linearly many brackets.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Dict, List, Optional, Tuple
@@ -22,14 +21,19 @@ from .core import INF, ConeMap, Side, SubsetMask
 from .errors import DimensionTooLargeError, FlagMissingError
 from .graphs import Digraph, HypergraphProbe, digraph_of, scc_decompose
 from .maps import face_map, restrict_map, sparsity_probe
-from .spectral import (CWBracket, DisplacementInterval, EigenResult,
-                       NonconvergedError, cw_lower, cw_upper,
-                       min_displacement, solve_eigenvector,
-                       _bracket_and_solution, DEFAULT_BUDGET, DEFAULT_TOL)
+from .spectral import (CWBracket, CWHandle, DisplacementInterval,
+                       EigenResult, NonconvergedError, cw_upper,
+                       lower_handle, min_displacement, solve_eigenvector,
+                       upper_handle, _bracket_and_solution, DEFAULT_BUDGET,
+                       DEFAULT_TOL)
 
 SUBSET_SWEEP_CAP = 24
 STRICTNESS_TOL = 1e-9
 BRACKET_TOL = DEFAULT_TOL
+
+#: iterations of each side's first refinement in a subset comparison; each
+#: later round refines twice as many
+FIRST_CHUNK = 16
 
 
 class Route(Enum):
@@ -117,81 +121,99 @@ def _strictly_below(hi: float, lo: float, tol: float) -> bool:
 class Analyzer:
     """Caches for one classification run.
 
-    `memo` holds the brackets of reduced maps (see `spectral.cw_upper`) and
-    the verdict kinds of faces, keyed by their expressions; black-box maps
-    have none and are not memoized.  The top-level analyzer creates it and
-    its face sub-analyses share it, because a restriction of a face is a
-    restriction of f: each distinct map is bracketed, and each distinct
-    face classified, once per classification.  Plain dict operations
-    suffice under `workers`, since a racing duplicate computes the same
-    value.
+    `memo` holds the bracket states of reduced maps (see
+    `spectral.cw_upper`) and the verdict kinds of faces, keyed by their
+    expressions; black-box maps have none and are not memoized.  The
+    top-level analyzer creates it and its face sub-analyses share it,
+    because a restriction of a face is a restriction of f: each distinct
+    map is iterated, and each distinct face classified, once per
+    classification.
     """
 
     def __init__(self, f: ConeMap, budget: int = DEFAULT_BUDGET,
                  tol: float = STRICTNESS_TOL, bracket_tol: float = BRACKET_TOL,
-                 prune: bool = True, workers: int = 1,
-                 memo: Optional[dict] = None):
+                 prune: bool = True, memo: Optional[dict] = None):
         self.f = f
         self.n = f.dimension
         self.budget = budget
         self.tol = tol
         self.bracket_tol = bracket_tol
         self.prune = prune
-        self.workers = max(1, workers)
         self.memo = {} if memo is None else memo
         self.lower_probe = HypergraphProbe(f, Side.LOWER)
         self.upper_probe = HypergraphProbe(f, Side.UPPER)
-        self._r0_cache: Dict[int, CWBracket] = {}
-        self._linf_cache: Dict[int, CWBracket] = {}
+        self._r0_cache: Dict[int, CWHandle] = {}
+        self._linf_cache: Dict[int, CWHandle] = {}
 
     # -- brackets ---------------------------------------------------------
 
-    def r0_bracket(self, J: SubsetMask) -> CWBracket:
-        """Certified bracket for r(f^J_0), after stabilizing the support."""
+    def r0_handle(self, J: SubsetMask) -> CWHandle:
+        """Certified bracket for r(f^J_0), after stabilizing the support,
+        refined on demand."""
         stable = self.lower_probe.reach(J.complement()).complement()
         hit = self._r0_cache.get(stable.bits)
-        if hit is not None:
-            return hit
-        if stable.is_empty():
-            b = CWBracket(0.0, 0.0, None, None, 0, True, collapsed_support=())
-        else:
-            b = cw_upper(restrict_map(self.f, stable, 0.0),
-                         self.budget, self.bracket_tol, memo=self.memo)
-        self._r0_cache[stable.bits] = b
-        return b
+        if hit is None:
+            if stable.is_empty():
+                hit = CWHandle(fixed=CWBracket(0.0, 0.0, None, None, 0, True,
+                                               collapsed_support=()))
+            else:
+                hit = upper_handle(restrict_map(self.f, stable, 0.0),
+                                   self.budget, self.bracket_tol,
+                                   memo=self.memo)
+            self._r0_cache[stable.bits] = hit
+        return hit
 
-    def linf_bracket(self, J: SubsetMask) -> CWBracket:
-        """Certified bracket for lambda(f^{[n]\\J}_inf)."""
+    def linf_handle(self, J: SubsetMask) -> CWHandle:
+        """Certified bracket for lambda(f^{[n]\\J}_inf), refined on demand."""
         kept = self.upper_probe.reach(J).complement()
         hit = self._linf_cache.get(kept.bits)
-        if hit is not None:
-            return hit
-        if kept.is_empty():
-            b = CWBracket(INF, INF, None, None, 0, True, collapsed_support=())
-        else:
-            b = cw_lower(restrict_map(self.f, kept, INF),
-                         self.budget, self.bracket_tol, memo=self.memo)
-        self._linf_cache[kept.bits] = b
-        return b
+        if hit is None:
+            if kept.is_empty():
+                hit = CWHandle(fixed=CWBracket(INF, INF, None, None, 0, True,
+                                               collapsed_support=()))
+            else:
+                hit = lower_handle(restrict_map(self.f, kept, INF),
+                                   self.budget, self.bracket_tol,
+                                   memo=self.memo)
+            self._linf_cache[kept.bits] = hit
+        return hit
 
     # -- subset checks ----------------------------------------------------
 
     def check_subset(self, J: SubsetMask) -> SubsetCertificate:
+        """The route of J, refining both brackets only until they decide.
+
+        Each bracket is sound at every iterate and only ever narrows, so a
+        strict order seen early holds at the whole budget too: the route is
+        the one fully refined brackets give, and the certificate carries
+        the brackets as they were when it was decided.  BOUNDARY needs
+        both brackets refined to the end.
+        """
         if J.is_empty() or J.is_full():
             raise ValueError("subset must be nonempty and proper")
         if self.upper_probe.reach(J).is_full():
             return SubsetCertificate(J, Route.REACH_UPPER)
         if self.lower_probe.reach(J.complement()).is_full():
             return SubsetCertificate(J, Route.REACH_LOWER)
-        rb = self.r0_bracket(J)
-        lb = self.linf_bracket(J)
-        if _strictly_below(rb.upper, lb.lower, self.tol):
-            route = Route.NUMERIC_STRICT
-        elif _strictly_below(lb.upper, rb.lower, self.tol):
-            route = Route.NUMERIC_REVERSE
-        else:
-            route = Route.BOUNDARY
-        return SubsetCertificate(J, route, rb, lb)
+        rh = self.r0_handle(J)
+        lh = self.linf_handle(J)
+        steps = FIRST_CHUNK
+        while True:
+            r_lo, r_up = rh.bounds()
+            l_lo, l_up = lh.bounds()
+            if _strictly_below(r_up, l_lo, self.tol):
+                route = Route.NUMERIC_STRICT
+                break
+            if _strictly_below(l_up, r_lo, self.tol):
+                route = Route.NUMERIC_REVERSE
+                break
+            if rh.done and lh.done:
+                route = Route.BOUNDARY
+                break
+            rh.refine(steps)
+            lh.refine(steps)
+            steps *= 2
+        return SubsetCertificate(J, route, rh.bracket(), lh.bracket())
 
     # -- face classification for pruning ----------------------------------
 
@@ -236,11 +258,7 @@ class Analyzer:
                 if m.bits in pruned_by:
                     certs[m.bits] = SubsetCertificate(
                         m, Route.PRUNED, pruned_by=pruned_by[m.bits])
-            if self.workers > 1 and len(todo) > 1:
-                with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                    results = list(pool.map(self.check_subset, todo))
-            else:
-                results = [self.check_subset(m) for m in todo]
+            results = [self.check_subset(m) for m in todo]
             for cert in results:
                 certs[cert.subset.bits] = cert
                 if cert.route is Route.NUMERIC_REVERSE:
@@ -283,11 +301,16 @@ class Analyzer:
                 certs: Tuple[SubsetCertificate, ...], solve: bool) -> Verdict:
         verdict = Verdict(kind=kind, certificates=certs)
         if kind is VerdictKind.NO_INTERIOR_EIGENVECTOR and solve:
+            # reverse certificates carry fully refined brackets
+            certs = tuple(
+                replace(c, r_bracket=self.r0_handle(c.subset).finished(),
+                        lambda_bracket=self.linf_handle(c.subset).finished())
+                if c.route is Route.NUMERIC_REVERSE else c for c in certs)
             rev = next(c for c in certs if c.route is Route.NUMERIC_REVERSE)
             disp = min_displacement(self.f, self.budget, self.bracket_tol,
                                     certificate=(rev.r_bracket, rev.lambda_bracket),
                                     memo=self.memo)
-            verdict = replace(verdict, displacement=disp)
+            verdict = replace(verdict, certificates=certs, displacement=disp)
         if kind is VerdictKind.NONEMPTY_BOUNDED and solve:
             verdict = _with_eigenvector(self.f, verdict, self.budget,
                                         self.bracket_tol)
@@ -318,26 +341,27 @@ def check_subset(f: ConeMap, J: SubsetMask, budget: int = DEFAULT_BUDGET,
 
 def classify(f: ConeMap, budget: int = DEFAULT_BUDGET,
              tol: float = STRICTNESS_TOL, prune: bool = True,
-             fast_path: bool = True, workers: int = 1,
-             solve: bool = True) -> Verdict:
+             fast_path: bool = True, solve: bool = True) -> Verdict:
     """Classify the eigenspace of f (see module docstring).
 
     With ``fast_path`` enabled, multiplicatively convex maps use the
     component route, and otherwise a unique-final-class shortcut is
-    attempted before the exponential sweep.
+    attempted before the exponential sweep.  Raises ValueError unless
+    `tol` is positive and finite.
     """
+    if not 0.0 < tol < INF:
+        raise ValueError(f"tolerance must be positive and finite, not {tol}")
     if fast_path and f.multiplicatively_convex and f.is_ast:
         verdict = classify_convex(f, budget, tol, solve=solve)
         if verdict.kind is VerdictKind.INDETERMINATE and \
                 f.dimension <= SUBSET_SWEEP_CAP:
             # the component route tied numerically; the sweep yields
             # per-subset certificates and may still decide
-            sweep = Analyzer(f, budget, tol, prune=prune,
-                             workers=workers).classify(solve=solve)
+            sweep = Analyzer(f, budget, tol, prune=prune).classify(solve=solve)
             verdict = replace(sweep, convex_report=verdict.convex_report,
                               detail=sweep.detail or verdict.detail)
         return verdict
-    analyzer = Analyzer(f, budget, tol, prune=prune, workers=workers)
+    analyzer = Analyzer(f, budget, tol, prune=prune)
     if fast_path and f.is_ast:
         quick = _unique_final_class_shortcut(f, budget, tol, solve,
                                              analyzer.memo)

@@ -9,7 +9,6 @@ Probes evaluate the map's exact extended semantics and memoize per mask.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
@@ -27,19 +26,15 @@ class HypergraphProbe:
         self.side = side
         self.heuristic = not f.is_ast
         self._cache: Dict[int, int] = {}
-        self._lock = threading.Lock()
 
     def hyperarc_targets(self, tail: SubsetMask) -> SubsetMask:
         """Heads j outside the tail forced to the pole by pinning the tail."""
         n = self.map.dimension
         if tail.n != n:
             raise ValueError("mask dimension mismatch")
-        with self._lock:
-            hit = self._cache.get(tail.bits)
+        hit = self._cache.get(tail.bits)
         if hit is None:
-            hit = self._probe(tail.bits)
-            with self._lock:
-                self._cache[tail.bits] = hit
+            hit = self._cache[tail.bits] = self._probe(tail.bits)
         return SubsetMask(hit, n)
 
     def _probe(self, tail_bits: int) -> int:
@@ -106,8 +101,7 @@ class HypergraphProbe:
             candidates |= {SubsetMask.of([j], n).complement().bits
                            for j in range(n)}
         candidates |= {m.bits for m in extra_tails}
-        with self._lock:
-            candidates |= set(self._cache)
+        candidates |= set(self._cache)
         positive: List[Tuple[int, int]] = []
         for bits in sorted(candidates):
             mask = SubsetMask(bits, n)

@@ -368,7 +368,7 @@ def _loop_source(n: int) -> str:
     arguments of `spectral._plain_trajectory`, and returns what it returns.
     Per iterate it performs the same floating-point operations and
     comparisons in the same order, without building a tuple except for a
-    new best witness.
+    new best witness and the last iterate.
     """
     xs = [f"x{i}" for i in range(n)]
     fs = [f"f{i}" for i in range(n)]
@@ -377,13 +377,16 @@ def _loop_source(n: int) -> str:
     point = _point(n)
     lines = [
         "def _trajectory(body, x, budget, tol, gap_stop, residual_stop, "
-        "guard):",
+        "guard, start=None):",
         f"    {', '.join(xs)}, = x",
         *_extreme("m", xs, ">", "    "),
         *(f"    {v} = {v} / m" for v in xs),
-        "    best_up = INF",
-        "    best_lo = 0.0",
-        f"    wit_up = wit_lo = {point}",
+        "    if start is None:",
+        "        best_up = INF",
+        "        best_lo = 0.0",
+        f"        wit_up = wit_lo = {point}",
+        "    else:",
+        "        best_lo, best_up, wit_lo, wit_up = start",
         "    gap = eigen = None",
         "    k = 0",
         "    while k < budget:",
@@ -419,7 +422,8 @@ def _loop_source(n: int) -> str:
         *_extreme("m", xs, "<", "        "),
         "        if m < guard:",
         "            break",
-        "    return k, best_lo, best_up, wit_lo, wit_up, gap, eigen",
+        "    return k, best_lo, best_up, wit_lo, wit_up, gap, eigen, "
+        f"{point}",
     ]
     return "\n".join(lines) + "\n"
 
@@ -473,7 +477,9 @@ def compile_interior(exprs: Sequence[Expr]
         loop = _loop(n)
     except (RecursionError, SyntaxError):
         return interpret, None
-    body = namespace["_body"]
+    # left in its own globals, the body would form a reference cycle that
+    # only the cyclic garbage collector frees
+    body = namespace.pop("_body")
 
     def evaluate(x):
         # the interpreter reads only the coordinates it needs, at any length

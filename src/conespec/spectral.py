@@ -15,7 +15,7 @@ ends of the bracket even when the eigenspace is empty or unbounded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .core import (INF, ConeMap, ExtVec, Side, SubsetMask, reciprocal,
@@ -114,7 +114,8 @@ def _embed_witness(values: Tuple[float, ...], face: SubsetMask) -> ExtVec:
 
 
 def _plain_trajectory(g: ConeMap, x: Sequence[float], budget: int, tol: float,
-                      gap_stop: bool, residual_stop: bool, guard: float):
+                      gap_stop: bool, residual_stop: bool, guard: float,
+                      start=None):
     """The normalized (g + id) iteration from x, in plain Python.
 
     Each iterate x yields the ratios g(x)_i / x_i; their max and min feed
@@ -124,21 +125,30 @@ def _plain_trajectory(g: ConeMap, x: Sequence[float], budget: int, tol: float,
     agree within `tol` in log scale (an iterate whose min ratio is 0 has an
     infinite residual).  The loop ends once every rule asked for has fired,
     after `budget` iterates, or when an iterate entry falls below `guard`.
+    `start`, a sandwich (best_lo, best_up, wit_lo, wit_up) from an earlier
+    run, is taken as the best seen so far.
 
-    Returns (iterations, best_lo, best_up, wit_lo, wit_up, gap, eigen):
-    the best sandwich over all iterates with its witnesses; `gap`, the
-    best sandwich, its witnesses and the iteration count when the gap rule
-    fired, else None; `eigen`, the iterate, its max ratio, its residual and
-    the iteration count when the residual rule fired, else None.  Returns
-    None when a map value overflows the float range: an interior point has
-    a finite image, so an infinite ratio is reported instead of being
-    iterated into inf/inf.  The loop that `maps.compile_interior` binds to
-    an AST map performs the same float operations in the same order.
+    Returns (iterations, best_lo, best_up, wit_lo, wit_up, gap, eigen,
+    last): the best sandwich over all iterates with its witnesses; `gap`,
+    the best sandwich, its witnesses and the iteration count when the gap
+    rule fired, else None; `eigen`, the iterate, its max ratio, its
+    residual and the iteration count when the residual rule fired, else
+    None; `last`, the last iterate, sup-normalized.  A run that spent its
+    budget continues exactly when resumed from `last` with the returned
+    sandwich as `start`: the max entry of `last` is exactly 1.0, so
+    normalizing it again changes nothing.  Returns None when a map value
+    overflows the float range: an interior point has a finite image, so an
+    infinite ratio is reported instead of being iterated into inf/inf.  The
+    loop that `maps.compile_interior` binds to an AST map performs the same
+    float operations in the same order.
     """
     x = sup_normalized(x)
-    best_up = INF
-    best_lo = 0.0
-    wit_up = wit_lo = x
+    if start is None:
+        best_up = INF
+        best_lo = 0.0
+        wit_up = wit_lo = x
+    else:
+        best_lo, best_up, wit_lo, wit_up = start
     gap = eigen = None
     k = 0
     while k < budget:
@@ -168,18 +178,19 @@ def _plain_trajectory(g: ConeMap, x: Sequence[float], budget: int, tol: float,
         x = sup_normalized(tuple(u + v for u, v in zip(x, fx)))
         if min(x) < guard:
             break  # trajectory left the face numerically; brackets stay sound
-    return k, best_lo, best_up, wit_lo, wit_up, gap, eigen
+    return k, best_lo, best_up, wit_lo, wit_up, gap, eigen, x
 
 
 def _trajectory(g: ConeMap, x0: Sequence[float], budget: int, tol: float,
-                gap_stop: bool, residual_stop: bool):
+                gap_stop: bool, residual_stop: bool, start=None):
     """`_plain_trajectory`, run by g's compiled loop when it has one."""
     loop = g.interior_loop()
     if loop is None:
         run = _plain_trajectory(g, x0, budget, tol, gap_stop, residual_stop,
-                                UNDERFLOW_GUARD)
+                                UNDERFLOW_GUARD, start)
     else:
-        run = loop(x0, budget, tol, gap_stop, residual_stop, UNDERFLOW_GUARD)
+        run = loop(x0, budget, tol, gap_stop, residual_stop, UNDERFLOW_GUARD,
+                   start)
     if run is None:
         raise NumericRangeError(
             "a map value overflowed the float range during the (f + id) "
@@ -190,7 +201,7 @@ def _trajectory(g: ConeMap, x0: Sequence[float], budget: int, tol: float,
 def _sandwich(run) -> Tuple[float, float, Tuple[float, ...],
                             Tuple[float, ...], int, bool]:
     """A trajectory's bracket: at the first gap hit, else over all iterates."""
-    iterations, lo, up, wlo, wup, gap, _ = run
+    iterations, lo, up, wlo, wup, gap = run[:6]
     if gap is not None:
         return gap + (True,)
     return lo, up, wlo, wup, iterations, False
@@ -199,7 +210,7 @@ def _sandwich(run) -> Tuple[float, float, Tuple[float, ...],
 def _solution(run) -> Union[EigenResult, NonconvergedError]:
     """A trajectory's eigenvector at the first residual hit, or the error
     that carries its bracket over all iterates."""
-    iterations, lo, up, wlo, wup, _, eigen = run
+    iterations, lo, up, wlo, wup, _, eigen, _ = run
     if eigen is None:
         return NonconvergedError(CWBracket(
             lo, up, ExtVec.interior(wlo), ExtVec.interior(wup),
@@ -209,26 +220,176 @@ def _solution(run) -> Union[EigenResult, NonconvergedError]:
 
 
 def _core_bracket(g: ConeMap, x0: Tuple[float, ...], budget: int,
-                  tol: float
-                  ) -> Tuple[float, float, Tuple[float, ...], Tuple[float, ...], int, bool]:
-    """Best sandwich found by the normalized (g + id) iteration."""
-    return _sandwich(_trajectory(g, x0, budget, tol, True, False))
+                  tol: float, start=None):
+    """Best sandwich found by the normalized (g + id) iteration.
+
+    Returns (lo, up, wit_lo, wit_up, iterations, converged, last), with
+    `start` and `last` as in `_plain_trajectory`.
+    """
+    run = _trajectory(g, x0, budget, tol, True, False, start)
+    return _sandwich(run) + (run[7],)
 
 
-def _memo_bracket(g: ConeMap, budget: int, tol: float,
-                  memo: Optional[dict]):
-    """`_core_bracket` of g from the all-ones vector, looked up in `memo`.
+class BracketState:
+    """`_core_bracket` of g from the all-ones vector, resumable.
+
+    It keeps the best sandwich (lo, up) with its witnesses and the last
+    iterate.  `refine(steps)` runs at most `steps` more iterations of the
+    budget from there, so a state refined in any number of chunks ends
+    bit-identical to one run of the whole budget.  Refinement only ever
+    lowers `up` and raises `lo`.  The state is `done` once the gap closes
+    (`converged`), the budget is spent, or an iterate falls below the
+    underflow guard.
+    """
+
+    __slots__ = ("g", "budget", "tol", "x", "lo", "up", "wlo", "wup",
+                 "iterations", "converged", "done")
+
+    def __init__(self, g: ConeMap, budget: int, tol: float):
+        self.g = g
+        self.budget = budget
+        self.tol = tol
+        self.x = self.wlo = self.wup = (1.0,) * g.dimension
+        self.lo, self.up = 0.0, INF
+        self.iterations = 0
+        self.converged = False
+        self.done = budget <= 0
+
+    def refine(self, steps: int) -> None:
+        steps = min(steps, self.budget - self.iterations)
+        if self.done or steps <= 0:
+            return
+        (self.lo, self.up, self.wlo, self.wup, k, self.converged,
+         self.x) = _core_bracket(self.g, self.x, steps, self.tol,
+                                 (self.lo, self.up, self.wlo, self.wup))
+        self.iterations += k
+        self.done = (self.converged or self.iterations >= self.budget
+                     or min(self.x) < UNDERFLOW_GUARD)
+
+
+def _memo_state(g: ConeMap, budget: int, tol: float,
+                memo: Optional[dict]) -> BracketState:
+    """The `BracketState` of g, looked up in `memo`.
 
     Only AST maps are memoized, by their expressions: equal expressions
-    iterate identically, so a hit is bit-identical to a new run.
+    iterate identically, so a state shared by several callers ends as each
+    of them would have ended it alone.
     """
     if memo is None or not g.is_ast:
-        return _core_bracket(g, (1.0,) * g.dimension, budget, tol)
+        return BracketState(g, budget, tol)
     key = (g.exprs, budget, tol)
     hit = memo.get(key)
     if hit is None:
-        hit = memo[key] = _core_bracket(g, (1.0,) * g.dimension, budget, tol)
+        hit = memo[key] = BracketState(g, budget, tol)
     return hit
+
+
+def _dual_bounds(lo: float, up: float) -> Tuple[float, float]:
+    """lambda(f)'s enclosure from an enclosure [lo, up] of r(L f L)."""
+    if up == 0.0:
+        return INF, INF
+    return 1.0 / up, INF if lo == 0.0 else 1.0 / lo
+
+
+def _dual_bracket(b: CWBracket) -> CWBracket:
+    """cw_lower's bracket of f from cw_upper's bracket b of L f L."""
+    lower, upper = _dual_bounds(b.lower, b.upper)
+    if b.upper == 0.0:
+        return CWBracket(lower, upper, None, None, b.iterations, True,
+                         collapsed_support=b.collapsed_support)
+    wl = reciprocal(b.witness_upper) if b.witness_upper is not None else None
+    wu = reciprocal(b.witness_lower) if b.witness_lower is not None else None
+    return CWBracket(lower, upper, wl, wu, b.iterations, b.converged,
+                     collapsed_support=b.collapsed_support)
+
+
+class CWHandle:
+    """The bracket cw_upper or cw_lower returns, refined on demand.
+
+    A handle reads the `BracketState` of the map cw_upper iterates and
+    embeds its witnesses in the support it was iterated on; `dual` turns
+    the conjugate's bracket into cw_lower's.  A bracket that needs no
+    iteration, or comes from the convex decomposition, is `fixed` when the
+    handle is made.  `bounds()` reads the current enclosure as two floats;
+    `bracket()` builds the certificate with its witnesses.
+    """
+
+    __slots__ = ("state", "support", "fixed", "dual")
+
+    def __init__(self, state: Optional[BracketState] = None,
+                 support: Optional[SubsetMask] = None,
+                 fixed: Optional[CWBracket] = None, dual: bool = False):
+        self.state = state
+        self.support = support
+        self.fixed = fixed
+        self.dual = dual
+
+    @property
+    def done(self) -> bool:
+        return self.state is None or self.state.done
+
+    def refine(self, steps: int) -> None:
+        if self.state is not None:
+            self.state.refine(steps)
+
+    def bounds(self) -> Tuple[float, float]:
+        if self.state is None:
+            lo, up = self.fixed.lower, self.fixed.upper
+        else:
+            lo, up = self.state.lo, self.state.up
+        return _dual_bounds(lo, up) if self.dual else (lo, up)
+
+    def bracket(self) -> CWBracket:
+        b = self.fixed
+        if b is None:
+            s = self.state
+            b = _on_support(self.support, s.lo, s.up, s.wlo, s.wup,
+                            s.iterations, s.converged)
+        return _dual_bracket(b) if self.dual else b
+
+    def finished(self) -> CWBracket:
+        """The bracket refined to the whole budget."""
+        if self.state is not None:
+            self.state.refine(self.state.budget)
+        return self.bracket()
+
+
+def upper_handle(f: ConeMap, budget: int = DEFAULT_BUDGET,
+                 tol: float = DEFAULT_TOL,
+                 components: Optional[SCCDecomposition] = None,
+                 memo: Optional[dict] = None) -> CWHandle:
+    """`cw_upper`'s bracket of f as a handle, refined only on demand.
+
+    Everything but the iteration is done here: the support stabilization
+    and, on multiplicatively convex maps, the decomposition, which is
+    refined to the whole budget at once.
+    """
+    n = f.dimension
+    if f.is_ast:
+        support = _stable_lower_support(f)
+    else:
+        support = SubsetMask.full(n)
+    if support.is_empty():
+        return CWHandle(fixed=CWBracket(0.0, 0.0, None, None, 0, True,
+                                        collapsed_support=()))
+    g = f if support.is_full() else _maps.face_map(f, support, 0.0)
+
+    if g.is_ast and g.multiplicatively_convex and g.dimension > 1:
+        bracket = _convex_radius(g, budget, tol,
+                                 components if g is f else None, memo)
+        if bracket is not None:
+            return CWHandle(fixed=_on_support(support, *bracket))
+
+    return CWHandle(_memo_state(g, budget, tol, memo), support)
+
+
+def lower_handle(f: ConeMap, budget: int = DEFAULT_BUDGET,
+                 tol: float = DEFAULT_TOL,
+                 memo: Optional[dict] = None) -> CWHandle:
+    """`cw_lower`'s bracket of f as a handle, refined only on demand."""
+    handle = upper_handle(_maps.conjugate_map(f), budget, tol, memo=memo)
+    handle.dual = True
+    return handle
 
 
 def cw_upper(f: ConeMap, budget: int = DEFAULT_BUDGET,
@@ -245,34 +406,9 @@ def cw_upper(f: ConeMap, budget: int = DEFAULT_BUDGET,
     digraph when the caller already has it, is reused only if no part of
     the support collapses; a collapsed face has a digraph of its own.
     `memo`, a dict shared by the calls of one classification, keeps the
-    iteration's result per reduced map, so each one is iterated once.
+    iteration's state per reduced map, so each one is iterated once.
     """
-    n = f.dimension
-    if f.is_ast:
-        support = _stable_lower_support(f)
-    else:
-        support = SubsetMask.full(n)
-    if support.is_empty():
-        return CWBracket(0.0, 0.0, None, None, 0, True,
-                         collapsed_support=())
-    if support.is_full():
-        g = f
-        embed = lambda v: ExtVec.of(v)
-    else:
-        g = _maps.face_map(f, support, 0.0)
-        embed = lambda v: _embed_witness(v, support)
-
-    if g.is_ast and g.multiplicatively_convex and g.dimension > 1:
-        bracket = _convex_radius(g, budget, tol,
-                                 components if g is f else None, memo)
-        if bracket is not None:
-            lo, up, wlo, wup, iters, conv = bracket
-            result = CWBracket(lo, up, embed(wlo), embed(wup), iters, conv)
-            return _attach_collapse(result, support, n)
-
-    lo, up, wlo, wup, iters, conv = _memo_bracket(g, budget, tol, memo)
-    result = CWBracket(lo, up, embed(wlo), embed(wup), iters, conv)
-    return _attach_collapse(result, support, n)
+    return upper_handle(f, budget, tol, components, memo).finished()
 
 
 def _bracket_and_solution(f: ConeMap, budget: int, tol: float) -> Optional[
@@ -291,15 +427,19 @@ def _bracket_and_solution(f: ConeMap, budget: int, tol: float) -> Optional[
     if f.is_ast and not _stable_lower_support(f).is_full():
         return None
     run = _trajectory(f, (1.0,) * n, budget, tol, True, True)
-    lo, up, wlo, wup, iters, conv = _sandwich(run)
-    bracket = CWBracket(lo, up, ExtVec.of(wlo), ExtVec.of(wup), iters, conv)
-    return bracket, _solution(run)
+    return _on_support(SubsetMask.full(n), *_sandwich(run)), _solution(run)
 
 
-def _attach_collapse(bracket: CWBracket, support: SubsetMask, n: int) -> CWBracket:
+def _on_support(support: SubsetMask, lo: float, up: float,
+                wlo: Tuple[float, ...], wup: Tuple[float, ...],
+                iterations: int, converged: bool) -> CWBracket:
+    """A sandwich of f's face on `support` as a bracket in f's coordinates."""
     if support.is_full():
-        return bracket
-    return replace(bracket, collapsed_support=support.indices())
+        return CWBracket(lo, up, ExtVec.of(wlo), ExtVec.of(wup), iterations,
+                         converged)
+    return CWBracket(lo, up, _embed_witness(wlo, support),
+                     _embed_witness(wup, support), iterations, converged,
+                     collapsed_support=support.indices())
 
 
 def _convex_radius(g: ConeMap, budget: int, tol: float,
@@ -341,17 +481,7 @@ def cw_lower(f: ConeMap, budget: int = DEFAULT_BUDGET,
     become lower restrictions of the conjugate, so face stabilization and
     the convex decomposition apply transparently.  `memo` is as in cw_upper.
     """
-    conj = _maps.conjugate_map(f)
-    b = cw_upper(conj, budget, tol, memo=memo)
-    if b.upper == 0.0:
-        return CWBracket(INF, INF, None, None, b.iterations, True,
-                         collapsed_support=b.collapsed_support)
-    lower = 1.0 / b.upper
-    upper = INF if b.lower == 0.0 else 1.0 / b.lower
-    wl = reciprocal(b.witness_upper) if b.witness_upper is not None else None
-    wu = reciprocal(b.witness_lower) if b.witness_lower is not None else None
-    return CWBracket(lower, upper, wl, wu, b.iterations, b.converged,
-                     collapsed_support=b.collapsed_support)
+    return lower_handle(f, budget, tol, memo).finished()
 
 
 @dataclass(frozen=True)

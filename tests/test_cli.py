@@ -205,6 +205,16 @@ class TestOutputStability:
     def test_bad_config_rejected(self, capsys):
         assert cli.main(["analyze", "whatever", "--tol", "-1"]) == 1
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+    def test_non_finite_tolerance_rejected(self, tmp_path, capsys, tol):
+        # NaN compares false with everything: it used to pass the check
+        # and turn every numeric subset into a boundary one
+        path = write(tmp_path, "diag.conemap", DIAG)
+        assert cli.main(["analyze", path, "--tol", tol]) == 1
+        assert "tolerance must be positive" in capsys.readouterr().err
+        with pytest.raises(ValueError):
+            cs.classify(dsl.parse_map(DIAG).cone_map, tol=float(tol))
+
 
 class TestDimensionCap:
     def test_nonconvex_beyond_cap_rejected(self, tmp_path, capsys):

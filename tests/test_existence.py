@@ -13,9 +13,10 @@ from conespec.maps import (Coord, Linear, Max, Min, PowerMean, Scale,
                            from_exprs)
 from conespec.spectral import NonconvergedError, ratios_at
 
-from conftest import (block_radius_oracle, make_game, make_schoen,
-                      make_tensor_example, random_irreducible_matrix,
-                      random_mplus_map, tensor_example_raw)
+from conftest import (block_radius_oracle, game_conjugate_text, make_game,
+                      make_schoen, make_tensor_example,
+                      random_irreducible_matrix, random_mplus_map,
+                      tensor_example_raw)
 
 
 def mask(ix, n):
@@ -269,14 +270,6 @@ class TestSweepProperties:
             b = cs.classify(f, fast_path=False, solve=False, prune=False)
             assert a.kind is b.kind
 
-    def test_workers_deterministic(self):
-        f = game_conjugate(r1=0.0)
-        a = cs.classify(f, fast_path=False, solve=False, workers=1)
-        b = cs.classify(f, fast_path=False, solve=False, workers=4)
-        assert a.kind is b.kind
-        assert [(c.subset.bits, c.route) for c in a.certificates] == \
-            [(c.subset.bits, c.route) for c in b.certificates]
-
 
 class TestLargeConvex:
     def test_hundred_dimensional_matrix(self, rng):
@@ -314,6 +307,19 @@ coord 5: 1.2122270644014164*x5 + min(x1, 2*x5)
 """
 
 
+#: a map of the sweep family whose reverse order shows before its brackets
+#: converge
+REVERSE_SWEEP_MAP = """\
+format: 1
+dim: 5
+coord 1: 0.6747732822938828*x1 + min(x2, 2*x5)
+coord 2: 0.5489429763242335*x2 + min(x3, 2*x5)
+coord 3: 0.7183496149643133*x3 + min(x4, 2*x3)
+coord 4: 1.925921488455121*x4 + min(x5, 2*x5)
+coord 5: 0.7347965380482986*x5 + min(x1, 2*x2)
+"""
+
+
 class _Forgetful(dict):
     """A memo that stores nothing: every lookup misses."""
 
@@ -322,17 +328,20 @@ class _Forgetful(dict):
 
 
 class TestClassificationMemo:
-    """One classification brackets each reduced map and face once."""
+    """One classification iterates each reduced map from one bracket state
+    and analyzes each face once."""
 
     @staticmethod
     def _counted(monkeypatch, memo=None):
-        brackets, faces = [], []
-        core_bracket = spectral._core_bracket
+        states, faces = [], []
         analyzer_classify = existence.Analyzer.classify
 
-        def bracket(g, *args):
-            brackets.append(g.exprs)
-            return core_bracket(g, *args)
+        class State(spectral.BracketState):
+            __slots__ = ()
+
+            def __init__(self, g, *args):
+                states.append(g.exprs)
+                super().__init__(g, *args)
 
         def classify(self, solve=True):
             if self.memo is not top.memo:
@@ -341,25 +350,25 @@ class TestClassificationMemo:
                 faces.append(self.f.exprs)
             return analyzer_classify(self, solve)
 
-        monkeypatch.setattr(spectral, "_core_bracket", bracket)
+        monkeypatch.setattr(spectral, "BracketState", State)
         monkeypatch.setattr(existence.Analyzer, "classify", classify)
         top = existence.Analyzer(cs.parse_map(SWEEP_MAP).cone_map,
                                  memo=memo)
         verdict = top.classify()
         monkeypatch.undo()
-        return verdict, brackets, faces
+        return verdict, states, faces
 
     def test_each_map_bracketed_and_each_face_analyzed_once(self,
                                                             monkeypatch):
-        verdict, brackets, faces = self._counted(monkeypatch)
+        verdict, states, faces = self._counted(monkeypatch)
         assert verdict.kind is VerdictKind.NONEMPTY_BOUNDED
-        assert len(brackets) == len(set(brackets)) == 23
+        assert len(states) == len(set(states)) == 23
         assert len(faces) == len(set(faces)) == 14
 
     def test_without_the_memo_the_work_repeats(self, monkeypatch):
         shared, _, _ = self._counted(monkeypatch)
-        verdict, brackets, faces = self._counted(monkeypatch, _Forgetful())
-        assert len(brackets) > 4 * len(set(brackets)) == 4 * 23
+        verdict, states, faces = self._counted(monkeypatch, _Forgetful())
+        assert len(states) > 4 * len(set(states)) == 4 * 23
         assert len(faces) > len(set(faces)) == 14
         # the memo changes the work, never the result
         assert repr(verdict) == repr(shared)
@@ -482,3 +491,132 @@ def _solved(f, **kwargs):
         return _outcome(cs.solve_eigenvector(f, **kwargs))
     except NonconvergedError as exc:
         return _outcome(exc)
+
+
+def sweep_family_map(rng, n):
+    """coord i: a_i*x_i + min(x_{i+1}, 2*x_{c_i}), as the sweep benchmark
+    draws it."""
+    lines = ["format: 1", f"dim: {n}"]
+    for i in range(n):
+        a = float(rng.uniform(0.5, 2.0))
+        c = int(rng.integers(0, n))
+        lines.append(f"coord {i + 1}: {a!r}*x{i + 1} + "
+                     f"min(x{(i + 1) % n + 1}, 2*x{c + 1})")
+    return cs.parse_map("\n".join(lines) + "\n").cone_map
+
+
+def _routes(verdict):
+    return [(c.subset.bits, c.route) for c in verdict.certificates]
+
+
+def _refined_route(rb, lb, tol=existence.STRICTNESS_TOL):
+    """The route fully refined brackets give."""
+    if existence._strictly_below(rb.upper, lb.lower, tol):
+        return Route.NUMERIC_STRICT
+    if existence._strictly_below(lb.upper, rb.lower, tol):
+        return Route.NUMERIC_REVERSE
+    return Route.BOUNDARY
+
+
+NUMERIC = (Route.NUMERIC_STRICT, Route.NUMERIC_REVERSE, Route.BOUNDARY)
+
+
+class TestAnytimeBrackets:
+    """Subset brackets are refined only until the comparison decides."""
+
+    @staticmethod
+    def _both(monkeypatch, f, budget, prune, solve=False):
+        """(anytime analyzer, its verdict, the verdict of a run whose first
+        refinement already spends the whole budget)."""
+        anytime = existence.Analyzer(f, budget, prune=prune)
+        verdict = anytime.classify(solve=solve)
+        monkeypatch.setattr(existence, "FIRST_CHUNK", budget)
+        full = existence.Analyzer(f, budget, prune=prune).classify(solve=solve)
+        monkeypatch.undo()
+        return anytime, verdict, full
+
+    def _assert_routes_as_refined(self, monkeypatch, f, budget):
+        for prune in (True, False):
+            anytime, verdict, full = self._both(monkeypatch, f, budget, prune)
+            assert verdict.kind is full.kind
+            assert _routes(verdict) == _routes(full)
+            for cert in verdict.certificates:
+                if cert.route in NUMERIC:
+                    rb = anytime.r0_handle(cert.subset).finished()
+                    lb = anytime.linf_handle(cert.subset).finished()
+                    assert cert.route is _refined_route(rb, lb)
+
+    def test_sweep_map_routes(self, monkeypatch):
+        f = cs.parse_map(SWEEP_MAP).cone_map
+        self._assert_routes_as_refined(monkeypatch, f, 10_000)
+
+    def test_black_box_twin_routes(self, monkeypatch):
+        f = cs.parse_map(SWEEP_MAP).cone_map
+        twin = ConeMap(dimension=5, evaluator=f.eval_interior)
+        self._assert_routes_as_refined(monkeypatch, twin, 100)
+
+    def test_random_map_routes(self, monkeypatch, rng):
+        for f in (sweep_family_map(rng, int(rng.integers(2, 6))),
+                  random_mplus_map(rng, int(rng.integers(2, 5))),
+                  game_conjugate(r1=float(rng.uniform(-1.0, 4.0)))):
+            self._assert_routes_as_refined(monkeypatch, f, 2000)
+
+    def test_decision_brackets_contain_refined_ones(self, rng):
+        for f in (cs.parse_map(SWEEP_MAP).cone_map,
+                  sweep_family_map(rng, 4), random_mplus_map(rng, 4)):
+            anytime = existence.Analyzer(f, prune=False)
+            verdict = anytime.classify(solve=False)
+            for cert in verdict.certificates:
+                if cert.route not in NUMERIC:
+                    continue
+                for early, handle in (
+                        (cert.r_bracket, anytime.r0_handle(cert.subset)),
+                        (cert.lambda_bracket,
+                         anytime.linf_handle(cert.subset))):
+                    refined = handle.finished()
+                    assert early.lower <= refined.lower
+                    assert refined.upper <= early.upper
+                    if early.witness_lower is not None and early.lower > 0:
+                        lo, _ = ratios_at(f, early.witness_lower)
+                        assert lo == pytest.approx(early.lower, rel=1e-11)
+                    if early.witness_upper is not None and early.upper < INF:
+                        _, hi = ratios_at(f, early.witness_upper)
+                        assert hi == pytest.approx(early.upper, rel=1e-11)
+
+    @pytest.mark.parametrize("text", [
+        game_conjugate_text(3.0, 0.5, 1.0, 0.3, 2.0, -1.0, 0.5, 0.5),
+        REVERSE_SWEEP_MAP])
+    def test_reverse_certificate_and_displacement_unchanged(self, monkeypatch,
+                                                             text):
+        f = cs.parse_map(text).cone_map
+
+        def reverse(verdict):
+            return [repr(c) for c in verdict.certificates
+                    if c.route is Route.NUMERIC_REVERSE]
+
+        _, verdict, full = self._both(monkeypatch, f, 10_000, True,
+                                      solve=True)
+        assert verdict.kind is VerdictKind.NO_INTERIOR_EIGENVECTOR
+        assert reverse(verdict) and reverse(verdict) == reverse(full)
+        assert repr(verdict.displacement) == repr(full.displacement)
+        if text is REVERSE_SWEEP_MAP:
+            # without the solve, the certificate keeps its decision brackets
+            _, early, full = self._both(monkeypatch, f, 10_000, True)
+            assert reverse(early) != reverse(full)
+
+    def test_bracket_iterations_of_the_sweep_map(self, monkeypatch):
+        # a deterministic count of loop work: refining every bracket until
+        # it converges or spends its budget takes about a hundred times more
+        iterations = []
+        core_bracket = spectral._core_bracket
+
+        def counted(*args):
+            result = core_bracket(*args)
+            iterations.append(result[4])
+            return result
+
+        monkeypatch.setattr(spectral, "_core_bracket", counted)
+        verdict = cs.classify(cs.parse_map(SWEEP_MAP).cone_map)
+        monkeypatch.undo()
+        assert verdict.kind is VerdictKind.NONEMPTY_BOUNDED
+        assert sum(iterations) == 258

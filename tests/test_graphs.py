@@ -281,19 +281,6 @@ class TestDot:
         assert out.count("xlabel") == 4  # four two-element tails
 
 
-class TestConcurrentProbes:
-    def test_parallel_reach_consistent(self):
-        from concurrent.futures import ThreadPoolExecutor
-        from conespec.core import Side
-        f = make_tensor_example()
-        probe = HypergraphProbe(f, Side.UPPER)
-        masks = all_proper(4) * 8
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            results = list(pool.map(probe.reach, masks))
-        serial = [probe.reach(J) for J in masks]
-        assert [r.bits for r in results] == [r.bits for r in serial]
-
-
 # ---------------------------------------------------------------------------
 # The symbolic growth digraph against per-coordinate probing
 

@@ -460,6 +460,22 @@ class TestCompiledInterior:
         with pytest.raises(AssertionError):
             cs.reciprocal_conjugate(f).eval_interior((1.0, 1.0, 1.0))
 
+    def test_compiled_map_freed_by_reference_counting(self):
+        import gc
+        import weakref
+        g = from_exprs([Max((Coord(0), Scale(2.0, Coord(1)))),
+                        Min((Coord(0), Coord(1)))], 2)
+        assert g.interior_loop() is not None
+        body = weakref.ref(g.interior_loop().args[0])
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del g
+            assert body() is None  # no cycle keeps the compiled body alive
+        finally:
+            if enabled:
+                gc.enable()
+
 
 class TestCoefficientRange:
     """Coefficients computed by transforms that leave the float range."""

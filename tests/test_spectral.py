@@ -414,3 +414,101 @@ class TestCompiledLoop:
         assert repr(both[5]) == repr(gap[5]) and repr(both[6]) == repr(res[6])
         assert both[0] == res[0]
         self._assert_same(g, ones, 10_000, 0.5)
+
+
+def _one_shot(g, budget, tol):
+    """The bracket of one run of the whole budget from the all-ones vector."""
+    return repr(spectral._core_bracket(g, (1.0,) * g.dimension, budget,
+                                       tol)[:6])
+
+
+def _resumed(g, budget, tol, cuts):
+    """The same bracket from a `BracketState` refined in chunks ending at
+    `cuts`, then to the end of the budget."""
+    state = spectral.BracketState(g, budget, tol)
+    for cut in sorted(cuts):
+        state.refine(cut - state.iterations)
+    state.refine(budget)
+    assert state.done
+    return repr((state.lo, state.up, state.wlo, state.wup, state.iterations,
+                 state.converged))
+
+
+class TestResumedBracket:
+    """A bracket refined in chunks is bit-identical to one long run."""
+
+    def test_raw_trajectory_resumes_exactly(self, rng):
+        for _ in range(60):
+            n = int(rng.integers(1, 5))
+            g = from_exprs([random_tree(rng, n, int(rng.integers(0, 4)))
+                            for _ in range(n)], n)
+            x = tuple(float(v) for v in rng.uniform(0.1, 10.0, size=n))
+            budget = int(rng.integers(0, 40))
+            cut = int(rng.integers(0, budget + 1))
+            for h in (g, _interpreted(g)):
+                try:
+                    whole = spectral._trajectory(h, x, budget, 1e-10, False,
+                                                 False)
+                    head = spectral._trajectory(h, x, cut, 1e-10, False,
+                                                False)
+                    if min(head[7]) < spectral.UNDERFLOW_GUARD:
+                        continue  # the guard ended the run
+                    tail = spectral._trajectory(h, head[7], budget - cut,
+                                                1e-10, False, False,
+                                                head[1:5])
+                except NumericRangeError:
+                    continue
+                assert repr(tail[1:5] + tail[7:]) == \
+                    repr(whole[1:5] + whole[7:])
+                assert head[0] + tail[0] == whole[0]
+
+    def test_random_trees_and_conjugates(self, rng):
+        compared = 0
+        for _ in range(80):
+            n = int(rng.integers(1, 6))
+            exprs = [random_tree(rng, n, int(rng.integers(0, 4)))
+                     for _ in range(n)]
+            budget = int(rng.integers(0, 200))
+            tol = float(rng.choice([1e-10, 1e-3, 0.5]))
+            cuts = [int(c) for c in rng.integers(0, budget + 1, size=3)]
+            for g in (from_exprs(exprs, n),
+                      cs.reciprocal_conjugate(from_exprs(exprs, n))):
+                for h in (g, _interpreted(g)):
+                    try:
+                        whole = _one_shot(h, budget, tol)
+                    except NumericRangeError:
+                        continue
+                    assert _resumed(h, budget, tol, cuts) == whole
+                    compared += 1
+        assert compared > 120
+
+    @pytest.mark.parametrize("budget", [0, 1, 15])
+    def test_tiny_budgets(self, budget):
+        g = from_exprs([Max((Coord(0), Scale(2.0, Coord(1)))),
+                        Min((Coord(0), Scale(0.5, Coord(1))))], 2)
+        for h in (g, _interpreted(g)):
+            whole = _one_shot(h, budget, 1e-10)
+            for cut in range(budget + 1):
+                assert _resumed(h, budget, 1e-10, [cut]) == whole
+
+    def test_guard_break_on_a_chunk_end(self):
+        # x2 shrinks by about 1 / 2 per step until it crosses the guard
+        g = from_exprs([Coord(0), Min((Scale(1e-3, Coord(1)), Coord(0)))], 2)
+        for h in (g, _interpreted(g)):
+            whole = spectral._core_bracket(h, (1.0, 1.0), 10_000, 1e-10)
+            stop = whole[4]
+            assert stop < 10_000 and not whole[5]
+            state = spectral.BracketState(h, 10_000, 1e-10)
+            state.refine(stop)  # the guard fires on the chunk's last step
+            assert state.done and state.iterations == stop
+            assert _resumed(h, 10_000, 1e-10, [stop - 1, stop]) == \
+                _one_shot(h, 10_000, 1e-10)
+
+    def test_refinement_only_narrows(self, rng):
+        g = random_mplus_map(rng, 4)
+        state = spectral.BracketState(g, 10_000, 1e-10)
+        previous = (state.lo, state.up)
+        while not state.done:
+            state.refine(7)
+            assert previous[0] <= state.lo <= state.up <= previous[1]
+            previous = (state.lo, state.up)
