@@ -8,8 +8,8 @@ interior eigenvector, 3 = indeterminate, 1 = usage/parse error.  solve exits
 from __future__ import annotations
 
 import argparse
+import functools
 import json
-import math
 import sys
 import time
 from dataclasses import dataclass
@@ -23,7 +23,8 @@ from .graphs import HypergraphProbe, digraph_of, digraph_to_dot, \
     hypergraph_to_dot
 from .spectral import (DEFAULT_BUDGET, NonconvergedError, cw_upper,
                        solve_eigenvector)
-from .topical import build_shapley, check_additive_eigenvector, mean_payoff
+from .topical import (build_shapley, check_additive_eigenvector, mean_payoff,
+                      _convert_bracket)
 from . import dsl
 
 EXIT_BY_KIND = {
@@ -90,7 +91,8 @@ def verdict_doc(verdict: Verdict, timing: Optional[float] = None) -> dict:
     displacement = None
     if verdict.displacement is not None:
         displacement = {"lower": _num(verdict.displacement.lower),
-                        "upper": _num(verdict.displacement.upper)}
+                        "upper": _num(verdict.displacement.upper),
+                        "converged": verdict.displacement.converged}
     doc = {
         "kind": verdict.kind.value,
         "subsets": subsets,
@@ -223,11 +225,7 @@ def cmd_game(path: str, config: RunConfig) -> int:
         bracket = cw_upper(T.conjugate, config.budget)
     doc = verdict_doc(verdict.multiplicative, elapsed)
     doc["scale"] = "additive"
-    doc["additive_eigenvalue_bracket"] = {
-        "lower": _num(math.log(bracket.lower) if bracket.lower > 0 else -INF),
-        "upper": _num(math.log(bracket.upper) if bracket.upper < INF else INF),
-        "converged": bracket.converged,
-    }
+    doc["additive_eigenvalue_bracket"] = _bracket_doc(_convert_bracket(bracket))
     if verdict.eigen is not None:
         doc["eigen"] = {"eigenvalue": verdict.eigen.eigenvalue,
                         "vector": list(verdict.eigen.vector),
@@ -235,16 +233,8 @@ def cmd_game(path: str, config: RunConfig) -> int:
                         "iterations": verdict.eigen.iterations}
     for cert, entry in zip(verdict.certificates, doc["subsets"]):
         if cert.r_bracket is not None or cert.lambda_bracket is not None:
-            entry["brackets"] = {
-                "r": {"lower": _num(cert.r_bracket.lower),
-                      "upper": _num(cert.r_bracket.upper),
-                      "converged": cert.r_bracket.converged}
-                if cert.r_bracket else None,
-                "lambda": {"lower": _num(cert.lambda_bracket.lower),
-                           "upper": _num(cert.lambda_bracket.upper),
-                           "converged": cert.lambda_bracket.converged}
-                if cert.lambda_bracket else None,
-            }
+            entry["brackets"] = {"r": _bracket_doc(cert.r_bracket),
+                                 "lambda": _bracket_doc(cert.lambda_bracket)}
     horizons = (64, 256, 1024)
     doc["mean_payoff"] = {
         str(k): [mean_payoff(T, s, k) for s in range(T.n)] for k in horizons}
@@ -283,8 +273,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and reused by every later call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     config = RunConfig(tolerance=args.tol, budget=args.budget,
                        max_n=args.max_n, output=args.format,
                        prune=not args.no_prune,

@@ -25,15 +25,11 @@ from .spectral import (CWBracket, CWHandle, DisplacementInterval,
                        EigenResult, NonconvergedError, cw_upper,
                        lower_handle, min_displacement, solve_eigenvector,
                        upper_handle, _bracket_and_solution, DEFAULT_BUDGET,
-                       DEFAULT_TOL)
+                       DEFAULT_TOL, FIRST_CHUNK)
 
 SUBSET_SWEEP_CAP = 24
 STRICTNESS_TOL = 1e-9
 BRACKET_TOL = DEFAULT_TOL
-
-#: iterations of each side's first refinement in a subset comparison; each
-#: later round refines twice as many
-FIRST_CHUNK = 16
 
 
 class Route(Enum):
@@ -301,15 +297,15 @@ class Analyzer:
                 certs: Tuple[SubsetCertificate, ...], solve: bool) -> Verdict:
         verdict = Verdict(kind=kind, certificates=certs)
         if kind is VerdictKind.NO_INTERIOR_EIGENVECTOR and solve:
-            # reverse certificates carry fully refined brackets
-            certs = tuple(
-                replace(c, r_bracket=self.r0_handle(c.subset).finished(),
-                        lambda_bracket=self.linf_handle(c.subset).finished())
-                if c.route is Route.NUMERIC_REVERSE else c for c in certs)
+            # the first reverse certificate bounds the displacement below
+            # and carries its brackets as the displacement left them
             rev = next(c for c in certs if c.route is Route.NUMERIC_REVERSE)
+            rh, lh = self.r0_handle(rev.subset), self.linf_handle(rev.subset)
             disp = min_displacement(self.f, self.budget, self.bracket_tol,
-                                    certificate=(rev.r_bracket, rev.lambda_bracket),
-                                    memo=self.memo)
+                                    certificate=(rh, lh), memo=self.memo)
+            certs = tuple(replace(c, r_bracket=rh.bracket(),
+                                  lambda_bracket=lh.bracket())
+                          if c is rev else c for c in certs)
             verdict = replace(verdict, certificates=certs, displacement=disp)
         if kind is VerdictKind.NONEMPTY_BOUNDED and solve:
             verdict = _with_eigenvector(self.f, verdict, self.budget,
@@ -491,7 +487,9 @@ def classify_convex(f: ConeMap, budget: int = DEFAULT_BUDGET,
     verdict = Verdict(kind=kind, detail=detail, convex_report=report)
     if kind is VerdictKind.NO_INTERIOR_EIGENVECTOR and solve:
         top = max(brackets, key=lambda b: b.lower)
-        disp = min_displacement(f, budget, BRACKET_TOL, certificate=(top, lam))
+        disp = min_displacement(f, budget, BRACKET_TOL,
+                                certificate=(CWHandle(fixed=top),
+                                             CWHandle(fixed=lam)))
         verdict = replace(verdict, displacement=disp)
     if kind is VerdictKind.NONEMPTY_BOUNDED and solve:
         verdict = _with_eigenvector(f, verdict, budget, BRACKET_TOL, outcome)

@@ -27,6 +27,10 @@ from . import maps as _maps
 DEFAULT_BUDGET = 10_000
 DEFAULT_TOL = 1e-10
 
+#: iterations of each bracket's first refinement where brackets are refined
+#: only until a comparison decides; each later round refines twice as many
+FIRST_CHUNK = 16
+
 #: An iterate entry below this triggers support analysis instead of drifting
 #: further in floating point.
 UNDERFLOW_GUARD = 1e-300
@@ -486,36 +490,67 @@ def cw_lower(f: ConeMap, budget: int = DEFAULT_BUDGET,
 
 @dataclass(frozen=True)
 class DisplacementInterval:
-    """An enclosure of log r(f) - log lambda(f), clipped at zero below."""
+    """An enclosure of log r(f) - log lambda(f), clipped at zero below.
+
+    `converged` means the interval closed to the bracket tolerance,
+    `upper - lower <= tol * max(1, upper)`; the brackets behind it were then
+    refined only that far.  An interval that did not close comes from
+    brackets refined to the whole budget.  `r_bracket` and `lambda_bracket`
+    are cw_upper's and cw_lower's brackets of f as they stood at the end.
+    """
 
     lower: float
     upper: float
     r_bracket: CWBracket
     lambda_bracket: CWBracket
+    converged: bool
+
+
+def _log_ratio(num: float, den: float, default: float) -> float:
+    """log(num) - log(den) when both are positive and finite, else
+    `default`."""
+    if 0.0 < num < INF and 0.0 < den < INF:
+        return math.log(num) - math.log(den)
+    return default
 
 
 def min_displacement(f: ConeMap, budget: int = DEFAULT_BUDGET,
                      tol: float = DEFAULT_TOL,
-                     certificate: Optional[Tuple[CWBracket, CWBracket]] = None,
+                     certificate: Optional[Tuple[CWHandle, CWHandle]] = None,
                      memo: Optional[dict] = None) -> DisplacementInterval:
     """Enclose the minimum displacement via the two Collatz-Wielandt brackets.
 
     Iteration alone only yields a joint [lambda, r] enclosure, so the lower
-    end is zero unless a subset certificate (a pair of brackets for some
-    r(f^J_0) and lambda(f^{[n]\\J}_inf) in reverse order) is supplied.
-    `memo` is as in cw_upper.
+    end is zero unless a subset certificate (handles of the brackets for
+    some r(f^J_0) and lambda(f^{[n]\\J}_inf) in reverse order) is supplied.
+    The brackets of f and the certificate's are refined together,
+    FIRST_CHUNK iterations each at first and twice as many each round, and
+    only until the interval closes to `tol` or every bracket is done.  Each
+    round's interval is a sound enclosure; one that never closes is the
+    interval of fully refined brackets.  Where an end of f's brackets is 0
+    or inf, the upper end is inf.  `memo` is as in cw_upper.
     """
-    rb = cw_upper(f, budget, tol, memo=memo)
-    lb = cw_lower(f, budget, tol, memo=memo)
-    hi = math.log(rb.upper) - math.log(lb.lower)
-    lo = 0.0
-    if rb.lower > 0.0 and lb.upper < INF:
-        lo = max(lo, math.log(rb.lower) - math.log(lb.upper))
+    pairs = [(upper_handle(f, budget, tol, memo=memo),
+              lower_handle(f, budget, tol, memo=memo))]
     if certificate is not None:
-        r_cert, l_cert = certificate
-        if r_cert.lower > 0.0 and l_cert.upper < INF:
-            lo = max(lo, math.log(r_cert.lower) - math.log(l_cert.upper))
-    return DisplacementInterval(lo, max(lo, hi), rb, lb)
+        pairs.append(certificate)
+    handles = [h for pair in pairs for h in pair]
+    steps = FIRST_CHUNK
+    while True:
+        bounds = [(rh.bounds(), lh.bounds()) for rh, lh in pairs]
+        lo = max(0.0, *(_log_ratio(r_lo, l_up, 0.0)
+                        for (r_lo, _), (_, l_up) in bounds))
+        (_, r_up), (l_lo, _) = bounds[0]
+        hi = max(lo, _log_ratio(r_up, l_lo, INF))
+        # before any refinement hi is inf, and inf - lo <= tol * inf holds
+        closed = hi != INF and hi - lo <= tol * max(1.0, hi)
+        if closed or all(h.done for h in handles):
+            break
+        for h in handles:
+            h.refine(steps)
+        steps *= 2
+    rh, lh = pairs[0]
+    return DisplacementInterval(lo, hi, rh.bracket(), lh.bracket(), closed)
 
 
 def solve_eigenvector(f: ConeMap, x0: Optional[ExtVec] = None,

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -139,8 +142,9 @@ class TestGame:
         doc = json.loads(GAME_JSON)
         doc["actions"][0][0]["payoff"] = 3.0
         path = write(tmp_path, "g.game.json", json.dumps(doc))
-        expected = cli.cw_upper(
-            cs.build_shapley(dsl.parse_game(json.dumps(doc))).conjugate)
+        f = cs.build_shapley(dsl.parse_game(json.dumps(doc))).conjugate
+        used = cs.classify(f).displacement.r_bracket
+        refined = cli.cw_upper(f)
 
         def refuse(*args, **kwargs):
             raise AssertionError("bracket computed a second time")
@@ -148,10 +152,15 @@ class TestGame:
         monkeypatch.setattr(cli, "cw_upper", refuse)
         assert cli.main(["game", path]) == 2
         out = json.loads(capsys.readouterr().out)
-        assert out["additive_eigenvalue_bracket"] == {
-            "lower": math.log(expected.lower),
-            "upper": math.log(expected.upper),
-            "converged": expected.converged}
+        assert out["displacement"]["converged"] is True
+        bracket = out["additive_eigenvalue_bracket"]
+        assert bracket == {"lower": math.log(used.lower),
+                           "upper": math.log(used.upper),
+                           "converged": used.converged}
+        # refined no further than the displacement needed, so it encloses
+        # the fully refined bracket
+        assert bracket["lower"] <= math.log(refined.lower)
+        assert math.log(refined.upper) <= bracket["upper"]
 
     def test_one_trajectory_for_mean_payoffs(self, tmp_path, capsys,
                                              monkeypatch):
@@ -214,6 +223,38 @@ class TestOutputStability:
         assert "tolerance must be positive" in capsys.readouterr().err
         with pytest.raises(ValueError):
             cs.classify(dsl.parse_map(DIAG).cone_map, tol=float(tol))
+
+
+class TestParserReuse:
+    def test_one_parser_for_every_call(self, tmp_path, capsys, monkeypatch):
+        path = write(tmp_path, "g.game.json", GAME_JSON)
+        runs = [["game", path, "--tol", "1e-6"],
+                ["game", path, "--format", "human"],
+                ["game", path]]
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        fresh = [subprocess.run([sys.executable, "-m", "conespec.cli", *argv],
+                                capture_output=True, text=True, env=env,
+                                timeout=120)
+                 for argv in runs]
+        built = []
+        build_parser = cli.build_parser
+
+        def counted():
+            built.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cli._parser.cache_clear()
+        try:
+            for argv, proc in zip(runs, fresh):
+                code = cli.main(argv)
+                assert (code, capsys.readouterr().out) == (proc.returncode,
+                                                           proc.stdout)
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
 
 
 class TestDimensionCap:

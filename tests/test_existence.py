@@ -586,27 +586,34 @@ class TestAnytimeBrackets:
     @pytest.mark.parametrize("text", [
         game_conjugate_text(3.0, 0.5, 1.0, 0.3, 2.0, -1.0, 0.5, 0.5),
         REVERSE_SWEEP_MAP])
-    def test_reverse_certificate_and_displacement_unchanged(self, monkeypatch,
-                                                             text):
+    def test_reverse_certificate_and_displacement_contain_refined(
+            self, monkeypatch, text):
         f = cs.parse_map(text).cone_map
-
-        def reverse(verdict):
-            return [repr(c) for c in verdict.certificates
-                    if c.route is Route.NUMERIC_REVERSE]
-
-        _, verdict, full = self._both(monkeypatch, f, 10_000, True,
-                                      solve=True)
-        assert verdict.kind is VerdictKind.NO_INTERIOR_EIGENVECTOR
-        assert reverse(verdict) and reverse(verdict) == reverse(full)
-        assert repr(verdict.displacement) == repr(full.displacement)
+        lazy, full = _lazy_and_full(
+            monkeypatch, lambda: existence.Analyzer(f).classify())
+        assert lazy.kind is full.kind is VerdictKind.NO_INTERIOR_EIGENVECTOR
+        assert _routes(lazy) == _routes(full)
+        _assert_contains_refined(lazy.displacement, full.displacement)
+        for early, refined in zip(lazy.certificates, full.certificates):
+            if early.route is Route.NUMERIC_REVERSE:
+                for a, b in ((early.r_bracket, refined.r_bracket),
+                             (early.lambda_bracket, refined.lambda_bracket)):
+                    assert a.lower <= b.lower and b.upper <= a.upper
+        # the displacement's lower end re-checks from the certificate it
+        # was computed with
+        rev = next(c for c in lazy.certificates
+                   if c.route is Route.NUMERIC_REVERSE)
+        assert lazy.displacement.lower >= (
+            math.log(rev.r_bracket.lower)
+            - math.log(rev.lambda_bracket.upper))
         if text is REVERSE_SWEEP_MAP:
             # without the solve, the certificate keeps its decision brackets
             _, early, full = self._both(monkeypatch, f, 10_000, True)
-            assert reverse(early) != reverse(full)
+            assert _reverse(early) != _reverse(full)
 
-    def test_bracket_iterations_of_the_sweep_map(self, monkeypatch):
-        # a deterministic count of loop work: refining every bracket until
-        # it converges or spends its budget takes about a hundred times more
+    @staticmethod
+    def _loop_iterations(monkeypatch, f):
+        """(verdict of classify(f), the bracket-loop iterations it ran)."""
         iterations = []
         core_bracket = spectral._core_bracket
 
@@ -616,7 +623,84 @@ class TestAnytimeBrackets:
             return result
 
         monkeypatch.setattr(spectral, "_core_bracket", counted)
-        verdict = cs.classify(cs.parse_map(SWEEP_MAP).cone_map)
+        verdict = cs.classify(f)
         monkeypatch.undo()
+        return verdict, sum(iterations)
+
+    def test_bracket_iterations_of_the_sweep_map(self, monkeypatch):
+        # a deterministic count of loop work: refining every bracket until
+        # it converges or spends its budget takes about a hundred times more
+        verdict, iterations = self._loop_iterations(
+            monkeypatch, cs.parse_map(SWEEP_MAP).cone_map)
         assert verdict.kind is VerdictKind.NONEMPTY_BOUNDED
-        assert sum(iterations) == 258
+        assert iterations == 258
+
+    def test_bracket_iterations_of_a_game_without_eigenvector(self,
+                                                              monkeypatch):
+        # the displacement refines f's brackets only until its interval
+        # closes; refining them to the whole budget takes 3,008 iterations
+        f = cs.parse_map(game_conjugate_text(
+            3.0, 0.5, 1.0, 0.3, 2.0, -1.0, 0.5, 0.5)).cone_map
+        verdict, iterations = self._loop_iterations(monkeypatch, f)
+        assert verdict.kind is VerdictKind.NO_INTERIOR_EIGENVECTOR
+        assert verdict.displacement.converged
+        assert iterations == 35
+
+
+def _reverse(verdict):
+    return [repr(c) for c in verdict.certificates
+            if c.route is Route.NUMERIC_REVERSE]
+
+
+def _lazy_and_full(monkeypatch, run):
+    """run() as it is, and with every displacement bracket refined to the
+    whole budget in its first round; subset comparisons read existence's
+    own binding of FIRST_CHUNK and run alike in both."""
+    lazy = run()
+    monkeypatch.setattr(spectral, "FIRST_CHUNK", spectral.DEFAULT_BUDGET)
+    full = run()
+    monkeypatch.undo()
+    return lazy, full
+
+
+def _assert_contains_refined(lazy, full, tol=spectral.DEFAULT_TOL):
+    """An anytime displacement encloses the fully refined one; it is closed
+    to `tol` when that one is, and equal to it when it is not closed."""
+    assert lazy.lower <= full.lower and full.upper <= lazy.upper
+    if full.upper < INF and full.upper - full.lower <= tol * max(1.0,
+                                                                 full.upper):
+        assert lazy.converged
+    if lazy.converged:
+        assert lazy.upper < INF
+        assert lazy.upper - lazy.lower <= tol * max(1.0, lazy.upper)
+    else:
+        assert repr(lazy) == repr(full)
+
+
+class TestAnytimeDisplacement:
+    """The displacement refines its brackets only until it closes."""
+
+    def test_random_games(self, monkeypatch, rng):
+        for _ in range(3):
+            p1, p2 = (float(p) for p in rng.uniform(0.05, 0.95, size=2))
+            f = game_conjugate(r1=float(rng.uniform(-1.0, 4.0)), p1=p1, p2=p2)
+            lazy, full = _lazy_and_full(monkeypatch, lambda: cs.classify(f))
+            assert lazy.kind is full.kind
+            assert _routes(lazy) == _routes(full)
+            if full.displacement is not None:
+                _assert_contains_refined(lazy.displacement, full.displacement)
+            # without a certificate the lower end comes from f's brackets
+            _assert_contains_refined(*_lazy_and_full(
+                monkeypatch, lambda: cs.min_displacement(f)))
+
+    @pytest.mark.parametrize("rows", [[[1, 1], [1, 0]], [[1, 1], [0, 1]],
+                                      [[1, 0], [0, 2]], [[2, 1], [0, 1]]])
+    def test_matrices(self, monkeypatch, rows):
+        f = cs.matrix_map(rows)
+        _assert_contains_refined(*_lazy_and_full(
+            monkeypatch, lambda: cs.min_displacement(f)))
+        lazy, full = _lazy_and_full(monkeypatch, lambda: cs.classify(f))
+        if full.displacement is not None:
+            # the convex route's certificate is a fixed pair of brackets
+            assert lazy.convex_report is not None
+            _assert_contains_refined(lazy.displacement, full.displacement)

@@ -103,6 +103,22 @@ class TestMinDisplacement:
         assert d.lower == pytest.approx(math.log(2.0), rel=1e-9)
         assert d.upper == pytest.approx(math.log(2.0), rel=1e-9)
 
+    def test_bracket_ends_at_zero_or_inf_give_an_infinite_upper_end(self):
+        # with no iteration r(f) <= inf and lambda(f) >= 0: no finite bound
+        f = cs.parse_map("format: 1\ndim: 2\ncoord 1: x1 + x2\n"
+                         "coord 2: x2\n").cone_map
+        d = cs.min_displacement(f, budget=0)
+        assert (d.lower, d.upper, d.converged) == (0.0, INF, False)
+        # a certificate whose lambda bracket is [0, 0] bounds nothing below
+        zero = spectral.CWHandle(fixed=cs.CWBracket(0.0, 0.0, None, None, 0,
+                                                    True))
+        one = spectral.CWHandle(fixed=cs.CWBracket(1.0, 1.0, None, None, 0,
+                                                   True))
+        d = cs.min_displacement(cs.matrix_map([[1, 0], [0, 2]]),
+                                certificate=(one, zero))
+        assert d.lower == pytest.approx(math.log(2.0), rel=1e-9)
+        assert d.converged
+
 
 class TestSolveEigenvector:
     def test_permutation_converges_while_plain_iteration_oscillates(self):
