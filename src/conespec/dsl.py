@@ -458,11 +458,20 @@ def _serialize_tight(e: Expr) -> str:
 # ---------------------------------------------------------------------------
 # Game documents
 
+def _game_float(value: float, pointer: str) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError("number is outside the float range",
+                              pointer) from None
+
+
 def parse_game(text: str) -> GameSpec:
     """Parse a .game.json document into a validated GameSpec."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # a JSONDecodeError, or an integer literal beyond Python's digit limit
         raise ValidationError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValidationError("document must be a JSON object")
@@ -500,8 +509,11 @@ def parse_game(text: str) -> GameSpec:
                 raise ValidationError(
                     f"transition must be an array of {n} numbers",
                     f"/actions/{i}/{k}/transition")
-            row.append(GameAction(float(act["payoff"]),
-                                  tuple(float(p) for p in tr)))
+            pointer = f"/actions/{i}/{k}"
+            row.append(GameAction(
+                _game_float(act["payoff"], f"{pointer}/payoff"),
+                tuple(_game_float(p, f"{pointer}/transition/{j}")
+                      for j, p in enumerate(tr))))
         actions.append(tuple(row))
     return GameSpec(tuple(str(c) for c in controllers), tuple(actions))
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 from .core import INF, ConeMap, SubsetMask
 from .errors import NumericRangeError, ValidationError
@@ -27,6 +27,14 @@ MIN_PLAYER = "min"
 MAX_PLAYER = "max"
 
 PROB_TOL = 1e-12
+
+
+def _is_finite(v: float) -> bool:
+    """Whether v is a finite float, or an int that converts to one."""
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -68,16 +76,19 @@ class GameSpec:
                     raise ValidationError("transition length must equal the "
                                           "number of states",
                                           f"/actions/{i}/{k}/transition")
-                if any(p < 0.0 for p in row):
-                    raise ValidationError("transition probabilities must be "
-                                          "nonnegative",
-                                          f"/actions/{i}/{k}/transition")
+                for j, p in enumerate(row):
+                    # written so that NaN fails too; an int of any size
+                    # compares exactly
+                    if not 0.0 <= p <= 1.0:
+                        raise ValidationError(
+                            "transition probability is not in [0, 1]",
+                            f"/actions/{i}/{k}/transition/{j}")
                 if abs(sum(row) - 1.0) > PROB_TOL:
                     raise ValidationError(
                         f"transition probabilities sum to {sum(row)!r}, not 1",
                         f"/actions/{i}/{k}/transition")
-                if not math.isfinite(act.payoff):
-                    raise ValidationError("payoff must be finite",
+                if not _is_finite(act.payoff):
+                    raise ValidationError("payoff must be a finite number",
                                           f"/actions/{i}/{k}/payoff")
 
     @property
@@ -92,35 +103,34 @@ class TopicalMap:
         self.game = game
         self.n = game.n
         self.conjugate = _conjugate_of_game(game)
+        # the generated k-step loop of `_shapley_steps`, built on first use
+        self._steps: Optional[Callable[..., Tuple[float, ...]]] = None
         # the last iterate T^k(0) computed, as (k, iterate)
         self._from_zero: Tuple[int, Tuple[float, ...]] = (0, (0.0,) * game.n)
 
+    def _run(self, k: int, x: Sequence[float]) -> Tuple[float, ...]:
+        if self._steps is None:
+            self._steps = _shapley_steps(self.game)
+        return self._steps(k, *x)
+
     def additive(self, x: Sequence[float]) -> Tuple[float, ...]:
         """Evaluate T(x); coordinates of x may be +-inf (one-sided)."""
-        out = []
-        for controller, acts in zip(self.game.controllers, self.game.actions):
-            vals = []
-            for act in acts:
-                s = act.payoff
-                for j, p in enumerate(act.transition):
-                    if p > 0.0:
-                        s += p * x[j]
-                vals.append(s)
-            out.append(min(vals) if controller == MIN_PLAYER else max(vals))
-        return tuple(out)
+        return self._run(1, x)
 
     def iterate_additive(self, x0: Sequence[float], k: int) -> Tuple[float, ...]:
-        x = tuple(float(v) for v in x0)
-        for _ in range(k):
-            x = self.additive(x)
-        return x
+        """T^k(x0), for k >= 0."""
+        if k < 0:
+            raise ValueError("number of steps must be nonnegative")
+        return self._run(k, tuple(float(v) for v in x0))
 
     def iterate_from_zero(self, k: int) -> Tuple[float, ...]:
         """T^k(0), continuing the last such iterate when k is not below it."""
+        if k < 0:
+            raise ValueError("number of steps must be nonnegative")
         done, x = self._from_zero
         if k < done:
             done, x = 0, (0.0,) * self.n
-        x = self.iterate_additive(x, k - done)
+        x = self._run(k - done, x)
         self._from_zero = (k, x)
         return x
 
@@ -138,6 +148,40 @@ class TopicalMap:
 def build_shapley(game: GameSpec) -> TopicalMap:
     """The one-stage dynamic-programming operator of a turn-based game."""
     return TopicalMap(game)
+
+
+def _shapley_steps(game: GameSpec) -> Callable[..., Tuple[float, ...]]:
+    """The Shapley operator of a game as one generated loop of k steps.
+
+    The function takes k and the coordinates x0..x{n-1} and returns T^k(x).
+    Each step takes, per state and action, `s = payoff` and then
+    `s += p * xj` for every positive p in index order, and keeps the first
+    action value unless a later one is strictly smaller (min) or larger
+    (max), as the builtins do.  These are the operations of the direct
+    evaluation in the same order, so results are bit-identical to it, with
+    +-inf and NaN coordinates too.  Only statements are emitted, never a
+    nested expression, so a support of any size compiles.
+    """
+    n = game.n
+    names = ", ".join(f"x{j}" for j in range(n))
+    lines = [f"def _steps(k, {names}):", "    for _ in range(k):"]
+    for i, (controller, acts) in enumerate(zip(game.controllers,
+                                               game.actions)):
+        better = "<" if controller == MIN_PLAYER else ">"
+        for a, act in enumerate(acts):
+            lines.append(f"        s = {float(act.payoff)!r}")
+            lines.extend(f"        s += {float(p)!r} * x{j}"
+                         for j, p in enumerate(act.transition) if p > 0.0)
+            lines.append(f"        y{i} = s" if a == 0 else
+                         f"        y{i} = s if s {better} y{i} else y{i}")
+    lines.append(f"        {names}, = {', '.join(f'y{i}' for i in range(n))},")
+    lines.append(f"    return {names},")
+    namespace: dict = {}
+    exec(compile("\n".join(lines) + "\n", "<shapley operator>", "exec"),
+         namespace)
+    # left in its own globals, the function would form a reference cycle
+    # that only the cyclic garbage collector frees
+    return namespace.pop("_steps")
 
 
 def _conjugate_of_game(game: GameSpec) -> ConeMap:

@@ -191,9 +191,36 @@ def block_radius_oracle(g, tol=1e-13) -> float:
     return y1 / t
 
 
+def reference_additive(game: cs.GameSpec, x):
+    """The Shapley operator T(x), evaluated directly from the game.
+
+    The reference for the generated loop of `TopicalMap`, which must take
+    the same floating-point operations in the same order.
+    """
+    out = []
+    for controller, acts in zip(game.controllers, game.actions):
+        vals = []
+        for act in acts:
+            s = act.payoff
+            for j, p in enumerate(act.transition):
+                if p > 0.0:
+                    s += p * x[j]
+            vals.append(s)
+        out.append(min(vals) if controller == "min" else max(vals))
+    return tuple(out)
+
+
+def reference_iterate(game: cs.GameSpec, x0, k: int):
+    """T^k(x0) by k direct evaluations."""
+    x = tuple(float(v) for v in x0)
+    for _ in range(k):
+        x = reference_additive(game, x)
+    return x
+
+
 def value_iteration_oracle(T: cs.TopicalMap, k: int = 4096):
     """Per-state long-run average payoff via plain value iteration."""
-    x = T.iterate_additive((0.0,) * T.n, k)
+    x = reference_iterate(T.game, (0.0,) * T.n, k)
     return [v / k for v in x]
 
 

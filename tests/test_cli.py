@@ -10,9 +10,9 @@ import pytest
 
 import conespec as cs
 import conespec.cli as cli
-from conespec import dsl
+from conespec import dsl, topical
 
-from conftest import game_conjugate_text
+from conftest import game_conjugate_text, reference_iterate
 from test_dsl import GAME_JSON, tensor_text
 
 JORDAN = "format: 1\ndim: 2\ncoord 1: x1 + x2\ncoord 2: x2\n"
@@ -164,22 +164,31 @@ class TestGame:
 
     def test_one_trajectory_for_mean_payoffs(self, tmp_path, capsys,
                                              monkeypatch):
-        calls = []
-        additive = cs.TopicalMap.additive
+        # one generated loop per game, run for 1024 steps in all, and the
+        # mean payoffs are those of the directly evaluated trajectory
+        generated, steps = [], []
+        generate = topical._shapley_steps
 
-        def counted(T, x):
-            calls.append(x)
-            return additive(T, x)
+        def counted_generate(game):
+            run = generate(game)
+            generated.append(game)
 
-        monkeypatch.setattr(cs.TopicalMap, "additive", counted)
+            def counted_run(k, *x):
+                steps.append(k)
+                return run(k, *x)
+
+            return counted_run
+
+        monkeypatch.setattr(topical, "_shapley_steps", counted_generate)
         path = write(tmp_path, "g.game.json", GAME_JSON)
         assert cli.main(["game", path]) == 0
-        assert len(calls) == 1024
+        assert len(generated) == 1
+        assert sum(steps) == 1024
         payoffs = json.loads(capsys.readouterr().out)["mean_payoff"]
-        T = cs.build_shapley(dsl.parse_game(GAME_JSON))
+        game = dsl.parse_game(GAME_JSON)
         for k in (64, 256, 1024):
-            assert payoffs[str(k)] == [cs.mean_payoff(T, s, k)
-                                       for s in range(3)]
+            x = reference_iterate(game, (0.0,) * 3, k)
+            assert payoffs[str(k)] == [v / k for v in x]
 
     def test_validation_error(self, tmp_path, capsys):
         doc = json.loads(GAME_JSON)
@@ -307,6 +316,29 @@ class TestNumericRange:
         path = write(tmp_path, "g.game.json", json.dumps(doc))
         assert cli.main(["game", path]) == 1
         assert "/actions/0/0/payoff" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value, pointer", [
+        # NaN used to pass both checks of a transition row and be dropped,
+        # which gave the verdict of another game
+        ("transition", [math.nan, 1.0, 0.0], "/actions/0/0/transition/0"),
+        ("transition", [10 ** 400, 0, 0], "/actions/0/0/transition/0"),
+        ("payoff", 10 ** 400, "/actions/0/0/payoff"),
+        ("payoff", -10 ** 400, "/actions/0/0/payoff"),
+    ], ids=["nan_probability", "huge_probability", "huge_payoff",
+            "huge_negative_payoff"])
+    def test_unrepresentable_game_number_exit_one(self, tmp_path, capsys,
+                                                  field, value, pointer):
+        doc = json.loads(GAME_JSON)
+        doc["actions"][0][0][field] = value
+        path = write(tmp_path, "g.game.json", json.dumps(doc))
+        assert cli.main(["game", path]) == 1
+        assert f"{pointer}:" in capsys.readouterr().err
+
+    def test_integer_beyond_digit_limit_exit_one(self, tmp_path, capsys):
+        text = GAME_JSON.replace('"payoff": 0.5', '"payoff": 1' + "0" * 5000)
+        path = write(tmp_path, "g.game.json", text)
+        assert cli.main(["game", path]) == 1
+        assert "invalid JSON" in capsys.readouterr().err
 
 
 class TestSingleStateGame:

@@ -10,7 +10,8 @@ from conespec.errors import NumericRangeError, ValidationError
 from conespec.existence import Route, VerdictKind
 from conespec.topical import variation_norm
 
-from conftest import make_game, random_interior, value_iteration_oracle
+from conftest import (make_game, random_interior, reference_iterate,
+                      value_iteration_oracle)
 
 
 def mask(ix, n):
@@ -37,6 +38,27 @@ class TestGameSpec:
             with pytest.raises(NumericRangeError) as info:
                 cs.build_shapley(game)
             assert "/actions/1/1/payoff" in str(info.value)
+
+    @pytest.mark.parametrize("row, j", [
+        ((math.nan, 1.0), 0),
+        ((0.0, math.nan), 1),
+        ((1.0, math.inf), 1),
+        ((10 ** 400, 0), 0),
+        ((1.5, -0.5), 0),
+    ], ids=["nan_first", "nan_second", "inf", "huge_int", "above_one"])
+    def test_probability_outside_unit_interval(self, row, j):
+        A = cs.GameAction
+        with pytest.raises(ValidationError) as info:
+            cs.GameSpec(("min", "max"),
+                        ((A(0.0, row),), (A(1.0, (0.0, 1.0)),)))
+        assert info.value.pointer == f"/actions/0/0/transition/{j}"
+
+    @pytest.mark.parametrize("payoff", [10 ** 400, -10 ** 400, math.nan],
+                             ids=["huge", "huge_negative", "nan"])
+    def test_payoff_outside_float_range(self, payoff):
+        with pytest.raises(ValidationError) as info:
+            cs.GameSpec(("min",), ((cs.GameAction(payoff, (1,)),),))
+        assert info.value.pointer == "/actions/0/0/payoff"
 
     def test_controller_tags(self):
         with pytest.raises(ValidationError):
@@ -177,6 +199,36 @@ class TestMeanPayoff:
             cs.mean_payoff(T, 0, 0)
         with pytest.raises(ValueError):
             cs.mean_payoff(T, 5, 4)
+
+    def test_negative_steps_rejected(self):
+        # a negative horizon used to be stored as the trajectory's memo,
+        # so T^3(0) asked for next came back as T^8(0)
+        T = cs.build_shapley(make_game(3.0, 0.5, 1.0, 0.3, 2.0, -1.0,
+                                       0.4, 0.6))
+        with pytest.raises(ValueError):
+            T.iterate_from_zero(-5)
+        with pytest.raises(ValueError):
+            T.iterate_additive((0.0,) * 3, -1)
+        assert T.iterate_from_zero(3) == \
+            reference_iterate(T.game, (0.0,) * 3, 3)
+        assert T.iterate_from_zero(0) == (0.0,) * 3
+        assert T.iterate_additive((1.0, 2.0, 3.0), 0) == (1.0, 2.0, 3.0)
+
+    def test_generated_loop_freed_by_reference_counting(self):
+        import gc
+        import weakref
+        T = cs.build_shapley(make_game(3.0, 0.5, 1.0, 0.3, 2.0, -1.0,
+                                       0.4, 0.6))
+        cs.mean_payoff(T, 0, 16)
+        steps = weakref.ref(T._steps)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del T
+            assert steps() is None  # no cycle keeps the generated loop alive
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestTopicalProperties:
