@@ -12,7 +12,7 @@ import functools
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from .core import INF, Side, SubsetMask
@@ -242,34 +242,53 @@ def cmd_game(path: str, config: RunConfig) -> int:
     return EXIT_BY_KIND[verdict.kind]
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, with usage errors exiting 1 like every other input error
+    (argparse's own code, 2, means no interior eigenvector here)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+#: each flag, registered only on the subcommands in READERS that read it;
+#: the dests of all but --which are RunConfig fields
+FLAGS = {
+    "--tol": dict(dest="tolerance", type=float, default=STRICTNESS_TOL,
+                  help="strictness tolerance (default %(default)g)"),
+    "--budget": dict(type=int, default=DEFAULT_BUDGET,
+                     help="iteration budget (default %(default)d)"),
+    "--format": dict(dest="output", choices=("json", "human"),
+                     default="json"),
+    "--no-prune": dict(dest="prune", action="store_false",
+                       help="disable subset pruning (debug)"),
+    "--max-n": dict(type=int, default=SUBSET_SWEEP_CAP,
+                    help="cap for the generic subset sweep"),
+    "--timing": dict(action="store_true",
+                     help="include wall time in the output (not reproducible)"),
+    "--which": dict(choices=("G", "Hminus", "Hplus"), default="G",
+                    help="which structure to emit as DOT"),
+}
+READERS = {
+    "analyze": ("--tol", "--budget", "--format", "--no-prune", "--max-n",
+                "--timing"),
+    "solve": ("--budget", "--format"),
+    "game": ("--tol", "--budget", "--format", "--timing"),
+    "graph": ("--which",),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="conespec",
         description="Existence and computation of positive eigenvectors of "
                     "order-preserving homogeneous maps")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("file", help="input file, or - for stdin")
-        p.add_argument("--tol", type=float, default=STRICTNESS_TOL,
-                       help="strictness tolerance (default %(default)g)")
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                       help="iteration budget (default %(default)d)")
-        p.add_argument("--format", choices=("json", "human"), default="json")
-        p.add_argument("--no-prune", action="store_true",
-                       help="disable subset pruning (debug)")
-        p.add_argument("--max-n", type=int, default=SUBSET_SWEEP_CAP,
-                       help="cap for the generic subset sweep")
-        p.add_argument("--timing", action="store_true",
-                       help="include wall time in the output (not reproducible)")
-
-    for name in ("analyze", "solve", "game"):
+    for name, flags in READERS.items():
         p = sub.add_parser(name)
-        common(p)
-    p = sub.add_parser("graph")
-    common(p)
-    p.add_argument("--which", choices=("G", "Hminus", "Hplus"), default="G",
-                   help="which structure to emit as DOT")
+        p.add_argument("file", help="input file, or - for stdin")
+        for flag in flags:
+            p.add_argument(flag, **FLAGS[flag])
     return parser
 
 
@@ -281,10 +300,8 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    config = RunConfig(tolerance=args.tol, budget=args.budget,
-                       max_n=args.max_n, output=args.format,
-                       prune=not args.no_prune,
-                       timing=args.timing)
+    config = RunConfig(**{f.name: getattr(args, f.name)
+                          for f in fields(RunConfig) if hasattr(args, f.name)})
     if not 0.0 < config.tolerance < INF or config.budget < 1:
         print("tolerance must be positive and budget at least 1",
               file=sys.stderr)

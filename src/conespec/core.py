@@ -241,10 +241,6 @@ class ConeMap:
         return None if self.exprs is None else self._compiled()[1]
 
 
-ZERO_FILL = 0.0
-INF_FILL = INF
-
-
 def project(x: ExtVec, J: SubsetMask, fill: float) -> ExtVec:
     """The projection that keeps coordinates in J and pins the rest to `fill`.
 

@@ -458,6 +458,11 @@ def _serialize_tight(e: Expr) -> str:
 # ---------------------------------------------------------------------------
 # Game documents
 
+def _is_number(value) -> bool:
+    # JSON true and false load as bool, a subclass of int
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _game_float(value: float, pointer: str) -> float:
     try:
         return float(value)
@@ -500,12 +505,12 @@ def parse_game(text: str) -> GameSpec:
             if not isinstance(act, dict):
                 raise ValidationError("action must be an object",
                                       f"/actions/{i}/{k}")
-            if "payoff" not in act or not isinstance(act["payoff"], (int, float)):
+            if not _is_number(act.get("payoff")):
                 raise ValidationError("payoff must be a number",
                                       f"/actions/{i}/{k}/payoff")
             tr = act.get("transition")
             if not isinstance(tr, list) or len(tr) != n or \
-                    not all(isinstance(p, (int, float)) for p in tr):
+                    not all(_is_number(p) for p in tr):
                 raise ValidationError(
                     f"transition must be an array of {n} numbers",
                     f"/actions/{i}/{k}/transition")

@@ -20,12 +20,12 @@ from typing import Dict, List, Optional, Tuple
 from .core import INF, ConeMap, Side, SubsetMask
 from .errors import DimensionTooLargeError, FlagMissingError
 from .graphs import Digraph, HypergraphProbe, digraph_of, scc_decompose
-from .maps import face_map, restrict_map, sparsity_probe
+from .maps import face_map, sparsity_probe
 from .spectral import (CWBracket, CWHandle, DisplacementInterval,
-                       EigenResult, NonconvergedError, cw_upper,
-                       lower_handle, min_displacement, solve_eigenvector,
-                       upper_handle, _bracket_and_solution, DEFAULT_BUDGET,
-                       DEFAULT_TOL, FIRST_CHUNK)
+                       EigenResult, NonconvergedError, cw_upper, face_handle,
+                       min_displacement, solve_eigenvector,
+                       _bracket_and_solution, DEFAULT_BUDGET, DEFAULT_TOL,
+                       FIRST_CHUNK)
 
 SUBSET_SWEEP_CAP = 24
 STRICTNESS_TOL = 1e-9
@@ -127,52 +127,37 @@ class Analyzer:
     """
 
     def __init__(self, f: ConeMap, budget: int = DEFAULT_BUDGET,
-                 tol: float = STRICTNESS_TOL, bracket_tol: float = BRACKET_TOL,
-                 prune: bool = True, memo: Optional[dict] = None):
+                 tol: float = STRICTNESS_TOL, prune: bool = True,
+                 memo: Optional[dict] = None):
         self.f = f
         self.n = f.dimension
         self.budget = budget
         self.tol = tol
-        self.bracket_tol = bracket_tol
         self.prune = prune
         self.memo = {} if memo is None else memo
         self.lower_probe = HypergraphProbe(f, Side.LOWER)
         self.upper_probe = HypergraphProbe(f, Side.UPPER)
-        self._r0_cache: Dict[int, CWHandle] = {}
-        self._linf_cache: Dict[int, CWHandle] = {}
+        self._handles: Dict[Tuple[float, int], CWHandle] = {}
 
     # -- brackets ---------------------------------------------------------
+
+    def _face_handle(self, stable: SubsetMask, fill: float) -> CWHandle:
+        """`spectral.face_handle` of f, built once per stabilized mask."""
+        hit = self._handles.get((fill, stable.bits))
+        if hit is None:
+            hit = self._handles[fill, stable.bits] = face_handle(
+                self.f, stable, fill, self.budget, BRACKET_TOL, self.memo)
+        return hit
 
     def r0_handle(self, J: SubsetMask) -> CWHandle:
         """Certified bracket for r(f^J_0), after stabilizing the support,
         refined on demand."""
-        stable = self.lower_probe.reach(J.complement()).complement()
-        hit = self._r0_cache.get(stable.bits)
-        if hit is None:
-            if stable.is_empty():
-                hit = CWHandle(fixed=CWBracket(0.0, 0.0, None, None, 0, True,
-                                               collapsed_support=()))
-            else:
-                hit = upper_handle(restrict_map(self.f, stable, 0.0),
-                                   self.budget, self.bracket_tol,
-                                   memo=self.memo)
-            self._r0_cache[stable.bits] = hit
-        return hit
+        return self._face_handle(
+            self.lower_probe.reach(J.complement()).complement(), 0.0)
 
     def linf_handle(self, J: SubsetMask) -> CWHandle:
         """Certified bracket for lambda(f^{[n]\\J}_inf), refined on demand."""
-        kept = self.upper_probe.reach(J).complement()
-        hit = self._linf_cache.get(kept.bits)
-        if hit is None:
-            if kept.is_empty():
-                hit = CWHandle(fixed=CWBracket(INF, INF, None, None, 0, True,
-                                               collapsed_support=()))
-            else:
-                hit = lower_handle(restrict_map(self.f, kept, INF),
-                                   self.budget, self.bracket_tol,
-                                   memo=self.memo)
-            self._linf_cache[kept.bits] = hit
-        return hit
+        return self._face_handle(self.upper_probe.reach(J).complement(), INF)
 
     # -- subset checks ----------------------------------------------------
 
@@ -219,8 +204,8 @@ class Analyzer:
         key = ("face", face.exprs) if face.is_ast else None
         kind = None if key is None else self.memo.get(key)
         if kind is None:
-            sub = Analyzer(face, self.budget, self.tol, self.bracket_tol,
-                           prune=self.prune, memo=self.memo)
+            sub = Analyzer(face, self.budget, self.tol, prune=self.prune,
+                           memo=self.memo)
             kind = sub.classify(solve=False).kind
             if key is not None:
                 self.memo[key] = kind
@@ -301,7 +286,7 @@ class Analyzer:
             # and carries its brackets as the displacement left them
             rev = next(c for c in certs if c.route is Route.NUMERIC_REVERSE)
             rh, lh = self.r0_handle(rev.subset), self.linf_handle(rev.subset)
-            disp = min_displacement(self.f, self.budget, self.bracket_tol,
+            disp = min_displacement(self.f, self.budget, BRACKET_TOL,
                                     certificate=(rh, lh), memo=self.memo)
             certs = tuple(replace(c, r_bracket=rh.bracket(),
                                   lambda_bracket=lh.bracket())
@@ -309,7 +294,7 @@ class Analyzer:
             verdict = replace(verdict, certificates=certs, displacement=disp)
         if kind is VerdictKind.NONEMPTY_BOUNDED and solve:
             verdict = _with_eigenvector(self.f, verdict, self.budget,
-                                        self.bracket_tol)
+                                        BRACKET_TOL)
         return verdict
 
 
@@ -359,16 +344,16 @@ def classify(f: ConeMap, budget: int = DEFAULT_BUDGET,
         return verdict
     analyzer = Analyzer(f, budget, tol, prune=prune)
     if fast_path and f.is_ast:
-        quick = _unique_final_class_shortcut(f, budget, tol, solve,
-                                             analyzer.memo)
+        quick = _unique_final_class_shortcut(analyzer, solve)
         if quick is not None:
             return quick
     return analyzer.classify(solve=solve)
 
 
-def _unique_final_class_shortcut(f: ConeMap, budget: int, tol: float,
-                                 solve: bool, memo: dict) -> Optional[Verdict]:
+def _unique_final_class_shortcut(analyzer: Analyzer,
+                                 solve: bool) -> Optional[Verdict]:
     """A unique final class C with r(f^{[n]\\C}_0) < r(f) settles the verdict."""
+    f, budget = analyzer.f, analyzer.budget
     scc = scc_decompose(digraph_of(f))
     finals = [i for i, fin in enumerate(scc.final) if fin]
     if len(finals) != 1:
@@ -377,10 +362,9 @@ def _unique_final_class_shortcut(f: ConeMap, budget: int, tol: float,
     if C.is_full():
         rest = CWBracket(0.0, 0.0, None, None, 0, True)
     else:
-        rest = cw_upper(restrict_map(f, C.complement(), 0.0), budget,
-                        BRACKET_TOL, memo=memo)
-    full = cw_upper(f, budget, BRACKET_TOL, memo=memo)
-    if not _strictly_below(rest.upper, full.lower, tol):
+        rest = analyzer.r0_handle(C.complement()).finished()
+    full = cw_upper(f, budget, BRACKET_TOL, memo=analyzer.memo)
+    if not _strictly_below(rest.upper, full.lower, analyzer.tol):
         return None
     verdict = Verdict(kind=VerdictKind.NONEMPTY_BOUNDED,
                       detail="unique final class with strictly smaller "
@@ -401,6 +385,7 @@ def classify_convex(f: ConeMap, budget: int = DEFAULT_BUDGET,
         raise FlagMissingError("map is not flagged multiplicatively convex")
     n = f.dimension
     scc = scc_decompose(digraph_of(f))
+    faces = Analyzer(f, budget, tol)
     brackets = []
     outcome = None
     for comp in scc.order:
@@ -415,7 +400,7 @@ def classify_convex(f: ConeMap, budget: int = DEFAULT_BUDGET,
         elif mask.is_full():
             b = cw_upper(f, budget, BRACKET_TOL, components=scc)
         else:
-            b = cw_upper(restrict_map(f, mask, 0.0), budget, BRACKET_TOL)
+            b = faces.r0_handle(mask).finished()
         brackets.append(b)
 
     r_lower = max(b.lower for b in brackets)
@@ -462,8 +447,7 @@ def classify_convex(f: ConeMap, budget: int = DEFAULT_BUDGET,
             strongly_nonneg = True
             kind = VerdictKind.NONEMPTY_BOUNDED
         else:
-            rest = cw_upper(restrict_map(f, C.complement(), 0.0),
-                            budget, BRACKET_TOL)
+            rest = faces.r0_handle(C.complement()).finished()
             if _strictly_below(rest.upper, brackets[finals[0]].lower, tol):
                 strongly_nonneg = True
                 kind = VerdictKind.NONEMPTY_BOUNDED

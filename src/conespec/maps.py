@@ -504,76 +504,63 @@ def pin(e: Expr, assignment: Dict[int, float]) -> Expr:
     probes a pinned coordinate, and reduces to a Pole when the value is
     forced.
     """
-    if isinstance(e, Coord):
-        v = assignment.get(e.index)
-        return Pole(v) if v is not None else e
-    if isinstance(e, Pole):
+    return _substitute(e, {j: Pole(v) for j, v in assignment.items()})
+
+
+#: the pole that absorbs each n-ary node; the other pole drops out of it
+_ABSORBING = {Sum: INF, Max: INF, Min: 0.0}
+
+
+def _substitute(e: Expr, table: Dict[int, Expr]) -> Expr:
+    """`e` with coordinate j replaced by table[j], a `Pole` (pinned) or a
+    renumbered `Coord`; coordinates not in the table are kept.
+
+    Renumbering must be increasing, so `Linear` pairs stay in index order.
+    Pinned coordinates simplify away by each node's one-sided rule.
+    """
+    kind = type(e)
+    if kind is Coord:
+        return table.get(e.index, e)
+    if kind is Pole:
         return e
-    if isinstance(e, Scale):
-        c = pin(e.child, assignment)
-        if isinstance(c, Pole):
-            return c
-        return _scale(e.factor, c)
-    if isinstance(e, Linear):
+    if kind is Scale:
+        c = _substitute(e.child, table)
+        return c if type(c) is Pole else _scale(e.factor, c)
+    if kind is Linear:
         kept = []
         for j, w in e.nonzeros:
-            v = assignment.get(j)
-            if v is None:
+            t = table.get(j)
+            if t is None:
                 kept.append((j, w))
-            elif v == INF:
-                return Pole(INF)
-        if not kept:
-            return Pole(0.0)
-        return e if len(kept) == len(e.nonzeros) else Linear(tuple(kept))
-    if isinstance(e, Sum):
+            elif type(t) is Coord:
+                kept.append((t.index, w))
+            elif t.value == INF:
+                return t
+        return Linear(tuple(kept)) if kept else Pole(0.0)
+    if kind in _ABSORBING:
+        absorbing = _ABSORBING[kind]
         kept = []
         for t in e.terms:
-            p = pin(t, assignment)
-            if isinstance(p, Pole):
-                if p.value == INF:
-                    return Pole(INF)
-                continue
+            p = _substitute(t, table)
+            if type(p) is Pole:
+                if p.value == absorbing:
+                    return p
+                continue  # the other pole never decides with branches left
             kept.append(p)
         if not kept:
-            return Pole(0.0)
-        return kept[0] if len(kept) == 1 else Sum(tuple(kept))
-    if isinstance(e, Min):
-        kept = []
-        for t in e.terms:
-            p = pin(t, assignment)
-            if isinstance(p, Pole):
-                if p.value == 0.0:
-                    return Pole(0.0)
-                continue  # inf never attains a min with other branches present
-            kept.append(p)
-        if not kept:
-            return Pole(INF)
-        return kept[0] if len(kept) == 1 else Min(tuple(kept))
-    if isinstance(e, Max):
-        kept = []
-        for t in e.terms:
-            p = pin(t, assignment)
-            if isinstance(p, Pole):
-                if p.value == INF:
-                    return Pole(INF)
-                continue
-            kept.append(p)
-        if not kept:
-            return Pole(0.0)
-        return kept[0] if len(kept) == 1 else Max(tuple(kept))
-    if isinstance(e, PowerMean):
+            return Pole(0.0 if absorbing == INF else INF)
+        return kept[0] if len(kept) == 1 else kind(tuple(kept))
+    if kind is PowerMean:
         kept_w, kept_t = [], []
         for w, t in zip(e.weights, e.terms):
-            p = pin(t, assignment)
-            if isinstance(p, Pole):
+            p = _substitute(t, table)
+            if type(p) is Pole:
                 if e.r > 0.0:
                     if p.value == INF:
-                        return Pole(INF)
+                        return p
                     continue  # zero term contributes nothing to the sum
-                if e.r == 0.0:
-                    return Pole(p.value)
-                if p.value == 0.0:
-                    return Pole(0.0)
+                if e.r == 0.0 or p.value == 0.0:
+                    return p
                 continue  # r < 0: reciprocal of inf drops out
             kept_w.append(w)
             kept_t.append(p)
@@ -589,7 +576,7 @@ def pin(e: Expr, assignment: Dict[int, float]) -> Expr:
             # (sum of kept sigma_i v_i^r)^(1/r) = mass^(1/r) * renormalized mean
             node = _scale(mass ** (1.0 / e.r) if e.r != 0.0 else 1.0, node)
         return node
-    raise TypeError(f"unknown node {type(e).__name__}")
+    raise TypeError(f"unknown node {kind.__name__}")
 
 
 def _scale(factor: float, e: Expr) -> Expr:
@@ -640,29 +627,31 @@ def face_map(f: ConeMap, keep: SubsetMask, fill: float) -> ConeMap:
     """Reduce a restriction to a genuine map on the coordinates in `keep`.
 
     Valid when pinning [n]\\keep to the fill pole leaves every kept output
-    finite-structured, i.e. the support is already stable.
+    finite-structured, i.e. the support is already stable.  An AST face is
+    pinned and renumbered in one `_substitute` pass over each kept output.
     """
     n = f.dimension
     kept = keep.indices()
     if not kept:
         raise ValueError("face needs at least one coordinate")
-    reindex = {j: k for k, j in enumerate(kept)}
-    outside = {j: fill for j in range(n) if not keep.contains(j)}
     if f.is_ast:
+        pole = Pole(fill)
+        table: Dict[int, Expr] = dict.fromkeys(range(n), pole)
+        table.update((j, Coord(k)) for k, j in enumerate(kept))
         exprs = []
         for i in kept:
-            p = pin(f.exprs[i], outside)
-            if isinstance(p, Pole):
+            p = _substitute(f.exprs[i], table)
+            if type(p) is Pole:
                 raise ValueError(
                     f"coordinate {i} collapses to a pole; support not stable")
-            exprs.append(_reindex(p, reindex))
+            exprs.append(p)
         return from_exprs(exprs, len(kept))
 
     surrogate = 1e12 if fill == INF else 0.0
 
     def evaluator(y):
         inner = [surrogate] * n
-        for j, k in reindex.items():
+        for k, j in enumerate(kept):
             inner[j] = y[k]
         out = f.evaluator(tuple(inner))
         return tuple(out[j] for j in kept)
@@ -670,27 +659,6 @@ def face_map(f: ConeMap, keep: SubsetMask, fill: float) -> ConeMap:
     return ConeMap(dimension=len(kept), evaluator=evaluator,
                    multiplicatively_convex=f.multiplicatively_convex,
                    analytic=f.analytic)
-
-
-def _reindex(e: Expr, table: Dict[int, int]) -> Expr:
-    if isinstance(e, Coord):
-        return Coord(table[e.index])
-    if isinstance(e, Pole):
-        return e
-    if isinstance(e, Scale):
-        return Scale(e.factor, _reindex(e.child, table))
-    if isinstance(e, Linear):
-        # the table is increasing, so the pairs stay in index order
-        return Linear(tuple((table[j], w) for j, w in e.nonzeros))
-    if isinstance(e, Sum):
-        return Sum(tuple(_reindex(t, table) for t in e.terms))
-    if isinstance(e, Min):
-        return Min(tuple(_reindex(t, table) for t in e.terms))
-    if isinstance(e, Max):
-        return Max(tuple(_reindex(t, table) for t in e.terms))
-    if isinstance(e, PowerMean):
-        return PowerMean(e.r, e.weights, tuple(_reindex(t, table) for t in e.terms))
-    raise TypeError(f"unknown node {type(e).__name__}")
 
 
 # ---------------------------------------------------------------------------

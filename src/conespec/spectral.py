@@ -21,7 +21,8 @@ from typing import List, Optional, Sequence, Tuple, Union
 from .core import (INF, ConeMap, ExtVec, Side, SubsetMask, reciprocal,
                    sup_normalized)
 from .errors import ConespecError, NumericRangeError
-from .graphs import SCCDecomposition, digraph_of, scc_decompose
+from .graphs import (HypergraphProbe, SCCDecomposition, digraph_of,
+                     scc_decompose)
 from . import maps as _maps
 
 DEFAULT_BUDGET = 10_000
@@ -96,18 +97,13 @@ def ratios_at(f: ConeMap, w: ExtVec) -> Tuple[float, float]:
 
 
 def _stable_lower_support(f: ConeMap) -> SubsetMask:
-    """Iterate the zero pattern of f on indicator points until it stabilizes."""
-    n = f.dimension
-    support = SubsetMask.full(n)
-    for _ in range(n + 1):
-        point = tuple(1.0 if support.contains(j) else 0.0 for j in range(n))
-        out = tuple(e.evaluate(point) for e in f.exprs)
-        new_bits = sum(1 << j for j in range(n)
-                       if support.contains(j) and out[j] > 0.0)
-        if new_bits == support.bits:
-            return support
-        support = SubsetMask(new_bits, n)
-    return support
+    """The coordinates of f that no pin to zero of the others forces to
+    zero: the complement of the lower hypergraph's reach of the empty set.
+    A black-box map keeps its full support."""
+    if not f.is_ast:
+        return SubsetMask.full(f.dimension)
+    empty = SubsetMask.empty(f.dimension)
+    return HypergraphProbe(f, Side.LOWER).reach(empty).complement()
 
 
 def _embed_witness(values: Tuple[float, ...], face: SubsetMask) -> ExtVec:
@@ -368,22 +364,45 @@ def upper_handle(f: ConeMap, budget: int = DEFAULT_BUDGET,
     and, on multiplicatively convex maps, the decomposition, which is
     refined to the whole budget at once.
     """
-    n = f.dimension
-    if f.is_ast:
-        support = _stable_lower_support(f)
-    else:
-        support = SubsetMask.full(n)
-    if support.is_empty():
-        return CWHandle(fixed=CWBracket(0.0, 0.0, None, None, 0, True,
-                                        collapsed_support=()))
-    g = f if support.is_full() else _maps.face_map(f, support, 0.0)
+    support = _stable_lower_support(f)
+    if support.is_full():
+        return _reduced_handle(f, support, budget, tol, components, memo)
+    return face_handle(f, support, 0.0, budget, tol, memo)
 
+
+def face_handle(f: ConeMap, support: SubsetMask, fill: float,
+                budget: int = DEFAULT_BUDGET, tol: float = DEFAULT_TOL,
+                memo: Optional[dict] = None) -> CWHandle:
+    """The handle of r(f^S_0) (fill 0) or lambda(f^S_inf) (fill inf).
+
+    `support` S must already be stable on the fill's side: the complement
+    of a set the hypergraph of that side leaves invariant, so no kept
+    output collapses to the pole.  The face is built once from f
+    (`maps.face_map`), conjugated on the lambda side, and an empty S gives
+    the exact bracket [0, 0] (or [inf, inf]) without iteration.
+    """
+    if support.is_empty():
+        handle = CWHandle(fixed=CWBracket(0.0, 0.0, None, None, 0, True,
+                                          collapsed_support=()))
+    else:
+        g = _maps.face_map(f, support, fill)
+        if fill == INF:
+            g = _maps.conjugate_map(g)
+        handle = _reduced_handle(g, support, budget, tol, memo=memo)
+    handle.dual = fill == INF
+    return handle
+
+
+def _reduced_handle(g: ConeMap, support: SubsetMask, budget: int, tol: float,
+                    components: Optional[SCCDecomposition] = None,
+                    memo: Optional[dict] = None) -> CWHandle:
+    """cw_upper's handle of the face on `support`, given as its reduced map
+    g, with witnesses embedded back in the coordinates of the whole map.
+    `components` is g's decomposition when the caller already has it."""
     if g.is_ast and g.multiplicatively_convex and g.dimension > 1:
-        bracket = _convex_radius(g, budget, tol,
-                                 components if g is f else None, memo)
+        bracket = _convex_radius(g, budget, tol, components, memo)
         if bracket is not None:
             return CWHandle(fixed=_on_support(support, *bracket))
-
     return CWHandle(_memo_state(g, budget, tol, memo), support)
 
 
@@ -428,7 +447,7 @@ def _bracket_and_solution(f: ConeMap, budget: int, tol: float) -> Optional[
     when the support collapses; the two then iterate different maps.
     """
     n = f.dimension
-    if f.is_ast and not _stable_lower_support(f).is_full():
+    if not _stable_lower_support(f).is_full():
         return None
     run = _trajectory(f, (1.0,) * n, budget, tol, True, True)
     return _on_support(SubsetMask.full(n), *_sandwich(run)), _solution(run)
@@ -454,13 +473,14 @@ def _convex_radius(g: ConeMap, budget: int, tol: float,
         scc = scc_decompose(digraph_of(g))
     if len(scc.order) <= 1:
         return None
+    probe = HypergraphProbe(g, Side.LOWER)
     best = None
     iterations = 0
     all_converged = True
     for comp in scc.order:
         mask = SubsetMask.of(comp, g.dimension)
-        sub = _maps.restrict_map(g, mask, 0.0)
-        b = cw_upper(sub, budget, tol, memo=memo)
+        stable = probe.reach(mask.complement()).complement()
+        b = face_handle(g, stable, 0.0, budget, tol, memo).finished()
         iterations += b.iterations
         all_converged = all_converged and b.converged
         if best is None or b.upper > best[1]:

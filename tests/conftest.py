@@ -8,6 +8,7 @@ import pytest
 
 import conespec as cs
 from conespec.core import INF
+from conespec import maps
 from conespec.maps import (Coord, Linear, Max, Min, Pole, PowerMean, Scale,
                            Sum, from_exprs, monomial)
 
@@ -151,6 +152,135 @@ def random_tree(rng, n, depth):
     total = sum(weights)
     return PowerMean(float(rng.choice([-2.0, -1.0, 0.0, 0.5, 1.0, 2.0])),
                      tuple(w / total for w in weights), terms)
+
+
+def reference_pin(e, assignment):
+    """Partial evaluation with coordinates pinned to poles, as `maps.pin`
+    was written before its fold renumbered too: the reference for
+    `maps.face_map`."""
+    if isinstance(e, Coord):
+        v = assignment.get(e.index)
+        return Pole(v) if v is not None else e
+    if isinstance(e, Pole):
+        return e
+    if isinstance(e, Scale):
+        c = reference_pin(e.child, assignment)
+        if isinstance(c, Pole):
+            return c
+        return maps._scale(e.factor, c)
+    if isinstance(e, Linear):
+        kept = []
+        for j, w in e.nonzeros:
+            v = assignment.get(j)
+            if v is None:
+                kept.append((j, w))
+            elif v == INF:
+                return Pole(INF)
+        if not kept:
+            return Pole(0.0)
+        return e if len(kept) == len(e.nonzeros) else Linear(tuple(kept))
+    if isinstance(e, Sum):
+        kept = []
+        for t in e.terms:
+            p = reference_pin(t, assignment)
+            if isinstance(p, Pole):
+                if p.value == INF:
+                    return Pole(INF)
+                continue
+            kept.append(p)
+        if not kept:
+            return Pole(0.0)
+        return kept[0] if len(kept) == 1 else Sum(tuple(kept))
+    if isinstance(e, Min):
+        kept = []
+        for t in e.terms:
+            p = reference_pin(t, assignment)
+            if isinstance(p, Pole):
+                if p.value == 0.0:
+                    return Pole(0.0)
+                continue  # inf never attains a min with other branches present
+            kept.append(p)
+        if not kept:
+            return Pole(INF)
+        return kept[0] if len(kept) == 1 else Min(tuple(kept))
+    if isinstance(e, Max):
+        kept = []
+        for t in e.terms:
+            p = reference_pin(t, assignment)
+            if isinstance(p, Pole):
+                if p.value == INF:
+                    return Pole(INF)
+                continue
+            kept.append(p)
+        if not kept:
+            return Pole(0.0)
+        return kept[0] if len(kept) == 1 else Max(tuple(kept))
+    if isinstance(e, PowerMean):
+        kept_w, kept_t = [], []
+        for w, t in zip(e.weights, e.terms):
+            p = reference_pin(t, assignment)
+            if isinstance(p, Pole):
+                if e.r > 0.0:
+                    if p.value == INF:
+                        return Pole(INF)
+                    continue  # zero term contributes nothing to the sum
+                if e.r == 0.0:
+                    return Pole(p.value)
+                if p.value == 0.0:
+                    return Pole(0.0)
+                continue  # r < 0: reciprocal of inf drops out
+            kept_w.append(w)
+            kept_t.append(p)
+        if not kept_t:
+            return Pole(0.0) if e.r > 0.0 else Pole(INF)
+        mass = sum(kept_w)
+        if len(kept_t) == 1:
+            node = kept_t[0]
+        else:
+            node = PowerMean(e.r, tuple(w / mass for w in kept_w),
+                             tuple(kept_t))
+        if abs(mass - 1.0) > 1e-15:
+            # (sum of kept sigma_i v_i^r)^(1/r) = mass^(1/r) * renormalized mean
+            node = maps._scale(mass ** (1.0 / e.r) if e.r != 0.0 else 1.0,
+                               node)
+        return node
+    raise TypeError(f"unknown node {type(e).__name__}")
+
+
+def reference_renumber(e, table):
+    """e with coordinate j renamed table[j], node types kept."""
+    if isinstance(e, Coord):
+        return Coord(table[e.index])
+    if isinstance(e, Pole):
+        return e
+    if isinstance(e, Scale):
+        return Scale(e.factor, reference_renumber(e.child, table))
+    if isinstance(e, Linear):
+        # the table is increasing, so the pairs stay in index order
+        return Linear(tuple((table[j], w) for j, w in e.nonzeros))
+    if isinstance(e, Sum):
+        return Sum(tuple(reference_renumber(t, table) for t in e.terms))
+    if isinstance(e, Min):
+        return Min(tuple(reference_renumber(t, table) for t in e.terms))
+    if isinstance(e, Max):
+        return Max(tuple(reference_renumber(t, table) for t in e.terms))
+    if isinstance(e, PowerMean):
+        return PowerMean(e.r, e.weights,
+                         tuple(reference_renumber(t, table) for t in e.terms))
+    raise TypeError(f"unknown node {type(e).__name__}")
+
+
+def reference_face(exprs, keep, fill):
+    """The face on `keep` by pinning, then renumbering in a second pass;
+    None when a kept output collapses to a pole."""
+    n = len(exprs)
+    kept = keep.indices()
+    outside = {j: fill for j in range(n) if j not in kept}
+    table = {j: k for k, j in enumerate(kept)}
+    pinned = [reference_pin(exprs[i], outside) for i in kept]
+    if any(isinstance(p, Pole) for p in pinned):
+        return None
+    return tuple(reference_renumber(p, table) for p in pinned)
 
 
 def random_irreducible_matrix(rng, n):

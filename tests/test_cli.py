@@ -234,6 +234,39 @@ class TestOutputStability:
             cs.classify(dsl.parse_map(DIAG).cone_map, tol=float(tol))
 
 
+class TestUsageErrors:
+    """Usage errors exit 1; 2 is the exit code of no_interior_eigenvector."""
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "{path}", "--bogus"],
+        ["analyze"],
+        # flags are registered only on the subcommands that read them
+        ["solve", "{path}", "--tol", "1e-300"],
+        ["solve", "{path}", "--no-prune"],
+        ["solve", "{path}", "--max-n", "3"],
+        ["solve", "{path}", "--timing"],
+        ["game", "{path}", "--no-prune"],
+        ["graph", "{path}", "--budget", "5"],
+    ])
+    def test_usage_error_exits_one(self, tmp_path, capsys, argv):
+        path = write(tmp_path, "diag.conemap", DIAG)
+        with pytest.raises(SystemExit) as info:
+            cli.main([a.format(path=path) for a in argv])
+        assert info.value.code == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["analyze", "--help"])
+        assert info.value.code == 0
+        assert "--no-prune" in capsys.readouterr().out
+
+    def test_solve_keeps_its_timing_key(self, tmp_path, capsys):
+        path = write(tmp_path, "diag.conemap", IDENTITY)
+        assert cli.main(["solve", path, "--budget", "50"]) == 0
+        assert json.loads(capsys.readouterr().out)["timing"] is None
+
+
 class TestParserReuse:
     def test_one_parser_for_every_call(self, tmp_path, capsys, monkeypatch):
         path = write(tmp_path, "g.game.json", GAME_JSON)

@@ -250,6 +250,19 @@ class TestGameDocuments:
         with pytest.raises(ValidationError, match="invalid JSON"):
             dsl.parse_game("{not json")
 
+    @pytest.mark.parametrize("field, value, pointer", [
+        ("payoff", True, "/actions/0/0/payoff"),
+        ("payoff", False, "/actions/0/0/payoff"),
+        ("transition", [True, False, 0], "/actions/0/0/transition"),
+    ])
+    def test_booleans_are_not_numbers(self, field, value, pointer):
+        # JSON true and false load as bool, a subclass of int
+        doc = json.loads(GAME_JSON)
+        doc["actions"][0][0][field] = value
+        with pytest.raises(ValidationError) as info:
+            dsl.parse_game(json.dumps(doc))
+        assert info.value.pointer == pointer
+
 
 class TestScalePlacement:
     def test_trailing_constant_factor(self):

@@ -1,6 +1,7 @@
 """The classifier: subset checks, sweep, convex route, inference rules."""
 
 import math
+import sys
 
 import pytest
 
@@ -408,6 +409,48 @@ class TestClassificationMemo:
         unpruned = existence.Analyzer(twin, budget=100, prune=False)
         assert black.kind is unpruned.classify().kind
         assert black.kind is VerdictKind.NONEMPTY_BOUNDED
+
+
+def _count_calls(monkeypatch, name):
+    """Count calls of `maps.<name>` through every binding in the package."""
+    calls = []
+    original = getattr(cs.maps, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("conespec"):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+class TestReducedFaces:
+    """Each subset's reduced face is built once, straight from f."""
+
+    def test_sweep_builds_faces_without_restrictions(self, monkeypatch):
+        f = cs.parse_map(SWEEP_MAP).cone_map
+        restricted = _count_calls(monkeypatch, "restrict_map")
+        built = _count_calls(monkeypatch, "from_exprs")
+        verdict = cs.classify(f)
+        monkeypatch.undo()
+        assert verdict.kind is VerdictKind.NONEMPTY_BOUNDED
+        assert (len(restricted), len(built)) == (0, 151)
+
+    def test_black_box_matrix_twin_decided_on_faces(self):
+        # a black-box map's subset brackets iterate its reduced faces, as
+        # the AST map's do, so both decide the same subsets
+        f = cs.matrix_map([[2.0, 1.0], [0.0, 1.0]])
+        twin = ConeMap(dimension=2, evaluator=f.eval_interior)
+        ast = existence.Analyzer(f).classify()
+        black = cs.classify(twin)
+        assert black.kind is ast.kind is cs.classify(f).kind \
+            is VerdictKind.NO_INTERIOR_EIGENVECTOR
+        assert _routes(black) == _routes(ast) == [
+            (0b01, Route.NUMERIC_REVERSE), (0b10, Route.REACH_UPPER)]
 
 
 class TestConvexSharedTrajectory:

@@ -2,7 +2,9 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import conespec as cs
 from conespec.core import INF, ExtVec, SubsetMask
@@ -14,7 +16,8 @@ from conespec.maps import (Coord, Linear, Max, Min, Pole, PowerMean, Scale,
 
 from conftest import (make_game, make_schoen, make_tensor_example,
                       random_interior, random_mplus_map, random_tree,
-                      tensor_example_raw, value_iteration_oracle)
+                      reference_face, tensor_example_raw,
+                      value_iteration_oracle)
 
 
 class TestEvalMean:
@@ -248,6 +251,33 @@ class TestPinning:
         x = (3.0, 99.0)
         assert pinned.evaluate(x) == pytest.approx(
             eval_mean(2.0, (0.25, 0.75), (3.0, 0.0)))
+
+
+class TestFaceFold:
+    """`face_map` pins and renumbers in one fold, exactly as pinning and
+    then renumbering in a second pass (`conftest.reference_face`)."""
+
+    @settings(derandomize=True, deadline=None, database=None,
+              max_examples=300)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 6),
+           bits=st.integers(1, 2 ** 6 - 1), depth=st.integers(0, 4),
+           fill=st.sampled_from([0.0, INF]))
+    def test_matches_pin_then_renumber(self, seed, n, bits, depth, fill):
+        rng = np.random.default_rng(seed)
+        exprs = tuple(random_tree(rng, n, depth) for _ in range(n))
+        keep = SubsetMask(bits & ((1 << n) - 1) or 1, n)
+        try:
+            expected = reference_face(exprs, keep, fill)
+        except NumericRangeError:
+            with pytest.raises(NumericRangeError):
+                maps.face_map(from_exprs(exprs, n), keep, fill)
+            return
+        if expected is None:
+            with pytest.raises(ValueError, match="collapses to a pole"):
+                maps.face_map(from_exprs(exprs, n), keep, fill)
+        else:
+            face = maps.face_map(from_exprs(exprs, n), keep, fill)
+            assert repr(face.exprs) == repr(expected)
 
 
 class TestSparsity:
