@@ -217,11 +217,9 @@ def cmd_game(path: str, config: RunConfig) -> int:
     verdict = check_additive_eigenvector(T, budget=config.budget,
                                          tol=config.tolerance)
     elapsed = time.monotonic() - start if config.timing else None
-    displacement = verdict.multiplicative.displacement
-    if displacement is not None:
-        # classify bracketed the same map with the same budget and tolerance
-        bracket = displacement.r_bracket
-    else:
+    # classify bracketed the same map with the same budget and tolerance
+    bracket = verdict.multiplicative.r_bracket
+    if bracket is None:
         bracket = cw_upper(T.conjugate, config.budget)
     doc = verdict_doc(verdict.multiplicative, elapsed)
     doc["scale"] = "additive"
@@ -235,6 +233,10 @@ def cmd_game(path: str, config: RunConfig) -> int:
         if cert.r_bracket is not None or cert.lambda_bracket is not None:
             entry["brackets"] = {"r": _bracket_doc(cert.r_bracket),
                                  "lambda": _bracket_doc(cert.lambda_bracket)}
+    report = verdict.multiplicative.convex_report
+    if report is not None:
+        for cls, entry in zip(report.classes, doc["classes"]):
+            entry["bracket"] = _bracket_doc(_convert_bracket(cls.bracket))
     horizons = (64, 256, 1024)
     doc["mean_payoff"] = {
         str(k): [mean_payoff(T, s, k) for s in range(T.n)] for k in horizons}

@@ -480,16 +480,17 @@ def parse_game(text: str) -> GameSpec:
         raise ValidationError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValidationError("document must be a JSON object")
-    if doc.get("format") != FORMAT_VERSION:
+    if not _is_number(doc.get("format")) or doc["format"] != FORMAT_VERSION:
         raise ValidationError(f"format must be {FORMAT_VERSION}", "/format")
     controllers = doc.get("controllers")
     if not isinstance(controllers, list) or not controllers:
         raise ValidationError("controllers must be a nonempty array",
                               "/controllers")
     n = len(controllers)
-    if "states" in doc and doc["states"] != n:
+    states = doc.get("states", n)
+    if not _is_number(states) or states != n:
         raise ValidationError(
-            f"states = {doc['states']} disagrees with {n} controllers",
+            f"states = {states} disagrees with {n} controllers",
             "/states")
     actions_doc = doc.get("actions")
     if not isinstance(actions_doc, list) or len(actions_doc) != n:

@@ -103,6 +103,10 @@ class Verdict:
     displacement: Optional[DisplacementInterval] = None
     detail: Optional[str] = None
     convex_report: Optional[ConvexReport] = None
+    #: cw_upper's bracket of f where the verdict already has it: the
+    #: displacement's, or the eigenvector trajectory's, which equals
+    #: cw_upper(f, budget, BRACKET_TOL) bit for bit; not part of the output
+    r_bracket: Optional[CWBracket] = None
 
 
 def _strictly_below(hi: float, lo: float, tol: float) -> bool:
@@ -291,7 +295,8 @@ class Analyzer:
             certs = tuple(replace(c, r_bracket=rh.bracket(),
                                   lambda_bracket=lh.bracket())
                           if c is rev else c for c in certs)
-            verdict = replace(verdict, certificates=certs, displacement=disp)
+            verdict = replace(verdict, certificates=certs, displacement=disp,
+                              r_bracket=disp.r_bracket)
         if kind is VerdictKind.NONEMPTY_BOUNDED and solve:
             verdict = _with_eigenvector(self.f, verdict, self.budget,
                                         BRACKET_TOL)
@@ -299,17 +304,23 @@ class Analyzer:
 
 
 def _with_eigenvector(f: ConeMap, verdict: Verdict, budget: int, tol: float,
-                      outcome=None) -> Verdict:
+                      shared=None) -> Verdict:
     """A nonempty-bounded verdict with its eigenvector and flags filled in.
 
-    `outcome` is `solve_eigenvector`'s result (or the NonconvergedError it
-    raises) when the caller already has it; otherwise it is solved here.
+    The eigenvector and `r_bracket` come from one trajectory: `shared`, as
+    `_bracket_and_solution(f)` gives it, or run here unless f is convex
+    (where cw_upper may decompose f).  Without one, f is solved alone.
     """
-    if outcome is None:
+    if shared is None and not f.multiplicatively_convex:
+        shared = _bracket_and_solution(f, budget, tol)
+    if shared is None:
         try:
             outcome = solve_eigenvector(f, budget=budget, tol=tol)
         except NonconvergedError as exc:
             outcome = exc
+    else:
+        bracket, outcome = shared
+        verdict = replace(verdict, r_bracket=bracket)
     if isinstance(outcome, EigenResult):
         verdict = replace(verdict, eigen=outcome)
     return infer_uniqueness_and_convergence(f, verdict)
@@ -387,16 +398,15 @@ def classify_convex(f: ConeMap, budget: int = DEFAULT_BUDGET,
     scc = scc_decompose(digraph_of(f))
     faces = Analyzer(f, budget, tol)
     brackets = []
-    outcome = None
+    shared = None
     for comp in scc.order:
         mask = SubsetMask.of(comp, n)
-        shared = None
         if mask.is_full() and solve:
             # one component: the verdict is nonempty_bounded, and the
             # eigenvector comes from the whole-map bracket's trajectory
             shared = _bracket_and_solution(f, budget, BRACKET_TOL)
         if shared is not None:
-            b, outcome = shared
+            b = shared[0]
         elif mask.is_full():
             b = cw_upper(f, budget, BRACKET_TOL, components=scc)
         else:
@@ -474,9 +484,10 @@ def classify_convex(f: ConeMap, budget: int = DEFAULT_BUDGET,
         disp = min_displacement(f, budget, BRACKET_TOL,
                                 certificate=(CWHandle(fixed=top),
                                              CWHandle(fixed=lam)))
-        verdict = replace(verdict, displacement=disp)
+        verdict = replace(verdict, displacement=disp,
+                          r_bracket=disp.r_bracket)
     if kind is VerdictKind.NONEMPTY_BOUNDED and solve:
-        verdict = _with_eigenvector(f, verdict, budget, BRACKET_TOL, outcome)
+        verdict = _with_eigenvector(f, verdict, budget, BRACKET_TOL, shared)
     return verdict
 
 

@@ -363,12 +363,14 @@ def _extreme(var: str, items: Sequence[str], op: str, indent: str) -> List[str]:
 def _loop_source(n: int) -> str:
     """The normalized (f + id) iteration in dimension n, over scalar locals.
 
-    The generated `_trajectory(body, x, ...)` takes a map's compiled body,
-    a function from the n coordinates to the n outputs, followed by the
-    arguments of `spectral._plain_trajectory`, and returns what it returns.
-    Per iterate it performs the same floating-point operations and
-    comparisons in the same order, without building a tuple except for a
-    new best witness and the last iterate.
+    The generated `_trajectory(body, interpret, x, ...)` takes a map's
+    compiled body, a function from the n coordinates to the n outputs, and
+    its interpreter, which evaluates the points where the body raises,
+    followed by the arguments of `spectral._plain_trajectory`, and returns
+    what it returns.  Per iterate it performs the same floating-point
+    operations and comparisons in the same order, without building a tuple
+    except for a new best witness, a point the body cannot evaluate and the
+    last iterate.
     """
     xs = [f"x{i}" for i in range(n)]
     fs = [f"f{i}" for i in range(n)]
@@ -376,8 +378,8 @@ def _loop_source(n: int) -> str:
     ys = [f"y{i}" for i in range(n)]
     point = _point(n)
     lines = [
-        "def _trajectory(body, x, budget, tol, gap_stop, residual_stop, "
-        "guard, start=None):",
+        "def _trajectory(body, interpret, x, budget, tol, gap_stop, "
+        "residual_stop, guard, start=None):",
         f"    {', '.join(xs)}, = x",
         *_extreme("m", xs, ">", "    "),
         *(f"    {v} = {v} / m" for v in xs),
@@ -391,7 +393,10 @@ def _loop_source(n: int) -> str:
         "    k = 0",
         "    while k < budget:",
         "        k += 1",
-        f"        {', '.join(fs)}, = body({', '.join(xs)})",
+        "        try:",
+        f"            {', '.join(fs)}, = body({', '.join(xs)})",
+        "        except (ArithmeticError, ValueError):",
+        f"            {', '.join(fs)}, = interpret({point})",
         *(f"        {r} = {v} / {u}" for r, v, u in zip(rs, fs, xs)),
         *_extreme("hi", rs, ">", "        "),
         "        if not hi < INF:",
@@ -441,19 +446,19 @@ def compile_interior(exprs: Sequence[Expr]
                                 Optional[Callable]]:
     """The interior evaluator of a map and its compiled (f + id) loop.
 
-    The map is compiled once into a Python function of its n coordinates,
-    its body; the evaluator, x -> (e(x) for e in exprs), calls it, and the
-    loop is the dimension's `_loop` bound to it.  Outputs are bit-identical
-    to `Expr.evaluate`: a point where the compiled arithmetic raises (a
-    zero under a geometric mean's log, 0.0 to a negative power, a power
-    that overflows) is evaluated again by the interpreter, which applies
-    the exact pole rules of `eval_mean` and `_pow_safe`; every other point
-    takes the same floating-point operations in the same order as the
-    interpreter.  Maps whose outputs are all `Coord`, `Pole` or `Linear`
-    (every `matrix_map`) have nothing worth inlining, and trees too deep
-    for the Python compiler cannot be compiled: both keep the interpreter
-    and have no loop.  `spectral` iterates maps without a loop with its
-    plain-Python loop.
+    The map is compiled once into a lambda of its n coordinates, its body;
+    the evaluator, x -> (e(x) for e in exprs), calls it, and the loop is
+    the dimension's `_loop` bound to it.  Outputs are bit-identical to
+    `Expr.evaluate`: both evaluate a point where the body raises (a zero
+    under a geometric mean's log, 0.0 to a negative power, a power that
+    overflows) again with the interpreter, which applies the exact pole
+    rules of `eval_mean` and `_pow_safe`; every other point takes the same
+    floating-point operations in the same order as the interpreter.  Maps
+    whose outputs are all `Coord`, `Pole` or `Linear` (every `matrix_map`)
+    have nothing worth inlining, a one-dimensional map x -> f(1) x closes
+    its bracket at the first iterate, and trees too deep for the Python
+    compiler cannot be compiled: these keep the interpreter and have no
+    loop, and `spectral` iterates them with its plain-Python loop.
     """
     exprs = tuple(exprs)
     n = len(exprs)
@@ -461,31 +466,29 @@ def compile_interior(exprs: Sequence[Expr]
     def interpret(x):
         return tuple(e.evaluate(x) for e in exprs)
 
-    if all(type(e) in (Coord, Pole, Linear) for e in exprs):
+    if n == 1 or all(type(e) in (Coord, Pole, Linear) for e in exprs):
         return interpret, None
     emitter = _Emitter(n)
-    namespace = emitter.namespace
-    namespace["_interpret"] = interpret
     try:
         outputs = "".join(emitter.emit(e) + ", " for e in exprs)
-        source = (f"def _body({', '.join(f'x{j}' for j in range(n))}):\n"
-                  "    try:\n"
-                  f"        return ({outputs})\n"
-                  "    except (ArithmeticError, ValueError):\n"
-                  f"        return _interpret({_point(n)})\n")
-        exec(compile(source, "<interior evaluator>", "exec"), namespace)
+        source = (f"lambda {', '.join(f'x{j}' for j in range(n))}: "
+                  f"({outputs})")
+        body = eval(compile(source, "<interior evaluator>", "eval"),
+                    emitter.namespace)
         loop = _loop(n)
     except (RecursionError, SyntaxError):
         return interpret, None
-    # left in its own globals, the body would form a reference cycle that
-    # only the cyclic garbage collector frees
-    body = namespace.pop("_body")
 
     def evaluate(x):
         # the interpreter reads only the coordinates it needs, at any length
-        return body(*x) if len(x) == n else interpret(x)
+        if len(x) != n:
+            return interpret(x)
+        try:
+            return body(*x)
+        except (ArithmeticError, ValueError):
+            return interpret(x)
 
-    return evaluate, None if loop is None else functools.partial(loop, body)
+    return evaluate, functools.partial(loop, body, interpret)
 
 
 def interior_evaluator(exprs: Sequence[Expr]

@@ -438,9 +438,10 @@ def _bracket_and_solution(f: ConeMap, budget: int, tol: float) -> Optional[
         Tuple[CWBracket, Union[EigenResult, NonconvergedError]]]:
     """cw_upper(f) and solve_eigenvector(f)'s outcome, from one trajectory.
 
-    For f whose growth digraph is strongly connected, cw_upper(f) applies
-    no convex decomposition, so unless part of f's support collapses it
-    iterates f itself from the all-ones vector: the solve's trajectory.
+    For f that is not multiplicatively convex, or whose growth digraph is
+    strongly connected, cw_upper(f) applies no convex decomposition, so
+    unless part of f's support collapses it iterates f itself from the
+    all-ones vector: the solve's trajectory.
     That trajectory then runs until both stop rules have fired, and the
     bracket and the outcome (the EigenResult, or the NonconvergedError the
     solve would raise) are bit-identical to separate calls.  Returns None

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -10,10 +11,11 @@ import pytest
 
 import conespec as cs
 import conespec.cli as cli
-from conespec import dsl, topical
+from conespec import dsl, maps, topical
 
 from conftest import game_conjugate_text, reference_iterate
 from test_dsl import GAME_JSON, tensor_text
+from test_existence import SWEEP_MAP
 
 JORDAN = "format: 1\ndim: 2\ncoord 1: x1 + x2\ncoord 2: x2\n"
 DIAG = "format: 1\ndim: 2\ncoord 1: x1\ncoord 2: 2*x2\n"
@@ -162,6 +164,58 @@ class TestGame:
         assert bracket["lower"] <= math.log(refined.lower)
         assert math.log(refined.upper) <= bracket["upper"]
 
+    def test_bracket_from_the_eigenvector_trajectory(self, tmp_path, capsys,
+                                                     monkeypatch):
+        path = write(tmp_path, "g.game.json", GAME_JSON)
+        f = cs.build_shapley(dsl.parse_game(GAME_JSON)).conjugate
+        expected = cli.cw_upper(f)
+        calls = []
+        cw_upper = cli.cw_upper
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return cw_upper(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "cw_upper", counted)
+        assert cli.main(["game", path]) == 0
+        assert calls == []
+        out = json.loads(capsys.readouterr().out)
+        assert out["additive_eigenvalue_bracket"] == {
+            "lower": math.log(expected.lower),
+            "upper": math.log(expected.upper),
+            "converged": expected.converged}
+
+    @pytest.mark.parametrize("doc, additive", [
+        # one state: the conjugate is x -> e^2.5 x
+        ({"format": 1, "controllers": ["max"],
+          "actions": [[{"payoff": 2.5, "transition": [1.0]}]]}, [2.5]),
+        # two states, state 2 absorbing: two classes
+        ({"format": 1, "controllers": ["max", "max"],
+          "actions": [[{"payoff": 0.0, "transition": [0.5, 0.5]},
+                       {"payoff": -1.0, "transition": [1.0, 0.0]}],
+                      [{"payoff": 1.0, "transition": [0.0, 1.0]}]]},
+         [1.0, -1.0]),
+    ])
+    def test_class_brackets_on_the_additive_scale(self, tmp_path, capsys,
+                                                  doc, additive):
+        # an all-max game's conjugate takes the convex route
+        path = write(tmp_path, "g.game.json", json.dumps(doc))
+        assert cli.main(["game", path]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["scale"] == "additive"
+        f = cs.build_shapley(dsl.parse_game(json.dumps(doc))).conjugate
+        classes = cs.classify(f).convex_report.classes
+        assert [c["component"] for c in out["classes"]] == \
+            [[j + 1 for j in c.component] for c in classes]
+        for entry, cls, value in zip(out["classes"], classes, additive):
+            assert entry["bracket"] == {
+                "lower": math.log(cls.bracket.lower),
+                "upper": math.log(cls.bracket.upper),
+                "converged": cls.bracket.converged}
+            assert entry["bracket"]["lower"] == pytest.approx(value)
+        assert out["additive_eigenvalue_bracket"]["upper"] == \
+            pytest.approx(additive[0])
+
     def test_one_trajectory_for_mean_payoffs(self, tmp_path, capsys,
                                              monkeypatch):
         # one generated loop per game, run for 1024 steps in all, and the
@@ -196,6 +250,45 @@ class TestGame:
         path = write(tmp_path, "g.game.json", json.dumps(doc))
         assert cli.main(["game", path]) == 1
         assert "/actions/0/0/transition" in capsys.readouterr().err
+
+
+class TestCompileCount:
+    """Only maps of two or more coordinates are compiled, each once."""
+
+    @staticmethod
+    def _watch(monkeypatch):
+        """The dimensions of the bodies compiled and of the loops asked
+        for from here on."""
+        bodies, loops = [], []
+        loop = maps._loop
+
+        def counted(source, filename, mode):
+            if filename == "<interior evaluator>":
+                # the body's parameters x0, ..., x{n-1} precede its colon
+                params = source.split(":")[0]
+                bodies.append(len(re.findall(r"\bx\d+\b", params)))
+            return compile(source, filename, mode)
+
+        def counted_loop(n):
+            loops.append(n)
+            return loop(n)
+
+        monkeypatch.setattr(maps, "compile", counted, raising=False)
+        monkeypatch.setattr(maps, "_loop", counted_loop)
+        return bodies, loops
+
+    def test_sweep_map(self, monkeypatch):
+        f = cs.parse_map(SWEEP_MAP).cone_map
+        bodies, loops = self._watch(monkeypatch)
+        cs.classify(f)
+        assert len(bodies) == 17
+        assert min(bodies + loops) >= 2
+
+    def test_game(self, tmp_path, capsys, monkeypatch):
+        path = write(tmp_path, "g.game.json", GAME_JSON)
+        bodies, loops = self._watch(monkeypatch)
+        assert cli.main(["game", path]) == 0
+        assert bodies == [3] and loops == [3]
 
 
 class TestOutputStability:
@@ -372,6 +465,17 @@ class TestNumericRange:
         path = write(tmp_path, "g.game.json", text)
         assert cli.main(["game", path]) == 1
         assert "invalid JSON" in capsys.readouterr().err
+
+
+class TestBooleanHeader:
+    @pytest.mark.parametrize("field", ["format", "states"])
+    def test_boolean_exit_one(self, tmp_path, capsys, field):
+        doc = {"format": 1, "states": 1, "controllers": ["min"],
+               "actions": [[{"payoff": 0.0, "transition": [1.0]}]]}
+        doc[field] = True
+        path = write(tmp_path, "g.game.json", json.dumps(doc))
+        assert cli.main(["game", path]) == 1
+        assert f"/{field}" in capsys.readouterr().err
 
 
 class TestSingleStateGame:

@@ -264,6 +264,18 @@ class TestGameDocuments:
         assert info.value.pointer == pointer
 
 
+    @pytest.mark.parametrize("field", ["format", "states"])
+    def test_boolean_format_and_states(self, field):
+        # true == 1 passes both equality checks on a one-state game
+        doc = {"format": 1, "states": 1, "controllers": ["min"],
+               "actions": [[{"payoff": 0.0, "transition": [1.0]}]]}
+        dsl.parse_game(json.dumps(doc))
+        doc[field] = True
+        with pytest.raises(ValidationError) as info:
+            dsl.parse_game(json.dumps(doc))
+        assert info.value.pointer == f"/{field}"
+
+
 class TestScalePlacement:
     def test_trailing_constant_factor(self):
         # "mean(...) * (a1+a2)^0.5" and the leading form parse identically

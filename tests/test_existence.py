@@ -492,6 +492,7 @@ class TestConvexSharedTrajectory:
         assert verdict.kind is VerdictKind.NONEMPTY_BOUNDED
         (cls,) = verdict.convex_report.classes
         assert repr(cls.bracket) == repr(cs.cw_upper(f))
+        assert repr(verdict.r_bracket) == repr(cs.cw_upper(f))
         assert repr(verdict.eigen) == repr(cs.solve_eigenvector(f))
 
     @pytest.mark.parametrize("budget, tol", [
@@ -520,6 +521,46 @@ class TestConvexSharedTrajectory:
                         Coord(0)], 2)
         assert f.eval_interior((1.0, 1.0))[0] == 0.0
         assert spectral._bracket_and_solution(f, 100, 1e-10) is None
+
+
+class TestVerdictBracket:
+    """A nonempty-bounded verdict keeps its eigenvector trajectory's bracket,
+    equal to cw_upper's bracket of f."""
+
+    @staticmethod
+    def _checked(maps):
+        checked = 0
+        for f in maps:
+            verdict = cs.classify(f)
+            if verdict.kind is VerdictKind.NONEMPTY_BOUNDED:
+                assert not f.multiplicatively_convex
+                assert repr(verdict.r_bracket) == repr(cs.cw_upper(
+                    f, spectral.DEFAULT_BUDGET, existence.BRACKET_TOL))
+                checked += 1
+        return checked
+
+    def test_random_nonconvex_maps(self, rng):
+        maps = [sweep_family_map(rng, int(rng.integers(2, 5)))
+                for _ in range(12)]
+        assert self._checked(maps) >= 3
+
+    def test_game_conjugates(self, rng):
+        maps = []
+        for _ in range(8):
+            r3, r5, r2, r4, r6 = (float(v) for v in rng.uniform(-3.0, 3.0, 5))
+            p1, p2 = (float(p) for p in rng.uniform(0.05, 0.95, 2))
+            # r1 < min(r3, r5): an eigenvector exists
+            r1 = min(r3, r5) - float(rng.uniform(0.01, 2.0))
+            maps.append(game_conjugate(r1, r3, r5, r2, r4, r6, p1, p2))
+        assert self._checked(maps) == len(maps)
+
+    def test_no_bracket_across_components(self):
+        # cw_upper decomposes a reducible convex map, so the verdict keeps
+        # no bracket from the eigenvector's trajectory
+        f = cs.matrix_map([[1.0, 1.0], [0.0, 2.0]])
+        verdict = cs.classify(f)
+        assert verdict.kind is VerdictKind.NONEMPTY_BOUNDED
+        assert verdict.r_bracket is None
 
 
 def _outcome(outcome):

@@ -8,7 +8,7 @@ import conespec as cs
 from conespec import spectral
 from conespec.core import INF, ConeMap, ExtVec, Side, SubsetMask
 from conespec.errors import NumericRangeError
-from conespec.maps import (Coord, Max, Min, PowerMean, Scale, Sum,
+from conespec.maps import (Coord, Max, Min, Pole, PowerMean, Scale, Sum,
                            from_exprs)
 from conespec.spectral import NonconvergedError, plus_identity, ratios_at
 
@@ -405,9 +405,25 @@ class TestCompiledLoop:
         assert run[0] == budget
 
     def test_one_dimensional(self):
-        g = from_exprs([Max((Scale(2.0, Coord(0)), Coord(0)))], 1)
-        self._assert_same(g, (3.0,), 10)
-        assert cs.solve_eigenvector(g).eigenvalue == 2.0
+        # x -> f(1) x needs no loop: the plain one stops at the first iterate
+        doubling = from_exprs([Max((Scale(2.0, Coord(0)), Coord(0)))], 1)
+        zero = from_exprs([Min((Coord(0), Pole(0.0)))], 1)
+        overflow = from_exprs(
+            [Sum((Scale(1e308, Coord(0)), Scale(1e308, Coord(0))))], 1)
+        for g in (doubling, zero, overflow):
+            assert g.interior_loop() is None
+            for budget in (0, 1, 10):
+                for gap_stop, residual_stop in MODES:
+                    plain = spectral._plain_trajectory(
+                        g, (3.0,), budget, 1e-10, gap_stop, residual_stop,
+                        spectral.UNDERFLOW_GUARD)
+                    expected = ("NumericRangeError" if plain is None
+                                else repr(plain))
+                    assert _run_outcome(g, (3.0,), budget, 1e-10, gap_stop,
+                                        residual_stop) == expected
+        assert _run_outcome(overflow, (3.0,), 10, 1e-10, True, True) == \
+            "NumericRangeError"
+        assert cs.solve_eigenvector(doubling).eigenvalue == 2.0
 
     def test_large_dimension(self, rng):
         n = 150
