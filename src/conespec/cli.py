@@ -174,11 +174,14 @@ def cmd_solve(path: str, config: RunConfig) -> int:
     try:
         result = solve_eigenvector(f, budget=config.budget)
     except NonconvergedError as exc:
-        doc = {"converged": False,
-               "bracket": _bracket_doc(exc.bracket),
-               "iterations": exc.bracket.iterations}
-        _print_doc(doc, config) if config.output == "json" else print(
-            f"no convergence; bracket [{exc.bracket.lower}, {exc.bracket.upper}]")
+        b = exc.bracket
+        if config.output == "json":
+            print(json.dumps({"converged": False,
+                              "bracket": _bracket_doc(b),
+                              "iterations": b.iterations,
+                              "timing": None}, indent=2))
+        else:
+            print(f"no convergence; bracket [{b.lower}, {b.upper}]")
         return 4
     doc = {"converged": True,
            "eigenvalue": result.eigenvalue,

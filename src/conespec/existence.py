@@ -19,7 +19,8 @@ from typing import Dict, List, Optional, Tuple
 
 from .core import INF, ConeMap, Side, SubsetMask
 from .errors import DimensionTooLargeError, FlagMissingError
-from .graphs import Digraph, HypergraphProbe, digraph_of, scc_decompose
+from .graphs import (Digraph, HypergraphProbe, SCCDecomposition, digraph_of,
+                     scc_decompose)
 from .maps import face_map, sparsity_probe
 from .spectral import (CWBracket, CWHandle, DisplacementInterval,
                        EigenResult, NonconvergedError, cw_upper, face_handle,
@@ -304,12 +305,14 @@ class Analyzer:
 
 
 def _with_eigenvector(f: ConeMap, verdict: Verdict, budget: int, tol: float,
-                      shared=None) -> Verdict:
+                      shared=None, growth=None) -> Verdict:
     """A nonempty-bounded verdict with its eigenvector and flags filled in.
 
     The eigenvector and `r_bracket` come from one trajectory: `shared`, as
     `_bracket_and_solution(f)` gives it, or run here unless f is convex
     (where cw_upper may decompose f).  Without one, f is solved alone.
+    `growth`, f's growth digraph with its decomposition when the caller
+    has them, is handed on to the flag inference.
     """
     if shared is None and not f.multiplicatively_convex:
         shared = _bracket_and_solution(f, budget, tol)
@@ -323,7 +326,7 @@ def _with_eigenvector(f: ConeMap, verdict: Verdict, budget: int, tol: float,
         verdict = replace(verdict, r_bracket=bracket)
     if isinstance(outcome, EigenResult):
         verdict = replace(verdict, eigen=outcome)
-    return infer_uniqueness_and_convergence(f, verdict)
+    return _infer_flags(f, verdict, growth)
 
 
 def check_subset(f: ConeMap, J: SubsetMask, budget: int = DEFAULT_BUDGET,
@@ -365,7 +368,8 @@ def _unique_final_class_shortcut(analyzer: Analyzer,
                                  solve: bool) -> Optional[Verdict]:
     """A unique final class C with r(f^{[n]\\C}_0) < r(f) settles the verdict."""
     f, budget = analyzer.f, analyzer.budget
-    scc = scc_decompose(digraph_of(f))
+    growth = digraph_of(f)
+    scc = scc_decompose(growth)
     finals = [i for i, fin in enumerate(scc.final) if fin]
     if len(finals) != 1:
         return None
@@ -374,14 +378,20 @@ def _unique_final_class_shortcut(analyzer: Analyzer,
         rest = CWBracket(0.0, 0.0, None, None, 0, True)
     else:
         rest = analyzer.r0_handle(C.complement()).finished()
-    full = cw_upper(f, budget, BRACKET_TOL, memo=analyzer.memo)
+    # with solve, f's one trajectory gives the bracket, the eigenvector and
+    # the memo's state of f, which the sweep reads if the shortcut fails
+    shared = _bracket_and_solution(f, budget, BRACKET_TOL, analyzer.memo) \
+        if solve else None
+    full = cw_upper(f, budget, BRACKET_TOL, memo=analyzer.memo) \
+        if shared is None else shared[0]
     if not _strictly_below(rest.upper, full.lower, analyzer.tol):
         return None
     verdict = Verdict(kind=VerdictKind.NONEMPTY_BOUNDED,
                       detail="unique final class with strictly smaller "
                              "complementary spectral radius")
     if solve:
-        verdict = _with_eigenvector(f, verdict, budget, BRACKET_TOL)
+        verdict = _with_eigenvector(f, verdict, budget, BRACKET_TOL, shared,
+                                    (growth, scc))
     return verdict
 
 
@@ -395,7 +405,8 @@ def classify_convex(f: ConeMap, budget: int = DEFAULT_BUDGET,
     if not f.multiplicatively_convex:
         raise FlagMissingError("map is not flagged multiplicatively convex")
     n = f.dimension
-    scc = scc_decompose(digraph_of(f))
+    growth = digraph_of(f)
+    scc = scc_decompose(growth)
     faces = Analyzer(f, budget, tol)
     brackets = []
     shared = None
@@ -487,7 +498,8 @@ def classify_convex(f: ConeMap, budget: int = DEFAULT_BUDGET,
         verdict = replace(verdict, displacement=disp,
                           r_bracket=disp.r_bracket)
     if kind is VerdictKind.NONEMPTY_BOUNDED and solve:
-        verdict = _with_eigenvector(f, verdict, budget, BRACKET_TOL, shared)
+        verdict = _with_eigenvector(f, verdict, budget, BRACKET_TOL, shared,
+                                    (growth, scc))
     return verdict
 
 
@@ -498,6 +510,15 @@ def infer_uniqueness_and_convergence(f: ConeMap, verdict: Verdict) -> Verdict:
     eigenvector; for non-analytic maps the numeric probe presumes this
     (exact symbolic dependencies are used whenever the map is analytic).
     """
+    return _infer_flags(f, verdict)
+
+
+def _infer_flags(f: ConeMap, verdict: Verdict,
+                 growth: Optional[Tuple[Digraph, SCCDecomposition]] = None
+                 ) -> Verdict:
+    """`infer_uniqueness_and_convergence`, reusing `growth`, f's growth
+    digraph and its decomposition, when the derivative pattern at the
+    eigenvector has the same rows: the same digraph decomposes the same."""
     if verdict.kind is not VerdictKind.NONEMPTY_BOUNDED:
         return verdict
     uniqueness = verdict.uniqueness
@@ -506,9 +527,11 @@ def infer_uniqueness_and_convergence(f: ConeMap, verdict: Verdict) -> Verdict:
         # analytic + nonempty bounded eigenspace forces a unique eigenvector
         uniqueness = Uniqueness.UNIQUE
     if verdict.eigen is not None:
-        pattern = sparsity_probe(f, verdict.eigen.vector)
-        digraph = Digraph.from_arcs(pattern.n, pattern.arcs())
-        scc = scc_decompose(digraph)
+        rows = sparsity_probe(f, verdict.eigen.vector).rows
+        if growth is not None and growth[0].rows == rows:
+            scc = growth[1]
+        else:
+            scc = scc_decompose(Digraph.from_rows(rows))
         finals = [i for i, fin in enumerate(scc.final) if fin]
         if len(scc.order) == 1:
             uniqueness = Uniqueness.UNIQUE  # irreducible derivative

@@ -129,24 +129,42 @@ def is_invariant(probe: HypergraphProbe, I: SubsetMask) -> bool:
 
 @dataclass(frozen=True)
 class Digraph:
-    """A directed graph on [n] with forward and reverse adjacency."""
+    """A directed graph on [n] with forward and reverse adjacency.
 
-    n: int
-    arcs: FrozenSet[Tuple[int, int]]
-    succ: Tuple[Tuple[int, ...], ...] = field(default=None, compare=False)
-    pred: Tuple[Tuple[int, ...], ...] = field(default=None, compare=False)
+    Bit j of `rows[i]` is the arc (i, j); two digraphs are equal when their
+    rows are.  `succ` and `pred` list each vertex's neighbours in
+    increasing order.
+    """
+
+    rows: Tuple[int, ...]
+    succ: Tuple[Tuple[int, ...], ...] = field(compare=False)
+    pred: Tuple[Tuple[int, ...], ...] = field(compare=False)
+
+    @property
+    def n(self) -> int:
+        return len(self.rows)
+
+    @property
+    def arcs(self) -> FrozenSet[Tuple[int, int]]:
+        return frozenset((i, j) for i, s in enumerate(self.succ) for j in s)
+
+    @staticmethod
+    def from_rows(rows: Sequence[int]) -> "Digraph":
+        """The digraph with one bitmask row of successors per vertex."""
+        rows = tuple(rows)
+        succ = tuple(tuple(iter_bits(bits)) for bits in rows)
+        pred: List[List[int]] = [[] for _ in rows]
+        for i, s in enumerate(succ):
+            for j in s:
+                pred[j].append(i)
+        return Digraph(rows, succ, tuple(map(tuple, pred)))
 
     @staticmethod
     def from_arcs(n: int, arcs) -> "Digraph":
-        arcset = frozenset((int(i), int(j)) for i, j in arcs)
-        succ = [[] for _ in range(n)]
-        pred = [[] for _ in range(n)]
-        for i, j in sorted(arcset):
-            succ[i].append(j)
-            pred[j].append(i)
-        return Digraph(n, arcset,
-                       tuple(tuple(s) for s in succ),
-                       tuple(tuple(p) for p in pred))
+        rows = [0] * n
+        for i, j in arcs:
+            rows[int(i)] |= 1 << int(j)
+        return Digraph.from_rows(rows)
 
 
 def digraph_of(f: ConeMap) -> Digraph:
@@ -160,9 +178,7 @@ def digraph_of(f: ConeMap) -> Digraph:
     n = f.dimension
     if f.is_ast:
         full = (1 << n) - 1
-        return Digraph.from_arcs(n, [
-            (i, j) for i, e in enumerate(f.exprs)
-            for j in iter_bits(pole_masks(e, full)[0])])
+        return Digraph.from_rows([pole_masks(e, full)[0] for e in f.exprs])
     probe = HypergraphProbe(f, Side.UPPER)
     arcs = []
     for j in range(n):

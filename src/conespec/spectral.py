@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from operator import add, truediv
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .core import (INF, ConeMap, ExtVec, Side, SubsetMask, reciprocal,
@@ -154,7 +156,7 @@ def _plain_trajectory(g: ConeMap, x: Sequence[float], budget: int, tol: float,
     while k < budget:
         k += 1
         fx = g.eval_interior(x)
-        ratios = [v / u for v, u in zip(fx, x)]
+        ratios = tuple(map(truediv, fx, x))
         hi = max(ratios)
         if not hi < INF:
             return None
@@ -175,7 +177,8 @@ def _plain_trajectory(g: ConeMap, x: Sequence[float], budget: int, tol: float,
                 residual_stop = False
                 if not gap_stop:
                     break
-        x = sup_normalized(tuple(u + v for u, v in zip(x, fx)))
+        y = tuple(map(add, x, fx))
+        x = tuple(map(truediv, y, repeat(max(y))))
         if min(x) < guard:
             break  # trajectory left the face numerically; brackets stay sound
     return k, best_lo, best_up, wit_lo, wit_up, gap, eigen, x
@@ -434,7 +437,8 @@ def cw_upper(f: ConeMap, budget: int = DEFAULT_BUDGET,
     return upper_handle(f, budget, tol, components, memo).finished()
 
 
-def _bracket_and_solution(f: ConeMap, budget: int, tol: float) -> Optional[
+def _bracket_and_solution(f: ConeMap, budget: int, tol: float,
+                          memo: Optional[dict] = None) -> Optional[
         Tuple[CWBracket, Union[EigenResult, NonconvergedError]]]:
     """cw_upper(f) and solve_eigenvector(f)'s outcome, from one trajectory.
 
@@ -446,12 +450,23 @@ def _bracket_and_solution(f: ConeMap, budget: int, tol: float) -> Optional[
     bracket and the outcome (the EigenResult, or the NonconvergedError the
     solve would raise) are bit-identical to separate calls.  Returns None
     when the support collapses; the two then iterate different maps.
+    With `memo` (as in cw_upper), f's bracket state is stored there
+    refined to the whole budget, so a later cw_upper(f, memo=memo) reads
+    it without iterating again.
     """
     n = f.dimension
     if not _stable_lower_support(f).is_full():
         return None
     run = _trajectory(f, (1.0,) * n, budget, tol, True, True)
-    return _on_support(SubsetMask.full(n), *_sandwich(run)), _solution(run)
+    sandwich = _sandwich(run)
+    state = None if memo is None else _memo_state(f, budget, tol, memo)
+    if state is not None and not state.done:
+        (state.lo, state.up, state.wlo, state.wup, state.iterations,
+         state.converged) = sandwich
+        # a gap-only run stops at the gap with another last iterate, but a
+        # done state never reads it
+        state.x, state.done = run[7], True
+    return _on_support(SubsetMask.full(n), *sandwich), _solution(run)
 
 
 def _on_support(support: SubsetMask, lo: float, up: float,

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import conespec as cs
-from conespec.core import INF
+from conespec.core import INF, sup_normalized
 from conespec import maps
 from conespec.maps import (Coord, Linear, Max, Min, Pole, PowerMean, Scale,
                            Sum, from_exprs, monomial)
@@ -281,6 +281,49 @@ def reference_face(exprs, keep, fill):
     if any(isinstance(p, Pole) for p in pinned):
         return None
     return tuple(reference_renumber(p, table) for p in pinned)
+
+
+def reference_plain_trajectory(g, x, budget, tol, gap_stop, residual_stop,
+                               guard, start=None):
+    """`spectral._plain_trajectory` as it was written before its ratios and
+    next iterate were built with `map`: the reference for that loop."""
+    x = sup_normalized(x)
+    if start is None:
+        best_up = INF
+        best_lo = 0.0
+        wit_up = wit_lo = x
+    else:
+        best_lo, best_up, wit_lo, wit_up = start
+    gap = eigen = None
+    k = 0
+    while k < budget:
+        k += 1
+        fx = g.eval_interior(x)
+        ratios = [v / u for v, u in zip(fx, x)]
+        hi = max(ratios)
+        if not hi < INF:
+            return None
+        lo = min(ratios)
+        if hi < best_up:
+            best_up, wit_up = hi, x
+        if lo > best_lo:
+            best_lo, wit_lo = lo, x
+        if gap_stop and best_up - best_lo <= tol * max(best_up, guard):
+            gap = (best_lo, best_up, wit_lo, wit_up, k)
+            gap_stop = False
+            if not residual_stop:
+                break
+        if residual_stop and lo > 0.0:
+            residual = math.log(hi) - math.log(lo)
+            if residual <= tol:
+                eigen = (x, hi, residual, k)
+                residual_stop = False
+                if not gap_stop:
+                    break
+        x = sup_normalized(tuple(u + v for u, v in zip(x, fx)))
+        if min(x) < guard:
+            break  # trajectory left the face numerically; brackets stay sound
+    return k, best_lo, best_up, wit_lo, wit_up, gap, eigen, x
 
 
 def random_irreducible_matrix(rng, n):

@@ -358,6 +358,13 @@ class TestUsageErrors:
         path = write(tmp_path, "diag.conemap", IDENTITY)
         assert cli.main(["solve", path, "--budget", "50"]) == 0
         assert json.loads(capsys.readouterr().out)["timing"] is None
+        # a run that does not converge prints the same key
+        path = write(tmp_path, "tiny.conemap", "format: 1\ndim: 2\n"
+                     "coord 1: 1e-320*x2\ncoord 2: x1\n")
+        assert cli.main(["solve", path, "--budget", "50"]) == 4
+        doc = json.loads(capsys.readouterr().out)
+        assert list(doc) == ["converged", "bracket", "iterations", "timing"]
+        assert doc["converged"] is False and doc["timing"] is None
 
 
 class TestParserReuse:

@@ -2,6 +2,7 @@
 
 import math
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -10,7 +11,7 @@ from conespec import existence, spectral
 from conespec.core import INF, ConeMap, ExtVec, SubsetMask
 from conespec.errors import DimensionTooLargeError, FlagMissingError
 from conespec.existence import Route, Uniqueness, Convergence, VerdictKind
-from conespec.maps import (Coord, Linear, Max, Min, PowerMean, Scale,
+from conespec.maps import (Coord, Linear, Max, Min, PowerMean, Scale, Sum,
                            from_exprs)
 from conespec.spectral import NonconvergedError, ratios_at
 
@@ -22,6 +23,26 @@ from conftest import (block_radius_oracle, game_conjugate_text, make_game,
 
 def mask(ix, n):
     return SubsetMask.of([i - 1 for i in ix], n)
+
+
+def _count_graph_work(monkeypatch):
+    """Lists that collect every `digraph_of` map and the rows of every
+    digraph `scc_decompose` gets, through every binding in the package."""
+    digraphs, decompositions = [], []
+    digraph_of, scc_decompose = cs.digraph_of, cs.scc_decompose
+
+    def counted_digraph(f):
+        digraphs.append(f)
+        return digraph_of(f)
+
+    def counted_scc(g):
+        decompositions.append(g.rows)
+        return scc_decompose(g)
+
+    for module in (existence, spectral):
+        monkeypatch.setattr(module, "digraph_of", counted_digraph)
+        monkeypatch.setattr(module, "scc_decompose", counted_scc)
+    return digraphs, decompositions
 
 
 def game_conjugate(r1, r3=1.0, r5=2.0, r2=0.5, r4=0.3, r6=-1.0,
@@ -183,6 +204,36 @@ class TestClassifyConvex:
         v = cs.classify_convex(f, solve=False)
         assert calls == [f]
         assert v.convex_report.classes[0].bracket == cs.cw_upper(f)
+
+    def test_classify_decomposes_once(self, monkeypatch):
+        # the derivative pattern of a matrix map is its growth digraph, so
+        # the flag inference reuses the decomposition
+        f = cs.matrix_map([[0.0, 2.0, 1.0], [1.0, 0.0, 0.0],
+                           [0.5, 3.0, 0.0]])
+        digraphs, decompositions = _count_graph_work(monkeypatch)
+        v = cs.classify(f)
+        assert (len(digraphs), len(decompositions)) == (1, 1)
+        assert v.uniqueness is Uniqueness.UNIQUE
+        assert v.convergence is Convergence.ITERATES_CONVERGE
+
+    def test_pattern_unlike_the_growth_digraph(self, monkeypatch):
+        # at the eigenvector (1, 1) the max reads only 2 * x2, so the
+        # pattern drops the growth arc (1, 1) and is decomposed itself
+        f = from_exprs([Max((Coord(0), Scale(2.0, Coord(1)))),
+                        Sum((Coord(0), Coord(1)))], 2)
+        digraphs, decompositions = _count_graph_work(monkeypatch)
+        v = cs.classify(f)
+        monkeypatch.undo()
+        assert cs.digraph_of(f).rows == (3, 3)
+        assert cs.sparsity_probe(f, v.eigen.vector).rows == (2, 3)
+        assert len(digraphs) == 1
+        assert decompositions == [(3, 3), (2, 3)]
+        assert v.kind is VerdictKind.NONEMPTY_BOUNDED
+        assert v.uniqueness is Uniqueness.UNIQUE
+        assert v.convergence is Convergence.ITERATES_CONVERGE
+        assert v == cs.infer_uniqueness_and_convergence(
+            f, replace(v, uniqueness=Uniqueness.UNKNOWN,
+                       convergence=Convergence.UNKNOWN))
 
     def test_decomposition_ignored_on_a_collapsed_face(self):
         # coordinate 3 of the restriction is 0, so the bracket runs on the
@@ -521,6 +572,79 @@ class TestConvexSharedTrajectory:
                         Coord(0)], 2)
         assert f.eval_interior((1.0, 1.0))[0] == 0.0
         assert spectral._bracket_and_solution(f, 100, 1e-10) is None
+
+
+class TestUniqueFinalClassShortcut:
+    """The shortcut reads f's bracket and eigenvector off one trajectory; a
+    shortcut that fails leaves f's bracket state, refined to the whole
+    budget, in the memo the sweep goes on with."""
+
+    @staticmethod
+    def _runs_of(monkeypatch, f):
+        runs = []
+        trajectory = spectral._trajectory
+
+        def counted(g, *args):
+            if g.exprs == f.exprs:
+                runs.append(args[3:])
+            return trajectory(g, *args)
+
+        monkeypatch.setattr(spectral, "_trajectory", counted)
+        return runs
+
+    def test_one_trajectory_of_f(self, monkeypatch):
+        # {2} is the one final class, and the face on {1}, x1, has radius
+        # 1 < r(f) = 2
+        f = from_exprs([Sum((Coord(0), Min((Coord(1), Scale(2.0, Coord(1)))))),
+                        Scale(2.0, Coord(1))], 2)
+        assert not f.multiplicatively_convex
+        runs = self._runs_of(monkeypatch, f)
+        digraphs, decompositions = _count_graph_work(monkeypatch)
+        v = cs.classify(f)
+        monkeypatch.undo()
+        assert "unique final class" in v.detail
+        assert runs == [(True, True)]
+        # the pattern at the eigenvector is the growth digraph
+        assert (len(digraphs), len(decompositions)) == (1, 1)
+        assert repr(v.r_bracket) == repr(cs.cw_upper(f))
+        assert repr(v.eigen) == repr(cs.solve_eigenvector(f))
+        assert v.uniqueness is Uniqueness.UNIQUE
+        assert v.convergence is Convergence.ITERATES_CONVERGE
+
+    def test_failed_shortcut_leaves_the_finished_bracket(self, monkeypatch):
+        # {3, 4} is the one final class, but the face on {1, 2} has the
+        # larger radius 2.5; the displacement reads f's bracket refined to
+        # the whole budget, as it did when the shortcut called cw_upper
+        f = from_exprs([Linear(((0, 2.5), (2, 0.5))), Coord(2),
+                        Min((Linear(((1, 2.0), (2, 0.35))), Coord(3))),
+                        Linear(((2, 1.5),))], 4)
+        runs = self._runs_of(monkeypatch, f)
+        v = cs.classify(f)
+        monkeypatch.undo()
+        assert v.kind is VerdictKind.NO_INTERIOR_EIGENVECTOR
+        assert runs == [(True, True)]
+        assert repr(v.displacement.r_bracket) == repr(cs.cw_upper(f))
+
+    @pytest.mark.parametrize("budget, tol", [
+        (0, 1e-10), (1, 1e-10), (3, 1e-10), (40, 1e-10), (2, 0.5),
+        (10_000, 1e-10)])
+    def test_memo_gets_the_finished_state(self, budget, tol):
+        fields = ("lo", "up", "wlo", "wup", "iterations", "converged", "done")
+        for f in (cs.parse_map(SWEEP_MAP).cone_map,
+                  # leaves the face at the underflow guard
+                  from_exprs([Coord(0),
+                              Min((Scale(1e-3, Coord(1)), Coord(0)))], 2)):
+            memo = {}
+            spectral._bracket_and_solution(f, budget, tol, memo)
+            (state,) = memo.values()
+            alone = spectral.BracketState(f, budget, tol)
+            alone.refine(budget)
+            assert repr([getattr(state, a) for a in fields]) == \
+                repr([getattr(alone, a) for a in fields])
+            if not alone.converged:
+                assert state.x == alone.x
+            assert repr(cs.cw_upper(f, budget, tol, memo=memo)) == \
+                repr(cs.cw_upper(f, budget, tol))
 
 
 class TestVerdictBracket:

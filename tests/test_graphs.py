@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import conespec as cs
 from conespec.core import INF, ConeMap, ExtVec, Side, SubsetMask
@@ -197,6 +198,39 @@ class TestSCC:
         by_comp = dict(zip(scc.order, scc.cyclicity))
         assert by_comp[(0,)] == 0
         assert by_comp[(1,)] == 1
+
+
+def _reference_adjacency(n, arcs):
+    """Arcs, succ and pred as `Digraph.from_arcs` built them from the sorted
+    arc set before it went through bitmask rows."""
+    arcset = frozenset((int(i), int(j)) for i, j in arcs)
+    succ = [[] for _ in range(n)]
+    pred = [[] for _ in range(n)]
+    for i, j in sorted(arcset):
+        succ[i].append(j)
+        pred[j].append(i)
+    return arcset, tuple(map(tuple, succ)), tuple(map(tuple, pred))
+
+
+class TestDigraphRows:
+    """`Digraph.from_rows`, the one construction path, against arc lists."""
+
+    @settings(derandomize=True, deadline=None, database=None,
+              max_examples=300)
+    @given(st.integers(0, 12).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.integers(0, (1 << n) - 1), min_size=n,
+                             max_size=n))))
+    def test_rows_equal_arcs(self, case):
+        n, rows = case
+        arcs = [(i, j) for i, bits in enumerate(rows) for j in range(n)
+                if bits >> j & 1]
+        random.Random(len(arcs)).shuffle(arcs)
+        g = Digraph.from_rows(rows)
+        h = Digraph.from_arcs(n, arcs + arcs[:2])  # duplicates are one arc
+        assert g == h and g.n == h.n == n and g.rows == tuple(rows)
+        assert (g.arcs, g.succ, g.pred) == _reference_adjacency(n, arcs)
+        assert (h.arcs, h.succ, h.pred) == _reference_adjacency(n, arcs)
+        assert cs.scc_decompose(g) == cs.scc_decompose(h)
 
 
 class TestHypergraphProperties:

@@ -8,14 +8,14 @@ import conespec as cs
 from conespec import spectral
 from conespec.core import INF, ConeMap, ExtVec, Side, SubsetMask
 from conespec.errors import NumericRangeError
-from conespec.maps import (Coord, Max, Min, Pole, PowerMean, Scale, Sum,
-                           from_exprs)
+from conespec.maps import (Coord, Linear, Max, Min, Pole, PowerMean, Scale,
+                           Sum, from_exprs)
 from conespec.spectral import NonconvergedError, plus_identity, ratios_at
 
 from conftest import (make_game, make_schoen, make_tensor_example,
                       perron_oracle, random_interior,
                       random_irreducible_matrix, random_mplus_map,
-                      random_tree)
+                      random_tree, reference_plain_trajectory)
 
 
 def mask(ix, n):
@@ -446,6 +446,110 @@ class TestCompiledLoop:
         assert repr(both[5]) == repr(gap[5]) and repr(both[6]) == repr(res[6])
         assert both[0] == res[0]
         self._assert_same(g, ones, 10_000, 0.5)
+
+
+def _plain_outcomes(g, x, budget, tol, gap_stop, residual_stop, guard,
+                    start=None):
+    """(repr of `_plain_trajectory`'s run, repr of the reference loop's),
+    or the type of the exception each raised."""
+    outcomes = []
+    for loop in (spectral._plain_trajectory, reference_plain_trajectory):
+        try:
+            outcomes.append(repr(loop(g, x, budget, tol, gap_stop,
+                                      residual_stop, guard, start)))
+        except Exception as exc:  # the exception type is what gets compared
+            outcomes.append(type(exc).__name__)
+    return tuple(outcomes)
+
+
+class TestPlainLoopReference:
+    """`_plain_trajectory` against the loop it replaced, kept verbatim as
+    `conftest.reference_plain_trajectory`: the same float operations in the
+    same order, so the runs agree bit for bit."""
+
+    STOPS = ((False, False),) + MODES
+
+    def _assert_same(self, g, x, budget, tol=1e-10,
+                     guard=spectral.UNDERFLOW_GUARD):
+        for gap_stop, residual_stop in self.STOPS:
+            new, old = _plain_outcomes(g, x, budget, tol, gap_stop,
+                                       residual_stop, guard)
+            assert new == old
+
+    def _assert_same_resumed(self, g, budget, chunk, tol=1e-10):
+        # each chunk resumes from the last iterate with the best sandwich
+        # as `start`, as a `BracketState` refines
+        for gap_stop, residual_stop in self.STOPS:
+            x, start, spent = (1.0,) * g.dimension, None, 0
+            while spent < budget:
+                steps = min(chunk, budget - spent)
+                new, old = _plain_outcomes(g, x, steps, tol, gap_stop,
+                                           residual_stop,
+                                           spectral.UNDERFLOW_GUARD, start)
+                assert new == old
+                run = spectral._plain_trajectory(
+                    g, x, steps, tol, gap_stop, residual_stop,
+                    spectral.UNDERFLOW_GUARD, start)
+                if run is None or run[0] < steps:
+                    break
+                spent += steps
+                x, start = run[7], run[1:5]
+
+    @staticmethod
+    def _random_linear(rng, n):
+        exprs = []
+        for _ in range(n):
+            support = sorted(int(j) for j in rng.choice(
+                n, size=int(rng.integers(1, n + 1)), replace=False))
+            exprs.append(Linear(tuple(
+                (j, float(10.0 ** rng.uniform(-3.0, 3.0))) for j in support)))
+        return from_exprs(exprs, n)
+
+    def test_random_linear_maps(self, rng):
+        for _ in range(30):
+            n = int(rng.integers(1, 9))
+            g = self._random_linear(rng, n)
+            x = tuple(float(v) for v in rng.uniform(0.1, 10.0, size=n))
+            budget = int(rng.integers(0, 200))
+            tol = float(rng.choice([1e-10, 1e-3, 0.5]))
+            self._assert_same(g, x, budget, tol)
+            self._assert_same_resumed(g, budget, int(rng.integers(1, 40)),
+                                      tol)
+
+    def test_random_ast_maps(self, rng):
+        for _ in range(60):
+            n = int(rng.integers(1, 6))
+            exprs = [random_tree(rng, n, int(rng.integers(0, 4)))
+                     for _ in range(n)]
+            for g in (from_exprs(exprs, n),
+                      cs.reciprocal_conjugate(from_exprs(exprs, n))):
+                if rng.random() < 0.3:
+                    x = tuple(float(v) for v in
+                              10.0 ** rng.uniform(-300.0, 300.0, size=n))
+                else:
+                    x = tuple(float(v) for v in rng.uniform(0.1, 10.0, size=n))
+                budget = int(rng.integers(0, 60))
+                self._assert_same(g, x, budget)
+                self._assert_same(g, x, budget, guard=0.5)
+                self._assert_same_resumed(g, budget, int(rng.integers(1, 20)))
+
+    def test_guard_break(self):
+        # x2 shrinks by about 1 / 2 per step until it crosses the guard
+        g = from_exprs([Coord(0), Min((Scale(1e-3, Coord(1)), Coord(0)))], 2)
+        run = spectral._plain_trajectory(g, (1.0, 1.0), 10_000, 1e-10, True,
+                                         True, spectral.UNDERFLOW_GUARD)
+        assert run[0] < 10_000 and run[5] is None and run[6] is None
+        self._assert_same(g, (1.0, 1.0), 10_000)
+        self._assert_same_resumed(g, 10_000, 300)
+
+    def test_overflow_returns_none(self):
+        g = from_exprs([Linear(((0, 1e308), (1, 1e308))),
+                        Linear(((0, 1.0),))], 2)
+        for gap_stop, residual_stop in self.STOPS:
+            assert spectral._plain_trajectory(
+                g, (1.0, 1.0), 10, 1e-10, gap_stop, residual_stop,
+                spectral.UNDERFLOW_GUARD) is None
+        self._assert_same(g, (1.0, 1.0), 10)
 
 
 def _one_shot(g, budget, tol):
