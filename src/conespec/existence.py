@@ -518,7 +518,9 @@ def _infer_flags(f: ConeMap, verdict: Verdict,
                  ) -> Verdict:
     """`infer_uniqueness_and_convergence`, reusing `growth`, f's growth
     digraph and its decomposition, when the derivative pattern at the
-    eigenvector has the same rows: the same digraph decomposes the same."""
+    eigenvector has the same rows: the same digraph decomposes the same.
+    The pattern of an analytic AST map is its growth digraph, so it is
+    not probed."""
     if verdict.kind is not VerdictKind.NONEMPTY_BOUNDED:
         return verdict
     uniqueness = verdict.uniqueness
@@ -527,7 +529,10 @@ def _infer_flags(f: ConeMap, verdict: Verdict,
         # analytic + nonempty bounded eigenspace forces a unique eigenvector
         uniqueness = Uniqueness.UNIQUE
     if verdict.eigen is not None:
-        rows = sparsity_probe(f, verdict.eigen.vector).rows
+        if growth is not None and f.is_ast and f.analytic:
+            rows = growth[0].rows
+        else:
+            rows = sparsity_probe(f, verdict.eigen.vector).rows
         if growth is not None and growth[0].rows == rows:
             scc = growth[1]
         else:

@@ -3,7 +3,9 @@
 The two hypergraphs record which coordinates are forced to a pole when a
 tail set of coordinates is sent there: on the lower side a hyperarc (T, {j})
 means f(e_{[n]\\T})_j = 0, on the upper side it means f(omega_T)_j = inf.
-Probes evaluate the map's exact extended semantics and memoize per mask.
+On AST maps hyperarcs and growth arcs (and exact sparsity rows) come from
+one symbolic fold, `maps.pole_masks`; black-box maps are probed at large
+finite pins.  Probes memoize per mask.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .core import INF, ConeMap, Side, SubsetMask, iter_bits
-from .maps import pole_masks
+from .maps import _growth_rows, pole_masks
 
 
 class HypergraphProbe:
@@ -34,37 +36,38 @@ class HypergraphProbe:
             raise ValueError("mask dimension mismatch")
         hit = self._cache.get(tail.bits)
         if hit is None:
-            hit = self._cache[tail.bits] = self._probe(tail.bits)
+            hit = self._cache[tail.bits] = self._probe(tail.bits) & ~tail.bits
         return SubsetMask(hit, n)
 
     def _probe(self, tail_bits: int) -> int:
-        n = self.map.dimension
+        """The outputs forced to the pole by pinning the tail, tail included."""
         pole = 0.0 if self.side is Side.LOWER else INF
-        if self.map.is_ast:
-            point = tuple(pole if tail_bits >> j & 1 else 1.0 for j in range(n))
-            out = tuple(e.evaluate(point) for e in self.map.exprs)
-            return sum(1 << j for j in range(n)
-                       if not tail_bits >> j & 1 and out[j] == pole)
-        return self._probe_heuristic(tail_bits)
+        if not self.map.is_ast:
+            return self._probe_heuristic(tail_bits, pole)
+        pins = [tail_bits >> j & 1 for j in range(self.map.dimension)]
+        side = 0 if pole == INF else 1
+        return sum(1 << i for i, e in enumerate(self.map.exprs)
+                   if pole_masks(e, pins, 1, pole)[side])
 
-    def _probe_heuristic(self, tail_bits: int) -> int:
-        # Black-box maps: compare growth between t and t^2 scaled pins.
+    def _probe_heuristic(self, tail_bits: int, pole: float) -> int:
+        # Black-box maps: compare growth between t and t^2 scaled pins; an
+        # output already at the pole at the first pin is forced.
         n = self.map.dimension
         t = 1e12
-        big = t if self.side is Side.UPPER else 1.0 / t
+        big = t if pole == INF else 1.0 / t
         x1 = tuple(big if tail_bits >> j & 1 else 1.0 for j in range(n))
         x2 = tuple(big * big if tail_bits >> j & 1 else 1.0 for j in range(n))
         y1 = self.map.eval_interior(x1)
         y2 = self.map.eval_interior(x2)
+        grows = math.sqrt(t)
         bits = 0
         for j in range(n):
-            if tail_bits >> j & 1:
-                continue
-            ratio = y2[j] / y1[j]
-            if self.side is Side.UPPER and ratio > math.sqrt(t):
+            if y1[j] == pole:
                 bits |= 1 << j
-            if self.side is Side.LOWER and ratio < 1.0 / math.sqrt(t):
-                bits |= 1 << j
+            elif y1[j] > 0.0:
+                ratio = y2[j] / y1[j]
+                if ratio > grows if pole == INF else ratio < 1.0 / grows:
+                    bits |= 1 << j
         return bits
 
     def is_invariant(self, I: SubsetMask) -> bool:
@@ -170,28 +173,19 @@ class Digraph:
 def digraph_of(f: ConeMap) -> Digraph:
     """The growth digraph: arc (i, j) when output i blows up as x_j -> inf.
 
-    On AST maps the arcs of output i are the inf mask of `pole_masks`, one
-    symbolic pass over its expression, so the cost is linear in the size of
-    the map rather than n evaluations of it.  Black-box maps are probed at
-    large finite arguments.
+    On AST maps the rows are one symbolic pass over each output
+    (`maps._growth_rows`), linear in the size of the map; on black-box
+    maps they are the upper probe's unmasked targets of each unit tail.
     """
     n = f.dimension
     if f.is_ast:
-        full = (1 << n) - 1
-        return Digraph.from_rows([pole_masks(e, full)[0] for e in f.exprs])
+        return Digraph.from_rows(_growth_rows(f.exprs, n))
     probe = HypergraphProbe(f, Side.UPPER)
-    arcs = []
+    rows = [0] * n
     for j in range(n):
-        mask = SubsetMask.of([j], n)
-        # reuse the heuristic probe for off-diagonal arcs, then test (j, j)
-        targets = probe.hyperarc_targets(mask)
-        arcs.extend((i, j) for i in targets)
-        t = 1e12
-        x1 = tuple(t if k == j else 1.0 for k in range(n))
-        x2 = tuple(t * t if k == j else 1.0 for k in range(n))
-        if f.eval_interior(x2)[j] / f.eval_interior(x1)[j] > math.sqrt(t):
-            arcs.append((j, j))
-    return Digraph.from_arcs(n, arcs)
+        for i in iter_bits(probe._probe(1 << j)):
+            rows[i] |= 1 << j
+    return Digraph.from_rows(rows)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -242,42 +243,30 @@ def eval_mean(r: float, sigma: Sequence[float], values: Sequence[float]) -> floa
 # ---------------------------------------------------------------------------
 # Capability flags
 
-def _is_analytic(e: Expr) -> bool:
+def _flags(e: Expr) -> Tuple[bool, bool]:
+    """(analytic, multiplicatively convex) for e; a max is only convex."""
     if isinstance(e, (Coord, Pole, Linear)):
-        return True
-    if isinstance(e, (Min, Max)):
-        return False
-    if isinstance(e, PowerMean):
-        # Negative-exponent means are kept off the analytic fast paths.
-        if e.r < 0.0:
-            return False
-        return all(_is_analytic(c) for c in e.terms)
-    return all(_is_analytic(c) for c in e.children())
-
-
-def _is_mult_convex(e: Expr) -> bool:
-    if isinstance(e, (Coord, Pole, Linear)):
-        return True
-    if isinstance(e, Min):
-        return False
-    if isinstance(e, Max):
-        # max of multiplicatively convex maps is multiplicatively convex
-        return all(_is_mult_convex(c) for c in e.terms)
-    if isinstance(e, PowerMean):
-        if e.r < 0.0:
-            return False
-        return all(_is_mult_convex(c) for c in e.terms)
-    return all(_is_mult_convex(c) for c in e.children())
+        return True, True
+    if isinstance(e, Min) or isinstance(e, PowerMean) and e.r < 0.0:
+        return False, False
+    analytic, convex = not isinstance(e, Max), True
+    for c in e.children():
+        a, v = _flags(c)
+        analytic, convex = analytic and a, convex and v
+        if not convex:
+            return False, False
+    return analytic, convex
 
 
 def from_exprs(exprs: Sequence[Expr], dimension: int) -> ConeMap:
     """Package coordinate expressions into a ConeMap, deriving its flags."""
     exprs = tuple(exprs)
+    flags = [_flags(e) for e in exprs]
     return ConeMap(
         dimension=dimension,
         exprs=exprs,
-        multiplicatively_convex=all(_is_mult_convex(e) for e in exprs),
-        analytic=all(_is_analytic(e) for e in exprs),
+        multiplicatively_convex=all(v for _, v in flags),
+        analytic=all(a for a, _ in flags),
     )
 
 
@@ -555,6 +544,7 @@ def _substitute(e: Expr, table: Dict[int, Expr]) -> Expr:
         return kept[0] if len(kept) == 1 else kind(tuple(kept))
     if kind is PowerMean:
         kept_w, kept_t = [], []
+        inf_factor = None
         for w, t in zip(e.weights, e.terms):
             p = _substitute(t, table)
             if type(p) is Pole:
@@ -562,11 +552,15 @@ def _substitute(e: Expr, table: Dict[int, Expr]) -> Expr:
                     if p.value == INF:
                         return p
                     continue  # zero term contributes nothing to the sum
-                if e.r == 0.0 or p.value == 0.0:
+                if p.value == 0.0:
                     return p
+                if e.r == 0.0:
+                    inf_factor = p  # absorbs unless a later factor is zero
                 continue  # r < 0: reciprocal of inf drops out
             kept_w.append(w)
             kept_t.append(p)
+        if inf_factor is not None:
+            return inf_factor
         if not kept_t:
             return Pole(0.0) if e.r > 0.0 else Pole(INF)
         mass = sum(kept_w)
@@ -847,39 +841,57 @@ def build_shapley_conjugate(game) -> ConeMap:
 # ---------------------------------------------------------------------------
 # Growth structure
 
-def pole_masks(e: Expr, full: int) -> Tuple[int, int]:
-    """Where e is inf and where it is 0, over all unit pins to inf at once.
+def pole_masks(e: Expr, pins: Sequence[int], full: int,
+               pole: float) -> Tuple[int, int]:
+    """Where e is inf and where it is 0, over several pins at once.
 
-    Bit j of the first mask is set when e evaluates to inf at the point with
-    x_j = inf and every other coordinate 1; bit j of the second mask when it
-    evaluates to 0 there.  `full` is the mask of all n coordinates.  Each
-    node applies its exact one-sided evaluation rule to its children's
-    masks, so one pass over the tree gives what n evaluations would.
+    Pin t sends every coordinate j with bit t of `pins[j]` to `pole` (0.0
+    or inf) and every other coordinate to 1; `full` is the mask of all
+    pins.  Bit t of the first mask is set when e is inf at pin t, bit t of
+    the second mask when it is 0 there.  Each node applies its exact
+    one-sided evaluation rule to its children's masks, so one pass over
+    the tree gives what an evaluation per pin would, and no constant under-
+    or overflows.  This is the only code that decides which pins force a
+    pole: hyperarcs (`graphs.HypergraphProbe`) fold each output once per
+    tail, and growth arcs (`graphs.digraph_of`) and the exact sparsity rows
+    of analytic maps are the fold over the unit pins to inf (`_growth_rows`).
     """
-    if isinstance(e, Linear):
-        return sum(1 << j for j, _ in e.nonzeros), 0
-    if isinstance(e, Coord):
-        return 1 << e.index, 0
-    if isinstance(e, Pole):
+    kind = type(e)
+    if kind is Coord:
+        return (pins[e.index], 0) if pole == INF else (0, pins[e.index])
+    if kind is Scale:
+        return pole_masks(e.child, pins, full, pole)
+    if kind is Linear:
+        read = [pins[j] for j, _ in e.nonzeros]
+        if pole == INF:  # a sum: inf when any term is, 0 when all are
+            return functools.reduce(operator.or_, read), 0
+        return 0, functools.reduce(operator.and_, read)
+    if kind is Pole:
         return (full, 0) if e.value == INF else (0, full)
-    if isinstance(e, Scale):
-        return pole_masks(e.child, full)
     any_inf = any_zero = 0
     all_inf = all_zero = full
     for t in e.children():
-        inf, zero = pole_masks(t, full)
+        inf, zero = pole_masks(t, pins, full, pole)
         any_inf |= inf
         any_zero |= zero
         all_inf &= inf
         all_zero &= zero
-    if isinstance(e, PowerMean) and e.r == 0.0:
+    if kind is PowerMean and e.r == 0.0:
         return any_inf & ~any_zero, any_zero  # a zero factor absorbs first
-    if isinstance(e, (Sum, Max)) or (isinstance(e, PowerMean) and e.r > 0.0):
+    if kind is Sum or kind is Max or kind is PowerMean and e.r > 0.0:
         return any_inf, all_zero
-    if isinstance(e, (Min, PowerMean)):
+    if kind is Min or kind is PowerMean:
         # a child's two masks are disjoint, so all_inf already avoids any_zero
         return all_inf, any_zero
-    raise TypeError(f"unknown node {type(e).__name__}")
+    raise TypeError(f"unknown node {kind.__name__}")
+
+
+def _growth_rows(exprs: Sequence[Expr], n: int) -> Tuple[int, ...]:
+    """Bit j of row i is set when output i is inf at x_j = inf, every other
+    coordinate 1: the inf masks of `pole_masks` over the n unit pins."""
+    units = [1 << j for j in range(n)]
+    full = (1 << n) - 1
+    return tuple(pole_masks(e, units, full, INF)[0] for e in exprs)
 
 
 # ---------------------------------------------------------------------------
@@ -907,31 +919,19 @@ class SparsityPattern:
                 for j in iter_bits(bits)}
 
 
-def _symbolic_deps(e: Expr) -> int:
-    if isinstance(e, Coord):
-        return 1 << e.index
-    if isinstance(e, Pole):
-        return 0
-    if isinstance(e, Linear):
-        return sum(1 << j for j, _ in e.nonzeros)
-    bits = 0
-    for c in e.children():
-        bits |= _symbolic_deps(c)
-    return bits
-
-
 def sparsity_probe(f: ConeMap, u: ExtVec, tol: float = 1e-7) -> SparsityPattern:
     """Dependency pattern of f at the interior point u.
 
-    Symbolic (exact) when the map is an analytic AST; otherwise central
-    finite differences with a relative threshold, flagged as heuristic.
+    Exact when the map is an analytic AST: output i of such a map grows
+    with x_j exactly where it blows up at x_j = inf, so the rows are its
+    `_growth_rows`.  Otherwise central finite differences with a relative
+    threshold, flagged as heuristic.
     """
     if u.side is not Side.INTERIOR:
         raise ValueError("sparsity probe needs an interior point")
     n = f.dimension
     if f.is_ast and f.analytic:
-        return SparsityPattern(tuple(_symbolic_deps(e) for e in f.exprs),
-                               exact=True)
+        return SparsityPattern(_growth_rows(f.exprs, n), exact=True)
 
     base = f.eval_interior(u.entries)
     cols = []

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import conespec as cs
-from conespec.core import INF, sup_normalized
+from conespec.core import INF, Side, sup_normalized
 from conespec import maps
 from conespec.maps import (Coord, Linear, Max, Min, Pole, PowerMean, Scale,
                            Sum, from_exprs, monomial)
@@ -217,6 +217,7 @@ def reference_pin(e, assignment):
         return kept[0] if len(kept) == 1 else Max(tuple(kept))
     if isinstance(e, PowerMean):
         kept_w, kept_t = [], []
+        inf_factor = None
         for w, t in zip(e.weights, e.terms):
             p = reference_pin(t, assignment)
             if isinstance(p, Pole):
@@ -224,13 +225,15 @@ def reference_pin(e, assignment):
                     if p.value == INF:
                         return Pole(INF)
                     continue  # zero term contributes nothing to the sum
-                if e.r == 0.0:
-                    return Pole(p.value)
                 if p.value == 0.0:
                     return Pole(0.0)
+                if e.r == 0.0:
+                    inf_factor = Pole(INF)  # a zero factor absorbs first
                 continue  # r < 0: reciprocal of inf drops out
             kept_w.append(w)
             kept_t.append(p)
+        if inf_factor is not None:
+            return inf_factor
         if not kept_t:
             return Pole(0.0) if e.r > 0.0 else Pole(INF)
         mass = sum(kept_w)
@@ -245,6 +248,94 @@ def reference_pin(e, assignment):
                                node)
         return node
     raise TypeError(f"unknown node {type(e).__name__}")
+
+
+def reference_probe(f, side, tail_bits):
+    """`graphs.HypergraphProbe._probe` on AST maps as it was written before
+    it folded `maps.pole_masks`: the heads outside the tail where f is the
+    pole at the float point with the tail pinned there, every other
+    coordinate 1."""
+    n = f.dimension
+    pole = 0.0 if side is Side.LOWER else INF
+    point = tuple(pole if tail_bits >> j & 1 else 1.0 for j in range(n))
+    out = tuple(e.evaluate(point) for e in f.exprs)
+    return sum(1 << j for j in range(n)
+               if not tail_bits >> j & 1 and out[j] == pole)
+
+
+def reference_pole_masks(e, full):
+    """`maps.pole_masks` as it was written for the unit pins to inf only:
+    the reference for the growth rows of `graphs.digraph_of`."""
+    if isinstance(e, Linear):
+        return sum(1 << j for j, _ in e.nonzeros), 0
+    if isinstance(e, Coord):
+        return 1 << e.index, 0
+    if isinstance(e, Pole):
+        return (full, 0) if e.value == INF else (0, full)
+    if isinstance(e, Scale):
+        return reference_pole_masks(e.child, full)
+    any_inf = any_zero = 0
+    all_inf = all_zero = full
+    for t in e.children():
+        inf, zero = reference_pole_masks(t, full)
+        any_inf |= inf
+        any_zero |= zero
+        all_inf &= inf
+        all_zero &= zero
+    if isinstance(e, PowerMean) and e.r == 0.0:
+        return any_inf & ~any_zero, any_zero  # a zero factor absorbs first
+    if isinstance(e, (Sum, Max)) or (isinstance(e, PowerMean) and e.r > 0.0):
+        return any_inf, all_zero
+    if isinstance(e, (Min, PowerMean)):
+        # a child's two masks are disjoint, so all_inf already avoids any_zero
+        return all_inf, any_zero
+    raise TypeError(f"unknown node {type(e).__name__}")
+
+
+def reference_symbolic_deps(e):
+    """The coordinates e reads, as `maps.sparsity_probe` found the rows of
+    analytic maps before they became the growth rows."""
+    if isinstance(e, Coord):
+        return 1 << e.index
+    if isinstance(e, Pole):
+        return 0
+    if isinstance(e, Linear):
+        return sum(1 << j for j, _ in e.nonzeros)
+    bits = 0
+    for c in e.children():
+        bits |= reference_symbolic_deps(c)
+    return bits
+
+
+def reference_is_analytic(e):
+    """The analytic flag as `maps.from_exprs` derived it before one fold
+    gave both flags."""
+    if isinstance(e, (Coord, Pole, Linear)):
+        return True
+    if isinstance(e, (Min, Max)):
+        return False
+    if isinstance(e, PowerMean):
+        # Negative-exponent means are kept off the analytic fast paths.
+        if e.r < 0.0:
+            return False
+        return all(reference_is_analytic(c) for c in e.terms)
+    return all(reference_is_analytic(c) for c in e.children())
+
+
+def reference_is_mult_convex(e):
+    """The multiplicative-convexity flag, as `reference_is_analytic`."""
+    if isinstance(e, (Coord, Pole, Linear)):
+        return True
+    if isinstance(e, Min):
+        return False
+    if isinstance(e, Max):
+        # max of multiplicatively convex maps is multiplicatively convex
+        return all(reference_is_mult_convex(c) for c in e.terms)
+    if isinstance(e, PowerMean):
+        if e.r < 0.0:
+            return False
+        return all(reference_is_mult_convex(c) for c in e.terms)
+    return all(reference_is_mult_convex(c) for c in e.children())
 
 
 def reference_renumber(e, table):

@@ -8,11 +8,12 @@ import pytest
 
 import conespec as cs
 from conespec import existence, spectral
-from conespec.core import INF, ConeMap, ExtVec, SubsetMask
+from conespec.core import INF, ConeMap, ExtVec, Side, SubsetMask
 from conespec.errors import DimensionTooLargeError, FlagMissingError
+from conespec.graphs import HypergraphProbe
 from conespec.existence import Route, Uniqueness, Convergence, VerdictKind
-from conespec.maps import (Coord, Linear, Max, Min, PowerMean, Scale, Sum,
-                           from_exprs)
+from conespec.maps import (Coord, Linear, Max, Min, Pole, PowerMean, Scale,
+                           Sum, from_exprs)
 from conespec.spectral import NonconvergedError, ratios_at
 
 from conftest import (block_radius_oracle, game_conjugate_text, make_game,
@@ -204,6 +205,31 @@ class TestClassifyConvex:
         v = cs.classify_convex(f, solve=False)
         assert calls == [f]
         assert v.convex_report.classes[0].bracket == cs.cw_upper(f)
+
+    def test_classify_probes_no_sparsity(self, monkeypatch):
+        # the derivative pattern of an analytic AST map is its growth
+        # digraph: one digraph_of call serves the route and the flags
+        probes = []
+        monkeypatch.setattr(existence, "sparsity_probe",
+                            lambda *args: probes.append(args))
+        digraphs, _ = _count_graph_work(monkeypatch)
+        f = cs.matrix_map([[0.0, 2.0, 1.0], [1.0, 0.0, 0.0],
+                           [0.5, 3.0, 0.0]])
+        v = cs.classify(f)
+        assert probes == [] and digraphs == [f]
+        assert v.uniqueness is Uniqueness.UNIQUE
+
+    def test_hyperarc_probes_evaluate_nothing(self, monkeypatch):
+        calls = []
+        for cls in (Coord, Linear, Max, Min, Pole, PowerMean, Scale, Sum):
+            monkeypatch.setattr(cls, "evaluate",
+                                lambda self, x: calls.append(self))
+        f = make_schoen()
+        for side in (Side.LOWER, Side.UPPER):
+            probe = HypergraphProbe(f, side)
+            for bits in range(1, 15):
+                probe.hyperarc_targets(SubsetMask(bits, 4))
+        assert calls == []
 
     def test_classify_decomposes_once(self, monkeypatch):
         # the derivative pattern of a matrix map is its growth digraph, so
@@ -566,12 +592,23 @@ class TestConvexSharedTrajectory:
         assert verdict.kind is VerdictKind.NO_INTERIOR_EIGENVECTOR
 
     def test_collapsed_support_is_not_shared(self, monkeypatch):
-        # f(1, 1) underflows to 0 in the first coordinate, so cw_upper
-        # brackets a face of f, not f itself
+        # the first coordinate of the restriction is the pole 0, so
+        # cw_upper brackets a face of f, not f itself
+        f = cs.restrict_lower(cs.matrix_map([[1, 1], [0, 1]]),
+                              SubsetMask.of([1], 2))
+        assert f.exprs[0] == Pole(0.0)
+        assert spectral._bracket_and_solution(f, 100, 1e-10) is None
+
+    def test_underflow_is_not_a_collapsed_support(self):
+        # f(1, 1) underflows to 0 in the first coordinate, but no pin forces
+        # it to 0: the class bracket must hold the radius 1e-150
         f = from_exprs([PowerMean(2.0, (1.0,), (Scale(1e-300, Coord(1)),)),
                         Coord(0)], 2)
         assert f.eval_interior((1.0, 1.0))[0] == 0.0
-        assert spectral._bracket_and_solution(f, 100, 1e-10) is None
+        v = cs.classify(f)
+        (cls,) = v.convex_report.classes
+        assert cls.bracket.collapsed_support is None
+        assert cls.bracket.lower <= 1e-150 <= cls.bracket.upper
 
 
 class TestUniqueFinalClassShortcut:

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,11 +11,14 @@ from conespec.core import INF, ConeMap, ExtVec, Side, SubsetMask
 from conespec.existence import Uniqueness, VerdictKind
 from conespec.graphs import Digraph, HypergraphProbe, digraph_to_dot, \
     hypergraph_to_dot
+from conespec import maps
 from conespec.maps import (Coord, Linear, Max, Min, Pole, PowerMean, Scale,
-                           Sum, from_exprs)
+                           Sum, from_exprs, pin)
 
 from conftest import (make_game, make_schoen, make_tensor_example,
-                      random_mplus_map, random_tree)
+                      random_mplus_map, random_tree, reference_is_analytic,
+                      reference_is_mult_convex, reference_pole_masks,
+                      reference_probe, reference_symbolic_deps)
 
 
 def mask(ix, n):
@@ -294,6 +298,22 @@ class TestBlackBoxProbes:
                 assert pe.hyperarc_targets(J) == pb.hyperarc_targets(J)
         assert set(cs.digraph_of(black).arcs) == set(cs.digraph_of(exact).arcs)
 
+    def test_output_at_zero_on_the_first_pin_is_forced(self):
+        # 1e-315 * 1e-12 underflows to 0: forced, not a division by zero
+        f = ConeMap(dimension=2, evaluator=lambda x: (1e-315 * x[1], x[0]))
+        probe = HypergraphProbe(f, Side.LOWER)
+        assert probe.hyperarc_targets(SubsetMask(2, 2)) == SubsetMask(1, 2)
+
+    def test_output_at_inf_on_the_first_pin_is_forced(self):
+        # 1e300 * 1e12 overflows to inf, and inf / inf would read as bounded
+        f = ConeMap(dimension=3,
+                    evaluator=lambda x: (1e300 * x[1], x[0], x[2]))
+        twin = from_exprs([Scale(1e300, Coord(1)), Coord(0), Coord(2)], 3)
+        for g in (f, twin):
+            probe = HypergraphProbe(g, Side.UPPER)
+            assert probe.hyperarc_targets(mask([2], 3)) == mask([1], 3)
+            assert cs.digraph_of(g).rows == (2, 1, 4)
+
 
 class TestDot:
     def test_digraph_dot_deterministic(self):
@@ -349,6 +369,87 @@ def random_rows(rng, n, density=0.4):
         if not any(row):
             row[int(rng.integers(0, n))] = 1.0
     return rows
+
+
+class TestOnePoleFold:
+    """Hyperarcs, growth rows, exact sparsity rows and the capability flags
+    come from single folds (`maps.pole_masks`, `maps._flags`); they agree
+    with the float probe, with pinning, and with the folds they replace
+    (`conftest.reference_probe` and the other references)."""
+
+    CASES = dict(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 6),
+                 depth=st.integers(0, 4))
+
+    @staticmethod
+    def _map(seed, n, depth):
+        rng = np.random.default_rng(seed)
+        return from_exprs([random_tree(rng, n, depth) for _ in range(n)], n)
+
+    @settings(derandomize=True, deadline=None, database=None,
+              max_examples=300)
+    @given(side=st.sampled_from([Side.LOWER, Side.UPPER]), **CASES)
+    def test_probe_equals_float_probe_and_pin(self, seed, n, depth, side):
+        f = self._map(seed, n, depth)
+        pole = 0.0 if side is Side.LOWER else INF
+        probe = HypergraphProbe(f, side)
+        for tail in range(1 << n):
+            forced = probe._probe(tail)
+            assert probe.hyperarc_targets(SubsetMask(tail, n)).bits == \
+                reference_probe(f, side, tail) == forced & ~tail
+            assignment = {j: pole for j in range(n) if tail >> j & 1}
+            assert forced == sum(1 << i for i, e in enumerate(f.exprs)
+                                 if pin(e, assignment) == Pole(pole))
+
+    @settings(derandomize=True, deadline=None, database=None,
+              max_examples=300)
+    @given(**CASES)
+    def test_rows_equal_the_replaced_folds(self, seed, n, depth):
+        f = self._map(seed, n, depth)
+        full = (1 << n) - 1
+        rows = cs.digraph_of(f).rows
+        assert rows == tuple(reference_pole_masks(e, full)[0]
+                             for e in f.exprs)
+        if not f.analytic:
+            return
+        pattern = cs.sparsity_probe(f, ExtVec.interior([1.0] * n))
+        assert pattern.exact and pattern.rows == rows
+        for e, row in zip(f.exprs, rows):
+            # the fold drops subtrees a pole kills; pinning nothing drops
+            # them too, and what is left reads exactly the row's coordinates
+            live = pin(e, {})
+            if type(live) is Pole:
+                assert row == (full if live.value == INF else 0)
+            else:
+                assert row == reference_symbolic_deps(live)
+            if not any(type(d) is Pole for d in _nodes(e)):
+                assert row == reference_symbolic_deps(e)
+
+    @settings(derandomize=True, deadline=None, database=None,
+              max_examples=300)
+    @given(**CASES)
+    def test_flags_equal_the_replaced_folds(self, seed, n, depth):
+        for e in self._map(seed, n, depth).exprs:
+            for d in _nodes(e):
+                assert maps._flags(d) == (reference_is_analytic(d),
+                                          reference_is_mult_convex(d))
+
+    def test_a_killed_subtree_has_no_sparsity(self):
+        # x1 + geo(0, x2) is x1: the derivative in x2 is 0, as the finite
+        # differences of its black-box twin find; the old rows read x2
+        e = Sum((Coord(0), PowerMean(0.0, (0.5, 0.5), (Pole(0.0), Coord(1)))))
+        f = from_exprs([e, Coord(0)], 2)
+        twin = ConeMap(dimension=2, evaluator=f.eval_interior)
+        u = ExtVec.interior([1.0, 2.0])
+        assert cs.sparsity_probe(f, u).rows == \
+            cs.sparsity_probe(twin, u).rows == (1, 1)
+        assert reference_symbolic_deps(e) == 3
+
+
+def _nodes(e):
+    """e and all its descendants."""
+    yield e
+    for c in e.children():
+        yield from _nodes(c)
 
 
 class TestSymbolicDigraph:

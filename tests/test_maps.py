@@ -253,6 +253,14 @@ class TestPinning:
             eval_mean(2.0, (0.25, 0.75), (3.0, 0.0)))
 
 
+    def test_zero_factor_absorbs_first(self):
+        # a geometric mean with factors inf and 0 is 0, whichever comes first
+        for terms in ((Pole(INF), Coord(0)), (Coord(0), Pole(INF))):
+            e = PowerMean(0.0, (0.5, 0.5), terms)
+            assert e.evaluate((0.0,)) == 0.0
+            assert pin(e, {0: 0.0}) == Pole(0.0)
+
+
 class TestFaceFold:
     """`face_map` pins and renumbers in one fold, exactly as pinning and
     then renumbering in a second pass (`conftest.reference_face`)."""
