@@ -18,10 +18,11 @@ from enum import Enum
 from typing import Dict, List, Optional, Tuple
 
 from .core import INF, ConeMap, Side, SubsetMask
-from .errors import DimensionTooLargeError, FlagMissingError
+from .errors import (DimensionTooLargeError, FlagMissingError,
+                     NumericRangeError, ZeroRowError)
 from .graphs import (Digraph, HypergraphProbe, SCCDecomposition, digraph_of,
                      scc_decompose)
-from .maps import face_map, sparsity_probe
+from .maps import Coord, Linear, face_map, pole_masks, sparsity_probe
 from .spectral import (CWBracket, CWHandle, DisplacementInterval,
                        EigenResult, NonconvergedError, cw_upper, face_handle,
                        min_displacement, solve_eigenvector,
@@ -342,10 +343,13 @@ def classify(f: ConeMap, budget: int = DEFAULT_BUDGET,
     With ``fast_path`` enabled, multiplicatively convex maps use the
     component route, and otherwise a unique-final-class shortcut is
     attempted before the exponential sweep.  Raises ValueError unless
-    `tol` is positive and finite.
+    `tol` is positive and finite, and ZeroRowError or NumericRangeError for
+    an AST map with an output that is identically 0 or inf.
     """
     if not 0.0 < tol < INF:
         raise ValueError(f"tolerance must be positive and finite, not {tol}")
+    if f.is_ast:
+        _reject_pole_outputs(f)
     if fast_path and f.multiplicatively_convex and f.is_ast:
         verdict = classify_convex(f, budget, tol, solve=solve)
         if verdict.kind is VerdictKind.INDETERMINATE and \
@@ -362,6 +366,28 @@ def classify(f: ConeMap, budget: int = DEFAULT_BUDGET,
         if quick is not None:
             return quick
     return analyzer.classify(solve=solve)
+
+
+def _reject_pole_outputs(f: ConeMap) -> None:
+    """Raise for an output that is identically a pole.
+
+    Such a map does not send the open cone into itself, so it has no
+    positive eigenvector.  One fold of `pole_masks` with a single pin that
+    pins nothing tells whether an output is 0 or inf at the all-ones
+    point.  Only the map given to `classify` is checked: restrictions keep
+    pole outputs on purpose.
+    """
+    nothing = (0,) * f.dimension
+    for i, e in enumerate(f.exprs):
+        if type(e) in (Coord, Linear):
+            continue  # never a pole: a matrix map folds nothing
+        inf, zero = pole_masks(e, nothing, 1, INF)
+        if zero:
+            raise ZeroRowError(f"coordinate {i + 1} of the map is "
+                               "identically 0")
+        if inf:
+            raise NumericRangeError(f"coordinate {i + 1} of the map is "
+                                    "identically inf")
 
 
 def _unique_final_class_shortcut(analyzer: Analyzer,

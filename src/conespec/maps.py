@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import types
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -273,11 +274,9 @@ def from_exprs(exprs: Sequence[Expr], dimension: int) -> ConeMap:
 # ---------------------------------------------------------------------------
 # Compiled interior evaluation and (f + id) loop
 
-def _literal(v) -> Optional[str]:
-    """Source text that reads back as exactly the float v, if there is one."""
-    if type(v) is not float or math.isnan(v) or v == -INF:
-        return None
-    return "INF" if v == INF else repr(v)
+def _inlinable(v) -> bool:
+    """Whether v is a float that a generated body can take as a constant."""
+    return type(v) is float and math.isfinite(v)
 
 
 def _point(n: int) -> str:
@@ -287,20 +286,37 @@ def _point(n: int) -> str:
 
 class _Emitter:
     """Writes expression trees as inline Python source over the locals
-    x0, ..., x{n-1}.
+    x0, ..., x{n-1} and the constants c0, c1, ....
 
     Every node is written with the operations its `evaluate` performs, in
-    the same order.  Only integers, float literals and names this class
-    chooses reach the source.  Nodes it does not inline (`Linear`, whose
-    loop costs more to compile than it saves, nodes with constants that
-    have no literal, and coordinates out of range) are called through their
-    own `evaluate` on the point as a tuple.
+    the same order.  Only integers and names this class chooses reach the
+    source: each float a node holds (a `Scale` factor, a zero `Pole`, and a
+    `PowerMean`'s weights, r and 1/r) is written as a parameter c{k}, one
+    per distinct value, whose value is `constants[k]`.  The source
+    therefore depends only on the tree's shape and on which of its
+    constants are equal, and maps of one shape share one compiled code
+    object (`shape_code`).  Each parameter costs the compiler more than a
+    literal, and each call copies its default, hence one per value.
+    Nodes it does not inline (`Linear`, whose loop costs more to compile
+    than it saves, nodes with constants that are not finite floats, and
+    coordinates out of range) are called through their own `evaluate` on
+    the point as a tuple, by a name bound in the map's own `namespace`.
     """
 
     def __init__(self, n: int):
         self.n = n
         self.namespace: Dict[str, object] = {
             "INF": INF, "_exp": math.exp, "_log": math.log}
+        self.constants: List[float] = []
+        self._names: Dict[object, str] = {}
+
+    def _constant(self, v: float) -> str:
+        key = v or repr(v)  # 0.0 == -0.0, but the sign can reach an output
+        name = self._names.get(key)
+        if name is None:
+            name = self._names[key] = f"c{len(self.constants)}"
+            self.constants.append(v)
+        return name
 
     def _out_of_line(self, e: Expr) -> str:
         name = f"_node{len(self.namespace)}"
@@ -310,10 +326,10 @@ class _Emitter:
     def emit(self, e: Expr) -> str:
         if type(e) is Coord and type(e.index) is int and 0 <= e.index < self.n:
             return f"x{e.index}"
-        if type(e) is Pole and _literal(e.value) is not None:
-            return _literal(e.value)
-        if type(e) is Scale and _literal(e.factor) is not None:
-            return f"({_literal(e.factor)} * {self.emit(e.child)})"
+        if type(e) is Pole and type(e.value) is float:
+            return "INF" if e.value == INF else self._constant(e.value)
+        if type(e) is Scale and _inlinable(e.factor):
+            return f"({self._constant(e.factor)} * {self.emit(e.child)})"
         if type(e) is Sum:
             return "(0.0 + " + " + ".join(map(self.emit, e.terms)) + ")"
         if type(e) in (Min, Max):
@@ -321,18 +337,20 @@ class _Emitter:
                 return self.emit(e.terms[0])
             name = "min" if type(e) is Min else "max"
             return f"{name}(" + ", ".join(map(self.emit, e.terms)) + ")"
-        if type(e) is PowerMean and type(e.r) is float and math.isfinite(e.r):
+        if type(e) is PowerMean and _inlinable(e.r) and \
+                all(map(_inlinable, e.weights)):
             inverse = 1.0 / e.r if e.r != 0.0 else 0.0
-            weights = [_literal(w) for w in e.weights]
-            if None not in weights and math.isfinite(inverse):
+            if math.isfinite(inverse):
+                weights = [self._constant(w) for w in e.weights]
                 if e.r == 0.0:
                     terms = (f"{w} * _log({self.emit(t)})"
                              for w, t in zip(weights, e.terms))
                     return "_exp(0.0 + " + " + ".join(terms) + ")"
-                terms = (f"{w} * {self.emit(t)} ** {_literal(e.r)}"
+                r = self._constant(e.r)
+                terms = (f"{w} * {self.emit(t)} ** {r}"
                          for w, t in zip(weights, e.terms))
                 return ("((0.0 + " + " + ".join(terms) + ") ** "
-                        f"{_literal(inverse)})")
+                        f"{self._constant(inverse)})")
         return self._out_of_line(e)
 
 
@@ -430,24 +448,44 @@ def _loop(n: int) -> Callable:
     return namespace["_trajectory"]
 
 
+@functools.lru_cache(maxsize=128)
+def shape_code(source: str, filename: str) -> types.CodeType:
+    """The code object of the one function that `source` defines.
+
+    Generated bodies (`compile_interior`) and Shapley operators
+    (`topical._shapley_steps`) take their constants as trailing parameters,
+    so their source depends only on the shape of the map or game, and each
+    shape is compiled once per process.  Every map of that shape builds its
+    own function from the code with `types.FunctionType`, giving its
+    constants as the parameters' defaults (read as fast locals) and its own
+    namespace.  The cache keeps the 128 shapes used last: code objects
+    only, never a map or its constants.
+    """
+    module = compile(source, filename, "exec")
+    return next(c for c in module.co_consts if isinstance(c, types.CodeType))
+
+
 def compile_interior(exprs: Sequence[Expr]
                      ) -> Tuple[Callable[[Tuple[float, ...]], Tuple[float, ...]],
                                 Optional[Callable]]:
     """The interior evaluator of a map and its compiled (f + id) loop.
 
-    The map is compiled once into a lambda of its n coordinates, its body;
-    the evaluator, x -> (e(x) for e in exprs), calls it, and the loop is
-    the dimension's `_loop` bound to it.  Outputs are bit-identical to
-    `Expr.evaluate`: both evaluate a point where the body raises (a zero
-    under a geometric mean's log, 0.0 to a negative power, a power that
-    overflows) again with the interpreter, which applies the exact pole
-    rules of `eval_mean` and `_pow_safe`; every other point takes the same
-    floating-point operations in the same order as the interpreter.  Maps
-    whose outputs are all `Coord`, `Pole` or `Linear` (every `matrix_map`)
-    have nothing worth inlining, a one-dimensional map x -> f(1) x closes
-    its bracket at the first iterate, and trees too deep for the Python
-    compiler cannot be compiled: these keep the interpreter and have no
-    loop, and `spectral` iterates them with its plain-Python loop.
+    The map is written as a lambda of its n coordinates followed by its
+    constants (`_Emitter`), whose code comes from the shape cache
+    (`shape_code`); its body is that code bound to the map's constants and
+    namespace.  The evaluator, x -> (e(x) for e in exprs), calls the body,
+    and the loop is the dimension's `_loop` bound to it.  Outputs are
+    bit-identical to `Expr.evaluate`: both evaluate a point where the body
+    raises (a zero under a geometric mean's log, 0.0 to a negative power, a
+    power that overflows) again with the interpreter, which applies the
+    exact pole rules of `eval_mean` and `_pow_safe`; every other point takes
+    the same floating-point operations in the same order as the
+    interpreter.  Maps whose outputs are all `Coord`, `Pole` or `Linear`
+    (every `matrix_map`) have nothing worth inlining, a one-dimensional map
+    x -> f(1) x closes its bracket at the first iterate, and trees too deep
+    for the Python compiler cannot be compiled: these keep the interpreter
+    and have no loop, and `spectral` iterates them with its plain-Python
+    loop.
     """
     exprs = tuple(exprs)
     n = len(exprs)
@@ -460,10 +498,12 @@ def compile_interior(exprs: Sequence[Expr]
     emitter = _Emitter(n)
     try:
         outputs = "".join(emitter.emit(e) + ", " for e in exprs)
-        source = (f"lambda {', '.join(f'x{j}' for j in range(n))}: "
-                  f"({outputs})")
-        body = eval(compile(source, "<interior evaluator>", "eval"),
-                    emitter.namespace)
+        params = [f"x{j}" for j in range(n)]
+        params += (f"c{k}" for k in range(len(emitter.constants)))
+        code = shape_code(f"lambda {', '.join(params)}: ({outputs})",
+                          "<interior evaluator>")
+        body = types.FunctionType(code, emitter.namespace, None,
+                                  tuple(emitter.constants))
         loop = _loop(n)
     except (RecursionError, SyntaxError):
         return interpret, None

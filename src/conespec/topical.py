@@ -14,6 +14,7 @@ floating point (|payoff| above about 709).
 from __future__ import annotations
 
 import math
+import types
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -161,27 +162,38 @@ def _shapley_steps(game: GameSpec) -> Callable[..., Tuple[float, ...]]:
     evaluation in the same order, so results are bit-identical to it, with
     +-inf and NaN coordinates too.  Only statements are emitted, never a
     nested expression, so a support of any size compiles.
+
+    Payoffs and probabilities are the trailing parameters c0, c1, ..., so
+    every game with the same controllers, action counts and transition
+    supports shares one code object (`maps.shape_code`); this game's
+    values are bound as their defaults.  The function's globals are an
+    empty dict of its own, so it forms no reference cycle and is freed by
+    reference counting with its `TopicalMap`.
     """
     n = game.n
     names = ", ".join(f"x{j}" for j in range(n))
-    lines = [f"def _steps(k, {names}):", "    for _ in range(k):"]
+    constants = []
+
+    def constant(v) -> str:
+        constants.append(float(v))
+        return f"c{len(constants) - 1}"
+
+    lines = ["    for _ in range(k):"]
     for i, (controller, acts) in enumerate(zip(game.controllers,
                                                game.actions)):
         better = "<" if controller == MIN_PLAYER else ">"
         for a, act in enumerate(acts):
-            lines.append(f"        s = {float(act.payoff)!r}")
-            lines.extend(f"        s += {float(p)!r} * x{j}"
+            lines.append(f"        s = {constant(act.payoff)}")
+            lines.extend(f"        s += {constant(p)} * x{j}"
                          for j, p in enumerate(act.transition) if p > 0.0)
             lines.append(f"        y{i} = s" if a == 0 else
                          f"        y{i} = s if s {better} y{i} else y{i}")
     lines.append(f"        {names}, = {', '.join(f'y{i}' for i in range(n))},")
     lines.append(f"    return {names},")
-    namespace: dict = {}
-    exec(compile("\n".join(lines) + "\n", "<shapley operator>", "exec"),
-         namespace)
-    # left in its own globals, the function would form a reference cycle
-    # that only the cyclic garbage collector frees
-    return namespace.pop("_steps")
+    params = ", ".join(f"c{k}" for k in range(len(constants)))
+    source = "\n".join([f"def _steps(k, {names}, {params}):", *lines])
+    code = _maps.shape_code(source + "\n", "<shapley operator>")
+    return types.FunctionType(code, {}, None, tuple(constants))
 
 
 def _conjugate_of_game(game: GameSpec) -> ConeMap:

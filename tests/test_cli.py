@@ -22,6 +22,22 @@ DIAG = "format: 1\ndim: 2\ncoord 1: x1\ncoord 2: 2*x2\n"
 PERMUTATION = "format: 1\ndim: 2\ncoord 1: x2\ncoord 2: x1\n"
 IDENTITY = "format: 1\ndim: 2\ncoord 1: x1\ncoord 2: x2\n"
 
+#: SWEEP_MAP with other digits in every coefficient a_i: the same shape
+OTHER_SWEEP_MAP = re.sub(r"(\d\.\d{3})\d+", r"\g<1>1", SWEEP_MAP)
+
+
+def _other_game_json():
+    """GAME_JSON with other nonzero payoffs on the same supports."""
+    doc = json.loads(GAME_JSON)
+    for acts, payoffs in zip(doc["actions"], ((0.0, 0.7), (1.5, 0.2),
+                                              (2.5, -0.5))):
+        for act, payoff in zip(acts, payoffs):
+            act["payoff"] = payoff
+    return json.dumps(doc)
+
+
+OTHER_GAME_JSON = _other_game_json()
+
 
 def write(tmp_path, name, text):
     path = tmp_path / name
@@ -253,20 +269,24 @@ class TestGame:
 
 
 class TestCompileCount:
-    """Only maps of two or more coordinates are compiled, each once."""
+    """Only maps of two or more coordinates are compiled, each shape once
+    per process."""
 
     @staticmethod
     def _watch(monkeypatch):
-        """The dimensions of the bodies compiled and of the loops asked
-        for from here on."""
-        bodies, loops = [], []
+        """The dimensions of the bodies and Shapley operators compiled and
+        of the loops asked for from here on, from a cold shape cache."""
+        maps.shape_code.cache_clear()
+        bodies, shapley, loops = [], [], []
         loop = maps._loop
 
         def counted(source, filename, mode):
+            # the parameters x0, ..., x{n-1} and c0, ... precede the colon
+            params = re.findall(r"\bx\d+\b", source.split(":")[0])
             if filename == "<interior evaluator>":
-                # the body's parameters x0, ..., x{n-1} precede its colon
-                params = source.split(":")[0]
-                bodies.append(len(re.findall(r"\bx\d+\b", params)))
+                bodies.append(len(params))
+            elif filename == "<shapley operator>":
+                shapley.append(len(params))
             return compile(source, filename, mode)
 
         def counted_loop(n):
@@ -275,20 +295,30 @@ class TestCompileCount:
 
         monkeypatch.setattr(maps, "compile", counted, raising=False)
         monkeypatch.setattr(maps, "_loop", counted_loop)
-        return bodies, loops
+        return bodies, shapley, loops
 
     def test_sweep_map(self, monkeypatch):
         f = cs.parse_map(SWEEP_MAP).cone_map
-        bodies, loops = self._watch(monkeypatch)
-        cs.classify(f)
-        assert len(bodies) == 17
+        bodies, _, loops = self._watch(monkeypatch)
+        first = cs.classify(f)
+        # two face shapes repeat within the classification
+        assert len(bodies) == 15
         assert min(bodies + loops) >= 2
+        assert repr(cs.classify(cs.parse_map(SWEEP_MAP).cone_map)) == \
+            repr(first)
+        assert OTHER_SWEEP_MAP != SWEEP_MAP
+        cs.classify(cs.parse_map(OTHER_SWEEP_MAP).cone_map)
+        assert len(bodies) == 15
 
     def test_game(self, tmp_path, capsys, monkeypatch):
         path = write(tmp_path, "g.game.json", GAME_JSON)
-        bodies, loops = self._watch(monkeypatch)
+        bodies, shapley, loops = self._watch(monkeypatch)
         assert cli.main(["game", path]) == 0
-        assert bodies == [3] and loops == [3]
+        assert bodies == [3] and shapley == [3] and loops == [3]
+        # other payoffs on the same supports: nothing to compile
+        path = write(tmp_path, "h.game.json", OTHER_GAME_JSON)
+        assert cli.main(["game", path]) == 0
+        assert bodies == [3] and shapley == [3] and loops == [3, 3]
 
 
 class TestOutputStability:
@@ -300,6 +330,38 @@ class TestOutputStability:
         second = capsys.readouterr().out
         assert first == second
         assert json.loads(first)["timing"] is None
+
+    @pytest.mark.parametrize("command, name, text, other", [
+        ("analyze", "m.conemap", SWEEP_MAP, OTHER_SWEEP_MAP),
+        ("game", "g.game.json", GAME_JSON, OTHER_GAME_JSON)])
+    def test_same_bytes_from_cold_and_warm_shape_cache(
+            self, tmp_path, capsys, command, name, text, other):
+        path = write(tmp_path, name, text)
+        other_path = write(tmp_path, "other-" + name, other)
+
+        def run(argv):
+            code = cli.main(argv)
+            return code, capsys.readouterr().out
+
+        maps.shape_code.cache_clear()
+        cold = run([command, path])
+        warm = run([command, path])
+        run([command, other_path])  # another map of the same shape
+        shared = run([command, path])
+        assert cold == warm == shared
+
+    def test_nothing_compiled_at_import(self):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        probe = ("import conespec, conespec.cli\n"
+                 "from conespec import maps\n"
+                 "print(maps.shape_code.cache_info().currsize,"
+                 " maps._loop.cache_info().currsize)\n")
+        proc = subprocess.run([sys.executable, "-c", probe],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert (proc.returncode, proc.stdout) == (0, "0 0\n")
 
     def test_timing_flag_populates_field(self, tmp_path, capsys):
         path = write(tmp_path, "jordan.conemap", JORDAN)

@@ -9,7 +9,8 @@ import pytest
 import conespec as cs
 from conespec import existence, spectral
 from conespec.core import INF, ConeMap, ExtVec, Side, SubsetMask
-from conespec.errors import DimensionTooLargeError, FlagMissingError
+from conespec.errors import (DimensionTooLargeError, FlagMissingError,
+                             NumericRangeError, ZeroRowError)
 from conespec.graphs import HypergraphProbe
 from conespec.existence import Route, Uniqueness, Convergence, VerdictKind
 from conespec.maps import (Coord, Linear, Max, Min, Pole, PowerMean, Scale,
@@ -82,6 +83,20 @@ class TestCheckSubset:
 
 
 class TestClassify:
+    @pytest.mark.parametrize("exprs, error", [
+        # f(x) = (0, x1) has no positive eigenvector
+        ([Pole(0.0), Coord(0)], ZeroRowError),
+        ([Min((Coord(1), Pole(0.0))), Coord(0)], ZeroRowError),
+        # used to raise a plain ValueError from face_map
+        ([Min((Coord(1), Pole(0.0), Pole(0.0))), Linear(((1, 0.23),))],
+         ZeroRowError),
+        # used to raise a misleading overflow error
+        ([Max((Coord(1), Pole(INF))), Coord(0)], NumericRangeError),
+    ])
+    def test_output_identically_a_pole_rejected(self, exprs, error):
+        with pytest.raises(error, match="coordinate 1 of the map"):
+            cs.classify(from_exprs(exprs, 2))
+
     def test_schoen_exists_unique(self):
         v = cs.classify(make_schoen())
         assert v.kind is VerdictKind.NONEMPTY_BOUNDED

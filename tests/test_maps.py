@@ -1,6 +1,8 @@
 """AST nodes: means, tensor maps, game conjugates, flags, sparsity."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -458,6 +460,7 @@ class TestCompiledInterior:
     def test_one_compile_per_map_and_one_loop_per_dimension(self,
                                                               monkeypatch):
         maps._loop(4)  # the dimension's loop, compiled at most once
+        maps.shape_code.cache_clear()
         sources = []
 
         def counted(source, filename, mode):
@@ -465,7 +468,11 @@ class TestCompiledInterior:
             return compile(source, filename, mode)
 
         monkeypatch.setattr(maps, "compile", counted, raising=False)
-        f, g = make_schoen(), make_schoen(a=(2, 1, 1, 1))
+        # b scales a harmonic coupling that already has a factor 0.5, so f
+        # and g differ in one constant only; a = 2 adds a factor to the
+        # first row of h
+        f, g = make_schoen(b=(3, 1, 1, 1)), make_schoen(b=(5, 1, 1, 1))
+        h = make_schoen(a=(2, 1, 1, 1), b=(3, 1, 1, 1))
         x = (1.0, 2.0, 3.0, 4.0)
         assert f.eval_interior(x) == self._interpreted(f.exprs)(x)
         loop = f.interior_loop()
@@ -473,6 +480,9 @@ class TestCompiledInterior:
         assert f.interior_loop() is loop
         assert sources == ["<interior evaluator>"]
         assert g.interior_loop().func is loop.func
+        assert g.eval_interior(x) == self._interpreted(g.exprs)(x)
+        assert sources == ["<interior evaluator>"]
+        assert h.eval_interior(x) == self._interpreted(h.exprs)(x)
         assert sources == ["<interior evaluator>"] * 2
 
     def test_large_map_has_a_loop(self):
@@ -513,6 +523,99 @@ class TestCompiledInterior:
         finally:
             if enabled:
                 gc.enable()
+
+
+def _recast(e, rng):
+    """A tree of e's shape with its factors and weights drawn again.
+
+    Exponents come from a few values, so they are kept: drawn again, they
+    could change which constants are equal, and so the shape.
+    """
+    kind = type(e)
+    if kind is Scale:
+        return Scale(float(rng.uniform(0.1, 3.0)), _recast(e.child, rng))
+    if kind is Linear:
+        return Linear(tuple((j, float(rng.uniform(0.1, 3.0)))
+                            for j, _ in e.nonzeros))
+    if kind in (Sum, Min, Max):
+        return kind(tuple(_recast(t, rng) for t in e.terms))
+    if kind is PowerMean:
+        weights = [float(w) for w in rng.uniform(0.2, 1.0, size=len(e.terms))]
+        return PowerMean(e.r, tuple(w / sum(weights) for w in weights),
+                         tuple(_recast(t, rng) for t in e.terms))
+    return e  # Coord and Pole hold no constant of their own
+
+
+def _emitted(exprs):
+    """The body source of `exprs` and the constants it takes."""
+    emitter = maps._Emitter(len(exprs))
+    return "".join(emitter.emit(e) + ", " for e in exprs), emitter.constants
+
+
+class TestSharedShapes:
+    """Maps of one shape share compiled code and keep their own constants."""
+
+    @settings(derandomize=True, deadline=None, database=None,
+              max_examples=60)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 5), st.booleans())
+    def test_same_shape_other_constants(self, seed, n, twin_first):
+        rng = np.random.default_rng(seed)
+        exprs = [random_tree(rng, n, int(rng.integers(0, 5)))
+                 for _ in range(n)]
+        twin = [_recast(e, rng) for e in exprs]
+        assert _emitted(twin)[0] == _emitted(exprs)[0]
+        f, g = from_exprs(exprs, n), from_exprs(twin, n)
+        for h in ((g, f) if twin_first else (f, g)):
+            h.eval_interior((1.0,) * n)
+        if f.interior_loop() is not None:
+            assert f.interior_loop().args[0].__code__ is \
+                g.interior_loop().args[0].__code__
+        for _ in range(6):
+            if rng.random() < 0.5:
+                x = tuple(float(v) for v in
+                          10.0 ** rng.uniform(-300.0, 300.0, size=n))
+            else:
+                x = tuple(float(v) for v in rng.uniform(0.1, 10.0, size=n))
+            for h in (f, g):
+                assert _outcome(h.eval_interior, x) == _outcome(
+                    lambda y: tuple(e.evaluate(y) for e in h.exprs), x)
+
+    def test_one_parameter_per_distinct_value(self):
+        exprs = (Min((Scale(2.0, Coord(0)), Pole(0.0))),
+                 Min((Scale(2.0, Coord(1)), Pole(-0.0))))
+        assert repr(_emitted(exprs)[1]) == "[2.0, 0.0, -0.0]"
+        x = (1.0, 3.0)
+        assert repr(interior_evaluator(exprs)(x)) == "(0.0, -0.0)"
+
+    def test_each_map_keeps_its_out_of_line_nodes(self):
+        rows = (Min((Coord(0), Coord(1))),)
+        f = from_exprs((Max((Linear(((0, 1.0), (1, 2.0))), Coord(1))),)
+                       + rows, 2)
+        g = from_exprs((Max((Linear(((1, 5.0),)), Coord(1))),) + rows, 2)
+        assert _emitted(f.exprs)[0] == _emitted(g.exprs)[0]
+        x = (3.0, 0.5)
+        assert f.eval_interior(x) == (4.0, 0.5)
+        assert g.eval_interior(x) == (2.5, 0.5)
+        assert f.interior_loop().args[0].__code__ is \
+            g.interior_loop().args[0].__code__
+
+    def test_maps_and_games_freed_after_use(self):
+        f = make_schoen(b=(3, 1, 1, 1))
+        T = cs.build_shapley(make_game(3.0, 0.5, 1.0, 0.3, 2.0, -1.0,
+                                       0.4, 0.6))
+        cs.classify(f)
+        cs.mean_payoff(T, 0, 16)
+        refs = weakref.ref(f), weakref.ref(T)
+        del f, T
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
+
+    def test_at_most_128_shapes_kept(self):
+        for k in range(1, 140):
+            body = from_exprs([Sum((Coord(0),) * k), Coord(1)], 2)
+            assert body.eval_interior((1.0, 2.0)) == (float(k), 2.0)
+        info = maps.shape_code.cache_info()
+        assert info.maxsize == 128 and info.currsize <= 128
 
 
 class TestCoefficientRange:

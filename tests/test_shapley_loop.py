@@ -122,3 +122,18 @@ def test_large_support_compiles_and_matches():
     x = tuple(math.sin(j) * 10.0 ** (j % 9) for j in range(n))
     for k in (1, 3):
         assert repr(steps(k, *x)) == repr(reference_iterate(game, x, k))
+
+
+@PROPERTY
+@given(game_and_start(), HORIZONS)
+def test_games_of_one_shape_share_code(case, k):
+    # other payoffs on the same controllers and supports
+    game, x = case
+    twin = cs.GameSpec(game.controllers, tuple(
+        tuple(cs.GameAction(0.5 * act.payoff + 1.0, act.transition)
+              for act in acts) for acts in game.actions))
+    T, U = cs.build_shapley(game), cs.build_shapley(twin)
+    for V in (T, U):
+        assert repr(V.iterate_additive(x, k)) == \
+            repr(reference_iterate(V.game, x, k))
+    assert T._steps.__code__ is U._steps.__code__
