@@ -8,8 +8,7 @@ eigenvector by the normalized (f + id) iteration.
 """
 
 from .core import (ConeMap, ExtVec, Side, SubsetMask, hilbert_distance,
-                   project, reciprocal_conjugate, restrict_lower,
-                   restrict_upper)
+                   project)
 from .errors import (ConespecError, DimensionTooLargeError, EmptySupportError,
                      FlagMissingError, MixedPolesError, NumericRangeError,
                      ParseError, SemanticError, ValidationError, ZeroRowError)
@@ -18,11 +17,11 @@ from .existence import (Analyzer, ClassRadius, Convergence, ConvexReport,
                         VerdictKind, check_subset, classify, classify_convex,
                         infer_uniqueness_and_convergence)
 from .graphs import (Digraph, HypergraphProbe, SCCDecomposition, digraph_of,
-                     digraph_to_dot, hyperarc_targets, hypergraph_to_dot,
-                     is_invariant, reach, scc_decompose)
-from .maps import (SparsityPattern, build_shapley_conjugate, build_tensor_map,
-                   eval_mean, from_exprs, matrix_map, max_times_map, monomial,
-                   schoen_map, sparsity_probe, theta)
+                     digraph_to_dot, hypergraph_to_dot, scc_decompose)
+from .maps import (SparsityPattern, build_tensor_map, eval_mean, from_exprs,
+                   matrix_map, max_times_map, monomial, restrict_lower,
+                   restrict_upper, schoen_map, sparsity_probe, theta)
+from .maps import conjugate_map as reciprocal_conjugate
 from .spectral import (CWBracket, DisplacementInterval, EigenResult,
                        NonconvergedError, cw_lower, cw_upper,
                        iterate_normalized, min_displacement, plus_identity,

@@ -1,5 +1,5 @@
 """Extended-value vectors, subset masks, the evaluable-map abstraction,
-coordinate projections and restrictions, and the Hilbert projective metric.
+coordinate projections, and the Hilbert projective metric.
 
 Scalars live in [0, inf] and are represented as plain floats, with 0.0 and
 math.inf as the two poles.  A single evaluation context is one-sided: a
@@ -173,31 +173,50 @@ class ConeMap:
     AST-backed maps (``exprs`` set) evaluate one-sided extended vectors
     exactly; black-box maps (``evaluator`` set) evaluate interior points
     only, and boundary probes fall back to large-argument heuristics.
+
+    The capability flags of an AST map are derived from its expressions
+    (`maps.map_flags`); a flag passed for one must agree with them.  A
+    black-box map has the flags it is given, False by default.
     """
 
     dimension: int
     exprs: Optional[tuple] = None
     evaluator: Optional[Callable[[Tuple[float, ...]], Sequence[float]]] = None
-    multiplicatively_convex: bool = False
-    analytic: bool = False
+    multiplicatively_convex: Optional[bool] = None
+    analytic: Optional[bool] = None
     # the compiled interior evaluator and (f + id) loop of an AST map,
     # built on first use by `maps.compile_interior`
     _interior: Optional[Tuple[Callable, Optional[Callable]]] = \
         field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.dimension < 1:
+            raise ValueError(f"map dimension must be at least 1, not "
+                             f"{self.dimension}")
         if (self.exprs is None) == (self.evaluator is None):
             raise ValueError("exactly one of exprs/evaluator must be given")
         if self.exprs is not None and len(self.exprs) != self.dimension:
             raise ValueError("one expression per output coordinate required")
+        derived = map_flags(self.exprs) if self.exprs else (False, False)
+        for name, value in zip(("analytic", "multiplicatively_convex"),
+                               derived):
+            given = getattr(self, name)
+            if self.exprs is not None and given not in (None, value):
+                raise ValueError(f"{name}={given} contradicts the expressions")
+            object.__setattr__(self, name, value if given is None else given)
 
     @property
     def is_ast(self) -> bool:
         return self.exprs is not None
 
+    def expect_dimension(self, n: int, what: str) -> None:
+        """Raise ValueError unless `what`, of dimension n, fits the map."""
+        if n != self.dimension:
+            raise ValueError(f"dimension mismatch: map is {self.dimension}, "
+                             f"{what} is {n}")
+
     def __call__(self, x: ExtVec) -> ExtVec:
-        if x.n != self.dimension:
-            raise ValueError(f"dimension mismatch: map is {self.dimension}, input is {x.n}")
+        self.expect_dimension(x.n, "input")
         if self.exprs is not None:
             out = tuple(e.evaluate(x.entries) for e in self.exprs)
         else:
@@ -214,8 +233,6 @@ class ConeMap:
     def _compiled(self) -> Tuple[Callable, Optional[Callable]]:
         compiled = self._interior
         if compiled is None:
-            from .maps import compile_interior
-
             compiled = compile_interior(self.exprs)
             object.__setattr__(self, "_interior", compiled)
         return compiled
@@ -258,31 +275,6 @@ def project(x: ExtVec, J: SubsetMask, fill: float) -> ExtVec:
     return ExtVec.of(out)
 
 
-def restrict_lower(f: ConeMap, J: SubsetMask) -> ConeMap:
-    """The lower restriction: conjugate f by the projection pinning [n]\\J to 0."""
-    if J.is_empty():
-        raise ValueError("restriction needs a nonempty index set")
-    from . import maps
-
-    return maps.restrict_map(f, J, 0.0)
-
-
-def restrict_upper(f: ConeMap, J: SubsetMask) -> ConeMap:
-    """The upper restriction: conjugate f by the projection pinning [n]\\J to inf."""
-    if J.is_empty():
-        raise ValueError("restriction needs a nonempty index set")
-    from . import maps
-
-    return maps.restrict_map(f, J, INF)
-
-
-def reciprocal_conjugate(f: ConeMap) -> ConeMap:
-    """Conjugate f by the entrywise reciprocal, swapping the two poles."""
-    from . import maps
-
-    return maps.conjugate_map(f)
-
-
 def reciprocal(x: ExtVec) -> ExtVec:
     """Entrywise reciprocal with 1/0 = inf and 1/inf = 0; swaps sides."""
     return ExtVec.of(tuple(INF if v == 0.0 else (0.0 if v == INF else 1.0 / v)
@@ -303,3 +295,7 @@ def sup_normalized(values: Sequence[float]) -> Tuple[float, ...]:
     """Scale a positive vector to unit sup-norm."""
     m = max(values)
     return tuple(v / m for v in values)
+
+
+# maps builds on the classes above, so it is imported once they exist
+from .maps import compile_interior, map_flags  # noqa: E402

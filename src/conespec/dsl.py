@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -33,6 +34,10 @@ from .topical import GameAction, GameSpec
 FORMAT_VERSION = 1
 
 _CALLS = ("mean", "geo", "sum", "min", "max", "theta")
+
+#: the binary operations of constant expressions, by their token
+_CONST_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+              "/": operator.truediv, "^": operator.pow}
 
 
 @dataclass(frozen=True)
@@ -114,20 +119,32 @@ class _Parser:
 
     # -- constant expressions ---------------------------------------------
 
+    @staticmethod
+    def const_op(op: Token, a: float, b: float) -> float:
+        """`a op b`, for all constant arithmetic: SemanticError unless it
+        is a finite real float (overflow may raise or give inf, and a
+        negative base to a fractional power gives a complex number)."""
+        try:
+            value = _CONST_OPS[op.text](a, b)
+        except (OverflowError, ZeroDivisionError):
+            value = None
+        if type(value) is not float or not math.isfinite(value):
+            raise SemanticError(f"line {op.line}: {a!r} {op.text} {b!r} is "
+                                "not a finite real number")
+        return value
+
     def const_expr(self) -> float:
         value = self.const_term()
         while self.peek().kind == "punct" and self.peek().text in "+-":
-            op = self.advance().text
-            rhs = self.const_term()
-            value = value + rhs if op == "+" else value - rhs
+            op = self.advance()
+            value = self.const_op(op, value, self.const_term())
         return value
 
     def const_term(self) -> float:
         value = self.const_factor()
         while self.peek().kind == "punct" and self.peek().text in "*/":
-            op = self.advance().text
-            rhs = self.const_factor()
-            value = value * rhs if op == "*" else value / rhs
+            op = self.advance()
+            value = self.const_op(op, value, self.const_factor())
         return value
 
     def const_factor(self) -> float:
@@ -140,15 +157,19 @@ class _Parser:
     def const_power(self) -> float:
         base = self.const_atom()
         if self.peek().kind == "punct" and self.peek().text == "^":
-            self.advance()
-            return base ** self.const_factor()
+            op = self.advance()
+            return self.const_op(op, base, self.const_factor())
         return base
 
     def const_atom(self) -> float:
         tok = self.peek()
         if tok.kind == "number":
             self.advance()
-            return float(tok.text)
+            value = float(tok.text)
+            if value == math.inf:
+                raise SemanticError(f"line {tok.line}: {tok.text} is outside "
+                                    "the float range")
+            return value
         if tok.kind == "ident":
             if _VAR_RE.match(tok.text):
                 raise self.fail(f"coordinate {tok.text} used where a constant "
@@ -191,7 +212,7 @@ class _Parser:
                 break
             first = False
             if kind == "const":
-                scale *= self._const_in_product()
+                scale *= self.const_power()
             elif kind == "var":
                 j, p = self._var_power()
                 exponents[j] = exponents.get(j, 0.0) + p
@@ -223,9 +244,6 @@ class _Parser:
             return "const"  # parameter
         return None
 
-    def _const_in_product(self) -> float:
-        return self.const_power()
-
     def _var_power(self) -> Tuple[int, float]:
         tok = self.advance()
         index = int(_VAR_RE.match(tok.text).group(1)) - 1
@@ -254,7 +272,7 @@ class _Parser:
                 "subexpression in one product is inhomogeneous")
         if composite is not None:
             return _maps._scale(scale, composite)
-        if abs(degree - 1.0) > 1e-12:
+        if abs(degree - 1.0) > _maps.WEIGHT_TOL:
             raise SemanticError(
                 f"line {line}: monomial exponents sum to {degree}, not 1")
         return _maps.monomial(scale, exponents)
@@ -276,7 +294,8 @@ class _Parser:
                     f"line {close.line}: mean has {len(weights)} weights but "
                     f"{len(children)} arguments")
             total = sum(weights)
-            if any(w < 0.0 for w in weights) or abs(total - 1.0) > 1e-12:
+            if any(w < 0.0 for w in weights) or \
+                    abs(total - 1.0) > _maps.WEIGHT_TOL:
                 raise SemanticError(
                     f"line {close.line}: mean weights must be a probability "
                     f"vector (they sum to {total})")
@@ -372,10 +391,6 @@ def parse_map(text: str) -> MapDocument:
             value = parser.const_expr()
             if parser.peek().kind != "end":
                 raise parser.fail("trailing input after parameter value")
-            if not math.isfinite(value):
-                raise SemanticError(
-                    f"line {line_no}: parameter {name} must be finite, "
-                    f"got {value}")
             params[name] = value
             continue
         m = _COORD_RE.match(line)

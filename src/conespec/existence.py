@@ -24,14 +24,14 @@ from .graphs import (Digraph, HypergraphProbe, SCCDecomposition, digraph_of,
                      scc_decompose)
 from .maps import Coord, Linear, face_map, pole_masks, sparsity_probe
 from .spectral import (CWBracket, CWHandle, DisplacementInterval,
-                       EigenResult, NonconvergedError, cw_upper, face_handle,
-                       min_displacement, solve_eigenvector,
+                       EigenResult, NonconvergedError, face_handle,
+                       min_displacement, solve_eigenvector, upper_handle,
                        _bracket_and_solution, DEFAULT_BUDGET, DEFAULT_TOL,
                        FIRST_CHUNK)
+from .spectral import cw_upper as cw_upper  # a binding bench/tracer.py wraps
 
 SUBSET_SWEEP_CAP = 24
 STRICTNESS_TOL = 1e-9
-BRACKET_TOL = DEFAULT_TOL
 
 
 class Route(Enum):
@@ -107,7 +107,7 @@ class Verdict:
     convex_report: Optional[ConvexReport] = None
     #: cw_upper's bracket of f where the verdict already has it: the
     #: displacement's, or the eigenvector trajectory's, which equals
-    #: cw_upper(f, budget, BRACKET_TOL) bit for bit; not part of the output
+    #: cw_upper(f, budget, DEFAULT_TOL) bit for bit; not part of the output
     r_bracket: Optional[CWBracket] = None
 
 
@@ -124,7 +124,7 @@ class Analyzer:
     """Caches for one classification run.
 
     `memo` holds the bracket states of reduced maps (see
-    `spectral.cw_upper`) and the verdict kinds of faces, keyed by their
+    `spectral.upper_handle`) and the verdict kinds of faces, keyed by their
     expressions; black-box maps have none and are not memoized.  The
     top-level analyzer creates it and its face sub-analyses share it,
     because a restriction of a face is a restriction of f: each distinct
@@ -152,7 +152,7 @@ class Analyzer:
         hit = self._handles.get((fill, stable.bits))
         if hit is None:
             hit = self._handles[fill, stable.bits] = face_handle(
-                self.f, stable, fill, self.budget, BRACKET_TOL, self.memo)
+                self.f, stable, fill, self.budget, DEFAULT_TOL, self.memo)
         return hit
 
     def r0_handle(self, J: SubsetMask) -> CWHandle:
@@ -292,7 +292,7 @@ class Analyzer:
             # and carries its brackets as the displacement left them
             rev = next(c for c in certs if c.route is Route.NUMERIC_REVERSE)
             rh, lh = self.r0_handle(rev.subset), self.linf_handle(rev.subset)
-            disp = min_displacement(self.f, self.budget, BRACKET_TOL,
+            disp = min_displacement(self.f, self.budget, DEFAULT_TOL,
                                     certificate=(rh, lh), memo=self.memo)
             certs = tuple(replace(c, r_bracket=rh.bracket(),
                                   lambda_bracket=lh.bracket())
@@ -300,12 +300,11 @@ class Analyzer:
             verdict = replace(verdict, certificates=certs, displacement=disp,
                               r_bracket=disp.r_bracket)
         if kind is VerdictKind.NONEMPTY_BOUNDED and solve:
-            verdict = _with_eigenvector(self.f, verdict, self.budget,
-                                        BRACKET_TOL)
+            verdict = _with_eigenvector(self.f, verdict, self.budget)
         return verdict
 
 
-def _with_eigenvector(f: ConeMap, verdict: Verdict, budget: int, tol: float,
+def _with_eigenvector(f: ConeMap, verdict: Verdict, budget: int,
                       shared=None, growth=None) -> Verdict:
     """A nonempty-bounded verdict with its eigenvector and flags filled in.
 
@@ -316,10 +315,10 @@ def _with_eigenvector(f: ConeMap, verdict: Verdict, budget: int, tol: float,
     has them, is handed on to the flag inference.
     """
     if shared is None and not f.multiplicatively_convex:
-        shared = _bracket_and_solution(f, budget, tol)
+        shared = _bracket_and_solution(f, budget, DEFAULT_TOL)
     if shared is None:
         try:
-            outcome = solve_eigenvector(f, budget=budget, tol=tol)
+            outcome = solve_eigenvector(f, budget=budget)
         except NonconvergedError as exc:
             outcome = exc
     else:
@@ -327,7 +326,7 @@ def _with_eigenvector(f: ConeMap, verdict: Verdict, budget: int, tol: float,
         verdict = replace(verdict, r_bracket=bracket)
     if isinstance(outcome, EigenResult):
         verdict = replace(verdict, eigen=outcome)
-    return _infer_flags(f, verdict, growth)
+    return infer_uniqueness_and_convergence(f, verdict, growth)
 
 
 def check_subset(f: ConeMap, J: SubsetMask, budget: int = DEFAULT_BUDGET,
@@ -337,20 +336,20 @@ def check_subset(f: ConeMap, J: SubsetMask, budget: int = DEFAULT_BUDGET,
 
 def classify(f: ConeMap, budget: int = DEFAULT_BUDGET,
              tol: float = STRICTNESS_TOL, prune: bool = True,
-             fast_path: bool = True, solve: bool = True) -> Verdict:
+             solve: bool = True) -> Verdict:
     """Classify the eigenspace of f (see module docstring).
 
-    With ``fast_path`` enabled, multiplicatively convex maps use the
-    component route, and otherwise a unique-final-class shortcut is
-    attempted before the exponential sweep.  Raises ValueError unless
-    `tol` is positive and finite, and ZeroRowError or NumericRangeError for
-    an AST map with an output that is identically 0 or inf.
+    Multiplicatively convex AST maps use the component route; other AST
+    maps try a unique-final-class shortcut before the exponential sweep
+    (`Analyzer.classify`).  Raises ValueError unless `tol` is positive
+    and finite, and ZeroRowError or NumericRangeError for an AST map with
+    an output that is identically 0 or inf.
     """
     if not 0.0 < tol < INF:
         raise ValueError(f"tolerance must be positive and finite, not {tol}")
     if f.is_ast:
         _reject_pole_outputs(f)
-    if fast_path and f.multiplicatively_convex and f.is_ast:
+    if f.multiplicatively_convex and f.is_ast:
         verdict = classify_convex(f, budget, tol, solve=solve)
         if verdict.kind is VerdictKind.INDETERMINATE and \
                 f.dimension <= SUBSET_SWEEP_CAP:
@@ -361,7 +360,7 @@ def classify(f: ConeMap, budget: int = DEFAULT_BUDGET,
                               detail=sweep.detail or verdict.detail)
         return verdict
     analyzer = Analyzer(f, budget, tol, prune=prune)
-    if fast_path and f.is_ast:
+    if f.is_ast:
         quick = _unique_final_class_shortcut(analyzer, solve)
         if quick is not None:
             return quick
@@ -406,9 +405,10 @@ def _unique_final_class_shortcut(analyzer: Analyzer,
         rest = analyzer.r0_handle(C.complement()).finished()
     # with solve, f's one trajectory gives the bracket, the eigenvector and
     # the memo's state of f, which the sweep reads if the shortcut fails
-    shared = _bracket_and_solution(f, budget, BRACKET_TOL, analyzer.memo) \
+    shared = _bracket_and_solution(f, budget, DEFAULT_TOL, analyzer.memo) \
         if solve else None
-    full = cw_upper(f, budget, BRACKET_TOL, memo=analyzer.memo) \
+    full = upper_handle(f, budget, DEFAULT_TOL,
+                        memo=analyzer.memo).finished() \
         if shared is None else shared[0]
     if not _strictly_below(rest.upper, full.lower, analyzer.tol):
         return None
@@ -416,8 +416,7 @@ def _unique_final_class_shortcut(analyzer: Analyzer,
                       detail="unique final class with strictly smaller "
                              "complementary spectral radius")
     if solve:
-        verdict = _with_eigenvector(f, verdict, budget, BRACKET_TOL, shared,
-                                    (growth, scc))
+        verdict = _with_eigenvector(f, verdict, budget, shared, (growth, scc))
     return verdict
 
 
@@ -441,11 +440,11 @@ def classify_convex(f: ConeMap, budget: int = DEFAULT_BUDGET,
         if mask.is_full() and solve:
             # one component: the verdict is nonempty_bounded, and the
             # eigenvector comes from the whole-map bracket's trajectory
-            shared = _bracket_and_solution(f, budget, BRACKET_TOL)
+            shared = _bracket_and_solution(f, budget, DEFAULT_TOL)
         if shared is not None:
             b = shared[0]
         elif mask.is_full():
-            b = cw_upper(f, budget, BRACKET_TOL, components=scc)
+            b = upper_handle(f, budget, DEFAULT_TOL, scc).finished()
         else:
             b = faces.r0_handle(mask).finished()
         brackets.append(b)
@@ -518,35 +517,29 @@ def classify_convex(f: ConeMap, budget: int = DEFAULT_BUDGET,
     verdict = Verdict(kind=kind, detail=detail, convex_report=report)
     if kind is VerdictKind.NO_INTERIOR_EIGENVECTOR and solve:
         top = max(brackets, key=lambda b: b.lower)
-        disp = min_displacement(f, budget, BRACKET_TOL,
+        disp = min_displacement(f, budget, DEFAULT_TOL,
                                 certificate=(CWHandle(fixed=top),
                                              CWHandle(fixed=lam)))
         verdict = replace(verdict, displacement=disp,
                           r_bracket=disp.r_bracket)
     if kind is VerdictKind.NONEMPTY_BOUNDED and solve:
-        verdict = _with_eigenvector(f, verdict, budget, BRACKET_TOL, shared,
-                                    (growth, scc))
+        verdict = _with_eigenvector(f, verdict, budget, shared, (growth, scc))
     return verdict
 
 
-def infer_uniqueness_and_convergence(f: ConeMap, verdict: Verdict) -> Verdict:
+def infer_uniqueness_and_convergence(
+        f: ConeMap, verdict: Verdict,
+        growth: Optional[Tuple[Digraph, SCCDecomposition]] = None) -> Verdict:
     """Upgrade uniqueness/convergence flags; never downgrade.
 
     The derivative-pattern rules assume f is differentiable at the solved
     eigenvector; for non-analytic maps the numeric probe presumes this
-    (exact symbolic dependencies are used whenever the map is analytic).
+    (exact symbolic dependencies are used whenever the map is analytic:
+    the pattern of an analytic AST map is its growth digraph, so it is not
+    probed).  `growth`, f's growth digraph and its decomposition, is
+    reused when the derivative pattern has the same rows: the same digraph
+    decomposes the same.
     """
-    return _infer_flags(f, verdict)
-
-
-def _infer_flags(f: ConeMap, verdict: Verdict,
-                 growth: Optional[Tuple[Digraph, SCCDecomposition]] = None
-                 ) -> Verdict:
-    """`infer_uniqueness_and_convergence`, reusing `growth`, f's growth
-    digraph and its decomposition, when the derivative pattern at the
-    eigenvector has the same rows: the same digraph decomposes the same.
-    The pattern of an analytic AST map is its growth digraph, so it is
-    not probed."""
     if verdict.kind is not VerdictKind.NONEMPTY_BOUNDED:
         return verdict
     uniqueness = verdict.uniqueness

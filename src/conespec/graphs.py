@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
 from .core import INF, ConeMap, Side, SubsetMask, iter_bits
-from .maps import _growth_rows, pole_masks
+from .maps import INF_SURROGATE, _growth_rows, pole_masks
 
 
 class HypergraphProbe:
@@ -26,7 +26,6 @@ class HypergraphProbe:
             raise ValueError("side must be LOWER or UPPER")
         self.map = f
         self.side = side
-        self.heuristic = not f.is_ast
         self._cache: Dict[int, int] = {}
 
     def hyperarc_targets(self, tail: SubsetMask) -> SubsetMask:
@@ -53,7 +52,7 @@ class HypergraphProbe:
         # Black-box maps: compare growth between t and t^2 scaled pins; an
         # output already at the pole at the first pin is forced.
         n = self.map.dimension
-        t = 1e12
+        t = INF_SURROGATE
         big = t if pole == INF else 1.0 / t
         x1 = tuple(big if tail_bits >> j & 1 else 1.0 for j in range(n))
         x2 = tuple(big * big if tail_bits >> j & 1 else 1.0 for j in range(n))
@@ -86,15 +85,14 @@ class HypergraphProbe:
 
     EXHAUSTIVE_SCAN_CAP = 10
 
-    def minimal_tails(self, heads: Optional[Sequence[int]] = None,
-                      extra_tails: Sequence[SubsetMask] = ()) -> Set[Tuple[FrozenSet[int], int]]:
+    def minimal_tails(self) -> Set[Tuple[FrozenSet[int], int]]:
         """Hyperarcs whose tail is inclusion-minimal among scanned positives.
 
         Up to dimension EXHAUSTIVE_SCAN_CAP every proper tail is probed, so
         the result is the true set of minimal hyperarcs.  Beyond that the
-        scan covers singletons, complements of singletons, and any extra
-        masks (e.g. those cached by a prior analysis), so it is bounded and
-        may miss hyperarcs whose minimal tail was never queried.
+        scan covers singletons and complements of singletons only, so it is
+        bounded and may miss hyperarcs whose minimal tail is neither; the
+        result never depends on earlier queries of the probe.
         """
         n = self.map.dimension
         if n <= self.EXHAUSTIVE_SCAN_CAP:
@@ -103,31 +101,13 @@ class HypergraphProbe:
             candidates = {SubsetMask.of([j], n).bits for j in range(n)}
             candidates |= {SubsetMask.of([j], n).complement().bits
                            for j in range(n)}
-        candidates |= {m.bits for m in extra_tails}
-        candidates |= set(self._cache)
-        positive: List[Tuple[int, int]] = []
-        for bits in sorted(candidates):
-            mask = SubsetMask(bits, n)
-            for j in self.hyperarc_targets(mask):
-                if heads is None or j in heads:
-                    positive.append((bits, j))
+        positive = [(bits, j) for bits in sorted(candidates)
+                    for j in self.hyperarc_targets(SubsetMask(bits, n))]
         result = set()
         for bits, j in positive:
             if not any(o != bits and o & ~bits == 0 for o, h in positive if h == j):
                 result.add((frozenset(SubsetMask(bits, n).indices()), j))
         return result
-
-
-def hyperarc_targets(probe: HypergraphProbe, tail: SubsetMask) -> SubsetMask:
-    return probe.hyperarc_targets(tail)
-
-
-def reach(probe: HypergraphProbe, J: SubsetMask) -> SubsetMask:
-    return probe.reach(J)
-
-
-def is_invariant(probe: HypergraphProbe, I: SubsetMask) -> bool:
-    return probe.is_invariant(I)
 
 
 @dataclass(frozen=True)
@@ -306,12 +286,10 @@ def digraph_to_dot(g: Digraph, name: str = "G") -> str:
     return "\n".join(lines) + "\n"
 
 
-def hypergraph_to_dot(probe: HypergraphProbe, name: str = "H",
-                      extra_tails: Sequence[SubsetMask] = ()) -> str:
+def hypergraph_to_dot(probe: HypergraphProbe, name: str = "H") -> str:
     """Render minimal scanned hyperarcs; multi-node tails get a fan-in point."""
     n = probe.map.dimension
-    arcs = sorted(probe.minimal_tails(extra_tails=extra_tails),
-                  key=lambda a: (sorted(a[0]), a[1]))
+    arcs = sorted(probe.minimal_tails(), key=lambda a: (sorted(a[0]), a[1]))
     lines = [f"digraph {name} {{",
              "  // hyperarcs from a bounded minimal-tail scan; tails never",
              "  // queried by the scan or a prior analysis may be missing"]

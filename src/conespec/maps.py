@@ -20,6 +20,12 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 from .core import INF, ConeMap, ExtVec, Side, SubsetMask, iter_bits
 from .errors import EmptySupportError, NumericRangeError, ZeroRowError
 
+#: how far weights and exponents that sum to one may miss it in float
+WEIGHT_TOL = 1e-12
+
+#: the finite value black-box maps are evaluated at in place of inf
+INF_SURROGATE = 1e12
+
 # ---------------------------------------------------------------------------
 # Nodes
 
@@ -174,7 +180,7 @@ class PowerMean(Expr):
             raise ValueError("weights and terms must align and be nonempty")
         if any(w <= 0.0 for w in self.weights):
             raise ValueError("stored mean weights must be positive")
-        if abs(sum(self.weights) - 1.0) > 1e-12:
+        if abs(sum(self.weights) - 1.0) > WEIGHT_TOL:
             raise ValueError("mean weights must sum to one")
 
     def evaluate(self, x):
@@ -215,7 +221,7 @@ def eval_mean(r: float, sigma: Sequence[float], values: Sequence[float]) -> floa
 
     The weighted terms are added one at a time from 0.0 in order, so the
     result is the same on every Python version and bit-identical to the
-    compiled interior evaluator (`interior_evaluator`).
+    compiled interior evaluator (`compile_interior`).
     """
     pairs = [(w, v) for w, v in zip(sigma, values) if w > 0.0]
     if not pairs:
@@ -259,16 +265,16 @@ def _flags(e: Expr) -> Tuple[bool, bool]:
     return analytic, convex
 
 
-def from_exprs(exprs: Sequence[Expr], dimension: int) -> ConeMap:
-    """Package coordinate expressions into a ConeMap, deriving its flags."""
-    exprs = tuple(exprs)
+def map_flags(exprs: Sequence[Expr]) -> Tuple[bool, bool]:
+    """(analytic, multiplicatively convex) for the map with outputs exprs;
+    `ConeMap` derives an AST map's flags with it."""
     flags = [_flags(e) for e in exprs]
-    return ConeMap(
-        dimension=dimension,
-        exprs=exprs,
-        multiplicatively_convex=all(v for _, v in flags),
-        analytic=all(a for a, _ in flags),
-    )
+    return all(a for a, _ in flags), all(v for _, v in flags)
+
+
+def from_exprs(exprs: Sequence[Expr], dimension: int) -> ConeMap:
+    """Package coordinate expressions into a ConeMap."""
+    return ConeMap(dimension=dimension, exprs=tuple(exprs))
 
 
 # ---------------------------------------------------------------------------
@@ -520,12 +526,6 @@ def compile_interior(exprs: Sequence[Expr]
     return evaluate, functools.partial(loop, body, interpret)
 
 
-def interior_evaluator(exprs: Sequence[Expr]
-                       ) -> Callable[[Tuple[float, ...]], Tuple[float, ...]]:
-    """The interior evaluator of `compile_interior`."""
-    return compile_interior(exprs)[0]
-
-
 # ---------------------------------------------------------------------------
 # Pinning (partial evaluation) and restriction
 
@@ -609,9 +609,14 @@ def _substitute(e: Expr, table: Dict[int, Expr]) -> Expr:
             node = kept_t[0]
         else:
             node = PowerMean(e.r, tuple(w / mass for w in kept_w), tuple(kept_t))
-        if abs(mass - 1.0) > 1e-15:
+        if abs(mass - 1.0) > 1e-15 and e.r != 0.0:
             # (sum of kept sigma_i v_i^r)^(1/r) = mass^(1/r) * renormalized mean
-            node = _scale(mass ** (1.0 / e.r) if e.r != 0.0 else 1.0, node)
+            factor = _pow_safe(mass, 1.0 / e.r)
+            if not 0.0 < factor < INF:
+                raise NumericRangeError(
+                    f"the power mean's renormalization {mass!r} ** (1 / "
+                    f"{e.r!r}) leaves the float range; rescale the exponent")
+            node = _scale(factor, node)
         return node
     raise TypeError(f"unknown node {kind.__name__}")
 
@@ -640,6 +645,9 @@ def _inverse(c: float) -> float:
 def restrict_map(f: ConeMap, J: SubsetMask, fill: float) -> ConeMap:
     """Build P^J f P^J with the given pole as fill, keeping the dimension."""
     n = f.dimension
+    f.expect_dimension(J.n, "mask")
+    if J.is_empty():
+        raise ValueError("restriction needs a nonempty index set")
     outside = {j: fill for j in range(n) if not J.contains(j)}
     if f.is_ast:
         exprs = tuple(
@@ -648,7 +656,7 @@ def restrict_map(f: ConeMap, J: SubsetMask, fill: float) -> ConeMap:
         )
         return from_exprs(exprs, n)
 
-    surrogate = 1e12 if fill == INF else 0.0
+    surrogate = INF_SURROGATE if fill == INF else 0.0
 
     def evaluator(x):
         inner = tuple(x[j] if J.contains(j) else surrogate for j in range(n))
@@ -658,6 +666,16 @@ def restrict_map(f: ConeMap, J: SubsetMask, fill: float) -> ConeMap:
     return ConeMap(dimension=n, evaluator=evaluator,
                    multiplicatively_convex=f.multiplicatively_convex,
                    analytic=f.analytic)
+
+
+def restrict_lower(f: ConeMap, J: SubsetMask) -> ConeMap:
+    """The lower restriction: conjugate f by the projection pinning [n]\\J to 0."""
+    return restrict_map(f, J, 0.0)
+
+
+def restrict_upper(f: ConeMap, J: SubsetMask) -> ConeMap:
+    """The upper restriction: conjugate f by the projection pinning [n]\\J to inf."""
+    return restrict_map(f, J, INF)
 
 
 def face_map(f: ConeMap, keep: SubsetMask, fill: float) -> ConeMap:
@@ -684,7 +702,7 @@ def face_map(f: ConeMap, keep: SubsetMask, fill: float) -> ConeMap:
             exprs.append(p)
         return from_exprs(exprs, len(kept))
 
-    surrogate = 1e12 if fill == INF else 0.0
+    surrogate = INF_SURROGATE if fill == INF else 0.0
 
     def evaluator(y):
         inner = [surrogate] * n
@@ -781,7 +799,7 @@ def monomial(coefficient: float, exponents: Dict[int, float]) -> Expr:
     if not items:
         raise ValueError("monomial needs at least one variable")
     total = sum(p for _, p in items)
-    if abs(total - 1.0) > 1e-12:
+    if abs(total - 1.0) > WEIGHT_TOL:
         raise ValueError("monomial exponents must sum to one")
     if any(p < 0.0 for _, p in items):
         raise ValueError("monomial exponents must be nonnegative")
@@ -840,11 +858,16 @@ def build_tensor_map(table) -> ConeMap:
         if not coeffs:
             raise ZeroRowError(f"tensor coordinate {i + 1} has all-zero coefficients")
         total = sum(coeffs)
+        weights = tuple(c / total for c in coeffs)
+        if not all(w > 0.0 for w in weights):  # an overflow or underflow
+            raise NumericRangeError(
+                f"the coefficients of tensor coordinate {i + 1}, from "
+                f"{min(coeffs)!r} to {max(coeffs)!r} with sum {total!r}, "
+                "do not fit the float range; rescale the table")
         if len(monos) == 1:
             node = _scale(total ** (1.0 / (d - 1)), monos[0])
         else:
-            mean = PowerMean(float(d - 1), tuple(c / total for c in coeffs),
-                             tuple(monos))
+            mean = PowerMean(float(d - 1), weights, tuple(monos))
             node = _scale(total ** (1.0 / (d - 1)), mean)
         exprs.append(node)
     return from_exprs(exprs, n)
@@ -869,13 +892,6 @@ def schoen_map(a, b, c, d) -> ConeMap:
         row(3, x4, theta(x3, x4), theta(x1, x4), theta(x2, x3)),
     )
     return from_exprs(exprs, 4)
-
-
-def build_shapley_conjugate(game) -> ConeMap:
-    """The multiplicative conjugate exp . T . log of a game's operator."""
-    from .topical import build_shapley
-
-    return build_shapley(game).conjugate
 
 
 # ---------------------------------------------------------------------------
@@ -969,6 +985,7 @@ def sparsity_probe(f: ConeMap, u: ExtVec, tol: float = 1e-7) -> SparsityPattern:
     """
     if u.side is not Side.INTERIOR:
         raise ValueError("sparsity probe needs an interior point")
+    f.expect_dimension(u.n, "point")
     n = f.dimension
     if f.is_ast and f.analytic:
         return SparsityPattern(_growth_rows(f.exprs, n), exact=True)

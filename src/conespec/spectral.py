@@ -64,9 +64,6 @@ class CWBracket:
         if self.lower > self.upper + 1e-12 * max(1.0, abs(self.upper)):
             raise ValueError(f"bracket out of order: {self.lower} > {self.upper}")
 
-    def width(self) -> float:
-        return self.upper - self.lower
-
 
 @dataclass(frozen=True)
 class EigenResult:
@@ -365,7 +362,11 @@ def upper_handle(f: ConeMap, budget: int = DEFAULT_BUDGET,
 
     Everything but the iteration is done here: the support stabilization
     and, on multiplicatively convex maps, the decomposition, which is
-    refined to the whole budget at once.
+    refined to the whole budget at once.  `components`, the decomposition
+    of f's growth digraph when the caller already has it, is reused only if
+    no part of the support collapses; a collapsed face has a digraph of its
+    own.  `memo`, a dict shared by the calls of one classification, keeps
+    the iteration's state per reduced map, so each one is iterated once.
     """
     support = _stable_lower_support(f)
     if support.is_full():
@@ -419,22 +420,16 @@ def lower_handle(f: ConeMap, budget: int = DEFAULT_BUDGET,
 
 
 def cw_upper(f: ConeMap, budget: int = DEFAULT_BUDGET,
-             tol: float = DEFAULT_TOL,
-             components: Optional[SCCDecomposition] = None,
-             memo: Optional[dict] = None) -> CWBracket:
+             tol: float = DEFAULT_TOL) -> CWBracket:
     """Bracket [lambda, r] of a map, or of a lower restriction on its face.
 
     The support of the face is stabilized first (a lower restriction may
     collapse part of its face to zero); if everything collapses the spectral
     radius is exactly zero.  On multiplicatively convex AST maps the radius
     is assembled from strongly connected faces, where the iteration is
-    guaranteed to converge.  `components`, the decomposition of f's growth
-    digraph when the caller already has it, is reused only if no part of
-    the support collapses; a collapsed face has a digraph of its own.
-    `memo`, a dict shared by the calls of one classification, keeps the
-    iteration's state per reduced map, so each one is iterated once.
+    guaranteed to converge.
     """
-    return upper_handle(f, budget, tol, components, memo).finished()
+    return upper_handle(f, budget, tol).finished()
 
 
 def _bracket_and_solution(f: ConeMap, budget: int, tol: float,
@@ -450,9 +445,9 @@ def _bracket_and_solution(f: ConeMap, budget: int, tol: float,
     bracket and the outcome (the EigenResult, or the NonconvergedError the
     solve would raise) are bit-identical to separate calls.  Returns None
     when the support collapses; the two then iterate different maps.
-    With `memo` (as in cw_upper), f's bracket state is stored there
-    refined to the whole budget, so a later cw_upper(f, memo=memo) reads
-    it without iterating again.
+    With `memo` (as in `upper_handle`), f's bracket state is stored there
+    refined to the whole budget, so a later upper_handle(f, memo=memo)
+    reads it without iterating again.
     """
     n = f.dimension
     if not _stable_lower_support(f).is_full():
@@ -512,16 +507,15 @@ def _convex_radius(g: ConeMap, budget: int, tol: float,
 
 
 def cw_lower(f: ConeMap, budget: int = DEFAULT_BUDGET,
-             tol: float = DEFAULT_TOL,
-             memo: Optional[dict] = None) -> CWBracket:
+             tol: float = DEFAULT_TOL) -> CWBracket:
     """Bracket [lambda, r] computed through the reciprocal conjugate.
 
     lambda(f) = 1 / r(L f L), so the conjugate's bracket inverts into a
     bracket for f whose lower end is tight for lambda.  Upper restrictions
     become lower restrictions of the conjugate, so face stabilization and
-    the convex decomposition apply transparently.  `memo` is as in cw_upper.
+    the convex decomposition apply transparently.
     """
-    return lower_handle(f, budget, tol, memo).finished()
+    return lower_handle(f, budget, tol).finished()
 
 
 @dataclass(frozen=True)
@@ -564,7 +558,7 @@ def min_displacement(f: ConeMap, budget: int = DEFAULT_BUDGET,
     only until the interval closes to `tol` or every bracket is done.  Each
     round's interval is a sound enclosure; one that never closes is the
     interval of fully refined brackets.  Where an end of f's brackets is 0
-    or inf, the upper end is inf.  `memo` is as in cw_upper.
+    or inf, the upper end is inf.  `memo` is as in `upper_handle`.
     """
     pairs = [(upper_handle(f, budget, tol, memo=memo),
               lower_handle(f, budget, tol, memo=memo))]
@@ -603,9 +597,7 @@ def solve_eigenvector(f: ConeMap, x0: Optional[ExtVec] = None,
     else:
         if x0.side is not Side.INTERIOR:
             raise ValueError("starting point must be interior")
-        if x0.n != f.dimension:
-            raise ValueError(f"dimension mismatch: map is {f.dimension}, "
-                             f"starting point is {x0.n}")
+        f.expect_dimension(x0.n, "starting point")
         x = x0.entries
     outcome = _solution(_trajectory(f, x, budget, tol, False, True))
     if isinstance(outcome, NonconvergedError):
@@ -617,6 +609,7 @@ def iterate_normalized(f: ConeMap, x0: ExtVec, k: int) -> List[ExtVec]:
     """The first k sup-normalized iterates of f from x0 (diagnostic)."""
     if x0.side is not Side.INTERIOR:
         raise ValueError("starting point must be interior")
+    f.expect_dimension(x0.n, "starting point")
     out = []
     x = sup_normalized(x0.entries)
     for _ in range(k):

@@ -27,8 +27,6 @@ from .spectral import DEFAULT_BUDGET
 MIN_PLAYER = "min"
 MAX_PLAYER = "max"
 
-PROB_TOL = 1e-12
-
 
 def _is_finite(v: float) -> bool:
     """Whether v is a finite float, or an int that converts to one."""
@@ -84,7 +82,7 @@ class GameSpec:
                         raise ValidationError(
                             "transition probability is not in [0, 1]",
                             f"/actions/{i}/{k}/transition/{j}")
-                if abs(sum(row) - 1.0) > PROB_TOL:
+                if abs(sum(row) - 1.0) > _maps.WEIGHT_TOL:
                     raise ValidationError(
                         f"transition probabilities sum to {sum(row)!r}, not 1",
                         f"/actions/{i}/{k}/transition")

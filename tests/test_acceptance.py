@@ -146,7 +146,7 @@ def test_criterion_4_degenerate_matrices(capsys):
     if v.kind is not VerdictKind.INDETERMINATE:
         ok, details = False, details + ["identity kind"]
 
-    v = cs.classify(cs.matrix_map([[1, 1], [0, 1]]), fast_path=False)
+    v = cs.Analyzer(cs.matrix_map([[1, 1], [0, 1]])).classify()
     cert = next((c for c in v.certificates
                  if c.subset.bits == mask([1], 2).bits), None)
     if v.kind is not VerdictKind.INDETERMINATE or cert is None or \
@@ -159,7 +159,7 @@ def test_criterion_4_degenerate_matrices(capsys):
                 <= cert.lambda_bracket.upper + tol):
             ok, details = False, details + ["jordan bracket"]
 
-    v = cs.classify(cs.matrix_map([[1, 0], [0, 2]]), fast_path=False)
+    v = cs.Analyzer(cs.matrix_map([[1, 0], [0, 2]])).classify()
     rev = next((c for c in v.certificates
                 if c.route is Route.NUMERIC_REVERSE), None)
     # under the keep-J projection convention the reverse order shows at {2}
@@ -327,7 +327,7 @@ def test_criterion_7_property_suites(capsys):
 
         # Lemma 3.4 monotonicity over a sweep's recorded uppers
         f = random_mplus_map(rng, 4)
-        v = cs.classify(f, fast_path=False, solve=False, prune=False)
+        v = cs.Analyzer(f, prune=False).classify(solve=False)
         uppers = {c.subset.bits: c.r_bracket.upper for c in v.certificates
                   if c.r_bracket is not None}
         for a, ua in uppers.items():
@@ -353,7 +353,7 @@ def test_criterion_8_sweep_vs_fast_path(capsys):
     disagreements = decisive = 0
     for _ in range(100):
         f = random_mplus_map(rng, int(rng.integers(2, 6)))
-        a = cs.classify(f, fast_path=False, solve=False)
+        a = cs.Analyzer(f).classify(solve=False)
         b = cs.classify_convex(f, solve=False)
         if VerdictKind.INDETERMINATE in (a.kind, b.kind):
             continue

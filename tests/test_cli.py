@@ -536,6 +536,42 @@ class TestNumericRange:
         assert "invalid JSON" in capsys.readouterr().err
 
 
+class TestConstantArithmetic:
+    """Constant arithmetic that leaves the finite reals is a SemanticError,
+    never a traceback."""
+
+    @pytest.mark.parametrize("body", [
+        "coord 1: 2^1025 * x1",
+        "coord 1: (10^400)*x1",
+        "param a = 2^1025\ncoord 1: a*x1",
+        "coord 1: (1/0)*x1",
+        "coord 1: (0^-1)*x1",
+        "coord 1: ((-8)^(1/3))*x1",
+    ], ids=["overflow", "overflow_paren", "overflow_param", "div_zero",
+            "zero_negative_power", "complex_power"])
+    @pytest.mark.parametrize("command", ["analyze", "solve", "graph"])
+    def test_exit_one_with_one_error_line(self, tmp_path, capsys, body,
+                                          command):
+        path = write(tmp_path, "c.conemap", f"format: 1\ndim: 1\n{body}\n")
+        assert cli.main([command, path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: line 3: ")
+
+    @pytest.mark.parametrize("r", ["1e-320", "-1e-320"])
+    def test_tiny_power_mean_exponent(self, tmp_path, capsys, r):
+        # pinning x1 renormalizes the mean by 0.5 ** (1 / r), which is 0
+        # or inf in floating point
+        path = write(tmp_path, "m.conemap",
+                     f"format: 1\ndim: 2\ncoord 1: mean({r}, (0.5, 0.5), "
+                     "x1, x2)\ncoord 2: x2\n")
+        assert cli.main(["analyze", path]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and f"(1 / {r})" in line
+        assert cli.main(["solve", path]) == 0
+
+
 class TestBooleanHeader:
     @pytest.mark.parametrize("field", ["format", "states"])
     def test_boolean_exit_one(self, tmp_path, capsys, field):

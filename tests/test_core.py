@@ -162,6 +162,38 @@ class TestHilbert:
             assert d1 >= 0.0
 
 
+class TestDimensionChecks:
+    """A vector or mask of the wrong dimension is a ValueError at the
+    library boundary."""
+
+    def test_map_needs_a_coordinate(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            cs.matrix_map([])
+        with pytest.raises(ValueError, match="at least 1"):
+            cs.ConeMap(dimension=0, evaluator=lambda x: x)
+
+    def test_starting_points(self):
+        f = cs.matrix_map([[1, 1], [1, 1]])
+        x = ExtVec.interior([1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            cs.iterate_normalized(f, x, 2)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            cs.solve_eigenvector(f, x)
+
+    def test_sparsity_probe_point(self):
+        f = cs.matrix_map([[1.0] * 4] * 4)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            cs.sparsity_probe(f, ExtVec.interior([1.0] * 5))
+
+    @pytest.mark.parametrize("restrict", ["restrict_lower", "restrict_upper"])
+    def test_restriction_mask(self, restrict):
+        f = cs.matrix_map([[1, 0], [0, 1]])
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            getattr(cs, restrict)(f, mask([1], 3))
+        with pytest.raises(ValueError, match="nonempty"):
+            getattr(cs, restrict)(f, mask([], 2))
+
+
 class TestMapProperties:
     def _maps(self, rng):
         return [random_mplus_map(rng, 4), make_schoen(),

@@ -2,12 +2,15 @@
 
 import json
 import math
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import conespec as cs
 from conespec import dsl
-from conespec.errors import ParseError, SemanticError, ValidationError
+from conespec.errors import (ConespecError, ParseError, SemanticError,
+                             ValidationError)
 
 from conftest import (game_conjugate_text, make_game, make_schoen,
                       make_tensor_example, random_interior,
@@ -123,6 +126,42 @@ class TestGrammar:
         with pytest.raises(SemanticError, match="inhomogeneous"):
             dsl.parse_map("format: 1\ndim: 2\n"
                           "coord 1: theta(x1, x2)*geo(x1, x2)\ncoord 2: x2\n")
+
+
+#: constant expressions over + - * / ^ whose operands reach the ends of
+#: the float range, a negative base and a fractional exponent
+CONSTANT_EXPRS = st.recursive(
+    st.sampled_from(["0", "1e-320", "1e308", "(-8)", "(1/3)", "2", "0.5"]),
+    lambda inner: st.tuples(inner, st.sampled_from("+-*/^"), inner).map(
+        lambda t: f"({t[0]} {t[1]} {t[2]})"),
+    max_leaves=8)
+
+
+class TestConstantArithmetic:
+    @settings(derandomize=True, deadline=None, database=None,
+              max_examples=300)
+    @given(CONSTANT_EXPRS)
+    def test_parses_or_raises_a_conespec_error(self, text):
+        for body in (f"param a = {text}\ncoord 1: x1",
+                     f"coord 1: {text}*x1",
+                     f"coord 1: x1^{text}",
+                     f"coord 1: mean({text}, (1, 0), x1)"):
+            try:
+                doc = dsl.parse_map(f"format: 1\ndim: 1\n{body}\n")
+            except ConespecError:
+                continue
+            assert all(math.isfinite(v) for _, v in doc.parameters)
+
+    @pytest.mark.parametrize("text, message", [
+        ("1e400", "1e400 is outside the float range"),
+        ("1e308 * 10", "1e+308 * 10.0 is not a finite real number"),
+        ("1e308 - (-1e308)", "1e+308 - -1e+308 is not a finite real"),
+        ("(-8)^0.5", "-8.0 ^ 0.5 is not a finite real number"),
+    ])
+    def test_message_names_the_operation(self, text, message):
+        with pytest.raises(SemanticError, match=re.escape(message)):
+            dsl.parse_map(f"format: 1\ndim: 1\nparam a = {text}\n"
+                          "coord 1: x1\n")
 
 
 class TestExampleDocuments:

@@ -116,7 +116,7 @@ class TestClassify:
         assert v.kind is VerdictKind.INDETERMINATE
 
     def test_jordan_block_boundary_certificate(self):
-        v = cs.classify(cs.matrix_map([[1, 1], [0, 1]]), fast_path=False)
+        v = cs.Analyzer(cs.matrix_map([[1, 1], [0, 1]])).classify()
         assert v.kind is VerdictKind.INDETERMINATE
         cert = next(c for c in v.certificates
                     if c.subset.bits == mask([1], 2).bits)
@@ -125,7 +125,7 @@ class TestClassify:
         assert cert.lambda_bracket.lower <= 1.0 <= cert.lambda_bracket.upper
 
     def test_diagonal_reverse_certificate(self):
-        v = cs.classify(cs.matrix_map([[1, 0], [0, 2]]), fast_path=False)
+        v = cs.Analyzer(cs.matrix_map([[1, 0], [0, 2]])).classify()
         assert v.kind is VerdictKind.NO_INTERIOR_EIGENVECTOR
         cert = next(c for c in v.certificates
                     if c.route is Route.NUMERIC_REVERSE)
@@ -146,14 +146,14 @@ class TestClassify:
         assert v.kind is VerdictKind.NONEMPTY_BOUNDED
         assert v.detail is not None and "final class" in v.detail
         # the generic sweep agrees
-        v2 = cs.classify(f, fast_path=False)
+        v2 = cs.Analyzer(f).classify()
         assert v2.kind is VerdictKind.NONEMPTY_BOUNDED
 
     def test_dimension_cap(self):
         n = 25
         rows = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
         with pytest.raises(DimensionTooLargeError):
-            cs.classify(cs.matrix_map(rows), fast_path=False)
+            cs.Analyzer(cs.matrix_map(rows)).classify()
 
     def test_one_dimensional_always_bounded(self):
         v = cs.classify(cs.matrix_map([[3.0]]))
@@ -283,7 +283,8 @@ class TestClassifyConvex:
                               mask([1, 2], 3))
         scc = cs.scc_decompose(cs.digraph_of(f))
         assert scc.order == ((0, 1), (2,))
-        assert cs.cw_upper(f, components=scc) == cs.cw_upper(f)
+        assert spectral.upper_handle(f, components=scc).finished() == \
+            cs.cw_upper(f)
 
 
 class TestInference:
@@ -309,7 +310,7 @@ class TestSweepProperties:
         for _ in range(8):
             n = int(rng.integers(2, 5))
             f = random_mplus_map(rng, n)
-            a = cs.classify(f, fast_path=False, solve=False)
+            a = cs.Analyzer(f).classify(solve=False)
             b = cs.classify_convex(f, solve=False)
             if VerdictKind.INDETERMINATE in (a.kind, b.kind):
                 continue
@@ -319,7 +320,7 @@ class TestSweepProperties:
 
     def test_bracket_uppers_monotone_in_subset(self, rng):
         f = random_mplus_map(rng, 4)
-        v = cs.classify(f, fast_path=False, solve=False, prune=False)
+        v = cs.Analyzer(f, prune=False).classify(solve=False)
         uppers = {c.subset.bits: c.r_bracket.upper
                   for c in v.certificates if c.r_bracket is not None}
         for a, ua in uppers.items():
@@ -330,7 +331,7 @@ class TestSweepProperties:
     def test_verdict_soundness(self, rng):
         for _ in range(6):
             f = random_mplus_map(rng, int(rng.integers(2, 5)))
-            v = cs.classify(f, fast_path=False)
+            v = cs.Analyzer(f).classify()
             if v.kind is VerdictKind.NONEMPTY_BOUNDED:
                 assert v.eigen is not None and v.eigen.residual <= 1e-10
             elif v.kind is VerdictKind.NO_INTERIOR_EIGENVECTOR:
@@ -340,7 +341,7 @@ class TestSweepProperties:
     def test_certificate_replay(self):
         for f in (game_conjugate(r1=0.0), game_conjugate(r1=3.0),
                   cs.matrix_map([[1, 0], [0, 2]])):
-            v = cs.classify(f, fast_path=False, solve=False)
+            v = cs.Analyzer(f).classify(solve=False)
             for cert in v.certificates:
                 if cert.route not in (Route.NUMERIC_STRICT,
                                       Route.NUMERIC_REVERSE):
@@ -359,8 +360,8 @@ class TestSweepProperties:
         corpus += [game_conjugate(r1=0.0), game_conjugate(r1=3.0),
                    make_schoen()]
         for f in corpus:
-            a = cs.classify(f, fast_path=False, solve=False, prune=True)
-            b = cs.classify(f, fast_path=False, solve=False, prune=False)
+            a = cs.Analyzer(f, prune=True).classify(solve=False)
+            b = cs.Analyzer(f, prune=False).classify(solve=False)
             assert a.kind is b.kind
 
 
@@ -695,7 +696,8 @@ class TestUniqueFinalClassShortcut:
                 repr([getattr(alone, a) for a in fields])
             if not alone.converged:
                 assert state.x == alone.x
-            assert repr(cs.cw_upper(f, budget, tol, memo=memo)) == \
+            assert repr(spectral.upper_handle(f, budget, tol,
+                                              memo=memo).finished()) == \
                 repr(cs.cw_upper(f, budget, tol))
 
 
@@ -711,7 +713,7 @@ class TestVerdictBracket:
             if verdict.kind is VerdictKind.NONEMPTY_BOUNDED:
                 assert not f.multiplicatively_convex
                 assert repr(verdict.r_bracket) == repr(cs.cw_upper(
-                    f, spectral.DEFAULT_BUDGET, existence.BRACKET_TOL))
+                    f, spectral.DEFAULT_BUDGET, spectral.DEFAULT_TOL))
                 checked += 1
         return checked
 

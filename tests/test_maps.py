@@ -13,7 +13,7 @@ from conespec.core import INF, ExtVec, SubsetMask
 from conespec.errors import EmptySupportError, NumericRangeError, ZeroRowError
 from conespec import maps
 from conespec.maps import (Coord, Linear, Max, Min, Pole, PowerMean, Scale,
-                           Sum, eval_mean, from_exprs, interior_evaluator,
+                           Sum, compile_interior, eval_mean, from_exprs,
                            monomial, pin, theta)
 
 from conftest import (make_game, make_schoen, make_tensor_example,
@@ -134,7 +134,7 @@ class TestShapleyConjugate:
         r = (0.3, -0.5, 1.0, 0.2, 2.0, -1.0)
         p1, p2 = 0.25, 0.75
         game = make_game(*r, p1, p2)
-        f = cs.build_shapley_conjugate(game)
+        f = cs.build_shapley(game).conjugate
         for _ in range(25):
             x = random_interior(rng, 3)
             x1, x2, x3 = x.entries
@@ -150,7 +150,7 @@ class TestShapleyConjugate:
 
     def test_single_state(self):
         game = cs.GameSpec(("min",), ((cs.GameAction(0.7, (1.0,)),),))
-        f = cs.build_shapley_conjugate(game)
+        f = cs.build_shapley(game).conjugate
         assert f(ExtVec.interior([2.0])).entries == pytest.approx(
             (math.exp(0.7) * 2.0,))
         res = cs.solve_eigenvector(f)
@@ -191,6 +191,33 @@ class TestFlags:
                      PowerMean(0.0, (0.3, 0.7), (inner, Coord(0)))))
         f = from_exprs([outer, Coord(1)], 2)
         assert f.multiplicatively_convex and f.analytic
+
+    def test_flags_derived_from_expressions(self):
+        # every (1, t) with 1/2 <= t <= 2 is an eigenvector, so the flags
+        # must not claim the uniqueness that analyticity would give
+        exprs = (Min((Coord(0), Scale(2.0, Coord(1)))),
+                 Min((Coord(1), Scale(2.0, Coord(0)))))
+        f = from_exprs(exprs, 2)
+        assert not f.multiplicatively_convex and not f.analytic
+        v = cs.classify(f)
+        assert v.kind is cs.VerdictKind.NONEMPTY_BOUNDED
+        assert v.uniqueness is cs.Uniqueness.UNKNOWN
+        for flags in ({"multiplicatively_convex": True, "analytic": True},
+                      {"analytic": True}, {"multiplicatively_convex": True}):
+            with pytest.raises(ValueError, match="contradicts"):
+                cs.ConeMap(dimension=2, exprs=exprs, **flags)
+        assert cs.ConeMap(dimension=2, exprs=exprs, analytic=False) == f
+
+    def test_passed_flags_must_match_on_ast_maps_only(self):
+        exprs = cs.matrix_map([[1, 2], [3, 0]]).exprs
+        with pytest.raises(ValueError, match="contradicts"):
+            cs.ConeMap(dimension=2, exprs=exprs, analytic=False)
+        black = cs.ConeMap(dimension=2, evaluator=lambda x: x,
+                           multiplicatively_convex=True, analytic=True)
+        assert black.multiplicatively_convex and black.analytic
+        plain = cs.ConeMap(dimension=2, evaluator=lambda x: x)
+        assert plain.multiplicatively_convex is False
+        assert plain.analytic is False
 
     def test_convexity_certificate(self, rng):
         for f in (random_mplus_map(rng, 4), make_tensor_example(),
@@ -389,7 +416,7 @@ class TestCompiledInterior:
                      for _ in range(n)]
             for g in (from_exprs(exprs, n),
                       cs.reciprocal_conjugate(from_exprs(exprs, n))):
-                fast = interior_evaluator(g.exprs)
+                fast = compile_interior(g.exprs)[0]
                 slow = self._interpreted(g.exprs)
                 for _ in range(6):
                     if rng.random() < 0.5:
@@ -405,7 +432,7 @@ class TestCompiledInterior:
                  Max((Sum((Coord(1), Pole(0.0))),)),
                  Sum((Pole(INF), Coord(0))),
                  PowerMean(-1.0, (0.5, 0.5), (Pole(INF), Coord(2))))
-        fast = interior_evaluator(exprs)
+        fast = compile_interior(exprs)[0]
         for x in ((1.0, 2.0, 3.0), (1e-300, 1e300, 5e-324)):
             assert repr(fast(x)) == repr(self._interpreted(exprs)(x))
 
@@ -424,7 +451,7 @@ class TestCompiledInterior:
          (1e200, 1e200)),
     ])
     def test_fallback_points(self, monkeypatch, node, x):
-        fast = interior_evaluator((node, Coord(0)))
+        fast = compile_interior((node, Coord(0)))[0]
         ordinary = repr(self._interpreted((node, Coord(0)))((1.0, 1.0)))
         expected = repr(self._interpreted((node, Coord(0)))(x))
         calls = []
@@ -446,7 +473,7 @@ class TestCompiledInterior:
         for _ in range(250):
             e = Scale(1.5, Sum((e, Coord(1))))
         x = (1.0, 2.0)
-        assert interior_evaluator((e,))(x) == (e.evaluate(x),)
+        assert compile_interior((e,))[0](x) == (e.evaluate(x),)
 
     def test_cached_on_the_map(self):
         f = make_schoen()
@@ -585,7 +612,7 @@ class TestSharedShapes:
                  Min((Scale(2.0, Coord(1)), Pole(-0.0))))
         assert repr(_emitted(exprs)[1]) == "[2.0, 0.0, -0.0]"
         x = (1.0, 3.0)
-        assert repr(interior_evaluator(exprs)(x)) == "(0.0, -0.0)"
+        assert repr(compile_interior(exprs)[0](x)) == "(0.0, -0.0)"
 
     def test_each_map_keeps_its_out_of_line_nodes(self):
         rows = (Min((Coord(0), Coord(1))),)
@@ -641,3 +668,21 @@ class TestCoefficientRange:
     def test_invalid_factor_still_a_value_error(self):
         with pytest.raises(ValueError):
             maps._scale(-1.0, Scale(2.0, Coord(0)))
+
+    @pytest.mark.parametrize("r", [1e-320, -1e-320, -1e-4])
+    def test_power_mean_renormalization_leaves_the_range(self, r):
+        # pinning x1 leaves half the weight: the factor 0.5 ** (1 / r) is
+        # 0, inf, or raises OverflowError in floating point
+        f = from_exprs([Coord(0),
+                        PowerMean(r, (0.5, 0.5), (Coord(0), Coord(1)))], 2)
+        fill = 0.0 if r > 0.0 else INF
+        with pytest.raises(NumericRangeError, match=repr(r)):
+            maps.face_map(f, SubsetMask.of([1], 2), fill)
+
+    @pytest.mark.parametrize("table, value", [
+        ([[[1e308, 1e308], [1e308, 1e308]], [[1, 1], [1, 1]]], "inf"),
+        ([[[1e308, 1e-300], [1, 1]], [[1, 1], [1, 1]]], "1e-300"),
+    ], ids=["sum_overflows", "weight_underflows"])
+    def test_tensor_coefficients_leave_the_range(self, table, value):
+        with pytest.raises(NumericRangeError, match=value):
+            cs.build_tensor_map(table)
