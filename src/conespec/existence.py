@@ -22,7 +22,8 @@ from .errors import (DimensionTooLargeError, FlagMissingError,
                      NumericRangeError, ZeroRowError)
 from .graphs import (Digraph, HypergraphProbe, SCCDecomposition, digraph_of,
                      scc_decompose)
-from .maps import Coord, Linear, face_map, pole_masks, sparsity_probe
+from .maps import (Coord, Linear, face_exprs, face_map, from_exprs,
+                   pole_masks, sparsity_probe)
 from .spectral import (CWBracket, CWHandle, DisplacementInterval,
                        EigenResult, NonconvergedError, face_handle,
                        min_displacement, solve_eigenvector, upper_handle,
@@ -123,14 +124,22 @@ def _strictly_below(hi: float, lo: float, tol: float) -> bool:
 class Analyzer:
     """Caches for one classification run.
 
-    `memo` holds the bracket states of reduced maps (see
-    `spectral.upper_handle`) and the verdict kinds of faces, keyed by their
+    `memo` holds the reduced maps and their bracket states (see
+    `spectral.face_handle`) and the verdict kinds of faces, keyed by their
     expressions; black-box maps have none and are not memoized.  The
     top-level analyzer creates it and its face sub-analyses share it,
     because a restriction of a face is a restriction of f: each distinct
-    map is iterated, and each distinct face classified, once per
-    classification.
+    map is built and iterated, and each distinct face classified, once
+    per classification.
+
+    A face sub-analysis (`_face_kind`) reads only its verdict's kind, so
+    its certificates carry no brackets.  It still refines every bracket
+    as far as a full analysis would: the states are shared, and the
+    top-level certificates print them as they stand.
     """
+
+    #: set on face sub-analyses only: certificates without brackets
+    _kind_only = False
 
     def __init__(self, f: ConeMap, budget: int = DEFAULT_BUDGET,
                  tol: float = STRICTNESS_TOL, prune: bool = True,
@@ -200,21 +209,28 @@ class Analyzer:
             rh.refine(steps)
             lh.refine(steps)
             steps *= 2
+        if self._kind_only:
+            return SubsetCertificate(J, route)
         return SubsetCertificate(J, route, rh.bracket(), lh.bracket())
 
     # -- face classification for pruning ----------------------------------
 
     def _face_kind(self, keep: SubsetMask, fill: float) -> VerdictKind:
-        face = face_map(self.f, keep, fill)
-        # a black-box face has no expressions to tell it from the others
-        key = ("face", face.exprs) if face.is_ast else None
-        kind = None if key is None else self.memo.get(key)
-        if kind is None:
-            sub = Analyzer(face, self.budget, self.tol, prune=self.prune,
-                           memo=self.memo)
-            kind = sub.classify(solve=False).kind
-            if key is not None:
-                self.memo[key] = kind
+        if self.f.is_ast:
+            key = ("face", face_exprs(self.f.exprs, keep, fill))
+            kind = self.memo.get(key)
+            if kind is not None:
+                return kind
+            face = from_exprs(key[1], keep.popcount())
+        else:
+            # a black-box face has no expressions to tell it from the others
+            key, face = None, face_map(self.f, keep, fill)
+        sub = Analyzer(face, self.budget, self.tol, prune=self.prune,
+                       memo=self.memo)
+        sub._kind_only = True
+        kind = sub.classify(solve=False).kind
+        if key is not None:
+            self.memo[key] = kind
         return kind
 
     # -- the sweep ---------------------------------------------------------

@@ -5,17 +5,35 @@ tail set of coordinates is sent there: on the lower side a hyperarc (T, {j})
 means f(e_{[n]\\T})_j = 0, on the upper side it means f(omega_T)_j = inf.
 On AST maps hyperarcs and growth arcs (and exact sparsity rows) come from
 one symbolic fold, `maps.pole_masks`; black-box maps are probed at large
-finite pins.  Probes memoize per mask.
+finite pins.  Probes memoize per mask.  Up to
+`HypergraphProbe.EXHAUSTIVE_SCAN_CAP` coordinates, an AST probe folds each
+output once over all 2^n tails on its first query and reads every later
+tail from that table; beyond, it folds each output once per tail.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .core import INF, ConeMap, Side, SubsetMask, iter_bits
 from .maps import INF_SURROGATE, _growth_rows, pole_masks
+
+
+@functools.lru_cache(maxsize=None)
+def _tail_pins(n: int) -> Tuple[int, ...]:
+    """Coordinate j's truth table over all 2^n tails: bit t of entry j is
+    bit j of t.  As `maps.pole_masks` pins, they fold every tail at once."""
+    size = 1 << n
+    full = (1 << size) - 1
+    pins = []
+    for j in range(n):
+        width = 1 << j
+        period = (1 << 2 * width) - 1  # a run of 2^j zeros then 2^j ones
+        pins.append(((1 << width) - 1 << width) * (full // period))
+    return tuple(pins)
 
 
 class HypergraphProbe:
@@ -27,6 +45,8 @@ class HypergraphProbe:
         self.map = f
         self.side = side
         self._cache: Dict[int, int] = {}
+        # per output, bit t set when tail t forces it to the pole
+        self._table: Optional[List[int]] = None
 
     def hyperarc_targets(self, tail: SubsetMask) -> SubsetMask:
         """Heads j outside the tail forced to the pole by pinning the tail."""
@@ -43,10 +63,20 @@ class HypergraphProbe:
         pole = 0.0 if self.side is Side.LOWER else INF
         if not self.map.is_ast:
             return self._probe_heuristic(tail_bits, pole)
-        pins = [tail_bits >> j & 1 for j in range(self.map.dimension)]
+        n = self.map.dimension
+        if n > self.EXHAUSTIVE_SCAN_CAP:
+            pins = [tail_bits >> j & 1 for j in range(n)]
+            return sum(1 << i for i, m in enumerate(self._fold(pins, 1, pole))
+                       if m)
+        if self._table is None:
+            self._table = self._fold(_tail_pins(n), (1 << (1 << n)) - 1, pole)
+        return sum(1 << i for i, m in enumerate(self._table)
+                   if m >> tail_bits & 1)
+
+    def _fold(self, pins: Sequence[int], full: int, pole: float) -> List[int]:
+        """Per output, the mask of the pins where it is the pole."""
         side = 0 if pole == INF else 1
-        return sum(1 << i for i, e in enumerate(self.map.exprs)
-                   if pole_masks(e, pins, 1, pole)[side])
+        return [pole_masks(e, pins, full, pole)[side] for e in self.map.exprs]
 
     def _probe_heuristic(self, tail_bits: int, pole: float) -> int:
         # Black-box maps: compare growth between t and t^2 scaled pins; an

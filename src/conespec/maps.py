@@ -678,29 +678,38 @@ def restrict_upper(f: ConeMap, J: SubsetMask) -> ConeMap:
     return restrict_map(f, J, INF)
 
 
+def face_exprs(exprs: Sequence[Expr], keep: SubsetMask,
+               fill: float) -> Tuple[Expr, ...]:
+    """The outputs of an AST map's face on the nonempty set `keep`: each
+    kept output pinned and renumbered in one `_substitute` pass.  Callers
+    that memoize faces key them by this tuple before building a map."""
+    pole = Pole(fill)
+    table: Dict[int, Expr] = dict.fromkeys(range(len(exprs)), pole)
+    kept = keep.indices()
+    table.update((j, Coord(k)) for k, j in enumerate(kept))
+    out = []
+    for i in kept:
+        p = _substitute(exprs[i], table)
+        if type(p) is Pole:
+            raise ValueError(
+                f"coordinate {i} collapses to a pole; support not stable")
+        out.append(p)
+    return tuple(out)
+
+
 def face_map(f: ConeMap, keep: SubsetMask, fill: float) -> ConeMap:
     """Reduce a restriction to a genuine map on the coordinates in `keep`.
 
     Valid when pinning [n]\\keep to the fill pole leaves every kept output
     finite-structured, i.e. the support is already stable.  An AST face is
-    pinned and renumbered in one `_substitute` pass over each kept output.
+    `from_exprs` of its `face_exprs`.
     """
     n = f.dimension
     kept = keep.indices()
     if not kept:
         raise ValueError("face needs at least one coordinate")
     if f.is_ast:
-        pole = Pole(fill)
-        table: Dict[int, Expr] = dict.fromkeys(range(n), pole)
-        table.update((j, Coord(k)) for k, j in enumerate(kept))
-        exprs = []
-        for i in kept:
-            p = _substitute(f.exprs[i], table)
-            if type(p) is Pole:
-                raise ValueError(
-                    f"coordinate {i} collapses to a pole; support not stable")
-            exprs.append(p)
-        return from_exprs(exprs, len(kept))
+        return from_exprs(face_exprs(f.exprs, keep, fill), len(kept))
 
     surrogate = INF_SURROGATE if fill == INF else 0.0
 
@@ -908,9 +917,10 @@ def pole_masks(e: Expr, pins: Sequence[int], full: int,
     one-sided evaluation rule to its children's masks, so one pass over
     the tree gives what an evaluation per pin would, and no constant under-
     or overflows.  This is the only code that decides which pins force a
-    pole: hyperarcs (`graphs.HypergraphProbe`) fold each output once per
-    tail, and growth arcs (`graphs.digraph_of`) and the exact sparsity rows
-    of analytic maps are the fold over the unit pins to inf (`_growth_rows`).
+    pole: hyperarcs (`graphs.HypergraphProbe`) fold each output once over
+    all 2^n tails up to n = 10, and once per tail beyond, and growth arcs
+    (`graphs.digraph_of`) and the exact sparsity rows of analytic maps are
+    the fold over the unit pins to inf (`_growth_rows`).
     """
     kind = type(e)
     if kind is Coord:

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from itertools import repeat
 from operator import add, truediv
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .core import (INF, ConeMap, ExtVec, Side, SubsetMask, reciprocal,
                    sup_normalized)
@@ -309,9 +309,10 @@ class CWHandle:
     A handle reads the `BracketState` of the map cw_upper iterates and
     embeds its witnesses in the support it was iterated on; `dual` turns
     the conjugate's bracket into cw_lower's.  A bracket that needs no
-    iteration, or comes from the convex decomposition, is `fixed` when the
-    handle is made.  `bounds()` reads the current enclosure as two floats;
-    `bracket()` builds the certificate with its witnesses.
+    iteration, or comes from the convex decomposition (a `_ConvexRadius`),
+    is `fixed` when the handle is made.  `bounds()` reads the current
+    enclosure as two floats; `bracket()` builds the certificate with its
+    witnesses.
     """
 
     __slots__ = ("state", "support", "fixed", "dual")
@@ -345,6 +346,8 @@ class CWHandle:
             s = self.state
             b = _on_support(self.support, s.lo, s.up, s.wlo, s.wup,
                             s.iterations, s.converged)
+        elif type(b) is _ConvexRadius:
+            b = b.bracket(self.support)
         return _dual_bracket(b) if self.dual else b
 
     def finished(self) -> CWBracket:
@@ -374,6 +377,10 @@ def upper_handle(f: ConeMap, budget: int = DEFAULT_BUDGET,
     return face_handle(f, support, 0.0, budget, tol, memo)
 
 
+#: the exact bracket of a face whose whole support collapses
+_COLLAPSED = CWBracket(0.0, 0.0, None, None, 0, True, collapsed_support=())
+
+
 def face_handle(f: ConeMap, support: SubsetMask, fill: float,
                 budget: int = DEFAULT_BUDGET, tol: float = DEFAULT_TOL,
                 memo: Optional[dict] = None) -> CWHandle:
@@ -381,20 +388,35 @@ def face_handle(f: ConeMap, support: SubsetMask, fill: float,
 
     `support` S must already be stable on the fill's side: the complement
     of a set the hypergraph of that side leaves invariant, so no kept
-    output collapses to the pole.  The face is built once from f
-    (`maps.face_map`), conjugated on the lambda side, and an empty S gives
-    the exact bracket [0, 0] (or [inf, inf]) without iteration.
+    output collapses to the pole.  The face is built from f
+    (`maps.face_map`) and conjugated on the lambda side; with `memo`, each
+    reduced AST map is built once per classification (`_reduced_map`).
+    An empty S gives the exact bracket [0, 0] (or [inf, inf]) without
+    iteration.
     """
     if support.is_empty():
-        handle = CWHandle(fixed=CWBracket(0.0, 0.0, None, None, 0, True,
-                                          collapsed_support=()))
+        handle = CWHandle(fixed=_COLLAPSED)
     else:
-        g = _maps.face_map(f, support, fill)
-        if fill == INF:
-            g = _maps.conjugate_map(g)
+        g = _reduced_map(f, support, fill, memo)
         handle = _reduced_handle(g, support, budget, tol, memo=memo)
     handle.dual = fill == INF
     return handle
+
+
+def _reduced_map(f: ConeMap, support: SubsetMask, fill: float,
+                 memo: Optional[dict]) -> ConeMap:
+    """The map cw_upper iterates for `face_handle`: f's face on `support`,
+    conjugated when the fill is inf.  With `memo`, an AST one is stored
+    under its face's expressions and fill, and built only on a miss."""
+    if memo is None or not f.is_ast:
+        g = _maps.face_map(f, support, fill)
+        return _maps.conjugate_map(g) if fill == INF else g
+    key = (_maps.face_exprs(f.exprs, support, fill), fill)
+    g = memo.get(key)
+    if g is None:
+        g = _maps.from_exprs(key[0], support.popcount())
+        g = memo[key] = _maps.conjugate_map(g) if fill == INF else g
+    return g
 
 
 def _reduced_handle(g: ConeMap, support: SubsetMask, budget: int, tol: float,
@@ -404,9 +426,9 @@ def _reduced_handle(g: ConeMap, support: SubsetMask, budget: int, tol: float,
     g, with witnesses embedded back in the coordinates of the whole map.
     `components` is g's decomposition when the caller already has it."""
     if g.is_ast and g.multiplicatively_convex and g.dimension > 1:
-        bracket = _convex_radius(g, budget, tol, components, memo)
-        if bracket is not None:
-            return CWHandle(fixed=_on_support(support, *bracket))
+        radius = _convex_radius(g, budget, tol, components, memo)
+        if radius is not None:
+            return CWHandle(support=support, fixed=radius)
     return CWHandle(_memo_state(g, budget, tol, memo), support)
 
 
@@ -476,10 +498,37 @@ def _on_support(support: SubsetMask, lo: float, up: float,
                      collapsed_support=support.indices())
 
 
+class _ConvexRadius(NamedTuple):
+    """r(g) of a multiplicatively convex g, as `_convex_radius` found it.
+
+    `lower` and `upper` are the ends of the bracket, which is built only
+    when asked for: from `top`, the handle of the dominant component's
+    face, or with r(g) = 0 exact when `top` is None.
+    """
+
+    lower: float
+    upper: float
+    top: Optional[CWHandle]
+    dimension: int
+    iterations: int
+    converged: bool
+
+    def bracket(self, support: SubsetMask) -> CWBracket:
+        if self.top is None:
+            ones = (1.0,) * self.dimension
+            return _on_support(support, 0.0, 0.0, ones, ones,
+                               self.iterations, True)
+        b = self.top.bracket()
+        return _on_support(support, self.lower, self.upper,
+                           b.witness_lower.entries, b.witness_upper.entries,
+                           self.iterations, self.converged)
+
+
 def _convex_radius(g: ConeMap, budget: int, tol: float,
                    scc: Optional[SCCDecomposition],
-                   memo: Optional[dict] = None):
-    """r(g) = max over strongly connected components C of r(g^C_0)."""
+                   memo: Optional[dict] = None) -> Optional[_ConvexRadius]:
+    """r(g) = max over strongly connected components C of r(g^C_0), each
+    face refined to the whole budget; None for a single component."""
     if scc is None:
         scc = scc_decompose(digraph_of(g))
     if len(scc.order) <= 1:
@@ -491,19 +540,20 @@ def _convex_radius(g: ConeMap, budget: int, tol: float,
     for comp in scc.order:
         mask = SubsetMask.of(comp, g.dimension)
         stable = probe.reach(mask.complement()).complement()
-        b = face_handle(g, stable, 0.0, budget, tol, memo).finished()
-        iterations += b.iterations
-        all_converged = all_converged and b.converged
-        if best is None or b.upper > best[1]:
-            wlo = b.witness_lower.entries if b.witness_lower is not None else None
-            wup = b.witness_upper.entries if b.witness_upper is not None else None
-            best = (b.lower, b.upper, wlo, wup)
-    lo, up, wlo, wup = best
-    if wlo is None or wup is None:
+        h = face_handle(g, stable, 0.0, budget, tol, memo)
+        h.refine(budget)
+        # a state, a fixed bracket and a radius all count the same way
+        run = h.fixed if h.state is None else h.state
+        iterations += run.iterations
+        all_converged = all_converged and run.converged
+        lo, up = h.bounds()
+        if best is None or up > best[1]:
+            best = (lo, up, None if stable.is_empty() else h)
+    lo, up, top = best
+    if top is None:
         # the dominant component collapsed entirely; r(g) = 0 is exact
-        ones = (1.0,) * g.dimension
-        return 0.0, 0.0, ones, ones, iterations, True
-    return lo, up, wlo, wup, iterations, all_converged
+        return _ConvexRadius(0.0, 0.0, None, g.dimension, iterations, True)
+    return _ConvexRadius(lo, up, top, g.dimension, iterations, all_converged)
 
 
 def cw_lower(f: ConeMap, budget: int = DEFAULT_BUDGET,

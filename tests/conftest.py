@@ -10,7 +10,7 @@ import conespec as cs
 from conespec.core import INF, Side, sup_normalized
 from conespec import maps
 from conespec.maps import (Coord, Linear, Max, Min, Pole, PowerMean, Scale,
-                           Sum, from_exprs, monomial)
+                           Sum, from_exprs, monomial, pole_masks)
 
 # Five fixed seeds for the property suites; CONESPEC_SEED shifts the base.
 _BASE = int(os.environ.get("CONESPEC_SEED", "0"))
@@ -261,6 +261,20 @@ def reference_probe(f, side, tail_bits):
     out = tuple(e.evaluate(point) for e in f.exprs)
     return sum(1 << j for j in range(n)
                if not tail_bits >> j & 1 and out[j] == pole)
+
+
+def reference_tail_probe(self, tail_bits):
+    """`graphs.HypergraphProbe._probe` (with the probe as `self`) as it was
+    written before an AST probe up to ten coordinates folded each output
+    once over all tails: one fold of every output per tail.  The reference
+    for the truth-table fold."""
+    pole = 0.0 if self.side is Side.LOWER else INF
+    if not self.map.is_ast:
+        return self._probe_heuristic(tail_bits, pole)
+    pins = [tail_bits >> j & 1 for j in range(self.map.dimension)]
+    side = 0 if pole == INF else 1
+    return sum(1 << i for i, e in enumerate(self.map.exprs)
+               if pole_masks(e, pins, 1, pole)[side])
 
 
 def reference_pole_masks(e, full):

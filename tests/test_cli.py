@@ -355,13 +355,14 @@ class TestOutputStability:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src, os.environ.get("PYTHONPATH", "")]))
         probe = ("import conespec, conespec.cli\n"
-                 "from conespec import maps\n"
+                 "from conespec import graphs, maps\n"
                  "print(maps.shape_code.cache_info().currsize,"
-                 " maps._loop.cache_info().currsize)\n")
+                 " maps._loop.cache_info().currsize,"
+                 " graphs._tail_pins.cache_info().currsize)\n")
         proc = subprocess.run([sys.executable, "-c", probe],
                               capture_output=True, text=True, env=env,
                               timeout=120)
-        assert (proc.returncode, proc.stdout) == (0, "0 0\n")
+        assert (proc.returncode, proc.stdout) == (0, "0 0 0\n")
 
     def test_timing_flag_populates_field(self, tmp_path, capsys):
         path = write(tmp_path, "jordan.conemap", JORDAN)

@@ -1,13 +1,15 @@
 """The classifier: subset checks, sweep, convex route, inference rules."""
 
+import gc
 import math
 import sys
+import weakref
 from dataclasses import replace
 
 import pytest
 
 import conespec as cs
-from conespec import existence, spectral
+from conespec import existence, graphs, spectral
 from conespec.core import INF, ConeMap, ExtVec, Side, SubsetMask
 from conespec.errors import (DimensionTooLargeError, FlagMissingError,
                              NumericRangeError, ZeroRowError)
@@ -426,7 +428,7 @@ class TestClassificationMemo:
     and analyzes each face once."""
 
     @staticmethod
-    def _counted(monkeypatch, memo=None):
+    def _counted(monkeypatch, text=SWEEP_MAP, memo=None):
         states, faces = [], []
         analyzer_classify = existence.Analyzer.classify
 
@@ -446,8 +448,7 @@ class TestClassificationMemo:
 
         monkeypatch.setattr(spectral, "BracketState", State)
         monkeypatch.setattr(existence.Analyzer, "classify", classify)
-        top = existence.Analyzer(cs.parse_map(SWEEP_MAP).cone_map,
-                                 memo=memo)
+        top = existence.Analyzer(cs.parse_map(text).cone_map, memo=memo)
         verdict = top.classify()
         monkeypatch.undo()
         return verdict, states, faces
@@ -461,11 +462,55 @@ class TestClassificationMemo:
 
     def test_without_the_memo_the_work_repeats(self, monkeypatch):
         shared, _, _ = self._counted(monkeypatch)
-        verdict, states, faces = self._counted(monkeypatch, _Forgetful())
+        verdict, states, faces = self._counted(monkeypatch, memo=_Forgetful())
         assert len(states) > 4 * len(set(states)) == 4 * 23
         assert len(faces) > len(set(faces)) == 14
         # the memo changes the work, never the result
         assert repr(verdict) == repr(shared)
+
+    def test_without_the_memo_the_displacement_path_repeats(self,
+                                                            monkeypatch):
+        shared, shared_states, shared_faces = self._counted(
+            monkeypatch, REVERSE_SWEEP_MAP)
+        verdict, states, faces = self._counted(
+            monkeypatch, REVERSE_SWEEP_MAP, _Forgetful())
+        assert len(shared_states) == len(set(shared_states)) == 26
+        assert len(shared_faces) == len(set(shared_faces)) == 10
+        assert len(states) > 2 * len(set(states)) == 2 * 26
+        assert len(faces) == len(set(faces)) == 10
+        # the same verdict, routes and displacement; a certificate keeps its
+        # brackets as they stood when it was decided, and the states the
+        # memo shares stand further refined by then
+        assert (verdict.kind, _routes(verdict), verdict.displacement) == \
+            (shared.kind, _routes(shared), shared.displacement)
+        assert verdict.kind is VerdictKind.NO_INTERIOR_EIGENVECTOR
+
+    @pytest.mark.parametrize("text, black_box", [
+        (SWEEP_MAP, False), (REVERSE_SWEEP_MAP, False), (SWEEP_MAP, True)],
+        ids=["sweep", "reverse", "black_box_twin"])
+    def test_face_kinds_equal_full_analyses(self, monkeypatch, text,
+                                            black_box):
+        # a face sub-analysis builds no brackets, yet reads the kind a full
+        # analysis of the face gives
+        f = cs.parse_map(text).cone_map
+        budget = 100 if black_box else existence.DEFAULT_BUDGET
+        if black_box:
+            f = ConeMap(dimension=f.dimension, evaluator=f.eval_interior)
+        seen = []
+        face_kind = existence.Analyzer._face_kind
+
+        def recorded(self, keep, fill):
+            kind = face_kind(self, keep, fill)
+            seen.append((cs.maps.face_map(self.f, keep, fill), kind))
+            return kind
+
+        monkeypatch.setattr(existence.Analyzer, "_face_kind", recorded)
+        existence.Analyzer(f, budget).classify()
+        monkeypatch.undo()
+        assert seen
+        for face, kind in seen:
+            full = existence.Analyzer(face, budget).classify(solve=False)
+            assert full.kind is kind
 
 
     def test_black_box_faces_are_analyzed_without_the_memo(self,
@@ -531,7 +576,95 @@ class TestReducedFaces:
         verdict = cs.classify(f)
         monkeypatch.undo()
         assert verdict.kind is VerdictKind.NONEMPTY_BOUNDED
-        assert (len(restricted), len(built)) == (0, 151)
+        assert (len(restricted), len(built)) == (0, 58)
+
+    @pytest.mark.parametrize("text", [SWEEP_MAP, REVERSE_SWEEP_MAP],
+                             ids=["sweep", "reverse"])
+    def test_face_analyses_build_no_brackets(self, monkeypatch, text):
+        # a face sub-analysis reads only its verdict's kind: no bracket, no
+        # vector (a witness or a reciprocal) is built while one runs
+        depth, built = [0], {"top": 0, "faces": 0}
+        analyzer_classify = existence.Analyzer.classify
+
+        def classify(self, solve=True):
+            depth[0] += 1
+            try:
+                return analyzer_classify(self, solve)
+            finally:
+                depth[0] -= 1
+
+        def counted(cls):
+            post_init = cls.__post_init__
+
+            def __post_init__(self):
+                built["faces" if depth[0] > 1 else "top"] += 1
+                post_init(self)
+            monkeypatch.setattr(cls, "__post_init__", __post_init__)
+
+        monkeypatch.setattr(existence.Analyzer, "classify", classify)
+        counted(spectral.CWBracket)
+        counted(ExtVec)
+        cs.classify(cs.parse_map(text).cone_map)
+        monkeypatch.undo()
+        assert built["faces"] == 0 < built["top"]
+
+    @pytest.mark.parametrize("side", [Side.LOWER, Side.UPPER])
+    def test_probe_folds_each_output_once_up_to_the_cap(self, monkeypatch,
+                                                        side):
+        calls = []
+        pole_masks = graphs.pole_masks
+
+        def counted(*args):
+            calls.append(1)
+            return pole_masks(*args)
+
+        monkeypatch.setattr(graphs, "pole_masks", counted)
+        for n in (5, HypergraphProbe.EXHAUSTIVE_SCAN_CAP + 1):
+            f = from_exprs([Sum((Scale(1.5, Coord(i)),
+                                 Min((Coord((i + 1) % n), Coord(0)))))
+                            for i in range(n)], n)
+            probe = HypergraphProbe(f, side)
+            calls.clear()
+            small = n <= HypergraphProbe.EXHAUSTIVE_SCAN_CAP
+            tails = range(1 << n) if small else range(0, 1 << n, 97)
+            for tail in tails:
+                probe.hyperarc_targets(SubsetMask(tail, n))
+            # one fold per output over all tails; beyond the cap, per tail
+            assert len(calls) == n * (1 if small else len(tails))
+
+    @pytest.mark.parametrize("text", [SWEEP_MAP, REVERSE_SWEEP_MAP],
+                             ids=["sweep", "reverse"])
+    def test_each_lambda_side_map_conjugated_once(self, monkeypatch, text):
+        conjugated = []
+        conjugate_map = cs.maps.conjugate_map
+
+        def recorded(g):
+            conjugated.append(g.exprs)
+            return conjugate_map(g)
+
+        monkeypatch.setattr(cs.maps, "conjugate_map", recorded)
+        cs.classify(cs.parse_map(text).cone_map)
+        monkeypatch.undo()
+        assert len(conjugated) == len(set(conjugated)) == 15
+
+    def test_memoized_maps_freed_after_classify(self, monkeypatch):
+        f = cs.parse_map(SWEEP_MAP).cone_map
+        built = []
+        from_exprs = cs.maps.from_exprs
+
+        def recorded(*args):
+            g = from_exprs(*args)
+            built.append(weakref.ref(g))
+            return g
+
+        for module in (cs.maps, existence):
+            monkeypatch.setattr(module, "from_exprs", recorded)
+        verdict = cs.classify(f)
+        monkeypatch.undo()
+        gc.collect()
+        assert verdict.kind is VerdictKind.NONEMPTY_BOUNDED
+        assert len(built) == 58
+        assert [ref for ref in built if ref() is not None] == []
 
     def test_black_box_matrix_twin_decided_on_faces(self):
         # a black-box map's subset brackets iterate its reduced faces, as

@@ -18,7 +18,8 @@ from conespec.maps import (Coord, Linear, Max, Min, Pole, PowerMean, Scale,
 from conftest import (make_game, make_schoen, make_tensor_example,
                       random_mplus_map, random_tree, reference_is_analytic,
                       reference_is_mult_convex, reference_pole_masks,
-                      reference_probe, reference_symbolic_deps)
+                      reference_probe, reference_symbolic_deps,
+                      reference_tail_probe)
 
 
 def mask(ix, n):
@@ -443,6 +444,51 @@ class TestOnePoleFold:
         assert cs.sparsity_probe(f, u).rows == \
             cs.sparsity_probe(twin, u).rows == (1, 1)
         assert reference_symbolic_deps(e) == 3
+
+
+class TestTruthTableFold:
+    """Up to `EXHAUSTIVE_SCAN_CAP` coordinates an AST probe folds each
+    output once over all 2^n tails; beyond, once per tail.  Both give the
+    per-tail fold's targets (`conftest.reference_tail_probe`)."""
+
+    @staticmethod
+    def _check(f):
+        n = f.dimension
+        for side in (Side.LOWER, Side.UPPER):
+            probe = HypergraphProbe(f, side)
+            for tail in range(1 << n):
+                assert probe.hyperarc_targets(SubsetMask(tail, n)).bits == \
+                    reference_tail_probe(probe, tail) & ~tail
+
+    @settings(derandomize=True, deadline=None, database=None,
+              max_examples=300)
+    @given(**TestOnePoleFold.CASES)
+    def test_tables_equal_the_per_tail_fold(self, seed, n, depth):
+        self._check(TestOnePoleFold._map(seed, n, depth))
+
+    @settings(derandomize=True, deadline=None, database=None,
+              max_examples=10)
+    @given(seed=st.integers(0, 2 ** 32 - 1), depth=st.integers(0, 3))
+    def test_beyond_the_cap_each_tail_is_folded(self, seed, depth):
+        n = HypergraphProbe.EXHAUSTIVE_SCAN_CAP + 1
+        self._check(TestOnePoleFold._map(seed, n, depth))
+
+    @pytest.mark.parametrize("side", [Side.LOWER, Side.UPPER])
+    def test_minimal_tails_and_dot_unchanged(self, monkeypatch, side):
+        fixtures = [make_tensor_example(), make_schoen(),
+                    make_schoen(b=(1, 0, 1, 1), c=(0, 1, 1, 0)),
+                    cs.build_shapley(make_game(0.0, 0.5, 1.0, 0.3, 2.0, -1.0,
+                                               0.5, 0.5)).conjugate,
+                    cs.matrix_map([[1, 0], [0, 1]])]
+
+        def drawn():
+            return [(HypergraphProbe(f, side).minimal_tails(),
+                     hypergraph_to_dot(HypergraphProbe(f, side)))
+                    for f in fixtures]
+
+        tables = drawn()
+        monkeypatch.setattr(HypergraphProbe, "_probe", reference_tail_probe)
+        assert tables == drawn()
 
 
 def _nodes(e):
