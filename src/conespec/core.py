@@ -141,9 +141,6 @@ class SubsetMask:
     def union(self, other: "SubsetMask") -> "SubsetMask":
         return SubsetMask(self.bits | other.bits, self.n)
 
-    def intersect(self, other: "SubsetMask") -> "SubsetMask":
-        return SubsetMask(self.bits & other.bits, self.n)
-
     def contains(self, j: int) -> bool:
         return bool(self.bits >> j & 1)
 

@@ -15,15 +15,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import groupby
 from typing import Dict, List, Optional, Tuple
 
 from .core import INF, ConeMap, Side, SubsetMask
-from .errors import (DimensionTooLargeError, FlagMissingError,
-                     NumericRangeError, ZeroRowError)
+from .errors import DimensionTooLargeError, FlagMissingError
 from .graphs import (Digraph, HypergraphProbe, SCCDecomposition, digraph_of,
                      scc_decompose)
-from .maps import (Coord, Linear, face_exprs, face_map, from_exprs,
-                   pole_masks, sparsity_probe)
+from .maps import (face_exprs, face_map, from_exprs, reject_pole_outputs,
+                   sparsity_probe)
 from .spectral import (CWBracket, CWHandle, DisplacementInterval,
                        EigenResult, NonconvergedError, face_handle,
                        min_displacement, solve_eigenvector, upper_handle,
@@ -132,10 +132,16 @@ class Analyzer:
     map is built and iterated, and each distinct face classified, once
     per classification.
 
-    A face sub-analysis (`_face_kind`) reads only its verdict's kind, so
-    its certificates carry no brackets.  It still refines every bracket
-    as far as a full analysis would: the states are shared, and the
-    top-level certificates print them as they stand.
+    `classify` sweeps the subsets in waves of one popcount, each in
+    increasing bits order: every check of a wave, then the pruning of its
+    passing subsets.  Pruning reaches upward only, as J's proper subsets
+    are all decided by then: when a passing J is invariant in the upper
+    hypergraph and the upper face on J's complement has a bounded
+    nonempty eigenspace, every proper superset of J not yet pruned is
+    `pruned` by J.  A face sub-analysis (`_face_kind`) reads only its
+    verdict's kind, so its certificates carry no brackets.  It still
+    refines every bracket as far as a full analysis would: the states are
+    shared, so the order of the checks shows in the certificates.
     """
 
     #: set on face sub-analyses only: certificates without brackets
@@ -187,12 +193,14 @@ class Analyzer:
         """
         if J.is_empty() or J.is_full():
             raise ValueError("subset must be nonempty and proper")
-        if self.upper_probe.reach(J).is_full():
+        upper = self.upper_probe.reach(J)
+        if upper.is_full():
             return SubsetCertificate(J, Route.REACH_UPPER)
-        if self.lower_probe.reach(J.complement()).is_full():
+        lower = self.lower_probe.reach(J.complement())
+        if lower.is_full():
             return SubsetCertificate(J, Route.REACH_LOWER)
-        rh = self.r0_handle(J)
-        lh = self.linf_handle(J)
+        rh = self._face_handle(lower.complement(), 0.0)
+        lh = self._face_handle(upper.complement(), INF)
         steps = FIRST_CHUNK
         while True:
             r_lo, r_up = rh.bounds()
@@ -215,16 +223,17 @@ class Analyzer:
 
     # -- face classification for pruning ----------------------------------
 
-    def _face_kind(self, keep: SubsetMask, fill: float) -> VerdictKind:
+    def _face_kind(self, keep: SubsetMask) -> VerdictKind:
+        """The verdict kind of f's upper face on `keep`."""
         if self.f.is_ast:
-            key = ("face", face_exprs(self.f.exprs, keep, fill))
+            key = ("face", face_exprs(self.f.exprs, keep, INF))
             kind = self.memo.get(key)
             if kind is not None:
                 return kind
             face = from_exprs(key[1], keep.popcount())
         else:
             # a black-box face has no expressions to tell it from the others
-            key, face = None, face_map(self.f, keep, fill)
+            key, face = None, face_map(self.f, keep, INF)
         sub = Analyzer(face, self.budget, self.tol, prune=self.prune,
                        memo=self.memo)
         sub._kind_only = True
@@ -241,64 +250,53 @@ class Analyzer:
             raise DimensionTooLargeError(
                 f"generic sweep is capped at n = {SUBSET_SWEEP_CAP}; "
                 "use classify_convex for multiplicatively convex maps")
-        if n == 1:
-            return self._finish(VerdictKind.NONEMPTY_BOUNDED, (), solve)
-
-        masks = sorted((SubsetMask(bits, n) for bits in range(1, (1 << n) - 1)),
-                       key=lambda m: (m.popcount(), m.bits))
         pruned_by: Dict[int, SubsetMask] = {}
-        certs: Dict[int, SubsetCertificate] = {}
+        certs: List[SubsetCertificate] = []
         reverse_found = False
-
-        by_popcount: Dict[int, List[SubsetMask]] = {}
-        for m in masks:
-            by_popcount.setdefault(m.popcount(), []).append(m)
-
-        for size in sorted(by_popcount):
-            wave = by_popcount[size]
-            todo = [m for m in wave if m.bits not in pruned_by]
-            for m in wave:
-                if m.bits in pruned_by:
-                    certs[m.bits] = SubsetCertificate(
-                        m, Route.PRUNED, pruned_by=pruned_by[m.bits])
-            results = [self.check_subset(m) for m in todo]
-            for cert in results:
-                certs[cert.subset.bits] = cert
+        # waves of equal popcount, each in increasing bits order; n = 1 has
+        # no proper subset and is nonempty and bounded
+        for _, wave in groupby(sorted(range(1, (1 << n) - 1),
+                                      key=int.bit_count), key=int.bit_count):
+            passing = []
+            for bits in wave:
+                J = SubsetMask(bits, n)
+                if bits in pruned_by:
+                    certs.append(SubsetCertificate(
+                        J, Route.PRUNED, pruned_by=pruned_by[bits]))
+                    continue
+                cert = self.check_subset(J)
+                certs.append(cert)
                 if cert.route is Route.NUMERIC_REVERSE:
                     reverse_found = True
+                elif cert.route.passing:
+                    passing.append(J)
             if reverse_found:
                 break
             if self.prune:
-                for cert in results:
-                    if cert.route.passing:
-                        self._try_prune(cert.subset, masks, certs, pruned_by)
+                for J in passing:
+                    self._prune_supersets(J, pruned_by)
 
-        ordered = tuple(certs[m.bits] for m in masks if m.bits in certs)
         if reverse_found:
-            return self._finish(VerdictKind.NO_INTERIOR_EIGENVECTOR, ordered,
-                                solve)
-        if all(c.route.passing for c in ordered):
-            return self._finish(VerdictKind.NONEMPTY_BOUNDED, ordered, solve)
-        return self._finish(VerdictKind.INDETERMINATE, ordered, solve)
+            kind = VerdictKind.NO_INTERIOR_EIGENVECTOR
+        elif all(c.route.passing for c in certs):
+            kind = VerdictKind.NONEMPTY_BOUNDED
+        else:
+            kind = VerdictKind.INDETERMINATE
+        return self._finish(kind, tuple(certs), solve)
 
-    def _try_prune(self, J: SubsetMask, masks, certs, pruned_by) -> None:
-        n = self.n
-        # supersets of J pass once the upper face has a bounded nonempty
-        # eigenspace; that face is a genuine part only when J is invariant
-        remaining_supersets = [m for m in masks
-                               if m.bits not in certs and m.bits not in pruned_by
-                               and J.issubset(m) and m.bits != J.bits]
-        if remaining_supersets and self.upper_probe.is_invariant(J):
-            if self._face_kind(J.complement(), INF) is VerdictKind.NONEMPTY_BOUNDED:
-                for m in remaining_supersets:
-                    pruned_by[m.bits] = J
-        remaining_subsets = [m for m in masks
-                             if m.bits not in certs and m.bits not in pruned_by
-                             and m.issubset(J) and m.bits != J.bits]
-        if remaining_subsets and self.lower_probe.is_invariant(J.complement()):
-            if self._face_kind(J, 0.0) is VerdictKind.NONEMPTY_BOUNDED:
-                for m in remaining_subsets:
-                    pruned_by[m.bits] = J
+    def _prune_supersets(self, J: SubsetMask, pruned_by) -> None:
+        """Prune J's proper supersets not pruned yet, each J plus a nonempty
+        proper submask of its complement, when J is invariant and the upper
+        face on its complement has a bounded nonempty eigenspace."""
+        rest = J.complement().bits
+        remaining, s = [], rest & (rest - 1)
+        while s:
+            if J.bits | s not in pruned_by:
+                remaining.append(J.bits | s)
+            s = rest & (s - 1)
+        if remaining and self.upper_probe.is_invariant(J):
+            if self._face_kind(J.complement()) is VerdictKind.NONEMPTY_BOUNDED:
+                pruned_by.update(dict.fromkeys(remaining, J))
 
     def _finish(self, kind: VerdictKind,
                 certs: Tuple[SubsetCertificate, ...], solve: bool) -> Verdict:
@@ -363,8 +361,7 @@ def classify(f: ConeMap, budget: int = DEFAULT_BUDGET,
     """
     if not 0.0 < tol < INF:
         raise ValueError(f"tolerance must be positive and finite, not {tol}")
-    if f.is_ast:
-        _reject_pole_outputs(f)
+    reject_pole_outputs(f)
     if f.multiplicatively_convex and f.is_ast:
         verdict = classify_convex(f, budget, tol, solve=solve)
         if verdict.kind is VerdictKind.INDETERMINATE and \
@@ -381,28 +378,6 @@ def classify(f: ConeMap, budget: int = DEFAULT_BUDGET,
         if quick is not None:
             return quick
     return analyzer.classify(solve=solve)
-
-
-def _reject_pole_outputs(f: ConeMap) -> None:
-    """Raise for an output that is identically a pole.
-
-    Such a map does not send the open cone into itself, so it has no
-    positive eigenvector.  One fold of `pole_masks` with a single pin that
-    pins nothing tells whether an output is 0 or inf at the all-ones
-    point.  Only the map given to `classify` is checked: restrictions keep
-    pole outputs on purpose.
-    """
-    nothing = (0,) * f.dimension
-    for i, e in enumerate(f.exprs):
-        if type(e) in (Coord, Linear):
-            continue  # never a pole: a matrix map folds nothing
-        inf, zero = pole_masks(e, nothing, 1, INF)
-        if zero:
-            raise ZeroRowError(f"coordinate {i + 1} of the map is "
-                               "identically 0")
-        if inf:
-            raise NumericRangeError(f"coordinate {i + 1} of the map is "
-                                    "identically inf")
 
 
 def _unique_final_class_shortcut(analyzer: Analyzer,

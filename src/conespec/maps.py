@@ -960,6 +960,27 @@ def _growth_rows(exprs: Sequence[Expr], n: int) -> Tuple[int, ...]:
     return tuple(pole_masks(e, units, full, INF)[0] for e in exprs)
 
 
+def reject_pole_outputs(f: ConeMap, zero: bool = True,
+                        inf: bool = True) -> None:
+    """Raise ZeroRowError (with `zero`) or NumericRangeError (with `inf`)
+    for an output of f that is identically 0 or inf: one `pole_masks`
+    fold with a pin that pins nothing reads it at the all-ones point.  A
+    black-box map has no expressions to tell, and passes."""
+    if not f.is_ast:
+        return
+    nothing = (0,) * f.dimension
+    for i, e in enumerate(f.exprs):
+        if type(e) in (Coord, Linear):
+            continue  # never a pole: a matrix map folds nothing
+        is_inf, is_zero = pole_masks(e, nothing, 1, INF)
+        if zero and is_zero:
+            raise ZeroRowError(f"coordinate {i + 1} of the map is "
+                               "identically 0")
+        if inf and is_inf:
+            raise NumericRangeError(f"coordinate {i + 1} of the map is "
+                                    "identically inf")
+
+
 # ---------------------------------------------------------------------------
 # Jacobian sparsity
 

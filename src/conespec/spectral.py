@@ -449,8 +449,9 @@ def cw_upper(f: ConeMap, budget: int = DEFAULT_BUDGET,
     collapse part of its face to zero); if everything collapses the spectral
     radius is exactly zero.  On multiplicatively convex AST maps the radius
     is assembled from strongly connected faces, where the iteration is
-    guaranteed to converge.
+    guaranteed to converge.  An output identically inf raises.
     """
+    _maps.reject_pole_outputs(f, zero=False)
     return upper_handle(f, budget, tol).finished()
 
 
@@ -563,8 +564,10 @@ def cw_lower(f: ConeMap, budget: int = DEFAULT_BUDGET,
     lambda(f) = 1 / r(L f L), so the conjugate's bracket inverts into a
     bracket for f whose lower end is tight for lambda.  Upper restrictions
     become lower restrictions of the conjugate, so face stabilization and
-    the convex decomposition apply transparently.
+    the convex decomposition apply transparently.  An output identically
+    0 raises.
     """
+    _maps.reject_pole_outputs(f, inf=False)
     return lower_handle(f, budget, tol).finished()
 
 
@@ -608,8 +611,10 @@ def min_displacement(f: ConeMap, budget: int = DEFAULT_BUDGET,
     only until the interval closes to `tol` or every bracket is done.  Each
     round's interval is a sound enclosure; one that never closes is the
     interval of fully refined brackets.  Where an end of f's brackets is 0
-    or inf, the upper end is inf.  `memo` is as in `upper_handle`.
+    or inf, the upper end is inf.  `memo` is as in `upper_handle`.  An
+    output identically 0 or inf raises, as in `cw_upper` and `cw_lower`.
     """
+    _maps.reject_pole_outputs(f)
     pairs = [(upper_handle(f, budget, tol, memo=memo),
               lower_handle(f, budget, tol, memo=memo))]
     if certificate is not None:

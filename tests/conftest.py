@@ -2,15 +2,20 @@
 
 import math
 import os
+from typing import Dict, List
 
 import numpy as np
 import pytest
 
 import conespec as cs
-from conespec.core import INF, Side, sup_normalized
-from conespec import maps
+from conespec.core import INF, Side, SubsetMask, sup_normalized
+from conespec import existence, maps
+from conespec.errors import DimensionTooLargeError
+from conespec.existence import (SUBSET_SWEEP_CAP, Route, SubsetCertificate,
+                                VerdictKind)
 from conespec.maps import (Coord, Linear, Max, Min, Pole, PowerMean, Scale,
-                           Sum, from_exprs, monomial, pole_masks)
+                           Sum, face_exprs, face_map, from_exprs, monomial,
+                           pole_masks)
 
 # Five fixed seeds for the property suites; CONESPEC_SEED shifts the base.
 _BASE = int(os.environ.get("CONESPEC_SEED", "0"))
@@ -429,6 +434,104 @@ def reference_plain_trajectory(g, x, budget, tol, gap_stop, residual_stop,
         if min(x) < guard:
             break  # trajectory left the face numerically; brackets stay sound
     return k, best_lo, best_up, wit_lo, wit_up, gap, eigen, x
+
+
+class _ReferenceAnalyzer(existence.Analyzer):
+    """`existence.Analyzer` with the subset sweep as it was written before
+    it became one pass over integer masks: `classify`, `_try_prune` and
+    `_face_kind` verbatim, except that a face sub-analysis is built as
+    `type(self)`, so faces are swept by the reference too.  Its lower-face
+    branch never runs: waves go by popcount, so every proper subset of a
+    passing subset already has its certificate."""
+
+    def _face_kind(self, keep: SubsetMask, fill: float) -> VerdictKind:
+        if self.f.is_ast:
+            key = ("face", face_exprs(self.f.exprs, keep, fill))
+            kind = self.memo.get(key)
+            if kind is not None:
+                return kind
+            face = from_exprs(key[1], keep.popcount())
+        else:
+            # a black-box face has no expressions to tell it from the others
+            key, face = None, face_map(self.f, keep, fill)
+        sub = type(self)(face, self.budget, self.tol, prune=self.prune,
+                         memo=self.memo)
+        sub._kind_only = True
+        kind = sub.classify(solve=False).kind
+        if key is not None:
+            self.memo[key] = kind
+        return kind
+
+    def classify(self, solve: bool = True) -> existence.Verdict:
+        n = self.n
+        if n > SUBSET_SWEEP_CAP:
+            raise DimensionTooLargeError(
+                f"generic sweep is capped at n = {SUBSET_SWEEP_CAP}; "
+                "use classify_convex for multiplicatively convex maps")
+        if n == 1:
+            return self._finish(VerdictKind.NONEMPTY_BOUNDED, (), solve)
+
+        masks = sorted((SubsetMask(bits, n) for bits in range(1, (1 << n) - 1)),
+                       key=lambda m: (m.popcount(), m.bits))
+        pruned_by: Dict[int, SubsetMask] = {}
+        certs: Dict[int, SubsetCertificate] = {}
+        reverse_found = False
+
+        by_popcount: Dict[int, List[SubsetMask]] = {}
+        for m in masks:
+            by_popcount.setdefault(m.popcount(), []).append(m)
+
+        for size in sorted(by_popcount):
+            wave = by_popcount[size]
+            todo = [m for m in wave if m.bits not in pruned_by]
+            for m in wave:
+                if m.bits in pruned_by:
+                    certs[m.bits] = SubsetCertificate(
+                        m, Route.PRUNED, pruned_by=pruned_by[m.bits])
+            results = [self.check_subset(m) for m in todo]
+            for cert in results:
+                certs[cert.subset.bits] = cert
+                if cert.route is Route.NUMERIC_REVERSE:
+                    reverse_found = True
+            if reverse_found:
+                break
+            if self.prune:
+                for cert in results:
+                    if cert.route.passing:
+                        self._try_prune(cert.subset, masks, certs, pruned_by)
+
+        ordered = tuple(certs[m.bits] for m in masks if m.bits in certs)
+        if reverse_found:
+            return self._finish(VerdictKind.NO_INTERIOR_EIGENVECTOR, ordered,
+                                solve)
+        if all(c.route.passing for c in ordered):
+            return self._finish(VerdictKind.NONEMPTY_BOUNDED, ordered, solve)
+        return self._finish(VerdictKind.INDETERMINATE, ordered, solve)
+
+    def _try_prune(self, J: SubsetMask, masks, certs, pruned_by) -> None:
+        n = self.n
+        # supersets of J pass once the upper face has a bounded nonempty
+        # eigenspace; that face is a genuine part only when J is invariant
+        remaining_supersets = [m for m in masks
+                               if m.bits not in certs and m.bits not in pruned_by
+                               and J.issubset(m) and m.bits != J.bits]
+        if remaining_supersets and self.upper_probe.is_invariant(J):
+            if self._face_kind(J.complement(), INF) is VerdictKind.NONEMPTY_BOUNDED:
+                for m in remaining_supersets:
+                    pruned_by[m.bits] = J
+        remaining_subsets = [m for m in masks
+                             if m.bits not in certs and m.bits not in pruned_by
+                             and m.issubset(J) and m.bits != J.bits]
+        if remaining_subsets and self.lower_probe.is_invariant(J.complement()):
+            if self._face_kind(J, 0.0) is VerdictKind.NONEMPTY_BOUNDED:
+                for m in remaining_subsets:
+                    pruned_by[m.bits] = J
+
+
+def reference_sweep(f, budget=existence.DEFAULT_BUDGET, solve=True):
+    """`Analyzer(f, budget).classify(solve)` by the reference sweep: the
+    oracle for the one-pass sweep."""
+    return _ReferenceAnalyzer(f, budget).classify(solve)
 
 
 def random_irreducible_matrix(rng, n):

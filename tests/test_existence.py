@@ -2,6 +2,7 @@
 
 import gc
 import math
+import random
 import sys
 import weakref
 from dataclasses import replace
@@ -22,7 +23,7 @@ from conespec.spectral import NonconvergedError, ratios_at
 from conftest import (block_radius_oracle, game_conjugate_text, make_game,
                       make_schoen, make_tensor_example,
                       random_irreducible_matrix, random_mplus_map,
-                      tensor_example_raw)
+                      reference_sweep, tensor_example_raw)
 
 
 def mask(ix, n):
@@ -499,9 +500,9 @@ class TestClassificationMemo:
         seen = []
         face_kind = existence.Analyzer._face_kind
 
-        def recorded(self, keep, fill):
-            kind = face_kind(self, keep, fill)
-            seen.append((cs.maps.face_map(self.f, keep, fill), kind))
+        def recorded(self, keep):
+            kind = face_kind(self, keep)
+            seen.append((cs.maps.face_map(self.f, keep, INF), kind))
             return kind
 
         monkeypatch.setattr(existence.Analyzer, "_face_kind", recorded)
@@ -547,6 +548,94 @@ class TestClassificationMemo:
         unpruned = existence.Analyzer(twin, budget=100, prune=False)
         assert black.kind is unpruned.classify().kind
         assert black.kind is VerdictKind.NONEMPTY_BOUNDED
+
+
+def _family_map(n, seed, free_head):
+    """A map of family A, the sweep catalog's `a_i*x_i + min(x_{i+1},
+    2*x_{c_i})`, or with `free_head` of family B, whose first `min` term
+    reads a random x_{p_i} instead of x_{i+1}."""
+    rng = random.Random(seed)
+    lines = ["format: 1", f"dim: {n}"]
+    for i in range(n):
+        a = rng.uniform(0.5, 2.0)
+        p = rng.randrange(n) if free_head else (i + 1) % n
+        c = rng.randrange(n)
+        lines.append(f"coord {i + 1}: {a!r}*x{i + 1} + "
+                     f"min(x{p + 1}, 2*x{c + 1})")
+    return cs.parse_map("\n".join(lines) + "\n").cone_map
+
+
+def _sweep_corpus():
+    """(id, map, budget): two maps of each family at n = 5..8, the two
+    sweep maps and the sweep map's black-box twin."""
+    out = [(f"{fam}{n}.{k}",
+            _family_map(n, f"sweep/{n}/{fam}/{k}", fam == "B"),
+            existence.DEFAULT_BUDGET)
+           for n in range(5, 9) for fam in "AB" for k in range(2)]
+    sweep = cs.parse_map(SWEEP_MAP).cone_map
+    out += [("sweep", sweep, existence.DEFAULT_BUDGET),
+            ("reverse", cs.parse_map(REVERSE_SWEEP_MAP).cone_map,
+             existence.DEFAULT_BUDGET),
+            ("black_box_twin",
+             ConeMap(dimension=5, evaluator=sweep.eval_interior), 100)]
+    return out
+
+
+class TestOnePassSweep:
+    """The sweep over integer masks decides as the reference sweep does
+    (`conftest.reference_sweep`), with the same work."""
+
+    CORPUS = _sweep_corpus()
+
+    @pytest.mark.parametrize("f, budget", [c[1:] for c in CORPUS],
+                             ids=[c[0] for c in CORPUS])
+    def test_verdict_equals_the_reference_sweep(self, f, budget):
+        verdict = existence.Analyzer(f, budget).classify()
+        assert repr(verdict) == repr(reference_sweep(f, budget))
+        for c in verdict.certificates:
+            if c.route is Route.PRUNED:
+                assert c.pruned_by.issubset(c.subset)
+                assert c.pruned_by != c.subset
+
+    def test_corpus_reaches_pruning_and_the_reverse_order(self):
+        verdicts = [existence.Analyzer(f, budget).classify(solve=False)
+                    for _, f, budget in self.CORPUS]
+        assert {v.kind for v in verdicts} == {
+            VerdictKind.NONEMPTY_BOUNDED, VerdictKind.NO_INTERIOR_EIGENVECTOR}
+        assert sum(c.route is Route.PRUNED
+                   for v in verdicts for c in v.certificates) > 1000
+
+    def test_work_on_the_sweep_map(self, monkeypatch):
+        # each checked subset reads its two reaches once; the checks and
+        # the face analyses, whose order the shared bracket states show,
+        # are those of the reference sweep
+        calls = {"check": 0, "reach": 0, "face_kind": 0, "faces": 0}
+        check, reach = existence.Analyzer.check_subset, HypergraphProbe.reach
+        face_kind = existence.Analyzer._face_kind
+        analyzer_classify = existence.Analyzer.classify
+
+        def counted(name, original):
+            def wrapper(self, *args):
+                calls[name] += 1
+                return original(self, *args)
+            return wrapper
+
+        def classify(self, solve=True):
+            calls["faces"] += self._kind_only
+            return analyzer_classify(self, solve)
+
+        monkeypatch.setattr(existence.Analyzer, "check_subset",
+                            counted("check", check))
+        monkeypatch.setattr(HypergraphProbe, "reach", counted("reach", reach))
+        monkeypatch.setattr(existence.Analyzer, "_face_kind",
+                            counted("face_kind", face_kind))
+        monkeypatch.setattr(existence.Analyzer, "classify", classify)
+        verdict = cs.classify(cs.parse_map(SWEEP_MAP).cone_map)
+        monkeypatch.undo()
+        assert verdict.kind is VerdictKind.NONEMPTY_BOUNDED
+        assert calls == {"check": 62, "reach": 120, "face_kind": 22,
+                         "faces": 14}
+        assert calls["reach"] <= 2 * calls["check"]
 
 
 def _count_calls(monkeypatch, name):

@@ -7,7 +7,7 @@ import pytest
 import conespec as cs
 from conespec import spectral
 from conespec.core import INF, ConeMap, ExtVec, Side, SubsetMask
-from conespec.errors import NumericRangeError
+from conespec.errors import NumericRangeError, ZeroRowError
 from conespec.maps import (Coord, Linear, Max, Min, Pole, PowerMean, Scale,
                            Sum, from_exprs)
 from conespec.spectral import NonconvergedError, plus_identity, ratios_at
@@ -118,6 +118,38 @@ class TestMinDisplacement:
                                 certificate=(one, zero))
         assert d.lower == pytest.approx(math.log(2.0), rel=1e-9)
         assert d.converged
+
+
+#: the two maps whose restrictions to {1} have an output that is a pole
+POLE_FACE_MAPS = [cs.matrix_map([[1, 1], [1, 1]]),
+                  cs.max_times_map([[1, 2], [3, 1]])]
+
+
+class TestPoleOutputs:
+    """A restriction keeps its pinned outputs as poles; the brackets that
+    cannot iterate such an output name it instead of failing inside."""
+
+    @pytest.mark.parametrize("f", POLE_FACE_MAPS, ids=["matrix", "max_times"])
+    def test_cw_lower_of_a_lower_restriction(self, f):
+        g = cs.restrict_lower(f, SubsetMask(1, 2))
+        with pytest.raises(ZeroRowError,
+                           match="coordinate 2 of the map is identically 0"):
+            cs.cw_lower(g)
+
+    @pytest.mark.parametrize("f", POLE_FACE_MAPS, ids=["matrix", "max_times"])
+    def test_min_displacement_of_a_lower_restriction(self, f):
+        g = cs.restrict_lower(f, SubsetMask(1, 2))
+        with pytest.raises(ZeroRowError,
+                           match="coordinate 2 of the map is identically 0"):
+            cs.min_displacement(g)
+
+    @pytest.mark.parametrize("f", POLE_FACE_MAPS, ids=["matrix", "max_times"])
+    def test_cw_upper_of_an_upper_restriction(self, f):
+        # pinning x2 to inf sends both outputs to inf; the first is named
+        g = cs.restrict_upper(f, SubsetMask(1, 2))
+        with pytest.raises(NumericRangeError,
+                           match="coordinate 1 of the map is identically inf"):
+            cs.cw_upper(g)
 
 
 class TestSolveEigenvector:
