@@ -104,6 +104,17 @@ def iter_bits(bits: int) -> Iterator[int]:
         bits ^= low
 
 
+def gather_bits(bits: int, positions: Sequence[int]) -> int:
+    """Bit k of the result is bit positions[k] of `bits`: a mask read on the
+    coordinates of a face that keeps `positions`."""
+    return sum(1 << k for k, j in enumerate(positions) if bits >> j & 1)
+
+
+def scatter_bits(bits: int, positions: Sequence[int]) -> int:
+    """The inverse of `gather_bits`: bit k of `bits` moves to positions[k]."""
+    return sum(1 << positions[k] for k in iter_bits(bits))
+
+
 @dataclass(frozen=True, order=True)
 class SubsetMask:
     """A subset of coordinate indices [0, n) stored as a bitmask."""
@@ -184,6 +195,10 @@ class ConeMap:
     # the compiled interior evaluator and (f + id) loop of an AST map,
     # built on first use by `maps.compile_interior`
     _interior: Optional[Tuple[Callable, Optional[Callable]]] = \
+        field(default=None, init=False, repr=False, compare=False)
+    # the body its faces are pinned through (False when it has none), built
+    # on first use by `maps.face_loop`
+    _faces: Optional[Callable] = \
         field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):

@@ -18,17 +18,17 @@ from enum import Enum
 from itertools import groupby
 from typing import Dict, List, Optional, Tuple
 
-from .core import INF, ConeMap, Side, SubsetMask
+from .core import INF, ConeMap, Side, SubsetMask, scatter_bits
 from .errors import DimensionTooLargeError, FlagMissingError
 from .graphs import (Digraph, HypergraphProbe, SCCDecomposition, digraph_of,
                      scc_decompose)
 from .maps import (face_exprs, face_map, from_exprs, reject_pole_outputs,
                    sparsity_probe)
 from .spectral import (CWBracket, CWHandle, DisplacementInterval,
-                       EigenResult, NonconvergedError, face_handle,
-                       min_displacement, solve_eigenvector, upper_handle,
-                       _bracket_and_solution, DEFAULT_BUDGET, DEFAULT_TOL,
-                       FIRST_CHUNK)
+                       EigenResult, FaceSide, NonconvergedError, face_handle,
+                       min_displacement, root_side, solve_eigenvector,
+                       upper_handle, _bracket_and_solution, DEFAULT_BUDGET,
+                       DEFAULT_TOL, FIRST_CHUNK)
 from .spectral import cw_upper as cw_upper  # a binding bench/tracer.py wraps
 
 SUBSET_SWEEP_CAP = 24
@@ -124,13 +124,18 @@ def _strictly_below(hi: float, lo: float, tol: float) -> bool:
 class Analyzer:
     """Caches for one classification run.
 
-    `memo` holds the reduced maps and their bracket states (see
-    `spectral.face_handle`) and the verdict kinds of faces, keyed by their
-    expressions; black-box maps have none and are not memoized.  The
-    top-level analyzer creates it and its face sub-analyses share it,
-    because a restriction of a face is a restriction of f: each distinct
-    map is built and iterated, and each distinct face classified, once
-    per classification.
+    `memo` holds the faces' bracket states (see `spectral.FaceSide`) and
+    the verdict kinds of faces.  The top-level analyzer creates it and its
+    face sub-analyses share it, because a restriction of a face is a
+    restriction of f: each distinct face is iterated, and each distinct
+    face classified, once per classification.  Black-box maps are not
+    memoized.
+
+    A face sub-analysis classifies the face f of its `root` map that pins
+    the root's coordinates in `inf` to inf, and evaluates its own faces by
+    pinning through the root: the lambda side's are the root's, and on the
+    r side the root's body gets the inf pins before each face's zero pins.
+    Only its hypergraphs and structure are read from f's expressions.
 
     `classify` sweeps the subsets in waves of one popcount, each in
     increasing bits order: every check of a wave, then the pruning of its
@@ -149,25 +154,48 @@ class Analyzer:
 
     def __init__(self, f: ConeMap, budget: int = DEFAULT_BUDGET,
                  tol: float = STRICTNESS_TOL, prune: bool = True,
-                 memo: Optional[dict] = None):
+                 memo: Optional[dict] = None, root: Optional[ConeMap] = None,
+                 inf: int = 0):
         self.f = f
         self.n = f.dimension
         self.budget = budget
         self.tol = tol
         self.prune = prune
         self.memo = {} if memo is None else memo
+        self.root = f if root is None else root
+        self.inf = inf
+        # the root coordinate of each coordinate of f
+        self.positions = tuple(j for j in range(self.root.dimension)
+                               if not inf >> j & 1)
         self.lower_probe = HypergraphProbe(f, Side.LOWER)
         self.upper_probe = HypergraphProbe(f, Side.UPPER)
         self._handles: Dict[Tuple[float, int], CWHandle] = {}
+        self._r_side: Optional[FaceSide] = None
 
     # -- brackets ---------------------------------------------------------
 
     def _face_handle(self, stable: SubsetMask, fill: float) -> CWHandle:
         """`spectral.face_handle` of f, built once per stabilized mask."""
         hit = self._handles.get((fill, stable.bits))
-        if hit is None:
-            hit = self._handles[fill, stable.bits] = face_handle(
-                self.f, stable, fill, self.budget, DEFAULT_TOL, self.memo)
+        if hit is not None:
+            return hit
+        if not self.inf:
+            side = root_side(self.f, fill, self.memo)
+            hit = face_handle(side, stable, self.budget, DEFAULT_TOL,
+                              self.memo)
+        elif fill == INF:
+            # the root's lambda side, with witnesses in f's coordinates
+            side = root_side(self.root, INF, self.memo)
+            kept = scatter_bits(stable.bits, self.positions)
+            hit = face_handle(side, SubsetMask(kept, self.root.dimension),
+                              self.budget, DEFAULT_TOL, self.memo)
+            hit.support = stable
+        else:
+            if self._r_side is None:
+                self._r_side = FaceSide(self.f, 0.0, self.root, self.inf)
+            hit = face_handle(self._r_side, stable, self.budget,
+                              DEFAULT_TOL, self.memo)
+        self._handles[fill, stable.bits] = hit
         return hit
 
     def r0_handle(self, J: SubsetMask) -> CWHandle:
@@ -224,18 +252,21 @@ class Analyzer:
     # -- face classification for pruning ----------------------------------
 
     def _face_kind(self, keep: SubsetMask) -> VerdictKind:
-        """The verdict kind of f's upper face on `keep`."""
+        """The verdict kind of f's upper face on `keep`, analyzed as the
+        root's face that pins the root's coordinates in `inf` to inf."""
+        inf = self.inf | scatter_bits(keep.complement().bits, self.positions)
         if self.f.is_ast:
-            key = ("face", face_exprs(self.f.exprs, keep, INF))
+            key = ("face", inf)
             kind = self.memo.get(key)
             if kind is not None:
                 return kind
-            face = from_exprs(key[1], keep.popcount())
+            face = from_exprs(face_exprs(self.f.exprs, keep, INF),
+                              keep.popcount())
         else:
-            # a black-box face has no expressions to tell it from the others
+            # black-box maps are not memoized
             key, face = None, face_map(self.f, keep, INF)
         sub = Analyzer(face, self.budget, self.tol, prune=self.prune,
-                       memo=self.memo)
+                       memo=self.memo, root=self.root, inf=inf)
         sub._kind_only = True
         kind = sub.classify(solve=False).kind
         if key is not None:

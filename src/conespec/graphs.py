@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from .core import INF, ConeMap, Side, SubsetMask, iter_bits
+from .core import INF, ConeMap, Side, SubsetMask, gather_bits, iter_bits
 from .maps import INF_SURROGATE, _growth_rows, pole_masks
 
 
@@ -180,14 +180,24 @@ class Digraph:
         return Digraph.from_rows(rows)
 
 
-def digraph_of(f: ConeMap) -> Digraph:
+def digraph_of(f: ConeMap, keep: Optional[int] = None) -> Digraph:
     """The growth digraph: arc (i, j) when output i blows up as x_j -> inf.
 
     On AST maps the rows are one symbolic pass over each output
     (`maps._growth_rows`), linear in the size of the map; on black-box
     maps they are the upper probe's unmasked targets of each unit tail.
+    With `keep`, the digraph of an AST map's face that keeps those
+    coordinates, numbered in order, the others pinned to 0 before the
+    pass (`maps.pole_masks`): the face need not be built.
     """
     n = f.dimension
+    if keep is not None:
+        positions = tuple(iter_bits(keep))
+        units = [1 << j for j in range(n)]
+        full = (1 << n) - 1
+        return Digraph.from_rows([gather_bits(pole_masks(
+            f.exprs[i], units, full, INF, full & ~keep)[0], positions)
+            for i in positions])
     if f.is_ast:
         return Digraph.from_rows(_growth_rows(f.exprs, n))
     probe = HypergraphProbe(f, Side.UPPER)

@@ -17,7 +17,8 @@ import types
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .core import INF, ConeMap, ExtVec, Side, SubsetMask, iter_bits
+from .core import (INF, ConeMap, ExtVec, Side, SubsetMask, gather_bits,
+                   iter_bits)
 from .errors import EmptySupportError, NumericRangeError, ZeroRowError
 
 #: how far weights and exponents that sum to one may miss it in float
@@ -307,14 +308,23 @@ class _Emitter:
     than it saves, nodes with constants that are not finite floats, and
     coordinates out of range) are called through their own `evaluate` on
     the point as a tuple, by a name bound in the map's own `namespace`.
+
+    With `guard`, a mean with r <= 0 is 0 when a term is 0, as
+    `eval_mean` has it, instead of raising at `_log(0.0)` or `0.0 ** r`;
+    a geometric mean that also has an inf term still raises, since which
+    pole absorbs depends on the order of the pins (`face_loop`).  The
+    terms are bound to the locals t0, t1, ..., and the mean is computed
+    from them with the same operations as without the guard.
     """
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, guard: bool = False):
         self.n = n
+        self.guard = guard
         self.namespace: Dict[str, object] = {
             "INF": INF, "_exp": math.exp, "_log": math.log}
         self.constants: List[float] = []
         self._names: Dict[object, str] = {}
+        self._locals = 0
 
     def _constant(self, v: float) -> str:
         key = v or repr(v)  # 0.0 == -0.0, but the sign can reach an output
@@ -347,17 +357,31 @@ class _Emitter:
                 all(map(_inlinable, e.weights)):
             inverse = 1.0 / e.r if e.r != 0.0 else 0.0
             if math.isfinite(inverse):
-                weights = [self._constant(w) for w in e.weights]
-                if e.r == 0.0:
-                    terms = (f"{w} * _log({self.emit(t)})"
-                             for w, t in zip(weights, e.terms))
-                    return "_exp(0.0 + " + " + ".join(terms) + ")"
-                r = self._constant(e.r)
-                terms = (f"{w} * {self.emit(t)} ** {r}"
-                         for w, t in zip(weights, e.terms))
-                return ("((0.0 + " + " + ".join(terms) + ") ** "
-                        f"{self._constant(inverse)})")
+                return self._mean(e, inverse)
         return self._out_of_line(e)
+
+    def _mean(self, e: PowerMean, inverse: float) -> str:
+        weights = [self._constant(w) for w in e.weights]
+        terms = [self.emit(t) for t in e.terms]
+        guard = ""
+        if self.guard and e.r <= 0.0:
+            names = [f"t{self._locals + k}" for k in range(len(terms))]
+            self._locals += len(terms)
+            bound = ", ".join(f"{v} := {t}" for v, t in zip(names, terms))
+            guard = f"0.0 if 0.0 in ({bound},)"
+            if e.r == 0.0:
+                guard += " and INF not in (" + ", ".join(names) + ",)"
+            guard += " else "
+            terms = names
+        if e.r == 0.0:
+            body = "_exp(0.0 + " + " + ".join(
+                f"{w} * _log({t})" for w, t in zip(weights, terms)) + ")"
+        else:
+            r = self._constant(e.r)
+            body = ("(0.0 + " + " + ".join(
+                f"{w} * {t} ** {r}" for w, t in zip(weights, terms)) +
+                f") ** {self._constant(inverse)}")
+        return f"({guard}{body})"
 
 
 def _extreme(var: str, items: Sequence[str], op: str, indent: str) -> List[str]:
@@ -373,27 +397,42 @@ def _extreme(var: str, items: Sequence[str], op: str, indent: str) -> List[str]:
     return lines
 
 
-def _loop_source(n: int) -> str:
+def _loop_source(n: int, face: bool = False) -> str:
     """The normalized (f + id) iteration in dimension n, over scalar locals.
 
-    The generated `_trajectory(body, interpret, x, ...)` takes a map's
-    compiled body, a function from the n coordinates to the n outputs, and
-    its interpreter, which evaluates the points where the body raises,
+    The generated `_trajectory(body, interpret, x, ..., face=None)` takes a
+    map's compiled body, a function from its coordinates to its outputs,
+    and its interpreter, which evaluates the points where the body raises,
     followed by the arguments of `spectral._plain_trajectory`, and returns
     what it returns.  Per iterate it performs the same floating-point
     operations and comparisons in the same order, without building a tuple
     except for a new best witness, a point the body cannot evaluate and the
-    last iterate.
+    last iterate.  With `face`, the loop iterates the n kept coordinates of
+    a face of a larger map (`face_loop`): `face` holds their positions in
+    the map, the map's point with the other coordinates at their pins, and
+    the mask of the kept outputs, which a selective body is passed first
+    and computes alone.  The source depends on n alone either way.
     """
     xs = [f"x{i}" for i in range(n)]
     fs = [f"f{i}" for i in range(n)]
     rs = [f"r{i}" for i in range(n)]
     ys = [f"y{i}" for i in range(n)]
     point = _point(n)
+    if face:
+        ids = [f"i{i}" for i in range(n)]
+        setup = [f"    {', '.join(ids)}, = face[0]", "    a = list(face[1])",
+                 "    keep = face[2]"]
+        call = ["; ".join(f"a[{i}] = {x}" for i, x in zip(ids, xs)),
+                "out = body(keep, *a)",
+                "; ".join(f"{f} = out[{i}]" for f, i in zip(fs, ids))]
+    else:
+        setup = []
+        call = [f"{', '.join(fs)}, = body({', '.join(xs)})"]
     lines = [
         "def _trajectory(body, interpret, x, budget, tol, gap_stop, "
-        "residual_stop, guard, start=None):",
+        "residual_stop, guard, start=None, face=None):",
         f"    {', '.join(xs)}, = x",
+        *setup,
         *_extreme("m", xs, ">", "    "),
         *(f"    {v} = {v} / m" for v in xs),
         "    if start is None:",
@@ -407,7 +446,7 @@ def _loop_source(n: int) -> str:
         "    while k < budget:",
         "        k += 1",
         "        try:",
-        f"            {', '.join(fs)}, = body({', '.join(xs)})",
+        *(f"            {c}" for c in call),
         "        except (ArithmeticError, ValueError):",
         f"            {', '.join(fs)}, = interpret({point})",
         *(f"        {r} = {v} / {u}" for r, v, u in zip(rs, fs, xs)),
@@ -447,10 +486,12 @@ def _loop_source(n: int) -> str:
 
 
 @functools.lru_cache(maxsize=None)
-def _loop(n: int) -> Callable:
-    """The (f + id) loop of `_loop_source`, compiled once per dimension."""
+def _loop(n: int, face: bool = False) -> Callable:
+    """The (f + id) loop of `_loop_source`, compiled once per dimension,
+    for whole maps and for faces."""
     namespace: Dict[str, object] = {"INF": INF, "_log": math.log}
-    exec(compile(_loop_source(n), "<(f + id) loop>", "exec"), namespace)
+    exec(compile(_loop_source(n, face), "<(f + id) loop>", "exec"),
+         namespace)
     return namespace["_trajectory"]
 
 
@@ -471,27 +512,64 @@ def shape_code(source: str, filename: str) -> types.CodeType:
     return next(c for c in module.co_consts if isinstance(c, types.CodeType))
 
 
+def _compile_body(exprs: Sequence[Expr], guard: bool = False,
+                  select: bool = False) -> Optional[Callable]:
+    """The outputs of `exprs` as a lambda of the n coordinates followed by
+    its constants (`_Emitter`), whose code comes from the shape cache and
+    which is bound to the map's constants and namespace; None for a tree
+    too deep for the Python compiler.  A `select` body takes a mask first
+    and computes only the outputs in it, the others being 0.0."""
+    n = len(exprs)
+    emitter = _Emitter(n, guard)
+    try:
+        outputs = [emitter.emit(e) for e in exprs]
+        params = [f"x{j}" for j in range(n)]
+        if select:
+            params.insert(0, "keep")
+            outputs = [f"({e} if keep & {1 << i} else 0.0)"
+                       for i, e in enumerate(outputs)]
+        params += (f"c{k}" for k in range(len(emitter.constants)))
+        code = shape_code(f"lambda {', '.join(params)}: "
+                          f"({''.join(e + ', ' for e in outputs)})",
+                          "<interior evaluator>")
+    except (RecursionError, SyntaxError):
+        return None
+    return types.FunctionType(code, emitter.namespace, None,
+                              tuple(emitter.constants))
+
+
+def _worth_compiling(exprs: Sequence[Expr]) -> bool:
+    """Whether a map has a compiled body: two or more coordinates, and an
+    output that is not a `Coord`, `Pole` or `Linear`."""
+    return len(exprs) > 1 and not all(
+        type(e) in (Coord, Pole, Linear) for e in exprs)
+
+
 def compile_interior(exprs: Sequence[Expr]
                      ) -> Tuple[Callable[[Tuple[float, ...]], Tuple[float, ...]],
                                 Optional[Callable]]:
     """The interior evaluator of a map and its compiled (f + id) loop.
 
-    The map is written as a lambda of its n coordinates followed by its
-    constants (`_Emitter`), whose code comes from the shape cache
-    (`shape_code`); its body is that code bound to the map's constants and
-    namespace.  The evaluator, x -> (e(x) for e in exprs), calls the body,
-    and the loop is the dimension's `_loop` bound to it.  Outputs are
-    bit-identical to `Expr.evaluate`: both evaluate a point where the body
-    raises (a zero under a geometric mean's log, 0.0 to a negative power, a
-    power that overflows) again with the interpreter, which applies the
-    exact pole rules of `eval_mean` and `_pow_safe`; every other point takes
-    the same floating-point operations in the same order as the
-    interpreter.  Maps whose outputs are all `Coord`, `Pole` or `Linear`
-    (every `matrix_map`) have nothing worth inlining, a one-dimensional map
-    x -> f(1) x closes its bracket at the first iterate, and trees too deep
-    for the Python compiler cannot be compiled: these keep the interpreter
-    and have no loop, and `spectral` iterates them with its plain-Python
-    loop.
+    The map's body is `_compile_body` of its outputs.  The evaluator,
+    x -> (e(x) for e in exprs), calls the body, and the loop is the
+    dimension's `_loop` bound to it.  Outputs are bit-identical to
+    `Expr.evaluate`: both evaluate a point where the body raises (a zero
+    under a geometric mean's log, 0.0 to a negative power, a power that
+    overflows) again with the interpreter, which applies the exact pole
+    rules of `eval_mean` and `_pow_safe`; every other point takes the same
+    floating-point operations in the same order as the interpreter.
+
+    Faces are evaluated by pinning, not built: a map's faces are iterated
+    on one more body of it, which computes the kept outputs alone, guards
+    its means with r <= 0 and gets the dropped coordinates as poles, inf
+    pins before zero pins (`face_loop`).  A classification compiles this
+    body for f and for its conjugate, and no face body.  Maps whose
+    outputs are all `Coord`, `Pole` or `Linear` (every `matrix_map`) have
+    nothing worth inlining, a one-dimensional map x -> f(1) x closes its
+    bracket at the first iterate, and trees too deep for the Python
+    compiler cannot be compiled: these keep the interpreter and have no
+    loop, `spectral` iterates them with its plain-Python loop, and their
+    faces are built as maps of their own (`face_map`).
     """
     exprs = tuple(exprs)
     n = len(exprs)
@@ -499,19 +577,10 @@ def compile_interior(exprs: Sequence[Expr]
     def interpret(x):
         return tuple(e.evaluate(x) for e in exprs)
 
-    if n == 1 or all(type(e) in (Coord, Pole, Linear) for e in exprs):
+    if not _worth_compiling(exprs):
         return interpret, None
-    emitter = _Emitter(n)
-    try:
-        outputs = "".join(emitter.emit(e) + ", " for e in exprs)
-        params = [f"x{j}" for j in range(n)]
-        params += (f"c{k}" for k in range(len(emitter.constants)))
-        code = shape_code(f"lambda {', '.join(params)}: ({outputs})",
-                          "<interior evaluator>")
-        body = types.FunctionType(code, emitter.namespace, None,
-                                  tuple(emitter.constants))
-        loop = _loop(n)
-    except (RecursionError, SyntaxError):
+    body = _compile_body(exprs)
+    if body is None:
         return interpret, None
 
     def evaluate(x):
@@ -523,7 +592,100 @@ def compile_interior(exprs: Sequence[Expr]
         except (ArithmeticError, ValueError):
             return interpret(x)
 
-    return evaluate, functools.partial(loop, body, interpret)
+    return evaluate, functools.partial(_loop(n), body, interpret)
+
+
+# ---------------------------------------------------------------------------
+# Faces evaluated by pinning
+
+def _has_guarded_mean(e: Expr) -> bool:
+    """Whether e has a power mean with r <= 0, which a guard keeps from
+    raising at a zero term."""
+    if type(e) is PowerMean and e.r <= 0.0:
+        return True
+    return any(map(_has_guarded_mean, e.children()))
+
+
+def face_loop(f: ConeMap, keep: int, inf: int = 0) -> Optional[Callable]:
+    """The (f + id) loop of f's face that keeps the coordinates in `keep`,
+    on a compiled body of f, with every other coordinate pinned: to inf
+    when it is in `inf`, else to 0; None when f has no compiled body.
+
+    This is how the faces f^J_0 and, on f's conjugate, f^J_inf are
+    iterated: as f with the other coordinates sent to a pole, not as maps
+    of their own.  Zero pins are exact in IEEE arithmetic (they add 0.0,
+    absorb in `min` and drop out of `max` and of r > 0 means), and so are
+    inf pins, so the face's outputs are the face map's (`face_exprs`) bit
+    for bit, except where building that map rounds: `_substitute`
+    renormalizes a power mean's weights, unwraps a one-term mean and
+    merges nested scales.  The body, compiled once per map, computes the
+    kept outputs alone, and when f has a mean with r <= 0, which would
+    raise at a zero term, it guards it (`_Emitter`).  The points where the
+    body still raises, such as a geometric mean that sees both poles, are
+    evaluated on the face map, built at the first of them as `face_exprs`
+    builds the faces of face sub-analyses: the inf pins in a pass before
+    the zero pins.
+    """
+    body = f._faces
+    if body is None:
+        body = f.is_ast and _worth_compiling(f.exprs) and _compile_body(
+            f.exprs, any(map(_has_guarded_mean, f.exprs)), select=True)
+        object.__setattr__(f, "_faces", body)
+    if not body:
+        return None
+    n = f.dimension
+    full = (1 << n) - 1
+    face: List[Expr] = []
+
+    def interpret(y):
+        if not face:
+            exprs, kept = f.exprs, keep
+            if inf:
+                outer = SubsetMask(full & ~inf, n)
+                exprs = face_exprs(exprs, outer, INF)
+                kept = gather_bits(keep, outer.indices())
+            face.extend(face_exprs(exprs, SubsetMask(kept, len(exprs)), 0.0))
+        return tuple(e.evaluate(y) for e in face)
+
+    point = tuple(INF if inf >> j & 1 else 0.0 for j in range(n))
+    positions = tuple(iter_bits(keep))
+    return functools.partial(_loop(len(positions), True), body, interpret,
+                             face=(positions, point, keep))
+
+
+def coordinates_read(e: Expr) -> int:
+    """The mask of the coordinates e reads, or -1, every coordinate, when e
+    holds a literal `Pole`: whether a face pins any coordinate to inf then
+    decides which pole a geometric mean takes, as `face_exprs` pins the
+    inf coordinates in a pass of their own (`face_loop`)."""
+    kind = type(e)
+    if kind is Coord:
+        return 1 << e.index
+    if kind is Pole:
+        return -1
+    if kind is Linear:
+        return sum(1 << j for j, _ in e.nonzeros)
+    return functools.reduce(operator.or_, map(coordinates_read, e.children()))
+
+
+def face_convex(exprs: Sequence[Expr], keep: int) -> bool:
+    """Whether the face of `exprs` on `keep`, the other coordinates pinned
+    to 0, is multiplicatively convex, read from `exprs` under the pins: as
+    `map_flags` of its `face_exprs`, where a `Min` or a mean with r < 0
+    that keeps one branch is that branch."""
+    pins = [0 if keep >> j & 1 else 1 for j in range(len(exprs))]
+
+    def convex(e: Expr) -> bool:
+        kind = type(e)
+        if kind is Scale:
+            return convex(e.child)
+        live = [t for t in e.children()
+                if pole_masks(t, pins, 1, 0.0) == (0, 0)]
+        if len(live) > 1 and (kind is Min or kind is PowerMean and e.r < 0.0):
+            return False
+        return all(map(convex, live))
+
+    return all(convex(exprs[i]) for i in iter_bits(keep))
 
 
 # ---------------------------------------------------------------------------
@@ -907,7 +1069,7 @@ def schoen_map(a, b, c, d) -> ConeMap:
 # Growth structure
 
 def pole_masks(e: Expr, pins: Sequence[int], full: int,
-               pole: float) -> Tuple[int, int]:
+               pole: float, zero: int = 0) -> Tuple[int, int]:
     """Where e is inf and where it is 0, over several pins at once.
 
     Pin t sends every coordinate j with bit t of `pins[j]` to `pole` (0.0
@@ -920,14 +1082,21 @@ def pole_masks(e: Expr, pins: Sequence[int], full: int,
     pole: hyperarcs (`graphs.HypergraphProbe`) fold each output once over
     all 2^n tails up to n = 10, and once per tail beyond, and growth arcs
     (`graphs.digraph_of`) and the exact sparsity rows of analytic maps are
-    the fold over the unit pins to inf (`_growth_rows`).
+    the fold over the unit pins to inf (`_growth_rows`).  The coordinates
+    in `zero` are 0 at every pin, pinned before the others: the growth
+    rows of a face (`spectral.FaceSide`) read with the face's zero pins.
     """
     kind = type(e)
     if kind is Coord:
+        if zero >> e.index & 1:
+            return 0, full
         return (pins[e.index], 0) if pole == INF else (0, pins[e.index])
     if kind is Scale:
-        return pole_masks(e.child, pins, full, pole)
+        return pole_masks(e.child, pins, full, pole, zero)
     if kind is Linear:
+        if zero:  # at the poles a linear form is the sum of its coordinates
+            return pole_masks(Sum(tuple(Coord(j) for j, _ in e.nonzeros)),
+                              pins, full, pole, zero)
         read = [pins[j] for j, _ in e.nonzeros]
         if pole == INF:  # a sum: inf when any term is, 0 when all are
             return functools.reduce(operator.or_, read), 0
@@ -937,11 +1106,11 @@ def pole_masks(e: Expr, pins: Sequence[int], full: int,
     any_inf = any_zero = 0
     all_inf = all_zero = full
     for t in e.children():
-        inf, zero = pole_masks(t, pins, full, pole)
+        inf, zero_at = pole_masks(t, pins, full, pole, zero)
         any_inf |= inf
-        any_zero |= zero
+        any_zero |= zero_at
         all_inf &= inf
-        all_zero &= zero
+        all_zero &= zero_at
     if kind is PowerMean and e.r == 0.0:
         return any_inf & ~any_zero, any_zero  # a zero factor absorbs first
     if kind is Sum or kind is Max or kind is PowerMean and e.r > 0.0:

@@ -14,14 +14,16 @@ ends of the bracket even when the eigenspace is empty or unbounded.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from itertools import repeat
 from operator import add, truediv
-from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .core import (INF, ConeMap, ExtVec, Side, SubsetMask, reciprocal,
-                   sup_normalized)
+from .core import (INF, ConeMap, ExtVec, Side, SubsetMask, gather_bits,
+                   iter_bits, reciprocal, scatter_bits, sup_normalized)
 from .errors import ConespecError, NumericRangeError
 from .graphs import (HypergraphProbe, SCCDecomposition, digraph_of,
                      scc_decompose)
@@ -93,16 +95,6 @@ def ratios_at(f: ConeMap, w: ExtVec) -> Tuple[float, float]:
         idx = [j for j, v in enumerate(w.entries) if v > 0.0]
     vals = [out[j] / w.entries[j] for j in idx]
     return min(vals), max(vals)
-
-
-def _stable_lower_support(f: ConeMap) -> SubsetMask:
-    """The coordinates of f that no pin to zero of the others forces to
-    zero: the complement of the lower hypergraph's reach of the empty set.
-    A black-box map keeps its full support."""
-    if not f.is_ast:
-        return SubsetMask.full(f.dimension)
-    empty = SubsetMask.empty(f.dimension)
-    return HypergraphProbe(f, Side.LOWER).reach(empty).complement()
 
 
 def _embed_witness(values: Tuple[float, ...], face: SubsetMask) -> ExtVec:
@@ -230,22 +222,36 @@ def _core_bracket(g: ConeMap, x0: Tuple[float, ...], budget: int,
     return _sandwich(run) + (run[7],)
 
 
+class _Pinned(NamedTuple):
+    """A face iterated on its root map's compiled body (`maps.face_loop`):
+    all `_trajectory` reads of a map."""
+
+    dimension: int
+    loop: Callable
+
+    #: like a black-box map, a pinned face has no expressions of its own
+    exprs = None
+
+    def interior_loop(self) -> Callable:
+        return self.loop
+
+
 class BracketState:
     """`_core_bracket` of g from the all-ones vector, resumable.
 
-    It keeps the best sandwich (lo, up) with its witnesses and the last
-    iterate.  `refine(steps)` runs at most `steps` more iterations of the
-    budget from there, so a state refined in any number of chunks ends
-    bit-identical to one run of the whole budget.  Refinement only ever
-    lowers `up` and raises `lo`.  The state is `done` once the gap closes
-    (`converged`), the budget is spent, or an iterate falls below the
-    underflow guard.
+    g is a map or a `_Pinned` face.  The state keeps the best sandwich
+    (lo, up) with its witnesses and the last iterate.  `refine(steps)` runs
+    at most `steps` more iterations of the budget from there, so a state
+    refined in any number of chunks ends bit-identical to one run of the
+    whole budget.  Refinement only ever lowers `up` and raises `lo`.  The
+    state is `done` once the gap closes (`converged`), the budget is spent,
+    or an iterate falls below the underflow guard.
     """
 
     __slots__ = ("g", "budget", "tol", "x", "lo", "up", "wlo", "wup",
                  "iterations", "converged", "done")
 
-    def __init__(self, g: ConeMap, budget: int, tol: float):
+    def __init__(self, g, budget: int, tol: float):
         self.g = g
         self.budget = budget
         self.tol = tol
@@ -267,21 +273,129 @@ class BracketState:
                      or min(self.x) < UNDERFLOW_GUARD)
 
 
-def _memo_state(g: ConeMap, budget: int, tol: float,
-                memo: Optional[dict]) -> BracketState:
-    """The `BracketState` of g, looked up in `memo`.
+class FaceSide:
+    """The faces of one side of a map f: r(f^S_0) on the r side (`fill`
+    0), lambda(f^S_inf) on the lambda side (`fill` inf), which cw_upper
+    reads as r of the face of f's conjugate on S with the others at 0.
 
-    Only AST maps are memoized, by their expressions: equal expressions
-    iterate identically, so a state shared by several callers ends as each
-    of them would have ended it alone.
+    Faces are evaluated by pinning, not built: each is iterated on a
+    compiled body of f on the r side, of `conjugate_map(f)` on the lambda
+    side, with the coordinates it drops passed to the body as poles
+    (`maps.face_loop`).  The r side of a face sub-analysis
+    (`existence.Analyzer`) is that of a face f of a root map: it pins
+    through the root, whose coordinates outside f (`inf`) are pinned to
+    inf before each face pins others to 0.  A side whose map has no
+    compiled body (a black-box map, one whose outputs are all `Coord`,
+    `Pole` or `Linear`, a tree too deep to compile) builds each face as a
+    map of its own (`maps.face_map`).
+
+    `shape`, f on the r side and its conjugate on the lambda side (None
+    for a black-box map), tells a face's structure by folding its
+    expressions under the zero pins: the stabilized support (`probe`),
+    whether the face is multiplicatively convex, and its growth digraph.
+    With a classification's memo, each face's state or convex radius is
+    kept under its pins in the root's coordinates, (fill, inf, kept,
+    budget, tol), where `inf` keeps the inf pins a kept output reads: a
+    sub-analysis's face that reads none is the top-level face on the same
+    coordinates.  The memo belongs to one root map.
     """
-    if memo is None or not g.is_ast:
-        return BracketState(g, budget, tol)
-    key = (g.exprs, budget, tol)
-    hit = memo.get(key)
-    if hit is None:
-        hit = memo[key] = BracketState(g, budget, tol)
-    return hit
+
+    __slots__ = ("f", "fill", "inf", "positions", "shape", "body", "_probe",
+                 "_reads")
+
+    def __init__(self, f: ConeMap, fill: float,
+                 root: Optional[ConeMap] = None, inf: int = 0):
+        self.f, self.fill, self.inf = f, fill, inf
+        # the root coordinate of each coordinate of f
+        self.positions = None if root is None else tuple(
+            j for j in range(root.dimension) if not inf >> j & 1)
+        if fill == INF:
+            self.shape = self.body = \
+                _maps.conjugate_map(f) if f.is_ast else None
+        else:
+            self.shape = f if f.is_ast else None
+            self.body = (f if root is None else root) if f.is_ast else None
+        self._probe = None
+        # per root output, the coordinates it reads (`face`)
+        self._reads = inf and root.is_ast and [
+            _maps.coordinates_read(e) for e in root.exprs]
+
+    def probe(self) -> HypergraphProbe:
+        """The lower hypergraph of `shape`, which stabilizes faces."""
+        if self._probe is None:
+            self._probe = HypergraphProbe(self.shape, Side.LOWER)
+        return self._probe
+
+    def stable(self) -> SubsetMask:
+        """The coordinates that no pin of the others forces to the pole:
+        the complement of the lower hypergraph's reach of the empty set.
+        A black-box map keeps its full support."""
+        n = self.f.dimension
+        if self.shape is None:
+            return SubsetMask.full(n)
+        return self.probe().reach(SubsetMask.empty(n)).complement()
+
+    def face(self, kept: int, budget: int, tol: float,
+             memo: Optional[dict],
+             components: Optional[SCCDecomposition] = None):
+        """The `BracketState` of the face that keeps the stable mask
+        `kept`, or its `_ConvexRadius` when it is multiplicatively convex
+        and decomposes; `components` is its decomposition when the caller
+        has it.  Looked up in `memo` when f has expressions."""
+        key = None
+        if memo is not None and self.shape is not None:
+            root = kept if self.positions is None else \
+                scatter_bits(kept, self.positions)
+            # an inf pin that no kept output reads changes nothing, and the
+            # face is the one that pins that coordinate to 0
+            inf = self.inf and self.inf & functools.reduce(
+                operator.or_, (self._reads[j] for j in iter_bits(root)))
+            key = (self.fill, inf, root, budget, tol)
+            hit = memo.get(key)
+            if hit is not None:
+                return hit
+        face = None
+        if self.shape is not None and kept.bit_count() > 1 and (
+                self.shape.multiplicatively_convex
+                if kept == (1 << self.f.dimension) - 1
+                else _maps.face_convex(self.shape.exprs, kept)):
+            face = _convex_radius(self, kept, budget, tol, components, memo)
+        if face is None:
+            face = BracketState(self._iterated(kept), budget, tol)
+        if key is not None:
+            memo[key] = face
+        return face
+
+    def _iterated(self, kept: int):
+        """The map, or the pinned face, that the face on `kept` iterates:
+        f itself on the r side of its whole support."""
+        n = self.f.dimension
+        full = kept == (1 << n) - 1
+        if full and not self.inf and self.fill == 0.0:
+            return self.f
+        if self.body is not None:
+            root = kept if self.positions is None else \
+                scatter_bits(kept, self.positions)
+            loop = _maps.face_loop(self.body, root, self.inf)
+            if loop is not None:
+                return _Pinned(kept.bit_count(), loop)
+        if self.fill == INF:
+            return self.shape if full and self.shape is not None else \
+                _maps.conjugate_map(self.f if full else _maps.face_map(
+                    self.f, SubsetMask(kept, n), INF))
+        return self.f if full else _maps.face_map(self.f,
+                                                  SubsetMask(kept, n), 0.0)
+
+
+def root_side(f: ConeMap, fill: float, memo: Optional[dict] = None
+              ) -> FaceSide:
+    """f's `FaceSide` for `fill`, made once per `memo`."""
+    if memo is None:
+        return FaceSide(f, fill)
+    side = memo.get(("side", fill))
+    if side is None:
+        side = memo["side", fill] = FaceSide(f, fill)
+    return side
 
 
 def _dual_bounds(lo: float, up: float) -> Tuple[float, float]:
@@ -368,77 +482,59 @@ def upper_handle(f: ConeMap, budget: int = DEFAULT_BUDGET,
     refined to the whole budget at once.  `components`, the decomposition
     of f's growth digraph when the caller already has it, is reused only if
     no part of the support collapses; a collapsed face has a digraph of its
-    own.  `memo`, a dict shared by the calls of one classification, keeps
-    the iteration's state per reduced map, so each one is iterated once.
+    own.  `memo`, a dict shared by the calls of one classification of f,
+    keeps the iteration's state per face, so each one is iterated once.
     """
-    support = _stable_lower_support(f)
-    if support.is_full():
-        return _reduced_handle(f, support, budget, tol, components, memo)
-    return face_handle(f, support, 0.0, budget, tol, memo)
+    side = root_side(f, 0.0, memo)
+    support = side.stable()
+    return face_handle(side, support, budget, tol, memo,
+                       components if support.is_full() else None)
 
 
 #: the exact bracket of a face whose whole support collapses
 _COLLAPSED = CWBracket(0.0, 0.0, None, None, 0, True, collapsed_support=())
 
 
-def face_handle(f: ConeMap, support: SubsetMask, fill: float,
+def face_handle(side: FaceSide, support: SubsetMask,
                 budget: int = DEFAULT_BUDGET, tol: float = DEFAULT_TOL,
-                memo: Optional[dict] = None) -> CWHandle:
-    """The handle of r(f^S_0) (fill 0) or lambda(f^S_inf) (fill inf).
+                memo: Optional[dict] = None,
+                components: Optional[SCCDecomposition] = None) -> CWHandle:
+    """The handle of r(f^S_0) on the r side or lambda(f^S_inf) on the
+    lambda side of f (`FaceSide`), S = `support`.
 
-    `support` S must already be stable on the fill's side: the complement
-    of a set the hypergraph of that side leaves invariant, so no kept
-    output collapses to the pole.  The face is built from f
-    (`maps.face_map`) and conjugated on the lambda side; with `memo`, each
-    reduced AST map is built once per classification (`_reduced_map`).
-    An empty S gives the exact bracket [0, 0] (or [inf, inf]) without
-    iteration.
+    S must already be stable on the side: the complement of a set the
+    hypergraph of that side leaves invariant, so no kept output collapses
+    to the pole.  The face is evaluated by pinning f's compiled body, or
+    its conjugate's on the lambda side, and built as a map only when that
+    body does not exist.  With `memo`, each face is iterated once per
+    classification.  An empty S gives the exact bracket [0, 0] (or
+    [inf, inf]) without iteration.
     """
-    if support.is_empty():
-        handle = CWHandle(fixed=_COLLAPSED)
-    else:
-        g = _reduced_map(f, support, fill, memo)
-        handle = _reduced_handle(g, support, budget, tol, memo=memo)
-    handle.dual = fill == INF
+    handle = _raw_handle(side, support.bits, support, budget, tol, memo,
+                         components)
+    handle.dual = side.fill == INF
     return handle
 
 
-def _reduced_map(f: ConeMap, support: SubsetMask, fill: float,
-                 memo: Optional[dict]) -> ConeMap:
-    """The map cw_upper iterates for `face_handle`: f's face on `support`,
-    conjugated when the fill is inf.  With `memo`, an AST one is stored
-    under its face's expressions and fill, and built only on a miss."""
-    if memo is None or not f.is_ast:
-        g = _maps.face_map(f, support, fill)
-        return _maps.conjugate_map(g) if fill == INF else g
-    key = (_maps.face_exprs(f.exprs, support, fill), fill)
-    g = memo.get(key)
-    if g is None:
-        g = _maps.from_exprs(key[0], support.popcount())
-        g = memo[key] = _maps.conjugate_map(g) if fill == INF else g
-    return g
-
-
-def _reduced_handle(g: ConeMap, support: SubsetMask, budget: int, tol: float,
-                    components: Optional[SCCDecomposition] = None,
-                    memo: Optional[dict] = None) -> CWHandle:
-    """cw_upper's handle of the face on `support`, given as its reduced map
-    g, with witnesses embedded back in the coordinates of the whole map.
-    `components` is g's decomposition when the caller already has it."""
-    if g.is_ast and g.multiplicatively_convex and g.dimension > 1:
-        radius = _convex_radius(g, budget, tol, components, memo)
-        if radius is not None:
-            return CWHandle(support=support, fixed=radius)
-    return CWHandle(_memo_state(g, budget, tol, memo), support)
+def _raw_handle(side: FaceSide, kept: int, support: SubsetMask, budget: int,
+                tol: float, memo: Optional[dict],
+                components: Optional[SCCDecomposition] = None) -> CWHandle:
+    """cw_upper's handle of the face of `side` on `kept`, its witnesses
+    embedded in the coordinates of `support`."""
+    if not kept:
+        return CWHandle(fixed=_COLLAPSED)
+    face = side.face(kept, budget, tol, memo, components)
+    if type(face) is BracketState:
+        return CWHandle(face, support)
+    return CWHandle(support=support, fixed=face)
 
 
 def lower_handle(f: ConeMap, budget: int = DEFAULT_BUDGET,
                  tol: float = DEFAULT_TOL,
                  memo: Optional[dict] = None) -> CWHandle:
     """`cw_lower`'s bracket of f as a handle, refined only on demand."""
-    handle = upper_handle(_maps.conjugate_map(f), budget, tol, memo=memo)
-    handle.dual = True
-    return handle
+    side = root_side(f, INF, memo)
+    return face_handle(side, side.stable(), budget, tol, memo)
 
 
 def cw_upper(f: ConeMap, budget: int = DEFAULT_BUDGET,
@@ -473,12 +569,18 @@ def _bracket_and_solution(f: ConeMap, budget: int, tol: float,
     reads it without iterating again.
     """
     n = f.dimension
-    if not _stable_lower_support(f).is_full():
+    if not FaceSide(f, 0.0).stable().is_full():
         return None
     run = _trajectory(f, (1.0,) * n, budget, tol, True, True)
     sandwich = _sandwich(run)
-    state = None if memo is None else _memo_state(f, budget, tol, memo)
-    if state is not None and not state.done:
+    state = None
+    if memo is not None and f.is_ast:
+        # the key of f's face on every coordinate (`FaceSide.face`)
+        key = (0.0, 0, (1 << n) - 1, budget, tol)
+        state = memo.get(key)
+        if state is None:
+            state = memo[key] = BracketState(f, budget, tol)
+    if type(state) is BracketState and not state.done:
         (state.lo, state.up, state.wlo, state.wup, state.iterations,
          state.converged) = sandwich
         # a gap-only run stops at the gap with another last iterate, but a
@@ -525,23 +627,28 @@ class _ConvexRadius(NamedTuple):
                            self.iterations, self.converged)
 
 
-def _convex_radius(g: ConeMap, budget: int, tol: float,
+def _convex_radius(side: FaceSide, kept: int, budget: int, tol: float,
                    scc: Optional[SCCDecomposition],
                    memo: Optional[dict] = None) -> Optional[_ConvexRadius]:
-    """r(g) = max over strongly connected components C of r(g^C_0), each
-    face refined to the whole budget; None for a single component."""
+    """r(g) of the multiplicatively convex face g of `side` on `kept`: the
+    max over g's strongly connected components C of r(g^C_0), each face
+    refined to the whole budget; None for a single component."""
+    n = side.f.dimension
+    full = (1 << n) - 1
     if scc is None:
-        scc = scc_decompose(digraph_of(g))
+        scc = scc_decompose(digraph_of(side.shape)
+                            if kept == full else digraph_of(side.shape, kept))
     if len(scc.order) <= 1:
         return None
-    probe = HypergraphProbe(g, Side.LOWER)
+    positions = tuple(iter_bits(kept))
     best = None
     iterations = 0
     all_converged = True
     for comp in scc.order:
-        mask = SubsetMask.of(comp, g.dimension)
-        stable = probe.reach(mask.complement()).complement()
-        h = face_handle(g, stable, 0.0, budget, tol, memo)
+        outside = full & ~sum(1 << positions[c] for c in comp)
+        stable = full & ~side.probe().reach(SubsetMask(outside, n)).bits
+        h = _raw_handle(side, stable, SubsetMask(
+            gather_bits(stable, positions), len(positions)), budget, tol, memo)
         h.refine(budget)
         # a state, a fixed bracket and a radius all count the same way
         run = h.fixed if h.state is None else h.state
@@ -549,12 +656,14 @@ def _convex_radius(g: ConeMap, budget: int, tol: float,
         all_converged = all_converged and run.converged
         lo, up = h.bounds()
         if best is None or up > best[1]:
-            best = (lo, up, None if stable.is_empty() else h)
+            best = (lo, up, None if not stable else h)
     lo, up, top = best
     if top is None:
         # the dominant component collapsed entirely; r(g) = 0 is exact
-        return _ConvexRadius(0.0, 0.0, None, g.dimension, iterations, True)
-    return _ConvexRadius(lo, up, top, g.dimension, iterations, all_converged)
+        return _ConvexRadius(0.0, 0.0, None, len(positions), iterations,
+                             True)
+    return _ConvexRadius(lo, up, top, len(positions), iterations,
+                         all_converged)
 
 
 def cw_lower(f: ConeMap, budget: int = DEFAULT_BUDGET,

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import conespec as cs
-from conespec.core import INF, Side, SubsetMask, sup_normalized
+from conespec.core import INF, Side, SubsetMask, scatter_bits, sup_normalized
 from conespec import existence, maps
 from conespec.errors import DimensionTooLargeError
 from conespec.existence import (SUBSET_SWEEP_CAP, Route, SubsetCertificate,
@@ -440,22 +440,28 @@ class _ReferenceAnalyzer(existence.Analyzer):
     """`existence.Analyzer` with the subset sweep as it was written before
     it became one pass over integer masks: `classify`, `_try_prune` and
     `_face_kind` verbatim, except that a face sub-analysis is built as
-    `type(self)`, so faces are swept by the reference too.  Its lower-face
-    branch never runs: waves go by popcount, so every proper subset of a
-    passing subset already has its certificate."""
+    `type(self)`, so faces are swept by the reference too, and that an
+    upper face is analyzed, and memoized, as the root map's face that pins
+    its `inf` coordinates, as `existence.Analyzer._face_kind` does.  Its
+    lower-face branch never runs: waves go by popcount, so every proper
+    subset of a passing subset already has its certificate."""
 
     def _face_kind(self, keep: SubsetMask, fill: float) -> VerdictKind:
+        inf = self.inf | scatter_bits(keep.complement().bits, self.positions)
         if self.f.is_ast:
-            key = ("face", face_exprs(self.f.exprs, keep, fill))
+            key = ("face", inf) if fill == INF else \
+                ("face", face_exprs(self.f.exprs, keep, fill))
             kind = self.memo.get(key)
             if kind is not None:
                 return kind
-            face = from_exprs(key[1], keep.popcount())
+            face = from_exprs(face_exprs(self.f.exprs, keep, fill),
+                              keep.popcount())
         else:
-            # a black-box face has no expressions to tell it from the others
+            # black-box maps are not memoized
             key, face = None, face_map(self.f, keep, fill)
+        rooted = {"root": self.root, "inf": inf} if fill == INF else {}
         sub = type(self)(face, self.budget, self.tol, prune=self.prune,
-                         memo=self.memo)
+                         memo=self.memo, **rooted)
         sub._kind_only = True
         kind = sub.classify(solve=False).kind
         if key is not None:

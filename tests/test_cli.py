@@ -270,12 +270,13 @@ class TestGame:
 
 class TestCompileCount:
     """Only maps of two or more coordinates are compiled, each shape once
-    per process."""
+    per process, and faces are iterated on their map's bodies."""
 
     @staticmethod
     def _watch(monkeypatch):
-        """The dimensions of the bodies and Shapley operators compiled and
-        of the loops asked for from here on, from a cold shape cache."""
+        """The dimensions of the bodies and Shapley operators compiled, and
+        the (dimension, face) of the loops asked for, from here on, from a
+        cold shape cache."""
         maps.shape_code.cache_clear()
         bodies, shapley, loops = [], [], []
         loop = maps._loop
@@ -289,9 +290,9 @@ class TestCompileCount:
                 shapley.append(len(params))
             return compile(source, filename, mode)
 
-        def counted_loop(n):
-            loops.append(n)
-            return loop(n)
+        def counted_loop(n, face=False):
+            loops.append((n, face))
+            return loop(n, face)
 
         monkeypatch.setattr(maps, "compile", counted, raising=False)
         monkeypatch.setattr(maps, "_loop", counted_loop)
@@ -301,24 +302,29 @@ class TestCompileCount:
         f = cs.parse_map(SWEEP_MAP).cone_map
         bodies, _, loops = self._watch(monkeypatch)
         first = cs.classify(f)
-        # two face shapes repeat within the classification
-        assert len(bodies) == 15
-        assert min(bodies + loops) >= 2
+        # f's body, and the bodies f and its conjugate pin their faces
+        # through: no face compiles a body of its own
+        assert bodies == [5, 5, 5]
+        # one loop for f, one per number of kept coordinates for faces
+        assert set(loops) == {(5, False)} | {(k, True) for k in range(1, 5)}
         assert repr(cs.classify(cs.parse_map(SWEEP_MAP).cone_map)) == \
             repr(first)
         assert OTHER_SWEEP_MAP != SWEEP_MAP
         cs.classify(cs.parse_map(OTHER_SWEEP_MAP).cone_map)
-        assert len(bodies) == 15
+        assert bodies == [5, 5, 5]
 
     def test_game(self, tmp_path, capsys, monkeypatch):
         path = write(tmp_path, "g.game.json", GAME_JSON)
         bodies, shapley, loops = self._watch(monkeypatch)
         assert cli.main(["game", path]) == 0
-        assert bodies == [3] and shapley == [3] and loops == [3]
+        # the map's body, the bodies it and its conjugate pin their faces
+        # through, and the Shapley operator
+        assert bodies == [3, 3, 3] and shapley == [3]
+        assert set(loops) == {(3, False), (1, True)}
         # other payoffs on the same supports: nothing to compile
         path = write(tmp_path, "h.game.json", OTHER_GAME_JSON)
         assert cli.main(["game", path]) == 0
-        assert bodies == [3] and shapley == [3] and loops == [3, 3]
+        assert bodies == [3, 3, 3] and shapley == [3]
 
 
 class TestOutputStability:
@@ -562,15 +568,17 @@ class TestConstantArithmetic:
 
     @pytest.mark.parametrize("r", ["1e-320", "-1e-320"])
     def test_tiny_power_mean_exponent(self, tmp_path, capsys, r):
-        # pinning x1 renormalizes the mean by 0.5 ** (1 / r), which is 0
-        # or inf in floating point
+        # a face that pins x2 is f with x2 = 0, never the face map whose
+        # renormalization 0.5 ** (1 / r) is 0 or inf in floating point
         path = write(tmp_path, "m.conemap",
                      f"format: 1\ndim: 2\ncoord 1: mean({r}, (0.5, 0.5), "
                      "x1, x2)\ncoord 2: x2\n")
-        assert cli.main(["analyze", path]) == 1
-        (line,) = capsys.readouterr().err.splitlines()
-        assert line.startswith("error: ") and f"(1 / {r})" in line
+        assert cli.main(["analyze", path]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["kind"] == "nonempty_bounded"
         assert cli.main(["solve", path]) == 0
+        solved = json.loads(capsys.readouterr().out)
+        assert doc["eigen"]["eigenvalue"] == solved["eigenvalue"] == 1.0
 
 
 class TestBooleanHeader:

@@ -430,6 +430,8 @@ class TestClassificationMemo:
 
     @staticmethod
     def _counted(monkeypatch, text=SWEEP_MAP, memo=None):
+        """(verdict, the bracket states made, how many of them the memo
+        keeps, the inf pins of every face analysis)."""
         states, faces = [], []
         analyzer_classify = existence.Analyzer.classify
 
@@ -437,14 +439,14 @@ class TestClassificationMemo:
             __slots__ = ()
 
             def __init__(self, g, *args):
-                states.append(g.exprs)
+                states.append(self)
                 super().__init__(g, *args)
 
         def classify(self, solve=True):
             if self.memo is not top.memo:
                 raise AssertionError("a face analysis has its own memo")
             if self is not top:
-                faces.append(self.f.exprs)
+                faces.append(self.inf)
             return analyzer_classify(self, solve)
 
         monkeypatch.setattr(spectral, "BracketState", State)
@@ -452,32 +454,34 @@ class TestClassificationMemo:
         top = existence.Analyzer(cs.parse_map(text).cone_map, memo=memo)
         verdict = top.classify()
         monkeypatch.undo()
-        return verdict, states, faces
+        kept = sum(type(v) is State for v in top.memo.values())
+        return verdict, states, kept, faces
 
     def test_each_map_bracketed_and_each_face_analyzed_once(self,
                                                             monkeypatch):
-        verdict, states, faces = self._counted(monkeypatch)
+        verdict, states, kept, faces = self._counted(monkeypatch)
         assert verdict.kind is VerdictKind.NONEMPTY_BOUNDED
-        assert len(states) == len(set(states)) == 23
+        assert len(states) == kept == 31
         assert len(faces) == len(set(faces)) == 14
 
     def test_without_the_memo_the_work_repeats(self, monkeypatch):
-        shared, _, _ = self._counted(monkeypatch)
-        verdict, states, faces = self._counted(monkeypatch, memo=_Forgetful())
-        assert len(states) > 4 * len(set(states)) == 4 * 23
+        shared, _, _, _ = self._counted(monkeypatch)
+        verdict, states, kept, faces = self._counted(monkeypatch,
+                                                     memo=_Forgetful())
+        assert (len(states), kept) == (99, 0)
         assert len(faces) > len(set(faces)) == 14
         # the memo changes the work, never the result
         assert repr(verdict) == repr(shared)
 
     def test_without_the_memo_the_displacement_path_repeats(self,
                                                             monkeypatch):
-        shared, shared_states, shared_faces = self._counted(
+        shared, shared_states, kept, shared_faces = self._counted(
             monkeypatch, REVERSE_SWEEP_MAP)
-        verdict, states, faces = self._counted(
+        verdict, states, _, faces = self._counted(
             monkeypatch, REVERSE_SWEEP_MAP, _Forgetful())
-        assert len(shared_states) == len(set(shared_states)) == 26
+        assert len(shared_states) == kept == 33
         assert len(shared_faces) == len(set(shared_faces)) == 10
-        assert len(states) > 2 * len(set(states)) == 2 * 26
+        assert len(states) == 63
         assert len(faces) == len(set(faces)) == 10
         # the same verdict, routes and displacement; a certificate keeps its
         # brackets as they stood when it was decided, and the states the
@@ -656,16 +660,18 @@ def _count_calls(monkeypatch, name):
 
 
 class TestReducedFaces:
-    """Each subset's reduced face is built once, straight from f."""
+    """Subset brackets pin f's body; only face analyses build a map."""
 
     def test_sweep_builds_faces_without_restrictions(self, monkeypatch):
         f = cs.parse_map(SWEEP_MAP).cone_map
         restricted = _count_calls(monkeypatch, "restrict_map")
         built = _count_calls(monkeypatch, "from_exprs")
+        faces = _count_calls(monkeypatch, "face_map")
         verdict = cs.classify(f)
         monkeypatch.undo()
         assert verdict.kind is VerdictKind.NONEMPTY_BOUNDED
-        assert (len(restricted), len(built)) == (0, 58)
+        # f's conjugate and the 14 faces that pruning analyzes
+        assert (len(restricted), len(built), len(faces)) == (0, 15, 0)
 
     @pytest.mark.parametrize("text", [SWEEP_MAP, REVERSE_SWEEP_MAP],
                              ids=["sweep", "reverse"])
@@ -732,9 +738,11 @@ class TestReducedFaces:
             return conjugate_map(g)
 
         monkeypatch.setattr(cs.maps, "conjugate_map", recorded)
-        cs.classify(cs.parse_map(text).cone_map)
+        f = cs.parse_map(text).cone_map
+        cs.classify(f)
         monkeypatch.undo()
-        assert len(conjugated) == len(set(conjugated)) == 15
+        # every lambda-side face pins the conjugate of f itself
+        assert conjugated == [f.exprs]
 
     def test_memoized_maps_freed_after_classify(self, monkeypatch):
         f = cs.parse_map(SWEEP_MAP).cone_map
@@ -752,7 +760,7 @@ class TestReducedFaces:
         monkeypatch.undo()
         gc.collect()
         assert verdict.kind is VerdictKind.NONEMPTY_BOUNDED
-        assert len(built) == 58
+        assert len(built) == 15
         assert [ref for ref in built if ref() is not None] == []
 
     def test_black_box_matrix_twin_decided_on_faces(self):
@@ -1117,7 +1125,7 @@ class TestAnytimeBrackets:
         verdict, iterations = self._loop_iterations(
             monkeypatch, cs.parse_map(SWEEP_MAP).cone_map)
         assert verdict.kind is VerdictKind.NONEMPTY_BOUNDED
-        assert iterations == 258
+        assert iterations == 346
 
     def test_bracket_iterations_of_a_game_without_eigenvector(self,
                                                               monkeypatch):

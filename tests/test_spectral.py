@@ -5,9 +5,10 @@ import math
 import pytest
 
 import conespec as cs
-from conespec import spectral
+from conespec import maps, spectral
 from conespec.core import INF, ConeMap, ExtVec, Side, SubsetMask
 from conespec.errors import NumericRangeError, ZeroRowError
+from conespec.graphs import HypergraphProbe
 from conespec.maps import (Coord, Linear, Max, Min, Pole, PowerMean, Scale,
                            Sum, from_exprs)
 from conespec.spectral import NonconvergedError, plus_identity, ratios_at
@@ -680,3 +681,128 @@ class TestResumedBracket:
             state.refine(7)
             assert previous[0] <= state.lo <= state.up <= previous[1]
             previous = (state.lo, state.up)
+
+
+def _noted_face_exprs(monkeypatch, exprs, keep, fill):
+    """`maps.face_exprs(exprs, keep, fill)` and whether `_substitute`
+    rounded anything its way: a power mean's weights are divided by their
+    float sum, and by less when it loses terms, one left with a single
+    term is that term, and nested scales are merged into one factor.  The
+    pinned body computes the original means and factors, so only such
+    faces may differ from it in the last bits."""
+    rounded = []
+    substitute = maps._substitute
+
+    def noted(e, table):
+        out = substitute(e, table)
+        if type(out) is not Pole:
+            if type(e) is PowerMean and not (
+                    type(out) is PowerMean and out.weights == e.weights):
+                rounded.append(e)
+            if type(e) is Scale and not (
+                    type(out) is Scale and out.factor == e.factor):
+                rounded.append(e)
+        return out
+
+    monkeypatch.setattr(maps, "_substitute", noted)
+    try:
+        return maps.face_exprs(exprs, keep, fill), bool(rounded)
+    finally:
+        monkeypatch.undo()
+
+
+def _pinned_run(body_map, keep, inf, k, budget):
+    """The trajectory of the face of `body_map` on `keep` iterated on its
+    compiled body with the others pinned (inf on `inf`, else 0), or the
+    type of the exception raised."""
+    face = spectral._Pinned(k, maps.face_loop(body_map, keep, inf))
+    return _run_outcome(face, (1.0,) * k, budget, 1e-10, True, True)
+
+
+def _stable_subsets(f, side):
+    """Every nonempty proper set of f's coordinates whose complement the
+    hypergraph of `side` leaves invariant: the stable faces of that side."""
+    probe = HypergraphProbe(f, side)
+    n = f.dimension
+    return [keep for keep in range(1, (1 << n) - 1)
+            if probe.reach(SubsetMask(keep, n).complement()).complement()
+            .bits == keep]
+
+
+class TestPinnedFaces:
+    """A face iterated on its map's compiled body with the other
+    coordinates pinned, against the face map `face_exprs` builds: the same
+    trajectory bit for bit, except on faces whose power means `_substitute`
+    renormalizes (or whose scales it merges), which agree within
+    DEFAULT_TOL.  This covers every stable face of both sides and the
+    faces of face sub-analyses, whose inf pins come first."""
+
+    BUDGET = 40
+
+    def _compare(self, pinned, face_map, rounded, seen):
+        built = _run_outcome(face_map, (1.0,) * face_map.dimension,
+                             self.BUDGET, 1e-10, True, True)
+        if not rounded or pinned == built:
+            assert pinned == built
+            seen["exact"] += 1
+            return
+        # the named exception: brackets within the tolerance
+        seen["rounded"] += 1
+        a, b = (eval(run, {"inf": INF}) for run in (pinned, built))
+        for x, y in zip(a[1:3], b[1:3]):
+            assert x == pytest.approx(y, rel=spectral.DEFAULT_TOL)
+
+    def test_random_trees_with_poles(self, monkeypatch, rng):
+        seen = {"exact": 0, "rounded": 0, "mixed": 0, "lambda": 0}
+        for _ in range(200):
+            n = int(rng.integers(2, 5))
+            f = from_exprs([random_tree(rng, n, int(rng.integers(1, 4)))
+                            for _ in range(n)], n)
+            try:
+                maps.reject_pole_outputs(f)
+            except cs.ConespecError:
+                continue
+            conj = maps.conjugate_map(f)
+            for g, fill in ((f, 0.0), (conj, 0.0)):
+                if g.interior_loop() is None:
+                    continue
+                for keep in _stable_subsets(g, Side.LOWER):
+                    face, rounded = _noted_face_exprs(
+                        monkeypatch, g.exprs, SubsetMask(keep, n), fill)
+                    k = keep.bit_count()
+                    self._compare(_pinned_run(g, keep, 0, k, self.BUDGET),
+                                  from_exprs(face, k), rounded, seen)
+                    seen["lambda"] += g is conj
+            if f.interior_loop() is None:
+                continue
+            # a sub-analysis of the face on K pins the rest to inf first
+            for outer in _stable_subsets(f, Side.UPPER):
+                outer_exprs, outer_rounded = _noted_face_exprs(
+                    monkeypatch, f.exprs, SubsetMask(outer, n), INF)
+                g = from_exprs(outer_exprs, outer.bit_count())
+                positions = SubsetMask(outer, n).indices()
+                for keep in _stable_subsets(g, Side.LOWER):
+                    face, rounded = _noted_face_exprs(
+                        monkeypatch, g.exprs, SubsetMask(keep, g.dimension),
+                        0.0)
+                    k = keep.bit_count()
+                    root = cs.core.scatter_bits(keep, positions)
+                    self._compare(_pinned_run(f, root, ~outer & ((1 << n) - 1),
+                                              k, self.BUDGET),
+                                  from_exprs(face, k),
+                                  rounded or outer_rounded, seen)
+                    seen["mixed"] += 1
+        assert min(seen.values()) > 0 and seen["exact"] > seen["rounded"]
+
+    def test_inf_pins_come_before_zero_pins(self):
+        # the face of f that pins x2 to inf, and then x3 to 0: its first
+        # output is min(inf, 2 x1) = 2 x1, where a geometric mean that took
+        # the zero first would make it 0
+        f = from_exprs([Min((PowerMean(0.0, (0.5, 0.5), (Coord(1), Coord(2))),
+                             Scale(2.0, Coord(0)))), Coord(1), Coord(2)], 3)
+        outer = maps.face_exprs(f.exprs, SubsetMask(0b101, 3), INF)
+        face = from_exprs(maps.face_exprs(outer, SubsetMask(0b01, 2), 0.0), 1)
+        assert face.exprs == (Scale(2.0, Coord(0)),)
+        pinned = _pinned_run(f, 0b001, 0b010, 1, 10)
+        assert pinned == _run_outcome(face, (1.0,), 10, 1e-10, True, True)
+        assert eval(pinned, {"inf": INF})[1:3] == (2.0, 2.0)
