@@ -362,26 +362,30 @@ class _Emitter:
 
     def _mean(self, e: PowerMean, inverse: float) -> str:
         weights = [self._constant(w) for w in e.weights]
+        r = self._constant(e.r) if e.r != 0.0 else None
         terms = [self.emit(t) for t in e.terms]
-        guard = ""
+        test = None
         if self.guard and e.r <= 0.0:
             names = [f"t{self._locals + k}" for k in range(len(terms))]
             self._locals += len(terms)
-            bound = ", ".join(f"{v} := {t}" for v, t in zip(names, terms))
-            guard = f"0.0 if 0.0 in ({bound},)"
-            if e.r == 0.0:
-                guard += " and INF not in (" + ", ".join(names) + ",)"
-            guard += " else "
+            # every term is evaluated, in order, before any is tested
+            test = " & ".join(f"(({v} := {t}) != 0.0)"
+                              for v, t in zip(names, terms))
             terms = names
         if e.r == 0.0:
             body = "_exp(0.0 + " + " + ".join(
                 f"{w} * _log({t})" for w, t in zip(weights, terms)) + ")"
         else:
-            r = self._constant(e.r)
-            body = ("(0.0 + " + " + ".join(
+            body = ("((0.0 + " + " + ".join(
                 f"{w} * {t} ** {r}" for w, t in zip(weights, terms)) +
-                f") ** {self._constant(inverse)}")
-        return f"({guard}{body})"
+                f") ** {self._constant(inverse)})")
+        if test is None:
+            return body
+        # a zero term absorbs, but a geometric mean that also sees inf
+        # raises at _log(0.0)
+        zero = "0.0" if e.r < 0.0 else \
+            f"(0.0 if INF not in ({', '.join(terms)},) else _log(0.0))"
+        return f"({body} if {test} else {zero})"
 
 
 def _extreme(var: str, items: Sequence[str], op: str, indent: str) -> List[str]:
@@ -512,19 +516,20 @@ def shape_code(source: str, filename: str) -> types.CodeType:
     return next(c for c in module.co_consts if isinstance(c, types.CodeType))
 
 
-def _compile_body(exprs: Sequence[Expr], guard: bool = False,
-                  select: bool = False) -> Optional[Callable]:
+def _compile_body(exprs: Sequence[Expr], face: bool = False
+                  ) -> Optional[Callable]:
     """The outputs of `exprs` as a lambda of the n coordinates followed by
     its constants (`_Emitter`), whose code comes from the shape cache and
     which is bound to the map's constants and namespace; None for a tree
-    too deep for the Python compiler.  A `select` body takes a mask first
-    and computes only the outputs in it, the others being 0.0."""
+    too deep for the Python compiler.  The body of `face_loop` takes a
+    mask first and computes only the outputs in it, the others being 0.0,
+    with its means of r <= 0 guarded."""
     n = len(exprs)
-    emitter = _Emitter(n, guard)
+    emitter = _Emitter(n, guard=face)
     try:
         outputs = [emitter.emit(e) for e in exprs]
         params = [f"x{j}" for j in range(n)]
-        if select:
+        if face:
             params.insert(0, "keep")
             outputs = [f"({e} if keep & {1 << i} else 0.0)"
                        for i, e in enumerate(outputs)]
@@ -598,14 +603,6 @@ def compile_interior(exprs: Sequence[Expr]
 # ---------------------------------------------------------------------------
 # Faces evaluated by pinning
 
-def _has_guarded_mean(e: Expr) -> bool:
-    """Whether e has a power mean with r <= 0, which a guard keeps from
-    raising at a zero term."""
-    if type(e) is PowerMean and e.r <= 0.0:
-        return True
-    return any(map(_has_guarded_mean, e.children()))
-
-
 def face_loop(f: ConeMap, keep: int, inf: int = 0) -> Optional[Callable]:
     """The (f + id) loop of f's face that keeps the coordinates in `keep`,
     on a compiled body of f, with every other coordinate pinned: to inf
@@ -619,17 +616,16 @@ def face_loop(f: ConeMap, keep: int, inf: int = 0) -> Optional[Callable]:
     for bit, except where building that map rounds: `_substitute`
     renormalizes a power mean's weights, unwraps a one-term mean and
     merges nested scales.  The body, compiled once per map, computes the
-    kept outputs alone, and when f has a mean with r <= 0, which would
-    raise at a zero term, it guards it (`_Emitter`).  The points where the
-    body still raises, such as a geometric mean that sees both poles, are
-    evaluated on the face map, built at the first of them as `face_exprs`
-    builds the faces of face sub-analyses: the inf pins in a pass before
-    the zero pins.
+    kept outputs alone and guards the means with r <= 0, which would raise
+    at a zero term (`_Emitter`).  The points where the body still raises,
+    such as a geometric mean that sees both poles, are evaluated on the
+    face map, built at the first of them as `face_exprs` builds the faces
+    of face sub-analyses: the inf pins in a pass before the zero pins.
     """
     body = f._faces
     if body is None:
         body = f.is_ast and _worth_compiling(f.exprs) and _compile_body(
-            f.exprs, any(map(_has_guarded_mean, f.exprs)), select=True)
+            f.exprs, face=True)
         object.__setattr__(f, "_faces", body)
     if not body:
         return None

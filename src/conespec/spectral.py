@@ -368,11 +368,15 @@ class FaceSide:
 
     def _iterated(self, kept: int):
         """The map, or the pinned face, that the face on `kept` iterates:
-        f itself on the r side of its whole support."""
+        on the whole support, f or its conjugate itself, whose own loop
+        runs its unguarded body."""
         n = self.f.dimension
         full = kept == (1 << n) - 1
-        if full and not self.inf and self.fill == 0.0:
-            return self.f
+        if full and not self.inf:
+            if self.fill == 0.0:
+                return self.f
+            if self.body is not None:
+                return self.body
         if self.body is not None:
             root = kept if self.positions is None else \
                 scatter_bits(kept, self.positions)
@@ -380,9 +384,8 @@ class FaceSide:
             if loop is not None:
                 return _Pinned(kept.bit_count(), loop)
         if self.fill == INF:
-            return self.shape if full and self.shape is not None else \
-                _maps.conjugate_map(self.f if full else _maps.face_map(
-                    self.f, SubsetMask(kept, n), INF))
+            return _maps.conjugate_map(self.f if full else _maps.face_map(
+                self.f, SubsetMask(kept, n), INF))
         return self.f if full else _maps.face_map(self.f,
                                                   SubsetMask(kept, n), 0.0)
 
