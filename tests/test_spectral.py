@@ -732,17 +732,19 @@ def _stable_subsets(f, side):
 class TestPinnedFaces:
     """A face iterated on its map's compiled body with the other
     coordinates pinned, against the face map `face_exprs` builds: the same
-    trajectory bit for bit, except on faces whose power means `_substitute`
-    renormalizes (or whose scales it merges), which agree within
-    DEFAULT_TOL.  This covers every stable face of both sides and the
-    faces of face sub-analyses, whose inf pins come first."""
+    trajectory bit for bit, except on faces that `_substitute` rounds its
+    way (`_noted_face_exprs`), which agree within DEFAULT_TOL.  This
+    covers every stable face of both sides, the lambda side's as faces of
+    the conjugate, and the faces of face sub-analyses, whose inf pins come
+    first."""
 
     BUDGET = 40
 
     def _compare(self, pinned, face_map, rounded, seen):
         built = _run_outcome(face_map, (1.0,) * face_map.dimension,
                              self.BUDGET, 1e-10, True, True)
-        if not rounded or pinned == built:
+        runs = pinned.startswith("(") and built.startswith("(")
+        if not rounded or pinned == built or not runs:
             assert pinned == built
             seen["exact"] += 1
             return
@@ -763,12 +765,12 @@ class TestPinnedFaces:
             except cs.ConespecError:
                 continue
             conj = maps.conjugate_map(f)
-            for g, fill in ((f, 0.0), (conj, 0.0)):
+            for g in (f, conj):
                 if g.interior_loop() is None:
                     continue
                 for keep in _stable_subsets(g, Side.LOWER):
                     face, rounded = _noted_face_exprs(
-                        monkeypatch, g.exprs, SubsetMask(keep, n), fill)
+                        monkeypatch, g.exprs, SubsetMask(keep, n), 0.0)
                     k = keep.bit_count()
                     self._compare(_pinned_run(g, keep, 0, k, self.BUDGET),
                                   from_exprs(face, k), rounded, seen)
