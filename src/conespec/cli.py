@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -312,21 +313,23 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 1
     try:
-        if args.command == "analyze":
-            return cmd_analyze(args.file, config)
-        if args.command == "solve":
-            return cmd_solve(args.file, config)
         if args.command == "graph":
-            return cmd_graph(args.file, args.which, config)
-        if args.command == "game":
-            return cmd_game(args.file, config)
-    except ConespecError as exc:
+            code = cmd_graph(args.file, args.which, config)
+        else:
+            code = {"analyze": cmd_analyze, "solve": cmd_solve,
+                    "game": cmd_game}[args.command](args.file, config)
+        # a reader that closed stdout shows here rather than at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader wants no more (`| head`): stop quietly, with the
+        # status of a process ended by SIGPIPE (13), and flush to nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    except (ConespecError, OSError) as exc:
+        # OSError: an input file that cannot be read
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    return 1
 
 
 if __name__ == "__main__":

@@ -20,15 +20,14 @@ from typing import Dict, List, Optional, Tuple
 
 from .core import INF, ConeMap, Side, SubsetMask, scatter_bits
 from .errors import DimensionTooLargeError, FlagMissingError
-from .graphs import (Digraph, HypergraphProbe, SCCDecomposition, digraph_of,
-                     scc_decompose)
+from .graphs import Digraph, HypergraphProbe, SCCDecomposition, scc_decompose
 from .maps import (face_exprs, face_map, from_exprs, reject_pole_outputs,
                    sparsity_probe)
 from .spectral import (CWBracket, CWHandle, DisplacementInterval,
-                       EigenResult, FaceSide, NonconvergedError, face_handle,
-                       min_displacement, root_side, solve_eigenvector,
+                       EigenResult, Faces, FaceSide, NonconvergedError,
+                       face_handle, min_displacement, solve_eigenvector,
                        upper_handle, _bracket_and_solution, DEFAULT_BUDGET,
-                       DEFAULT_TOL, FIRST_CHUNK)
+                       FIRST_CHUNK)
 from .spectral import cw_upper as cw_upper  # a binding bench/tracer.py wraps
 
 SUBSET_SWEEP_CAP = 24
@@ -122,20 +121,23 @@ def _strictly_below(hi: float, lo: float, tol: float) -> bool:
 
 
 class Analyzer:
-    """Caches for one classification run.
+    """The subset sweep of one map, on the faces of one classification.
 
-    `memo` holds the faces' bracket states (see `spectral.FaceSide`) and
-    the verdict kinds of faces.  The top-level analyzer creates it and its
-    face sub-analyses share it, because a restriction of a face is a
-    restriction of f: each distinct face is iterated, and each distinct
-    face classified, once per classification.  Black-box maps are not
-    memoized.
+    `faces` is the classification's one cache (`spectral.Faces`): every
+    route of the classification shares it, the top-level analyzer, its
+    face sub-analyses, the displacement, and in `classify` the convex
+    route that falls back to the sweep, because a restriction of a face
+    is a restriction of f.  Each distinct face is iterated, and each
+    distinct face classified, once per classification.  Black-box maps
+    are not cached.
 
-    A face sub-analysis classifies the face f of its `root` map that pins
-    the root's coordinates in `inf` to inf, and evaluates its own faces by
-    pinning through the root: the lambda side's are the root's, and on the
-    r side the root's body gets the inf pins before each face's zero pins.
-    Only its hypergraphs and structure are read from f's expressions.
+    A face sub-analysis classifies the face f of the root map `faces.f`
+    that pins the root's coordinates in `inf` to inf, and evaluates its
+    own faces by pinning through the root: the lambda side's are the
+    root's, and on the r side the root's body gets the inf pins before
+    each face's zero pins.  Only its hypergraphs and structure are read
+    from f's expressions; its lower hypergraph is its r side's
+    (`FaceSide.probe`).
 
     `classify` sweeps the subsets in waves of one popcount, each in
     increasing bits order: every check of a wave, then the pruning of its
@@ -154,55 +156,36 @@ class Analyzer:
 
     def __init__(self, f: ConeMap, budget: int = DEFAULT_BUDGET,
                  tol: float = STRICTNESS_TOL, prune: bool = True,
-                 memo: Optional[dict] = None, root: Optional[ConeMap] = None,
-                 inf: int = 0):
+                 faces: Optional[Faces] = None, inf: int = 0):
         self.f = f
         self.n = f.dimension
-        self.budget = budget
+        self.faces = Faces(f, budget) if faces is None else faces
+        self.budget = self.faces.budget
         self.tol = tol
         self.prune = prune
-        self.memo = {} if memo is None else memo
-        self.root = f if root is None else root
         self.inf = inf
-        # the root coordinate of each coordinate of f
-        self.positions = tuple(j for j in range(self.root.dimension)
-                               if not inf >> j & 1)
-        self.lower_probe = HypergraphProbe(f, Side.LOWER)
+        self.r_side = FaceSide(f, 0.0, self.faces.f, inf) if inf else \
+            self.faces.side(0.0)
         self.upper_probe = HypergraphProbe(f, Side.UPPER)
-        self._handles: Dict[Tuple[float, int], CWHandle] = {}
-        self._r_side: Optional[FaceSide] = None
 
     # -- brackets ---------------------------------------------------------
 
     def _face_handle(self, stable: SubsetMask, fill: float) -> CWHandle:
-        """`spectral.face_handle` of f, built once per stabilized mask."""
-        hit = self._handles.get((fill, stable.bits))
-        if hit is not None:
-            return hit
-        if not self.inf:
-            side = root_side(self.f, fill, self.memo)
-            hit = face_handle(side, stable, self.budget, DEFAULT_TOL,
-                              self.memo)
-        elif fill == INF:
-            # the root's lambda side, with witnesses in f's coordinates
-            side = root_side(self.root, INF, self.memo)
-            kept = scatter_bits(stable.bits, self.positions)
-            hit = face_handle(side, SubsetMask(kept, self.root.dimension),
-                              self.budget, DEFAULT_TOL, self.memo)
-            hit.support = stable
-        else:
-            if self._r_side is None:
-                self._r_side = FaceSide(self.f, 0.0, self.root, self.inf)
-            hit = face_handle(self._r_side, stable, self.budget,
-                              DEFAULT_TOL, self.memo)
-        self._handles[fill, stable.bits] = hit
-        return hit
+        """`spectral.face_handle` of f's face on the stable mask `stable`."""
+        if fill == 0.0:
+            return face_handle(self.faces, self.r_side, stable)
+        # the root's lambda side, with witnesses in f's coordinates
+        kept = scatter_bits(stable.bits, self.r_side.positions)
+        handle = face_handle(self.faces, self.faces.side(INF),
+                             SubsetMask(kept, self.faces.f.dimension))
+        handle.support = stable
+        return handle
 
     def r0_handle(self, J: SubsetMask) -> CWHandle:
         """Certified bracket for r(f^J_0), after stabilizing the support,
         refined on demand."""
         return self._face_handle(
-            self.lower_probe.reach(J.complement()).complement(), 0.0)
+            self.r_side.probe().reach(J.complement()).complement(), 0.0)
 
     def linf_handle(self, J: SubsetMask) -> CWHandle:
         """Certified bracket for lambda(f^{[n]\\J}_inf), refined on demand."""
@@ -224,7 +207,7 @@ class Analyzer:
         upper = self.upper_probe.reach(J)
         if upper.is_full():
             return SubsetCertificate(J, Route.REACH_UPPER)
-        lower = self.lower_probe.reach(J.complement())
+        lower = self.r_side.probe().reach(J.complement())
         if lower.is_full():
             return SubsetCertificate(J, Route.REACH_LOWER)
         rh = self._face_handle(lower.complement(), 0.0)
@@ -254,23 +237,24 @@ class Analyzer:
     def _face_kind(self, keep: SubsetMask) -> VerdictKind:
         """The verdict kind of f's upper face on `keep`, analyzed as the
         root's face that pins the root's coordinates in `inf` to inf."""
-        inf = self.inf | scatter_bits(keep.complement().bits, self.positions)
+        inf = self.inf | scatter_bits(keep.complement().bits,
+                                      self.r_side.positions)
+        kinds = self.faces.kinds
         if self.f.is_ast:
-            key = ("face", inf)
-            kind = self.memo.get(key)
+            kind = kinds.get(inf)
             if kind is not None:
                 return kind
             face = from_exprs(face_exprs(self.f.exprs, keep, INF),
                               keep.popcount())
         else:
-            # black-box maps are not memoized
-            key, face = None, face_map(self.f, keep, INF)
+            # black-box maps are not cached
+            face = face_map(self.f, keep, INF)
         sub = Analyzer(face, self.budget, self.tol, prune=self.prune,
-                       memo=self.memo, root=self.root, inf=inf)
+                       faces=self.faces, inf=inf)
         sub._kind_only = True
         kind = sub.classify(solve=False).kind
-        if key is not None:
-            self.memo[key] = kind
+        if self.f.is_ast:
+            kinds[inf] = kind
         return kind
 
     # -- the sweep ---------------------------------------------------------
@@ -337,33 +321,35 @@ class Analyzer:
             # and carries its brackets as the displacement left them
             rev = next(c for c in certs if c.route is Route.NUMERIC_REVERSE)
             rh, lh = self.r0_handle(rev.subset), self.linf_handle(rev.subset)
-            disp = min_displacement(self.f, self.budget, DEFAULT_TOL,
-                                    certificate=(rh, lh), memo=self.memo)
+            disp = min_displacement(self.f, certificate=(rh, lh),
+                                    faces=self.faces)
             certs = tuple(replace(c, r_bracket=rh.bracket(),
                                   lambda_bracket=lh.bracket())
                           if c is rev else c for c in certs)
             verdict = replace(verdict, certificates=certs, displacement=disp,
                               r_bracket=disp.r_bracket)
         if kind is VerdictKind.NONEMPTY_BOUNDED and solve:
-            verdict = _with_eigenvector(self.f, verdict, self.budget)
+            verdict = _with_eigenvector(self.faces, verdict)
         return verdict
 
 
-def _with_eigenvector(f: ConeMap, verdict: Verdict, budget: int,
-                      shared=None, growth=None) -> Verdict:
-    """A nonempty-bounded verdict with its eigenvector and flags filled in.
+def _with_eigenvector(faces: Faces, verdict: Verdict, shared=None,
+                      growth=None) -> Verdict:
+    """A nonempty-bounded verdict of f = `faces.f` with its eigenvector and
+    flags filled in.
 
     The eigenvector and `r_bracket` come from one trajectory: `shared`, as
-    `_bracket_and_solution(f)` gives it, or run here unless f is convex
-    (where cw_upper may decompose f).  Without one, f is solved alone.
-    `growth`, f's growth digraph with its decomposition when the caller
-    has them, is handed on to the flag inference.
+    `_bracket_and_solution(faces)` gives it, or run here unless f is
+    convex (where cw_upper may decompose f).  Without one, f is solved
+    alone.  `growth`, f's growth digraph with its decomposition when the
+    caller has them, is handed on to the flag inference.
     """
+    f = faces.f
     if shared is None and not f.multiplicatively_convex:
-        shared = _bracket_and_solution(f, budget, DEFAULT_TOL)
+        shared = _bracket_and_solution(faces)
     if shared is None:
         try:
-            outcome = solve_eigenvector(f, budget=budget)
+            outcome = solve_eigenvector(f, budget=faces.budget)
         except NonconvergedError as exc:
             outcome = exc
     else:
@@ -393,17 +379,20 @@ def classify(f: ConeMap, budget: int = DEFAULT_BUDGET,
     if not 0.0 < tol < INF:
         raise ValueError(f"tolerance must be positive and finite, not {tol}")
     reject_pole_outputs(f)
+    # one cache for every route: no face is iterated twice
+    faces = Faces(f, budget)
     if f.multiplicatively_convex and f.is_ast:
-        verdict = classify_convex(f, budget, tol, solve=solve)
+        verdict = classify_convex(f, budget, tol, solve=solve, faces=faces)
         if verdict.kind is VerdictKind.INDETERMINATE and \
                 f.dimension <= SUBSET_SWEEP_CAP:
             # the component route tied numerically; the sweep yields
             # per-subset certificates and may still decide
-            sweep = Analyzer(f, budget, tol, prune=prune).classify(solve=solve)
+            sweep = Analyzer(f, tol=tol, prune=prune,
+                             faces=faces).classify(solve=solve)
             verdict = replace(sweep, convex_report=verdict.convex_report,
                               detail=sweep.detail or verdict.detail)
         return verdict
-    analyzer = Analyzer(f, budget, tol, prune=prune)
+    analyzer = Analyzer(f, tol=tol, prune=prune, faces=faces)
     if f.is_ast:
         quick = _unique_final_class_shortcut(analyzer, solve)
         if quick is not None:
@@ -414,9 +403,8 @@ def classify(f: ConeMap, budget: int = DEFAULT_BUDGET,
 def _unique_final_class_shortcut(analyzer: Analyzer,
                                  solve: bool) -> Optional[Verdict]:
     """A unique final class C with r(f^{[n]\\C}_0) < r(f) settles the verdict."""
-    f, budget = analyzer.f, analyzer.budget
-    growth = digraph_of(f)
-    scc = scc_decompose(growth)
+    f, faces = analyzer.f, analyzer.faces
+    growth, scc = analyzer.r_side.growth()
     finals = [i for i, fin in enumerate(scc.final) if fin]
     if len(finals) != 1:
         return None
@@ -426,50 +414,47 @@ def _unique_final_class_shortcut(analyzer: Analyzer,
     else:
         rest = analyzer.r0_handle(C.complement()).finished()
     # with solve, f's one trajectory gives the bracket, the eigenvector and
-    # the memo's state of f, which the sweep reads if the shortcut fails
-    shared = _bracket_and_solution(f, budget, DEFAULT_TOL, analyzer.memo) \
-        if solve else None
-    full = upper_handle(f, budget, DEFAULT_TOL,
-                        memo=analyzer.memo).finished() \
-        if shared is None else shared[0]
+    # the state of f that the sweep reads if the shortcut fails
+    shared = _bracket_and_solution(faces) if solve else None
+    full = upper_handle(faces).finished() if shared is None else shared[0]
     if not _strictly_below(rest.upper, full.lower, analyzer.tol):
         return None
     verdict = Verdict(kind=VerdictKind.NONEMPTY_BOUNDED,
                       detail="unique final class with strictly smaller "
                              "complementary spectral radius")
     if solve:
-        verdict = _with_eigenvector(f, verdict, budget, shared, (growth, scc))
+        verdict = _with_eigenvector(faces, verdict, shared, (growth, scc))
     return verdict
 
 
 def classify_convex(f: ConeMap, budget: int = DEFAULT_BUDGET,
-                    tol: float = STRICTNESS_TOL, solve: bool = True) -> Verdict:
+                    tol: float = STRICTNESS_TOL, solve: bool = True,
+                    faces: Optional[Faces] = None) -> Verdict:
     """The component route for multiplicatively convex maps.
 
     Computes the spectral radius of every strongly connected component's
     face; existence and boundedness reduce to final/basic class comparisons.
+    The class faces are those that cw_upper(f) decomposes f into, so f
+    must have expressions.  `faces`, the `Faces` of a classification of f,
+    shares that classification's faces, and its budget replaces `budget`.
     """
-    if not f.multiplicatively_convex:
-        raise FlagMissingError("map is not flagged multiplicatively convex")
-    n = f.dimension
-    growth = digraph_of(f)
-    scc = scc_decompose(growth)
-    faces = Analyzer(f, budget, tol)
-    brackets = []
+    if not (f.multiplicatively_convex and f.is_ast):
+        raise FlagMissingError(
+            "the component route needs an expression map flagged "
+            "multiplicatively convex")
+    faces = Faces(f, budget) if faces is None else faces
+    side = faces.side(0.0)
+    growth, scc = side.growth()
     shared = None
-    for comp in scc.order:
-        mask = SubsetMask.of(comp, n)
-        if mask.is_full() and solve:
-            # one component: the verdict is nonempty_bounded, and the
-            # eigenvector comes from the whole-map bracket's trajectory
-            shared = _bracket_and_solution(f, budget, DEFAULT_TOL)
-        if shared is not None:
-            b = shared[0]
-        elif mask.is_full():
-            b = upper_handle(f, budget, DEFAULT_TOL, scc).finished()
-        else:
-            b = faces.r0_handle(mask).finished()
-        brackets.append(b)
+    if len(scc.order) > 1:
+        radius = side.face((1 << f.dimension) - 1, faces)
+        brackets = [h.bracket() for h in radius.classes]
+    else:
+        # one component: the verdict is nonempty_bounded, and the
+        # eigenvector comes from the whole-map bracket's trajectory
+        shared = _bracket_and_solution(faces) if solve else None
+        brackets = [upper_handle(faces).finished() if shared is None
+                    else shared[0]]
 
     r_lower = max(b.lower for b in brackets)
     r_upper = max(b.upper for b in brackets)
@@ -482,12 +467,10 @@ def classify_convex(f: ConeMap, budget: int = DEFAULT_BUDGET,
     def definitely_below(i: int) -> bool:
         return _strictly_below(brackets[i].upper, r_lower, tol)
 
-    classes = []
-    for i, comp in enumerate(scc.order):
-        # basic: the face radius ties the top one within tolerance
-        classes.append(ClassRadius(comp, brackets[i], scc.final[i],
-                                   not definitely_below(i),
-                                   scc.cyclicity[i] == 1))
+    # basic: the face radius ties the top one within tolerance
+    classes = [ClassRadius(comp, brackets[i], scc.final[i],
+                           not definitely_below(i), scc.cyclicity[i] == 1)
+               for i, comp in enumerate(scc.order)]
 
     # strong nonnegativity definitely fails when a final class sits strictly
     # below the top radius, or a non-final class sits strictly above every
@@ -510,12 +493,13 @@ def classify_convex(f: ConeMap, budget: int = DEFAULT_BUDGET,
         else:
             detail = "not strongly nonnegative; existence undecided for this class"
     elif len(finals) == 1:
-        C = SubsetMask.of(scc.order[finals[0]], n)
+        C = SubsetMask.of(scc.order[finals[0]], f.dimension)
         if C.is_full():
             strongly_nonneg = True
             kind = VerdictKind.NONEMPTY_BOUNDED
         else:
-            rest = faces.r0_handle(C.complement()).finished()
+            rest = face_handle(faces, side, side.probe().reach(
+                C).complement()).finished()
             if _strictly_below(rest.upper, brackets[finals[0]].lower, tol):
                 strongly_nonneg = True
                 kind = VerdictKind.NONEMPTY_BOUNDED
@@ -539,13 +523,13 @@ def classify_convex(f: ConeMap, budget: int = DEFAULT_BUDGET,
     verdict = Verdict(kind=kind, detail=detail, convex_report=report)
     if kind is VerdictKind.NO_INTERIOR_EIGENVECTOR and solve:
         top = max(brackets, key=lambda b: b.lower)
-        disp = min_displacement(f, budget, DEFAULT_TOL,
-                                certificate=(CWHandle(fixed=top),
-                                             CWHandle(fixed=lam)))
+        disp = min_displacement(f, certificate=(CWHandle(fixed=top),
+                                                CWHandle(fixed=lam)),
+                                faces=faces)
         verdict = replace(verdict, displacement=disp,
                           r_bracket=disp.r_bracket)
     if kind is VerdictKind.NONEMPTY_BOUNDED and solve:
-        verdict = _with_eigenvector(f, verdict, budget, shared, (growth, scc))
+        verdict = _with_eigenvector(faces, verdict, shared, (growth, scc))
     return verdict
 
 

@@ -331,8 +331,9 @@ def hypergraph_to_dot(probe: HypergraphProbe, name: str = "H") -> str:
     n = probe.map.dimension
     arcs = sorted(probe.minimal_tails(), key=lambda a: (sorted(a[0]), a[1]))
     lines = [f"digraph {name} {{",
-             "  // hyperarcs from a bounded minimal-tail scan; tails never",
-             "  // queried by the scan or a prior analysis may be missing"]
+             "  // minimal hyperarcs of the tails scanned: every proper tail",
+             f"  // up to n = {probe.EXHAUSTIVE_SCAN_CAP}, above that the "
+             "singletons and their complements"]
     for v in range(n):
         lines.append(f"  n{v + 1} [label=\"{v + 1}\"];")
     fan = 0

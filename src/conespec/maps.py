@@ -494,8 +494,9 @@ def _loop(n: int, face: bool = False) -> Callable:
     """The (f + id) loop of `_loop_source`, compiled once per dimension,
     for whole maps and for faces."""
     namespace: Dict[str, object] = {"INF": INF, "_log": math.log}
-    exec(compile(_loop_source(n, face), "<(f + id) loop>", "exec"),
-         namespace)
+    # named by kind and dimension, so that profiles keep loops apart
+    name = f"<(f + id) face loop k={n}>" if face else f"<(f + id) loop n={n}>"
+    exec(compile(_loop_source(n, face), name, "exec"), namespace)
     return namespace["_trajectory"]
 
 
@@ -506,7 +507,8 @@ def shape_code(source: str, filename: str) -> types.CodeType:
     Generated bodies (`compile_interior`) and Shapley operators
     (`topical._shapley_steps`) take their constants as trailing parameters,
     so their source depends only on the shape of the map or game, and each
-    shape is compiled once per process.  Every map of that shape builds its
+    shape is compiled once per process.  `filename` names the kind and
+    dimension of the code, which profiles tell apart by it.  Every map of that shape builds its
     own function from the code with `types.FunctionType`, giving its
     constants as the parameters' defaults (read as fast locals) and its own
     namespace.  The cache keeps the 128 shapes used last: code objects
@@ -536,7 +538,7 @@ def _compile_body(exprs: Sequence[Expr], face: bool = False
         params += (f"c{k}" for k in range(len(emitter.constants)))
         code = shape_code(f"lambda {', '.join(params)}: "
                           f"({''.join(e + ', ' for e in outputs)})",
-                          "<interior evaluator>")
+                          f"<{'face body' if face else 'body'} n={n}>")
     except (RecursionError, SyntaxError):
         return None
     return types.FunctionType(code, emitter.namespace, None,

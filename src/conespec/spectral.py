@@ -25,8 +25,8 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 from .core import (INF, ConeMap, ExtVec, Side, SubsetMask, gather_bits,
                    iter_bits, reciprocal, scatter_bits, sup_normalized)
 from .errors import ConespecError, NumericRangeError
-from .graphs import (HypergraphProbe, SCCDecomposition, digraph_of,
-                     scc_decompose)
+from .graphs import (Digraph, HypergraphProbe, SCCDecomposition,
+                     digraph_of, scc_decompose)
 from . import maps as _maps
 
 DEFAULT_BUDGET = 10_000
@@ -273,6 +273,52 @@ class BracketState:
                      or min(self.x) < UNDERFLOW_GUARD)
 
 
+class Faces:
+    """The faces of one classification of a map f, each evaluated once.
+
+    Every route of a classification brackets faces of f (the subset sweep
+    and its pruning's face sub-analyses, the convex route, the
+    displacement) and shares them here: the budget and bracket tolerance,
+    f's two `FaceSide`s (`side`), each face's `BracketState` or
+    `_ConvexRadius` in `states` under its `key`, and in `kinds` the kind
+    of each face that pruning analyzes, under its inf pins.  A black-box
+    map's faces are not kept: nothing tells which pins a face reads.
+    """
+
+    def __init__(self, f: ConeMap, budget: int = DEFAULT_BUDGET,
+                 tol: float = DEFAULT_TOL):
+        self.f, self.budget, self.tol = f, budget, tol
+        self.states: dict = {}
+        self.kinds: dict = {}
+        self._sides: dict = {}
+        # per output of f, the coordinates it reads (`key`)
+        self._reads = None
+
+    def side(self, fill: float) -> FaceSide:
+        """f's r side (`fill` 0) or lambda side (`fill` inf)."""
+        side = self._sides.get(fill)
+        if side is None:
+            side = self._sides[fill] = FaceSide(self.f, fill)
+        return side
+
+    def key(self, side: FaceSide, kept: int) -> Optional[tuple]:
+        """The key of the face of `side` that keeps `kept`, its pins in f's
+        coordinates (fill, inf, kept), None on a black-box map.  `inf`
+        keeps the inf pins a kept output reads: a face that reads none is
+        the top-level face on the same coordinates."""
+        if not side.f.is_ast:
+            return None
+        inf = side.inf
+        if inf:
+            kept = scatter_bits(kept, side.positions)
+            if self._reads is None:
+                self._reads = [_maps.coordinates_read(e)
+                               for e in self.f.exprs]
+            inf &= functools.reduce(
+                operator.or_, (self._reads[j] for j in iter_bits(kept)))
+        return side.fill, inf, kept
+
+
 class FaceSide:
     """The faces of one side of a map f: r(f^S_0) on the r side (`fill`
     0), lambda(f^S_inf) on the lambda side (`fill` inf), which cw_upper
@@ -290,35 +336,30 @@ class FaceSide:
     map of its own (`maps.face_map`).
 
     `shape`, f on the r side and its conjugate on the lambda side (None
-    for a black-box map), tells a face's structure by folding its
-    expressions under the zero pins: the stabilized support (`probe`),
-    whether the face is multiplicatively convex, and its growth digraph.
-    With a classification's memo, each face's state or convex radius is
-    kept under its pins in the root's coordinates, (fill, inf, kept,
-    budget, tol), where `inf` keeps the inf pins a kept output reads: a
-    sub-analysis's face that reads none is the top-level face on the same
-    coordinates.  The memo belongs to one root map.
+    for a black-box map's), tells a face's structure: its lower
+    hypergraph (`probe`, on the r side also the `existence.Analyzer`'s),
+    which stabilizes the support, whether the face is multiplicatively
+    convex, and its growth digraph (`growth`).  `face` keeps each face in
+    the classification's `Faces`, one cache that every route shares.
     """
 
     __slots__ = ("f", "fill", "inf", "positions", "shape", "body", "_probe",
-                 "_reads")
+                 "_growth")
 
     def __init__(self, f: ConeMap, fill: float,
                  root: Optional[ConeMap] = None, inf: int = 0):
         self.f, self.fill, self.inf = f, fill, inf
+        root = f if root is None else root
         # the root coordinate of each coordinate of f
-        self.positions = None if root is None else tuple(
-            j for j in range(root.dimension) if not inf >> j & 1)
+        self.positions = tuple(j for j in range(root.dimension)
+                               if not inf >> j & 1)
         if fill == INF:
             self.shape = self.body = \
                 _maps.conjugate_map(f) if f.is_ast else None
         else:
-            self.shape = f if f.is_ast else None
-            self.body = (f if root is None else root) if f.is_ast else None
-        self._probe = None
-        # per root output, the coordinates it reads (`face`)
-        self._reads = inf and root.is_ast and [
-            _maps.coordinates_read(e) for e in root.exprs]
+            self.shape = f
+            self.body = root if f.is_ast else None
+        self._probe = self._growth = None
 
     def probe(self) -> HypergraphProbe:
         """The lower hypergraph of `shape`, which stabilizes faces."""
@@ -326,44 +367,40 @@ class FaceSide:
             self._probe = HypergraphProbe(self.shape, Side.LOWER)
         return self._probe
 
+    def growth(self) -> Tuple[Digraph, SCCDecomposition]:
+        """The growth digraph of `shape` and its decomposition."""
+        if self._growth is None:
+            digraph = digraph_of(self.shape)
+            self._growth = digraph, scc_decompose(digraph)
+        return self._growth
+
     def stable(self) -> SubsetMask:
         """The coordinates that no pin of the others forces to the pole:
         the complement of the lower hypergraph's reach of the empty set.
         A black-box map keeps its full support."""
         n = self.f.dimension
-        if self.shape is None:
+        if not self.f.is_ast:
             return SubsetMask.full(n)
         return self.probe().reach(SubsetMask.empty(n)).complement()
 
-    def face(self, kept: int, budget: int, tol: float,
-             memo: Optional[dict],
-             components: Optional[SCCDecomposition] = None):
+    def face(self, kept: int, faces: Faces):
         """The `BracketState` of the face that keeps the stable mask
         `kept`, or its `_ConvexRadius` when it is multiplicatively convex
-        and decomposes; `components` is its decomposition when the caller
-        has it.  Looked up in `memo` when f has expressions."""
-        key = None
-        if memo is not None and self.shape is not None:
-            root = kept if self.positions is None else \
-                scatter_bits(kept, self.positions)
-            # an inf pin that no kept output reads changes nothing, and the
-            # face is the one that pins that coordinate to 0
-            inf = self.inf and self.inf & functools.reduce(
-                operator.or_, (self._reads[j] for j in iter_bits(root)))
-            key = (self.fill, inf, root, budget, tol)
-            hit = memo.get(key)
-            if hit is not None:
-                return hit
-        face = None
-        if self.shape is not None and kept.bit_count() > 1 and (
+        and decomposes, made once per `faces`."""
+        key = faces.key(self, kept)
+        face = None if key is None else faces.states.get(key)
+        if face is not None:
+            return face
+        if self.f.is_ast and kept.bit_count() > 1 and (
                 self.shape.multiplicatively_convex
                 if kept == (1 << self.f.dimension) - 1
                 else _maps.face_convex(self.shape.exprs, kept)):
-            face = _convex_radius(self, kept, budget, tol, components, memo)
+            face = _convex_radius(faces, self, kept)
         if face is None:
-            face = BracketState(self._iterated(kept), budget, tol)
+            face = BracketState(self._iterated(kept), faces.budget,
+                                faces.tol)
         if key is not None:
-            memo[key] = face
+            faces.states[key] = face
         return face
 
     def _iterated(self, kept: int):
@@ -378,8 +415,7 @@ class FaceSide:
             if self.body is not None:
                 return self.body
         if self.body is not None:
-            root = kept if self.positions is None else \
-                scatter_bits(kept, self.positions)
+            root = scatter_bits(kept, self.positions) if self.inf else kept
             loop = _maps.face_loop(self.body, root, self.inf)
             if loop is not None:
                 return _Pinned(kept.bit_count(), loop)
@@ -388,17 +424,6 @@ class FaceSide:
                 self.f, SubsetMask(kept, n), INF))
         return self.f if full else _maps.face_map(self.f,
                                                   SubsetMask(kept, n), 0.0)
-
-
-def root_side(f: ConeMap, fill: float, memo: Optional[dict] = None
-              ) -> FaceSide:
-    """f's `FaceSide` for `fill`, made once per `memo`."""
-    if memo is None:
-        return FaceSide(f, fill)
-    side = memo.get(("side", fill))
-    if side is None:
-        side = memo["side", fill] = FaceSide(f, fill)
-    return side
 
 
 def _dual_bounds(lo: float, up: float) -> Tuple[float, float]:
@@ -474,34 +499,25 @@ class CWHandle:
         return self.bracket()
 
 
-def upper_handle(f: ConeMap, budget: int = DEFAULT_BUDGET,
-                 tol: float = DEFAULT_TOL,
-                 components: Optional[SCCDecomposition] = None,
-                 memo: Optional[dict] = None) -> CWHandle:
-    """`cw_upper`'s bracket of f as a handle, refined only on demand.
+def upper_handle(faces: Faces) -> CWHandle:
+    """`cw_upper`'s bracket of `faces.f` as a handle, refined only on
+    demand.
 
     Everything but the iteration is done here: the support stabilization
     and, on multiplicatively convex maps, the decomposition, which is
-    refined to the whole budget at once.  `components`, the decomposition
-    of f's growth digraph when the caller already has it, is reused only if
-    no part of the support collapses; a collapsed face has a digraph of its
-    own.  `memo`, a dict shared by the calls of one classification of f,
-    keeps the iteration's state per face, so each one is iterated once.
+    refined to the whole budget at once.  Each face is iterated once per
+    `faces`.
     """
-    side = root_side(f, 0.0, memo)
-    support = side.stable()
-    return face_handle(side, support, budget, tol, memo,
-                       components if support.is_full() else None)
+    side = faces.side(0.0)
+    return face_handle(faces, side, side.stable())
 
 
 #: the exact bracket of a face whose whole support collapses
 _COLLAPSED = CWBracket(0.0, 0.0, None, None, 0, True, collapsed_support=())
 
 
-def face_handle(side: FaceSide, support: SubsetMask,
-                budget: int = DEFAULT_BUDGET, tol: float = DEFAULT_TOL,
-                memo: Optional[dict] = None,
-                components: Optional[SCCDecomposition] = None) -> CWHandle:
+def face_handle(faces: Faces, side: FaceSide,
+                support: SubsetMask) -> CWHandle:
     """The handle of r(f^S_0) on the r side or lambda(f^S_inf) on the
     lambda side of f (`FaceSide`), S = `support`.
 
@@ -509,35 +525,32 @@ def face_handle(side: FaceSide, support: SubsetMask,
     hypergraph of that side leaves invariant, so no kept output collapses
     to the pole.  The face is evaluated by pinning f's compiled body, or
     its conjugate's on the lambda side, and built as a map only when that
-    body does not exist.  With `memo`, each face is iterated once per
-    classification.  An empty S gives the exact bracket [0, 0] (or
-    [inf, inf]) without iteration.
+    body does not exist.  Each face is iterated once per `faces`.  An
+    empty S gives the exact bracket [0, 0] (or [inf, inf]) without
+    iteration.
     """
-    handle = _raw_handle(side, support.bits, support, budget, tol, memo,
-                         components)
+    handle = _raw_handle(faces, side, support.bits, support)
     handle.dual = side.fill == INF
     return handle
 
 
-def _raw_handle(side: FaceSide, kept: int, support: SubsetMask, budget: int,
-                tol: float, memo: Optional[dict],
-                components: Optional[SCCDecomposition] = None) -> CWHandle:
+def _raw_handle(faces: Faces, side: FaceSide, kept: int,
+                support: SubsetMask) -> CWHandle:
     """cw_upper's handle of the face of `side` on `kept`, its witnesses
     embedded in the coordinates of `support`."""
     if not kept:
         return CWHandle(fixed=_COLLAPSED)
-    face = side.face(kept, budget, tol, memo, components)
+    face = side.face(kept, faces)
     if type(face) is BracketState:
         return CWHandle(face, support)
     return CWHandle(support=support, fixed=face)
 
 
-def lower_handle(f: ConeMap, budget: int = DEFAULT_BUDGET,
-                 tol: float = DEFAULT_TOL,
-                 memo: Optional[dict] = None) -> CWHandle:
-    """`cw_lower`'s bracket of f as a handle, refined only on demand."""
-    side = root_side(f, INF, memo)
-    return face_handle(side, side.stable(), budget, tol, memo)
+def lower_handle(faces: Faces) -> CWHandle:
+    """`cw_lower`'s bracket of `faces.f` as a handle, refined only on
+    demand."""
+    side = faces.side(INF)
+    return face_handle(faces, side, side.stable())
 
 
 def cw_upper(f: ConeMap, budget: int = DEFAULT_BUDGET,
@@ -551,13 +564,13 @@ def cw_upper(f: ConeMap, budget: int = DEFAULT_BUDGET,
     guaranteed to converge.  An output identically inf raises.
     """
     _maps.reject_pole_outputs(f, zero=False)
-    return upper_handle(f, budget, tol).finished()
+    return upper_handle(Faces(f, budget, tol)).finished()
 
 
-def _bracket_and_solution(f: ConeMap, budget: int, tol: float,
-                          memo: Optional[dict] = None) -> Optional[
+def _bracket_and_solution(faces: Faces) -> Optional[
         Tuple[CWBracket, Union[EigenResult, NonconvergedError]]]:
-    """cw_upper(f) and solve_eigenvector(f)'s outcome, from one trajectory.
+    """cw_upper(f) and solve_eigenvector(f)'s outcome, from one trajectory,
+    with f = `faces.f` and the budget and tolerance of `faces`.
 
     For f that is not multiplicatively convex, or whose growth digraph is
     strongly connected, cw_upper(f) applies no convex decomposition, so
@@ -567,22 +580,16 @@ def _bracket_and_solution(f: ConeMap, budget: int, tol: float,
     bracket and the outcome (the EigenResult, or the NonconvergedError the
     solve would raise) are bit-identical to separate calls.  Returns None
     when the support collapses; the two then iterate different maps.
-    With `memo` (as in `upper_handle`), f's bracket state is stored there
-    refined to the whole budget, so a later upper_handle(f, memo=memo)
-    reads it without iterating again.
+    f's bracket state is kept in `faces` refined to the whole budget, so a
+    later upper_handle(faces) reads it without iterating again.
     """
+    f, side = faces.f, faces.side(0.0)
     n = f.dimension
-    if not FaceSide(f, 0.0).stable().is_full():
+    if not side.stable().is_full():
         return None
-    run = _trajectory(f, (1.0,) * n, budget, tol, True, True)
+    run = _trajectory(f, (1.0,) * n, faces.budget, faces.tol, True, True)
     sandwich = _sandwich(run)
-    state = None
-    if memo is not None and f.is_ast:
-        # the key of f's face on every coordinate (`FaceSide.face`)
-        key = (0.0, 0, (1 << n) - 1, budget, tol)
-        state = memo.get(key)
-        if state is None:
-            state = memo[key] = BracketState(f, budget, tol)
+    state = side.face((1 << n) - 1, faces)
     if type(state) is BracketState and not state.done:
         (state.lo, state.up, state.wlo, state.wup, state.iterations,
          state.converged) = sandwich
@@ -607,6 +614,8 @@ def _on_support(support: SubsetMask, lo: float, up: float,
 class _ConvexRadius(NamedTuple):
     """r(g) of a multiplicatively convex g, as `_convex_radius` found it.
 
+    `classes` holds the handle of each strongly connected component's
+    face, in the order of g's decomposition, refined to the whole budget.
     `lower` and `upper` are the ends of the bracket, which is built only
     when asked for: from `top`, the handle of the dominant component's
     face, or with r(g) = 0 exact when `top` is None.
@@ -618,6 +627,7 @@ class _ConvexRadius(NamedTuple):
     dimension: int
     iterations: int
     converged: bool
+    classes: Tuple[CWHandle, ...]
 
     def bracket(self, support: SubsetMask) -> CWBracket:
         if self.top is None:
@@ -630,29 +640,29 @@ class _ConvexRadius(NamedTuple):
                            self.iterations, self.converged)
 
 
-def _convex_radius(side: FaceSide, kept: int, budget: int, tol: float,
-                   scc: Optional[SCCDecomposition],
-                   memo: Optional[dict] = None) -> Optional[_ConvexRadius]:
+def _convex_radius(faces: Faces, side: FaceSide,
+                   kept: int) -> Optional[_ConvexRadius]:
     """r(g) of the multiplicatively convex face g of `side` on `kept`: the
     max over g's strongly connected components C of r(g^C_0), each face
     refined to the whole budget; None for a single component."""
     n = side.f.dimension
     full = (1 << n) - 1
-    if scc is None:
-        scc = scc_decompose(digraph_of(side.shape)
-                            if kept == full else digraph_of(side.shape, kept))
+    scc = side.growth()[1] if kept == full else \
+        scc_decompose(digraph_of(side.shape, kept))
     if len(scc.order) <= 1:
         return None
     positions = tuple(iter_bits(kept))
+    classes = []
     best = None
     iterations = 0
     all_converged = True
     for comp in scc.order:
         outside = full & ~sum(1 << positions[c] for c in comp)
         stable = full & ~side.probe().reach(SubsetMask(outside, n)).bits
-        h = _raw_handle(side, stable, SubsetMask(
-            gather_bits(stable, positions), len(positions)), budget, tol, memo)
-        h.refine(budget)
+        h = _raw_handle(faces, side, stable, SubsetMask(
+            gather_bits(stable, positions), len(positions)))
+        h.refine(faces.budget)
+        classes.append(h)
         # a state, a fixed bracket and a radius all count the same way
         run = h.fixed if h.state is None else h.state
         iterations += run.iterations
@@ -661,12 +671,9 @@ def _convex_radius(side: FaceSide, kept: int, budget: int, tol: float,
         if best is None or up > best[1]:
             best = (lo, up, None if not stable else h)
     lo, up, top = best
-    if top is None:
-        # the dominant component collapsed entirely; r(g) = 0 is exact
-        return _ConvexRadius(0.0, 0.0, None, len(positions), iterations,
-                             True)
+    # when the dominant component collapsed entirely, r(g) = 0 is exact
     return _ConvexRadius(lo, up, top, len(positions), iterations,
-                         all_converged)
+                         all_converged or top is None, tuple(classes))
 
 
 def cw_lower(f: ConeMap, budget: int = DEFAULT_BUDGET,
@@ -680,7 +687,7 @@ def cw_lower(f: ConeMap, budget: int = DEFAULT_BUDGET,
     0 raises.
     """
     _maps.reject_pole_outputs(f, inf=False)
-    return lower_handle(f, budget, tol).finished()
+    return lower_handle(Faces(f, budget, tol)).finished()
 
 
 @dataclass(frozen=True)
@@ -712,7 +719,7 @@ def _log_ratio(num: float, den: float, default: float) -> float:
 def min_displacement(f: ConeMap, budget: int = DEFAULT_BUDGET,
                      tol: float = DEFAULT_TOL,
                      certificate: Optional[Tuple[CWHandle, CWHandle]] = None,
-                     memo: Optional[dict] = None) -> DisplacementInterval:
+                     faces: Optional[Faces] = None) -> DisplacementInterval:
     """Enclose the minimum displacement via the two Collatz-Wielandt brackets.
 
     Iteration alone only yields a joint [lambda, r] enclosure, so the lower
@@ -723,12 +730,14 @@ def min_displacement(f: ConeMap, budget: int = DEFAULT_BUDGET,
     only until the interval closes to `tol` or every bracket is done.  Each
     round's interval is a sound enclosure; one that never closes is the
     interval of fully refined brackets.  Where an end of f's brackets is 0
-    or inf, the upper end is inf.  `memo` is as in `upper_handle`.  An
-    output identically 0 or inf raises, as in `cw_upper` and `cw_lower`.
+    or inf, the upper end is inf.  `faces`, the `Faces` of a classification
+    of f, shares that classification's faces, and its budget and tolerance
+    replace `budget` and `tol`.  An output identically 0 or inf raises, as
+    in `cw_upper` and `cw_lower`.
     """
     _maps.reject_pole_outputs(f)
-    pairs = [(upper_handle(f, budget, tol, memo=memo),
-              lower_handle(f, budget, tol, memo=memo))]
+    faces = Faces(f, budget, tol) if faces is None else faces
+    pairs = [(upper_handle(faces), lower_handle(faces))]
     if certificate is not None:
         pairs.append(certificate)
     handles = [h for pair in pairs for h in pair]
@@ -740,7 +749,7 @@ def min_displacement(f: ConeMap, budget: int = DEFAULT_BUDGET,
         (_, r_up), (l_lo, _) = bounds[0]
         hi = max(lo, _log_ratio(r_up, l_lo, INF))
         # before any refinement hi is inf, and inf - lo <= tol * inf holds
-        closed = hi != INF and hi - lo <= tol * max(1.0, hi)
+        closed = hi != INF and hi - lo <= faces.tol * max(1.0, hi)
         if closed or all(h.done for h in handles):
             break
         for h in handles:

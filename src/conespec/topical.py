@@ -190,7 +190,7 @@ def _shapley_steps(game: GameSpec) -> Callable[..., Tuple[float, ...]]:
     lines.append(f"    return {names},")
     params = ", ".join(f"c{k}" for k in range(len(constants)))
     source = "\n".join([f"def _steps(k, {names}, {params}):", *lines])
-    code = _maps.shape_code(source + "\n", "<shapley operator>")
+    code = _maps.shape_code(source + "\n", f"<shapley operator n={n}>")
     return types.FunctionType(code, {}, None, tuple(constants))
 
 

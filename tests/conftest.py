@@ -441,31 +441,31 @@ class _ReferenceAnalyzer(existence.Analyzer):
     it became one pass over integer masks: `classify`, `_try_prune` and
     `_face_kind` verbatim, except that a face sub-analysis is built as
     `type(self)`, so faces are swept by the reference too, and that an
-    upper face is analyzed, and memoized, as the root map's face that pins
+    upper face is analyzed, and cached, as the root map's face that pins
     its `inf` coordinates, as `existence.Analyzer._face_kind` does.  Its
     lower-face branch never runs: waves go by popcount, so every proper
     subset of a passing subset already has its certificate."""
 
     def _face_kind(self, keep: SubsetMask, fill: float) -> VerdictKind:
-        inf = self.inf | scatter_bits(keep.complement().bits, self.positions)
+        inf = self.inf | scatter_bits(keep.complement().bits,
+                                      self.r_side.positions)
         if self.f.is_ast:
-            key = ("face", inf) if fill == INF else \
-                ("face", face_exprs(self.f.exprs, keep, fill))
-            kind = self.memo.get(key)
+            key = inf if fill == INF else face_exprs(self.f.exprs, keep, fill)
+            kind = self.faces.kinds.get(key)
             if kind is not None:
                 return kind
             face = from_exprs(face_exprs(self.f.exprs, keep, fill),
                               keep.popcount())
         else:
-            # black-box maps are not memoized
+            # black-box maps are not cached
             key, face = None, face_map(self.f, keep, fill)
-        rooted = {"root": self.root, "inf": inf} if fill == INF else {}
+        rooted = {"faces": self.faces, "inf": inf} if fill == INF else {}
         sub = type(self)(face, self.budget, self.tol, prune=self.prune,
-                         memo=self.memo, **rooted)
+                         **rooted)
         sub._kind_only = True
         kind = sub.classify(solve=False).kind
         if key is not None:
-            self.memo[key] = kind
+            self.faces.kinds[key] = kind
         return kind
 
     def classify(self, solve: bool = True) -> existence.Verdict:
@@ -528,7 +528,8 @@ class _ReferenceAnalyzer(existence.Analyzer):
         remaining_subsets = [m for m in masks
                              if m.bits not in certs and m.bits not in pruned_by
                              and m.issubset(J) and m.bits != J.bits]
-        if remaining_subsets and self.lower_probe.is_invariant(J.complement()):
+        if remaining_subsets and self.r_side.probe().is_invariant(
+                J.complement()):
             if self._face_kind(J, 0.0) is VerdictKind.NONEMPTY_BOUNDED:
                 for m in remaining_subsets:
                     pruned_by[m.bits] = J

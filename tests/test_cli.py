@@ -125,6 +125,18 @@ class TestGraph:
         for i, j in ((1, 2), (1, 3), (1, 4), (2, 1), (2, 3), (3, 4)):
             assert f"n{i} -> n{j};" in out
 
+    def test_lower_hypergraph_says_what_was_scanned(self, tmp_path, capsys):
+        path = write(tmp_path, "t.conemap",
+                     tensor_text(1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1))
+        assert cli.main(["graph", path, "--which", "Hminus"]) == 0
+        out = capsys.readouterr().out
+        comment = " ".join(line.strip()[3:] for line in out.splitlines()
+                           if line.strip().startswith("// "))
+        # the scan never depends on earlier queries of the probe
+        assert comment == ("minimal hyperarcs of the tails scanned: every "
+                           "proper tail up to n = 10, above that the "
+                           "singletons and their complements")
+
     def test_identity_upper_hypergraph_empty(self, tmp_path, capsys):
         path = write(tmp_path, "id.conemap", IDENTITY)
         assert cli.main(["graph", path, "--which", "Hplus"]) == 0
@@ -274,20 +286,22 @@ class TestCompileCount:
 
     @staticmethod
     def _watch(monkeypatch):
-        """The dimensions of the bodies and Shapley operators compiled, and
-        the (dimension, face) of the loops asked for, from here on, from a
-        cold shape cache."""
+        """The names of the bodies and Shapley operators compiled, which
+        carry their kind and dimension, and the (dimension, face) of the
+        loops asked for, from here on, from a cold shape cache."""
         maps.shape_code.cache_clear()
         bodies, shapley, loops = [], [], []
         loop = maps._loop
 
         def counted(source, filename, mode):
-            # the parameters x0, ..., x{n-1} and c0, ... precede the colon
-            params = re.findall(r"\bx\d+\b", source.split(":")[0])
-            if filename == "<interior evaluator>":
-                bodies.append(len(params))
-            elif filename == "<shapley operator>":
-                shapley.append(len(params))
+            # the parameters x0, ..., x{n-1} precede the colon or paren
+            n = len(re.findall(r"\bx\d+\b", re.split("[:)]", source)[0]))
+            if re.fullmatch(r"<(face )?body n=\d+>", filename):
+                bodies.append(filename)
+            elif filename.startswith("<shapley operator"):
+                shapley.append(filename)
+            if "(f + id)" not in filename:
+                assert filename.endswith(f" n={n}>")
             return compile(source, filename, mode)
 
         def counted_loop(n, face=False):
@@ -304,14 +318,15 @@ class TestCompileCount:
         first = cs.classify(f)
         # f's body, and the bodies f and its conjugate pin their faces
         # through: no face compiles a body of its own
-        assert bodies == [5, 5, 5]
+        assert sorted(bodies) == ["<body n=5>", "<face body n=5>",
+                                  "<face body n=5>"]
         # one loop for f, one per number of kept coordinates for faces
         assert set(loops) == {(5, False)} | {(k, True) for k in range(1, 5)}
         assert repr(cs.classify(cs.parse_map(SWEEP_MAP).cone_map)) == \
             repr(first)
         assert OTHER_SWEEP_MAP != SWEEP_MAP
         cs.classify(cs.parse_map(OTHER_SWEEP_MAP).cone_map)
-        assert bodies == [5, 5, 5]
+        assert len(bodies) == 3
 
     def test_game(self, tmp_path, capsys, monkeypatch):
         path = write(tmp_path, "g.game.json", GAME_JSON)
@@ -319,12 +334,14 @@ class TestCompileCount:
         assert cli.main(["game", path]) == 0
         # the map's body, the bodies it and its conjugate pin their faces
         # through, and the Shapley operator
-        assert bodies == [3, 3, 3] and shapley == [3]
+        assert sorted(bodies) == ["<body n=3>", "<face body n=3>",
+                                  "<face body n=3>"]
+        assert shapley == ["<shapley operator n=3>"]
         assert set(loops) == {(3, False), (1, True)}
         # other payoffs on the same supports: nothing to compile
         path = write(tmp_path, "h.game.json", OTHER_GAME_JSON)
         assert cli.main(["game", path]) == 0
-        assert bodies == [3, 3, 3] and shapley == [3]
+        assert len(bodies) == 3 and len(shapley) == 1
 
 
 class TestOutputStability:
@@ -466,6 +483,24 @@ class TestParserReuse:
         finally:
             cli._parser.cache_clear()
         assert len(built) == 1
+
+
+class TestClosedStdout:
+    def test_reader_that_stops_early(self, tmp_path):
+        # as in `conespec analyze map.conemap | head -1`: the reader has
+        # closed the pipe before the verdict is written
+        path = write(tmp_path, "sweep.conemap", SWEEP_MAP)
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "conespec.cli", "analyze", path],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        # no message, and the status of a process that SIGPIPE ended
+        assert (proc.wait(timeout=120), err) == (141, b"")
 
 
 class TestDimensionCap:

@@ -44,8 +44,8 @@ def _count_graph_work(monkeypatch):
         decompositions.append(g.rows)
         return scc_decompose(g)
 
+    monkeypatch.setattr(spectral, "digraph_of", counted_digraph)
     for module in (existence, spectral):
-        monkeypatch.setattr(module, "digraph_of", counted_digraph)
         monkeypatch.setattr(module, "scc_decompose", counted_scc)
     return digraphs, decompositions
 
@@ -168,6 +168,12 @@ class TestClassifyConvex:
     def test_requires_flag(self):
         with pytest.raises(FlagMissingError):
             cs.classify_convex(make_schoen())
+        # the class faces are those cw_upper decomposes an expression map
+        # into; a black-box map has none
+        f = cs.matrix_map([[1.0, 1.0], [0.0, 2.0]])
+        with pytest.raises(FlagMissingError):
+            cs.classify_convex(ConeMap(dimension=2, evaluator=f.eval_interior,
+                                       multiplicatively_convex=True))
 
     def test_tensor_condition_both_sides(self):
         base = dict(a1=1.0, a2=1.0, b1=1.0, b2=1.0, b3=1.0,
@@ -207,7 +213,7 @@ class TestClassifyConvex:
         assert by_comp[(2,)].bracket.upper == 0.0
 
     def test_irreducible_map_builds_one_digraph(self, monkeypatch):
-        from conespec import existence, spectral
+        from conespec import spectral
         from conespec.graphs import digraph_of
 
         calls = []
@@ -216,7 +222,6 @@ class TestClassifyConvex:
             calls.append(f)
             return digraph_of(f)
 
-        monkeypatch.setattr(existence, "digraph_of", counted)
         monkeypatch.setattr(spectral, "digraph_of", counted)
         f = cs.matrix_map([[0.0, 2.0, 1.0], [1.0, 0.0, 0.0],
                            [0.5, 3.0, 0.0]])
@@ -284,10 +289,11 @@ class TestClassifyConvex:
         # two-dimensional face {1, 2}, not on the digraph handed in
         f = cs.restrict_lower(from_exprs((Coord(1), Coord(0), Coord(2)), 3),
                               mask([1, 2], 3))
-        scc = cs.scc_decompose(cs.digraph_of(f))
-        assert scc.order == ((0, 1), (2,))
-        assert spectral.upper_handle(f, components=scc).finished() == \
-            cs.cw_upper(f)
+        faces = spectral.Faces(f)
+        assert faces.side(0.0).growth()[1].order == ((0, 1), (2,))
+        bracket = spectral.upper_handle(faces).finished()
+        assert bracket.collapsed_support == (0, 1)
+        assert bracket == cs.cw_upper(f)
 
 
 class TestInference:
@@ -418,20 +424,21 @@ coord 5: 0.7347965380482986*x5 + min(x1, 2*x2)
 
 
 class _Forgetful(dict):
-    """A memo that stores nothing: every lookup misses."""
+    """A dict that stores nothing: every lookup misses."""
 
     def __setitem__(self, key, value):
         pass
 
 
 class TestClassificationMemo:
-    """One classification iterates each reduced map from one bracket state
-    and analyzes each face once."""
+    """One classification iterates each face from one bracket state and
+    analyzes each face once: its `spectral.Faces` keeps them."""
 
     @staticmethod
-    def _counted(monkeypatch, text=SWEEP_MAP, memo=None):
-        """(verdict, the bracket states made, how many of them the memo
-        keeps, the inf pins of every face analysis)."""
+    def _counted(monkeypatch, text=SWEEP_MAP, forgetful=False):
+        """(verdict, the bracket states made, how many of them the
+        classification's `Faces` keeps, the inf pins of every face
+        analysis); a `forgetful` one keeps nothing."""
         states, faces = [], []
         analyzer_classify = existence.Analyzer.classify
 
@@ -443,32 +450,37 @@ class TestClassificationMemo:
                 super().__init__(g, *args)
 
         def classify(self, solve=True):
-            if self.memo is not top.memo:
-                raise AssertionError("a face analysis has its own memo")
+            if self.faces is not top.faces:
+                raise AssertionError("a face analysis has its own faces")
             if self is not top:
                 faces.append(self.inf)
             return analyzer_classify(self, solve)
 
         monkeypatch.setattr(spectral, "BracketState", State)
         monkeypatch.setattr(existence.Analyzer, "classify", classify)
-        top = existence.Analyzer(cs.parse_map(text).cone_map, memo=memo)
+        f = cs.parse_map(text).cone_map
+        cache = spectral.Faces(f)
+        if forgetful:
+            cache.states, cache.kinds = _Forgetful(), _Forgetful()
+        top = existence.Analyzer(f, faces=cache)
         verdict = top.classify()
         monkeypatch.undo()
-        kept = sum(type(v) is State for v in top.memo.values())
+        kept = sum(type(v) is State for v in cache.states.values())
         return verdict, states, kept, faces
 
     def test_each_map_bracketed_and_each_face_analyzed_once(self,
                                                             monkeypatch):
         verdict, states, kept, faces = self._counted(monkeypatch)
         assert verdict.kind is VerdictKind.NONEMPTY_BOUNDED
-        assert len(states) == kept == 31
+        # with f's own state, filled by the eigenvector's trajectory
+        assert len(states) == kept == 32
         assert len(faces) == len(set(faces)) == 14
 
     def test_without_the_memo_the_work_repeats(self, monkeypatch):
         shared, _, _, _ = self._counted(monkeypatch)
         verdict, states, kept, faces = self._counted(monkeypatch,
-                                                     memo=_Forgetful())
-        assert (len(states), kept) == (99, 0)
+                                                     forgetful=True)
+        assert (len(states), kept) == (111, 0)
         assert len(faces) > len(set(faces)) == 14
         # the memo changes the work, never the result
         assert repr(verdict) == repr(shared)
@@ -478,14 +490,14 @@ class TestClassificationMemo:
         shared, shared_states, kept, shared_faces = self._counted(
             monkeypatch, REVERSE_SWEEP_MAP)
         verdict, states, _, faces = self._counted(
-            monkeypatch, REVERSE_SWEEP_MAP, _Forgetful())
+            monkeypatch, REVERSE_SWEEP_MAP, forgetful=True)
         assert len(shared_states) == kept == 33
         assert len(shared_faces) == len(set(shared_faces)) == 10
-        assert len(states) == 63
+        assert len(states) == 75
         assert len(faces) == len(set(faces)) == 10
         # the same verdict, routes and displacement; a certificate keeps its
         # brackets as they stood when it was decided, and the states the
-        # memo shares stand further refined by then
+        # shared states stand further refined by then
         assert (verdict.kind, _routes(verdict), verdict.displacement) == \
             (shared.kind, _routes(shared), shared.displacement)
         assert verdict.kind is VerdictKind.NO_INTERIOR_EIGENVECTOR
@@ -540,18 +552,74 @@ class TestClassificationMemo:
             top = existence.Analyzer(g, budget=100)
             verdict = top.classify()
             monkeypatch.undo()
-            return verdict, set(faces), top.memo
+            return verdict, set(faces), top.faces
 
         ast, ast_faces, _ = faces_of(f)
-        black, black_faces, memo = faces_of(twin)
+        black, black_faces, kept = faces_of(twin)
         assert len(ast_faces) == 14 and ast_faces <= black_faces
-        assert not [key for key in memo if key[0] == "face"]
+        assert not kept.kinds and not kept.states
         assert [c.route for c in black.certificates] == \
             [c.route for c in ast.certificates]
         assert Route.PRUNED in {c.route for c in black.certificates}
         unpruned = existence.Analyzer(twin, budget=100, prune=False)
         assert black.kind is unpruned.classify().kind
         assert black.kind is VerdictKind.NONEMPTY_BOUNDED
+
+
+class TestOneFaceCache:
+    """Every route of one classification reads the faces from one
+    `spectral.Faces`: the convex route's class faces, its displacement and
+    its sweep fallback, and every probe of a map."""
+
+    @staticmethod
+    def _runs(monkeypatch, f):
+        """The verdict of f and the iterations of every trajectory run."""
+        runs = []
+        trajectory = spectral._trajectory
+
+        def counted(g, *args):
+            run = trajectory(g, *args)
+            runs.append(run[0])
+            return run
+
+        monkeypatch.setattr(spectral, "_trajectory", counted)
+        verdict = cs.classify(f)
+        monkeypatch.undo()
+        return verdict, runs
+
+    def test_displacement_reads_the_class_faces(self, monkeypatch):
+        # classes {1, 2} and {3, 4, 5}, and no interior eigenvector: the
+        # two class faces and f's lambda side, each iterated once
+        f = cs.matrix_map([[1, 3, 0.5, 0, 0], [0.2, 1, 0, 0, 0],
+                           [0, 0, 0.1, 1, 0], [0, 0, 0, 0.1, 1],
+                           [0, 0, 1, 0, 0.1]])
+        verdict, runs = self._runs(monkeypatch, f)
+        assert verdict.kind is VerdictKind.NO_INTERIOR_EIGENVECTOR
+        assert len(runs) <= 3 and sum(runs) <= 47
+
+    def test_sweep_fallback_reads_the_class_faces(self, monkeypatch):
+        # two equal blocks tie on the convex route, and the sweep that
+        # follows finds their faces already bracketed
+        f = cs.matrix_map([[1, 3, 0, 0], [0.2, 1, 0, 0], [0, 0, 1, 3],
+                           [0, 0, 0.2, 1]])
+        verdict, runs = self._runs(monkeypatch, f)
+        assert verdict.convex_report is not None and verdict.certificates
+        assert sum(runs) <= 190
+
+    def test_one_probe_per_map_and_side(self, monkeypatch):
+        probes = []
+        init = HypergraphProbe.__init__
+
+        def recorded(self, f, side):
+            probes.append((f, side))
+            init(self, f, side)
+
+        monkeypatch.setattr(HypergraphProbe, "__init__", recorded)
+        cs.classify(cs.parse_map(SWEEP_MAP).cone_map)
+        monkeypatch.undo()
+        # the maps stay alive in `probes`, so their ids are distinct
+        keys = [(id(f), side) for f, side in probes]
+        assert len(keys) == len(set(keys)) > 2
 
 
 def _family_map(n, seed, free_head):
@@ -825,7 +893,8 @@ class TestConvexSharedTrajectory:
     def test_budgets_and_tolerances_match_separate_calls(self, budget, tol):
         f = cs.matrix_map([[1.0, 2.0, 0.0], [0.0, 1.0, 3.0],
                            [0.5, 0.0, 1.0]])
-        bracket, outcome = spectral._bracket_and_solution(f, budget, tol)
+        bracket, outcome = spectral._bracket_and_solution(
+            spectral.Faces(f, budget, tol))
         assert repr(bracket) == repr(cs.cw_upper(f, budget, tol))
         assert _outcome(outcome) == _solved(f, budget=budget, tol=tol)
 
@@ -843,7 +912,7 @@ class TestConvexSharedTrajectory:
         f = cs.restrict_lower(cs.matrix_map([[1, 1], [0, 1]]),
                               SubsetMask.of([1], 2))
         assert f.exprs[0] == Pole(0.0)
-        assert spectral._bracket_and_solution(f, 100, 1e-10) is None
+        assert spectral._bracket_and_solution(spectral.Faces(f, 100)) is None
 
     def test_underflow_is_not_a_collapsed_support(self):
         # f(1, 1) underflows to 0 in the first coordinate, but no pin forces
@@ -917,17 +986,16 @@ class TestUniqueFinalClassShortcut:
                   # leaves the face at the underflow guard
                   from_exprs([Coord(0),
                               Min((Scale(1e-3, Coord(1)), Coord(0)))], 2)):
-            memo = {}
-            spectral._bracket_and_solution(f, budget, tol, memo)
-            (state,) = memo.values()
+            faces = spectral.Faces(f, budget, tol)
+            spectral._bracket_and_solution(faces)
+            (state,) = faces.states.values()
             alone = spectral.BracketState(f, budget, tol)
             alone.refine(budget)
             assert repr([getattr(state, a) for a in fields]) == \
                 repr([getattr(alone, a) for a in fields])
             if not alone.converged:
                 assert state.x == alone.x
-            assert repr(spectral.upper_handle(f, budget, tol,
-                                              memo=memo).finished()) == \
+            assert repr(spectral.upper_handle(faces).finished()) == \
                 repr(cs.cw_upper(f, budget, tol))
 
 

@@ -505,12 +505,12 @@ class TestCompiledInterior:
         loop = f.interior_loop()
         cs.solve_eigenvector(f)
         assert f.interior_loop() is loop
-        assert sources == ["<interior evaluator>"]
+        assert sources == ["<body n=4>"]
         assert g.interior_loop().func is loop.func
         assert g.eval_interior(x) == self._interpreted(g.exprs)(x)
-        assert sources == ["<interior evaluator>"]
+        assert sources == ["<body n=4>"]
         assert h.eval_interior(x) == self._interpreted(h.exprs)(x)
-        assert sources == ["<interior evaluator>"] * 2
+        assert sources == ["<body n=4>"] * 2
 
     def test_large_map_has_a_loop(self):
         n = 200
