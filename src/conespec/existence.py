@@ -239,22 +239,21 @@ class Analyzer:
         root's face that pins the root's coordinates in `inf` to inf."""
         inf = self.inf | scatter_bits(keep.complement().bits,
                                       self.r_side.positions)
-        kinds = self.faces.kinds
+        kind = self.faces.kinds.get(inf)
+        if kind is not None:
+            return kind
         if self.f.is_ast:
-            kind = kinds.get(inf)
-            if kind is not None:
-                return kind
             face = from_exprs(face_exprs(self.f.exprs, keep, INF),
                               keep.popcount())
         else:
-            # black-box maps are not cached
             face = face_map(self.f, keep, INF)
         sub = Analyzer(face, self.budget, self.tol, prune=self.prune,
                        faces=self.faces, inf=inf)
         sub._kind_only = True
         kind = sub.classify(solve=False).kind
         if self.f.is_ast:
-            kinds[inf] = kind
+            # black-box maps are not cached
+            self.faces.kinds[inf] = kind
         return kind
 
     # -- the sweep ---------------------------------------------------------

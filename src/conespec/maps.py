@@ -507,12 +507,12 @@ def shape_code(source: str, filename: str) -> types.CodeType:
     Generated bodies (`compile_interior`) and Shapley operators
     (`topical._shapley_steps`) take their constants as trailing parameters,
     so their source depends only on the shape of the map or game, and each
-    shape is compiled once per process.  `filename` names the kind and
-    dimension of the code, which profiles tell apart by it.  Every map of that shape builds its
+    shape is compiled once per process.  Every map of that shape builds its
     own function from the code with `types.FunctionType`, giving its
     constants as the parameters' defaults (read as fast locals) and its own
     namespace.  The cache keeps the 128 shapes used last: code objects
-    only, never a map or its constants.
+    only, never a map or its constants.  `filename` names the code's kind
+    and dimension, by which profiles tell generated functions apart.
     """
     module = compile(source, filename, "exec")
     return next(c for c in module.co_consts if isinstance(c, types.CodeType))

@@ -339,8 +339,9 @@ class FaceSide:
     for a black-box map's), tells a face's structure: its lower
     hypergraph (`probe`, on the r side also the `existence.Analyzer`'s),
     which stabilizes the support, whether the face is multiplicatively
-    convex, and its growth digraph (`growth`).  `face` keeps each face in
-    the classification's `Faces`, one cache that every route shares.
+    convex, and its growth digraph (`growth`).  `face` keeps each face of
+    an expression map in the classification's one `Faces`, which every
+    route shares, the convex route's displacement and sweep fallback too.
     """
 
     __slots__ = ("f", "fill", "inf", "positions", "shape", "body", "_probe",
