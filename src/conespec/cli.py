@@ -127,6 +127,14 @@ def _print_doc(doc: dict, config: RunConfig) -> None:
         print(f"eigenvalue: {e['eigenvalue']}")
         print(f"eigenvector: {e['vector']}")
         print(f"residual: {e['residual']} after {e['iterations']} iterations")
+    for key in ("displacement", "additive_eigenvalue_bracket"):
+        b = doc.get(key)
+        if b:
+            state = "converged" if b["converged"] else "not converged"
+            print(f"{key}: [{b['lower']}, {b['upper']}] ({state})")
+    if doc.get("mean_payoff"):
+        print("mean_payoff: " + "; ".join(
+            f"{k}: {v}" for k, v in doc["mean_payoff"].items()))
     for entry in doc.get("subsets", []):
         line = f"J={entry['subset']}: {entry['route']}"
         if entry.get("brackets"):

@@ -24,10 +24,9 @@ from .graphs import Digraph, HypergraphProbe, SCCDecomposition, scc_decompose
 from .maps import (face_exprs, face_map, from_exprs, reject_pole_outputs,
                    sparsity_probe)
 from .spectral import (CWBracket, CWHandle, DisplacementInterval,
-                       EigenResult, Faces, FaceSide, NonconvergedError,
-                       face_handle, min_displacement, solve_eigenvector,
-                       upper_handle, _bracket_and_solution, DEFAULT_BUDGET,
-                       FIRST_CHUNK)
+                       EigenResult, Faces, NonconvergedError,
+                       min_displacement, solve_eigenvector,
+                       _bracket_and_solution, DEFAULT_BUDGET, FIRST_CHUNK)
 from .spectral import cw_upper as cw_upper  # a binding bench/tracer.py wraps
 
 SUBSET_SWEEP_CAP = 24
@@ -127,17 +126,20 @@ class Analyzer:
     route of the classification shares it, the top-level analyzer, its
     face sub-analyses, the displacement, and in `classify` the convex
     route that falls back to the sweep, because a restriction of a face
-    is a restriction of f.  Each distinct face is iterated, and each
-    distinct face classified, once per classification.  Black-box maps
-    are not cached.
+    is a restriction of f.  Each distinct face is iterated and classified
+    once per classification.  Black-box maps are not cached.
+
+    Every bracket is `FaceSide.handle` of a stable mask on one of two
+    sides that `faces` makes, `r_side` and the root's `l_side`.  A side's
+    hypergraph (`FaceSide.probe`) is f's own on the side's pole, so the
+    top-level analyzer reads its upper one (`upper_probe`) from `l_side`.
 
     A face sub-analysis classifies the face f of the root map `faces.f`
     that pins the root's coordinates in `inf` to inf, and evaluates its
     own faces by pinning through the root: the lambda side's are the
     root's, and on the r side the root's body gets the inf pins before
     each face's zero pins.  Only its hypergraphs and structure are read
-    from f's expressions; its lower hypergraph is its r side's
-    (`FaceSide.probe`).
+    from f's expressions; it folds its own upper hypergraph.
 
     `classify` sweeps the subsets in waves of one popcount, each in
     increasing bits order: every check of a wave, then the pruning of its
@@ -164,32 +166,25 @@ class Analyzer:
         self.tol = tol
         self.prune = prune
         self.inf = inf
-        self.r_side = FaceSide(f, 0.0, self.faces.f, inf) if inf else \
-            self.faces.side(0.0)
-        self.upper_probe = HypergraphProbe(f, Side.UPPER)
+        self.r_side = self.faces.side(0.0, f, inf)
+        self.l_side = self.faces.side(INF)
+        self.upper_probe = HypergraphProbe(f, Side.UPPER) if inf else \
+            self.l_side.probe()
 
     # -- brackets ---------------------------------------------------------
-
-    def _face_handle(self, stable: SubsetMask, fill: float) -> CWHandle:
-        """`spectral.face_handle` of f's face on the stable mask `stable`."""
-        if fill == 0.0:
-            return face_handle(self.faces, self.r_side, stable)
-        # the root's lambda side, with witnesses in f's coordinates
-        kept = scatter_bits(stable.bits, self.r_side.positions)
-        handle = face_handle(self.faces, self.faces.side(INF),
-                             SubsetMask(kept, self.faces.f.dimension))
-        handle.support = stable
-        return handle
 
     def r0_handle(self, J: SubsetMask) -> CWHandle:
         """Certified bracket for r(f^J_0), after stabilizing the support,
         refined on demand."""
-        return self._face_handle(
-            self.r_side.probe().reach(J.complement()).complement(), 0.0)
+        return self.r_side.handle(
+            self.r_side.probe().reach(J.complement()).complement().bits)
 
     def linf_handle(self, J: SubsetMask) -> CWHandle:
         """Certified bracket for lambda(f^{[n]\\J}_inf), refined on demand."""
-        return self._face_handle(self.upper_probe.reach(J).complement(), INF)
+        stable = self.upper_probe.reach(J).complement()
+        # the root's face, with witnesses in f's coordinates
+        return self.l_side.handle(
+            scatter_bits(stable.bits, self.r_side.positions), stable)
 
     # -- subset checks ----------------------------------------------------
 
@@ -210,8 +205,10 @@ class Analyzer:
         lower = self.r_side.probe().reach(J.complement())
         if lower.is_full():
             return SubsetCertificate(J, Route.REACH_LOWER)
-        rh = self._face_handle(lower.complement(), 0.0)
-        lh = self._face_handle(upper.complement(), INF)
+        rh = self.r_side.handle(lower.complement().bits)
+        stable = upper.complement()
+        lh = self.l_side.handle(
+            scatter_bits(stable.bits, self.r_side.positions), stable)
         steps = FIRST_CHUNK
         while True:
             r_lo, r_up = rh.bounds()
@@ -415,7 +412,7 @@ def _unique_final_class_shortcut(analyzer: Analyzer,
     # with solve, f's one trajectory gives the bracket, the eigenvector and
     # the state of f that the sweep reads if the shortcut fails
     shared = _bracket_and_solution(faces) if solve else None
-    full = upper_handle(faces).finished() if shared is None else shared[0]
+    full = shared[0] if shared else analyzer.r_side.handle().finished()
     if not _strictly_below(rest.upper, full.lower, analyzer.tol):
         return None
     verdict = Verdict(kind=VerdictKind.NONEMPTY_BOUNDED,
@@ -446,14 +443,13 @@ def classify_convex(f: ConeMap, budget: int = DEFAULT_BUDGET,
     growth, scc = side.growth()
     shared = None
     if len(scc.order) > 1:
-        radius = side.face((1 << f.dimension) - 1, faces)
+        radius = side.face((1 << f.dimension) - 1)
         brackets = [h.bracket() for h in radius.classes]
     else:
         # one component: the verdict is nonempty_bounded, and the
         # eigenvector comes from the whole-map bracket's trajectory
         shared = _bracket_and_solution(faces) if solve else None
-        brackets = [upper_handle(faces).finished() if shared is None
-                    else shared[0]]
+        brackets = [shared[0] if shared else side.handle().finished()]
 
     r_lower = max(b.lower for b in brackets)
     r_upper = max(b.upper for b in brackets)
@@ -497,8 +493,8 @@ def classify_convex(f: ConeMap, budget: int = DEFAULT_BUDGET,
             strongly_nonneg = True
             kind = VerdictKind.NONEMPTY_BOUNDED
         else:
-            rest = face_handle(faces, side, side.probe().reach(
-                C).complement()).finished()
+            rest = side.handle(
+                side.probe().reach(C).complement().bits).finished()
             if _strictly_below(rest.upper, brackets[finals[0]].lower, tol):
                 strongly_nonneg = True
                 kind = VerdictKind.NONEMPTY_BOUNDED

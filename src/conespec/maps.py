@@ -14,7 +14,7 @@ import functools
 import math
 import operator
 import types
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .core import (INF, ConeMap, ExtVec, Side, SubsetMask, gather_bits,
@@ -26,6 +26,9 @@ WEIGHT_TOL = 1e-12
 
 #: the finite value black-box maps are evaluated at in place of inf
 INF_SURROGATE = 1e12
+
+#: a pinned mean whose kept weights sum within this of one is not rescaled
+MASS_TOL = 1e-15
 
 # ---------------------------------------------------------------------------
 # Nodes
@@ -769,7 +772,7 @@ def _substitute(e: Expr, table: Dict[int, Expr]) -> Expr:
             node = kept_t[0]
         else:
             node = PowerMean(e.r, tuple(w / mass for w in kept_w), tuple(kept_t))
-        if abs(mass - 1.0) > 1e-15 and e.r != 0.0:
+        if abs(mass - 1.0) > MASS_TOL and e.r != 0.0:
             # (sum of kept sigma_i v_i^r)^(1/r) = mass^(1/r) * renormalized mean
             factor = _pow_safe(mass, 1.0 / e.r)
             if not 0.0 < factor < INF:
@@ -815,17 +818,16 @@ def restrict_map(f: ConeMap, J: SubsetMask, fill: float) -> ConeMap:
             for i in range(n)
         )
         return from_exprs(exprs, n)
-
-    surrogate = INF_SURROGATE if fill == INF else 0.0
+    kept = J.indices()
+    face = _pinned_black_box(f, kept, fill)
 
     def evaluator(x):
-        inner = tuple(x[j] if J.contains(j) else surrogate for j in range(n))
-        out = f.evaluator(inner)
-        return tuple(out[i] if J.contains(i) else fill for i in range(n))
+        out = [fill] * n
+        for j, v in zip(kept, face.evaluator(tuple(x[j] for j in kept))):
+            out[j] = v
+        return tuple(out)
 
-    return ConeMap(dimension=n, evaluator=evaluator,
-                   multiplicatively_convex=f.multiplicatively_convex,
-                   analytic=f.analytic)
+    return replace(face, dimension=n, evaluator=evaluator)
 
 
 def restrict_lower(f: ConeMap, J: SubsetMask) -> ConeMap:
@@ -864,13 +866,20 @@ def face_map(f: ConeMap, keep: SubsetMask, fill: float) -> ConeMap:
     finite-structured, i.e. the support is already stable.  An AST face is
     `from_exprs` of its `face_exprs`.
     """
-    n = f.dimension
     kept = keep.indices()
     if not kept:
         raise ValueError("face needs at least one coordinate")
     if f.is_ast:
         return from_exprs(face_exprs(f.exprs, keep, fill), len(kept))
+    return _pinned_black_box(f, kept, fill)
 
+
+def _pinned_black_box(f: ConeMap, kept: Sequence[int],
+                      fill: float) -> ConeMap:
+    """The face of the black-box map f on the coordinates `kept`, with f's
+    flags: f with the others pinned to `fill`, inf passed as
+    `INF_SURROGATE`."""
+    n = f.dimension
     surrogate = INF_SURROGATE if fill == INF else 0.0
 
     def evaluator(y):
@@ -915,6 +924,9 @@ def conjugate_expr(e: Expr) -> Expr:
     if isinstance(e, Max):
         return Min(tuple(conjugate_expr(t) for t in e.terms))
     if isinstance(e, PowerMean):
+        # 0 absorbs a geometric mean before inf does, whatever is pinned
+        if e.r == 0.0 and any(pin(t, {}) == Pole(0.0) for t in e.terms):
+            return Pole(INF)
         return PowerMean(-e.r, e.weights, tuple(conjugate_expr(t) for t in e.terms))
     raise TypeError(f"unknown node {type(e).__name__}")
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import weakref
 from dataclasses import dataclass
 from itertools import repeat
 from operator import add, truediv
@@ -39,6 +40,9 @@ FIRST_CHUNK = 16
 #: An iterate entry below this triggers support analysis instead of drifting
 #: further in floating point.
 UNDERFLOW_GUARD = 1e-300
+
+#: the relative slack a `CWBracket`'s ends may cross each other by in float
+ORDER_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -63,7 +67,7 @@ class CWBracket:
     collapsed_support: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self):
-        if self.lower > self.upper + 1e-12 * max(1.0, abs(self.upper)):
+        if self.lower > self.upper + ORDER_SLACK * max(1.0, abs(self.upper)):
             raise ValueError(f"bracket out of order: {self.lower} > {self.upper}")
 
 
@@ -279,10 +283,11 @@ class Faces:
     Every route of a classification brackets faces of f (the subset sweep
     and its pruning's face sub-analyses, the convex route, the
     displacement) and shares them here: the budget and bracket tolerance,
-    f's two `FaceSide`s (`side`), each face's `BracketState` or
-    `_ConvexRadius` in `states` under its `key`, and in `kinds` the kind
-    of each face that pruning analyzes, under its inf pins.  A black-box
-    map's faces are not kept: nothing tells which pins a face reads.
+    every `FaceSide` (`side`), which hands out its faces' brackets, each
+    face's `BracketState` or `_ConvexRadius` in `states` under its `key`,
+    and in `kinds` the kind of each face that pruning analyzes, under its
+    inf pins.  A black-box map's faces are not kept: nothing tells which
+    pins a face reads.
     """
 
     def __init__(self, f: ConeMap, budget: int = DEFAULT_BUDGET,
@@ -294,11 +299,15 @@ class Faces:
         # per output of f, the coordinates it reads (`key`)
         self._reads = None
 
-    def side(self, fill: float) -> FaceSide:
-        """f's r side (`fill` 0) or lambda side (`fill` inf)."""
+    def side(self, fill: float, face: Optional[ConeMap] = None,
+             inf: int = 0) -> FaceSide:
+        """f's r side (`fill` 0) or lambda side (`fill` inf), made once;
+        with `inf`, the side of f's face `face` with `inf` pinned to inf."""
+        if inf:
+            return FaceSide(self, face, fill, inf)
         side = self._sides.get(fill)
         if side is None:
-            side = self._sides[fill] = FaceSide(self.f, fill)
+            side = self._sides[fill] = FaceSide(self, self.f, fill)
         return side
 
     def key(self, side: FaceSide, kept: int) -> Optional[tuple]:
@@ -319,11 +328,20 @@ class Faces:
         return side.fill, inf, kept
 
 
+#: the exact bracket of a face whose whole support collapses
+_COLLAPSED = CWBracket(0.0, 0.0, None, None, 0, True, collapsed_support=())
+
+
 class FaceSide:
     """The faces of one side of a map f: r(f^S_0) on the r side (`fill`
     0), lambda(f^S_inf) on the lambda side (`fill` inf), which cw_upper
-    reads as r of the face of f's conjugate on S with the others at 0.
+    reads as r of the face of f's conjugate on S with the others at 0,
+    each bracketed by `handle`.  The `Faces` of its classification makes
+    the side and keeps its faces; `faces` refers to it weakly, so the
+    cache is freed with the classification, not by the cycle collector.
 
+    A side's hypergraph (`probe`) is f's own on the side's pole, lower on
+    the r side and upper on the lambda side; it stabilizes the support.
     Faces are evaluated by pinning, not built: each is iterated on a
     compiled body of f on the r side, of `conjugate_map(f)` on the lambda
     side, with the coordinates it drops passed to the body as poles
@@ -336,36 +354,40 @@ class FaceSide:
     map of its own (`maps.face_map`).
 
     `shape`, f on the r side and its conjugate on the lambda side (None
-    for a black-box map's), tells a face's structure: its lower
-    hypergraph (`probe`, on the r side also the `existence.Analyzer`'s),
-    which stabilizes the support, whether the face is multiplicatively
-    convex, and its growth digraph (`growth`).  `face` keeps each face of
-    an expression map in the classification's one `Faces`, which every
-    route shares, the convex route's displacement and sweep fallback too.
+    for a black-box map's), tells whether a face is multiplicatively
+    convex, and gives its growth digraph (`growth`).
     """
 
-    __slots__ = ("f", "fill", "inf", "positions", "shape", "body", "_probe",
-                 "_growth")
+    __slots__ = ("faces", "f", "fill", "inf", "positions", "_body",
+                 "_probe", "_growth")
 
-    def __init__(self, f: ConeMap, fill: float,
-                 root: Optional[ConeMap] = None, inf: int = 0):
+    def __init__(self, faces: Faces, f: ConeMap, fill: float, inf: int = 0):
         self.f, self.fill, self.inf = f, fill, inf
-        root = f if root is None else root
+        self.faces = weakref.proxy(faces)
+        root = faces.f
         # the root coordinate of each coordinate of f
         self.positions = tuple(j for j in range(root.dimension)
                                if not inf >> j & 1)
-        if fill == INF:
-            self.shape = self.body = \
-                _maps.conjugate_map(f) if f.is_ast else None
-        else:
-            self.shape = f
-            self.body = root if f.is_ast else None
+        # the lambda side's conjugate is built with its first face
+        self._body = root if f.is_ast and fill == 0.0 else None
         self._probe = self._growth = None
 
+    @property
+    def body(self) -> Optional[ConeMap]:
+        """The map whose body faces pin: the root, or f's conjugate."""
+        if self._body is None and self.f.is_ast:
+            self._body = _maps.conjugate_map(self.f)
+        return self._body
+
+    @property
+    def shape(self) -> Optional[ConeMap]:
+        return self.f if self.fill == 0.0 else self.body
+
     def probe(self) -> HypergraphProbe:
-        """The lower hypergraph of `shape`, which stabilizes faces."""
+        """f's hypergraph on the side's pole, which stabilizes faces."""
         if self._probe is None:
-            self._probe = HypergraphProbe(self.shape, Side.LOWER)
+            self._probe = HypergraphProbe(
+                self.f, Side.LOWER if self.fill == 0.0 else Side.UPPER)
         return self._probe
 
     def growth(self) -> Tuple[Digraph, SCCDecomposition]:
@@ -376,18 +398,34 @@ class FaceSide:
         return self._growth
 
     def stable(self) -> SubsetMask:
-        """The coordinates that no pin of the others forces to the pole:
-        the complement of the lower hypergraph's reach of the empty set.
-        A black-box map keeps its full support."""
+        """The complement of the hypergraph's reach of the empty set: the
+        coordinates no pin forces to the pole; all of a black-box map's."""
         n = self.f.dimension
         if not self.f.is_ast:
             return SubsetMask.full(n)
         return self.probe().reach(SubsetMask.empty(n)).complement()
 
-    def face(self, kept: int, faces: Faces):
+    def handle(self, kept: Optional[int] = None,
+               support: Optional[SubsetMask] = None) -> CWHandle:
+        """The bracket, refined on demand, of the face that keeps the
+        stable mask `kept` (by default `stable`): cw_upper's on the r
+        side, cw_lower's (`dual`) on the lambda side.  Its witnesses are
+        embedded in `support`'s coordinates, by default `kept` in f's.
+        An empty `kept` gives the exact [0, 0] (or [inf, inf])."""
+        if kept is None:
+            kept = self.stable().bits
+        if support is None:
+            support = SubsetMask(kept, self.f.dimension)
+        face = self.face(kept) if kept else _COLLAPSED
+        if type(face) is BracketState:
+            return CWHandle(face, support, dual=self.fill == INF)
+        return CWHandle(support=support, fixed=face, dual=self.fill == INF)
+
+    def face(self, kept: int):
         """The `BracketState` of the face that keeps the stable mask
         `kept`, or its `_ConvexRadius` when it is multiplicatively convex
         and decomposes, made once per `faces`."""
+        faces = self.faces
         key = faces.key(self, kept)
         face = None if key is None else faces.states.get(key)
         if face is not None:
@@ -396,7 +434,7 @@ class FaceSide:
                 self.shape.multiplicatively_convex
                 if kept == (1 << self.f.dimension) - 1
                 else _maps.face_convex(self.shape.exprs, kept)):
-            face = _convex_radius(faces, self, kept)
+            face = _convex_radius(self, kept)
         if face is None:
             face = BracketState(self._iterated(kept), faces.budget,
                                 faces.tol)
@@ -410,21 +448,16 @@ class FaceSide:
         runs its unguarded body."""
         n = self.f.dimension
         full = kept == (1 << n) - 1
-        if full and not self.inf:
-            if self.fill == 0.0:
-                return self.f
-            if self.body is not None:
-                return self.body
+        if full and not self.inf and self.shape is not None:
+            return self.shape
         if self.body is not None:
             root = scatter_bits(kept, self.positions) if self.inf else kept
             loop = _maps.face_loop(self.body, root, self.inf)
             if loop is not None:
                 return _Pinned(kept.bit_count(), loop)
-        if self.fill == INF:
-            return _maps.conjugate_map(self.f if full else _maps.face_map(
-                self.f, SubsetMask(kept, n), INF))
-        return self.f if full else _maps.face_map(self.f,
-                                                  SubsetMask(kept, n), 0.0)
+        g = self.f if full else _maps.face_map(self.f, SubsetMask(kept, n),
+                                               self.fill)
+        return _maps.conjugate_map(g) if self.fill == INF else g
 
 
 def _dual_bounds(lo: float, up: float) -> Tuple[float, float]:
@@ -449,13 +482,13 @@ def _dual_bracket(b: CWBracket) -> CWBracket:
 class CWHandle:
     """The bracket cw_upper or cw_lower returns, refined on demand.
 
-    A handle reads the `BracketState` of the map cw_upper iterates and
-    embeds its witnesses in the support it was iterated on; `dual` turns
-    the conjugate's bracket into cw_lower's.  A bracket that needs no
-    iteration, or comes from the convex decomposition (a `_ConvexRadius`),
-    is `fixed` when the handle is made.  `bounds()` reads the current
-    enclosure as two floats; `bracket()` builds the certificate with its
-    witnesses.
+    `FaceSide.handle` makes the handle of each face.  A handle reads the
+    `BracketState` of the map cw_upper iterates and embeds its witnesses
+    in `support`; `dual`, set on the lambda side, turns the conjugate's
+    bracket into cw_lower's.  A bracket that needs no iteration, or comes
+    from the convex decomposition (a `_ConvexRadius`), is `fixed` when the
+    handle is made.  `bounds()` reads the current enclosure as two
+    floats; `bracket()` builds the certificate with its witnesses.
     """
 
     __slots__ = ("state", "support", "fixed", "dual")
@@ -500,60 +533,6 @@ class CWHandle:
         return self.bracket()
 
 
-def upper_handle(faces: Faces) -> CWHandle:
-    """`cw_upper`'s bracket of `faces.f` as a handle, refined only on
-    demand.
-
-    Everything but the iteration is done here: the support stabilization
-    and, on multiplicatively convex maps, the decomposition, which is
-    refined to the whole budget at once.  Each face is iterated once per
-    `faces`.
-    """
-    side = faces.side(0.0)
-    return face_handle(faces, side, side.stable())
-
-
-#: the exact bracket of a face whose whole support collapses
-_COLLAPSED = CWBracket(0.0, 0.0, None, None, 0, True, collapsed_support=())
-
-
-def face_handle(faces: Faces, side: FaceSide,
-                support: SubsetMask) -> CWHandle:
-    """The handle of r(f^S_0) on the r side or lambda(f^S_inf) on the
-    lambda side of f (`FaceSide`), S = `support`.
-
-    S must already be stable on the side: the complement of a set the
-    hypergraph of that side leaves invariant, so no kept output collapses
-    to the pole.  The face is evaluated by pinning f's compiled body, or
-    its conjugate's on the lambda side, and built as a map only when that
-    body does not exist.  Each face is iterated once per `faces`.  An
-    empty S gives the exact bracket [0, 0] (or [inf, inf]) without
-    iteration.
-    """
-    handle = _raw_handle(faces, side, support.bits, support)
-    handle.dual = side.fill == INF
-    return handle
-
-
-def _raw_handle(faces: Faces, side: FaceSide, kept: int,
-                support: SubsetMask) -> CWHandle:
-    """cw_upper's handle of the face of `side` on `kept`, its witnesses
-    embedded in the coordinates of `support`."""
-    if not kept:
-        return CWHandle(fixed=_COLLAPSED)
-    face = side.face(kept, faces)
-    if type(face) is BracketState:
-        return CWHandle(face, support)
-    return CWHandle(support=support, fixed=face)
-
-
-def lower_handle(faces: Faces) -> CWHandle:
-    """`cw_lower`'s bracket of `faces.f` as a handle, refined only on
-    demand."""
-    side = faces.side(INF)
-    return face_handle(faces, side, side.stable())
-
-
 def cw_upper(f: ConeMap, budget: int = DEFAULT_BUDGET,
              tol: float = DEFAULT_TOL) -> CWBracket:
     """Bracket [lambda, r] of a map, or of a lower restriction on its face.
@@ -565,7 +544,8 @@ def cw_upper(f: ConeMap, budget: int = DEFAULT_BUDGET,
     guaranteed to converge.  An output identically inf raises.
     """
     _maps.reject_pole_outputs(f, zero=False)
-    return upper_handle(Faces(f, budget, tol)).finished()
+    faces = Faces(f, budget, tol)
+    return faces.side(0.0).handle().finished()
 
 
 def _bracket_and_solution(faces: Faces) -> Optional[
@@ -576,13 +556,13 @@ def _bracket_and_solution(faces: Faces) -> Optional[
     For f that is not multiplicatively convex, or whose growth digraph is
     strongly connected, cw_upper(f) applies no convex decomposition, so
     unless part of f's support collapses it iterates f itself from the
-    all-ones vector: the solve's trajectory.
-    That trajectory then runs until both stop rules have fired, and the
-    bracket and the outcome (the EigenResult, or the NonconvergedError the
-    solve would raise) are bit-identical to separate calls.  Returns None
-    when the support collapses; the two then iterate different maps.
-    f's bracket state is kept in `faces` refined to the whole budget, so a
-    later upper_handle(faces) reads it without iterating again.
+    all-ones vector: the solve's trajectory.  That trajectory then runs
+    until both stop rules have fired, and the bracket and the outcome (the
+    EigenResult, or the NonconvergedError the solve would raise) are
+    bit-identical to separate calls.  Returns None when the support
+    collapses; the two then iterate different maps.  f's bracket state is
+    kept in `faces` refined to the whole budget, so a later handle of f's
+    r side reads it without iterating again.
     """
     f, side = faces.f, faces.side(0.0)
     n = f.dimension
@@ -590,7 +570,7 @@ def _bracket_and_solution(faces: Faces) -> Optional[
         return None
     run = _trajectory(f, (1.0,) * n, faces.budget, faces.tol, True, True)
     sandwich = _sandwich(run)
-    state = side.face((1 << n) - 1, faces)
+    state = side.face((1 << n) - 1)
     if type(state) is BracketState and not state.done:
         (state.lo, state.up, state.wlo, state.wup, state.iterations,
          state.converged) = sandwich
@@ -641,8 +621,7 @@ class _ConvexRadius(NamedTuple):
                            self.iterations, self.converged)
 
 
-def _convex_radius(faces: Faces, side: FaceSide,
-                   kept: int) -> Optional[_ConvexRadius]:
+def _convex_radius(side: FaceSide, kept: int) -> Optional[_ConvexRadius]:
     """r(g) of the multiplicatively convex face g of `side` on `kept`: the
     max over g's strongly connected components C of r(g^C_0), each face
     refined to the whole budget; None for a single component."""
@@ -660,14 +639,16 @@ def _convex_radius(faces: Faces, side: FaceSide,
     for comp in scc.order:
         outside = full & ~sum(1 << positions[c] for c in comp)
         stable = full & ~side.probe().reach(SubsetMask(outside, n)).bits
-        h = _raw_handle(faces, side, stable, SubsetMask(
-            gather_bits(stable, positions), len(positions)))
-        h.refine(faces.budget)
+        # r of the shape's face on either side, so never dual
+        face = side.face(stable) if stable else _COLLAPSED
+        support = SubsetMask(gather_bits(stable, positions), len(positions))
+        h = CWHandle(face, support) if type(face) is BracketState else \
+            CWHandle(support=support, fixed=face)
+        h.refine(side.faces.budget)
         classes.append(h)
         # a state, a fixed bracket and a radius all count the same way
-        run = h.fixed if h.state is None else h.state
-        iterations += run.iterations
-        all_converged = all_converged and run.converged
+        iterations += face.iterations
+        all_converged = all_converged and face.converged
         lo, up = h.bounds()
         if best is None or up > best[1]:
             best = (lo, up, None if not stable else h)
@@ -688,7 +669,8 @@ def cw_lower(f: ConeMap, budget: int = DEFAULT_BUDGET,
     0 raises.
     """
     _maps.reject_pole_outputs(f, inf=False)
-    return lower_handle(Faces(f, budget, tol)).finished()
+    faces = Faces(f, budget, tol)
+    return faces.side(INF).handle().finished()
 
 
 @dataclass(frozen=True)
@@ -738,7 +720,7 @@ def min_displacement(f: ConeMap, budget: int = DEFAULT_BUDGET,
     """
     _maps.reject_pole_outputs(f)
     faces = Faces(f, budget, tol) if faces is None else faces
-    pairs = [(upper_handle(faces), lower_handle(faces))]
+    pairs = [(faces.side(0.0).handle(), faces.side(INF).handle())]
     if certificate is not None:
         pairs.append(certificate)
     handles = [h for pair in pairs for h in pair]

@@ -399,6 +399,30 @@ class TestOutputStability:
         out = capsys.readouterr().out
         assert "kind: no_interior_eigenvector" in out
 
+    @pytest.mark.parametrize("command", ["analyze", "game"])
+    def test_human_format_prints_every_number(self, tmp_path, capsys,
+                                              command):
+        # a game whose state 1 pays more than states 2 and 3 can hold it
+        # has no additive eigenvector, so both outputs carry a displacement
+        doc = json.loads(GAME_JSON)
+        doc["actions"][0][0]["payoff"] = 3.0
+        text = DIAG if command == "analyze" else json.dumps(doc)
+        path = write(tmp_path, "input", text)
+        assert cli.main([command, path]) == 2
+        parsed = json.loads(capsys.readouterr().out)
+        assert cli.main([command, path, "--format", "human"]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        keys = ["displacement"]
+        if command == "game":
+            keys.append("additive_eigenvalue_bracket")
+            payoff = "; ".join(f"{k}: {v}"
+                               for k, v in parsed["mean_payoff"].items())
+            assert f"mean_payoff: {payoff}" in lines
+        for key in keys:
+            b = parsed[key]
+            state = "converged" if b["converged"] else "not converged"
+            assert f"{key}: [{b['lower']}, {b['upper']}] ({state})" in lines
+
     def test_bad_config_rejected(self, capsys):
         assert cli.main(["analyze", "whatever", "--tol", "-1"]) == 1
 

@@ -86,6 +86,21 @@ class TestCheckSubset:
 
 
 class TestClassify:
+    def test_geometric_mean_of_both_poles_is_zero_on_the_lambda_side(self):
+        # coordinate 2 is max(0, x3) = x3, as the geometric mean of the two
+        # poles is 0; the lambda side's conjugate used to read it as
+        # identically inf and call the map nonempty_bounded, although
+        # r = 2 on {1} exceeds lambda = 1 on {2, 3}
+        f = from_exprs([Linear(((0, 2.0), (1, 1.0), (2, 1.0))),
+                        Max((PowerMean(0.0, (0.5, 0.5),
+                                       (Pole(INF), Pole(0.0))), Coord(2))),
+                        Coord(1)], 3)
+        v = cs.classify(f)
+        assert v.kind is VerdictKind.NO_INTERIOR_EIGENVECTOR
+        cert = v.certificates[0]
+        assert cert.route is Route.NUMERIC_REVERSE
+        assert cert.lambda_bracket.upper == pytest.approx(1.0)
+
     @pytest.mark.parametrize("exprs, error", [
         # f(x) = (0, x1) has no positive eigenvector
         ([Pole(0.0), Coord(0)], ZeroRowError),
@@ -291,7 +306,7 @@ class TestClassifyConvex:
                               mask([1, 2], 3))
         faces = spectral.Faces(f)
         assert faces.side(0.0).growth()[1].order == ((0, 1), (2,))
-        bracket = spectral.upper_handle(faces).finished()
+        bracket = faces.side(0.0).handle().finished()
         assert bracket.collapsed_support == (0, 1)
         assert bracket == cs.cw_upper(f)
 
@@ -620,6 +635,40 @@ class TestOneFaceCache:
         # the maps stay alive in `probes`, so their ids are distinct
         keys = [(id(f), side) for f, side in probes]
         assert len(keys) == len(set(keys)) > 2
+
+    def test_sides_leave_no_cycle(self):
+        # a side refers to its cache weakly, so the cache and every state
+        # it keeps are freed as soon as the classification drops it
+        gc.disable()
+        try:
+            faces = spectral.Faces(cs.parse_map(SWEEP_MAP).cone_map)
+            for fill in (0.0, INF):
+                faces.side(fill).handle().finished()
+            ref = weakref.ref(faces)
+            del faces
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("source, total", [(SWEEP_MAP, 28),
+                                               (REVERSE_SWEEP_MAP, 20)],
+                             ids=["sweep", "reverse"])
+    def test_one_hypergraph_per_side_of_f(self, monkeypatch, source, total):
+        # the lambda side's hypergraph is f's upper one, which the sweep
+        # reads too, not a second fold of it on f's conjugate
+        probes = []
+        init = HypergraphProbe.__init__
+
+        def recorded(self, f, side):
+            probes.append((f.dimension, side))
+            init(self, f, side)
+
+        monkeypatch.setattr(HypergraphProbe, "__init__", recorded)
+        cs.classify(cs.parse_map(source).cone_map)
+        monkeypatch.undo()
+        assert sorted(side.value for n, side in probes if n == 5) == \
+            ["lower", "upper"]
+        assert len(probes) == total
 
 
 def _family_map(n, seed, free_head):
@@ -995,7 +1044,7 @@ class TestUniqueFinalClassShortcut:
                 repr([getattr(alone, a) for a in fields])
             if not alone.converged:
                 assert state.x == alone.x
-            assert repr(spectral.upper_handle(faces).finished()) == \
+            assert repr(faces.side(0.0).handle().finished()) == \
                 repr(cs.cw_upper(f, budget, tol))
 
 

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import conespec as cs
-from conespec.core import INF, ExtVec, SubsetMask
+from conespec.core import INF, ExtVec, Side, SubsetMask
 from conespec.errors import EmptySupportError, NumericRangeError, ZeroRowError
 from conespec import maps
+from conespec.graphs import HypergraphProbe
 from conespec.maps import (Coord, Linear, Max, Min, Pole, PowerMean, Scale,
                            Sum, compile_interior, eval_mean, from_exprs,
                            monomial, pin, theta)
@@ -372,6 +373,61 @@ class TestBlackBoxRestrictions:
         assert b.upper == pytest.approx(2.0, rel=1e-8)
         lb = cs.cw_lower(cs.restrict_upper(self._bb(), J), budget=2000)
         assert lb.lower == pytest.approx(2.0, rel=1e-8)
+
+    def test_face_and_restriction_pin_alike(self):
+        from conespec.core import ConeMap
+        f = ConeMap(dimension=3, evaluator=self._bb().evaluator,
+                    multiplicatively_convex=True)
+        J = SubsetMask.of([0, 2], 3)
+        for fill, pinned in ((0.0, 0.0), (INF, maps.INF_SURROGATE)):
+            face = maps.face_map(f, J, fill)
+            restriction = maps.restrict_map(f, J, fill)
+            out = f.evaluator((1.0, pinned, 3.0))
+            assert face.eval_interior((1.0, 3.0)) == (out[0], out[2])
+            assert restriction.eval_interior((1.0, 2.0, 3.0)) == \
+                (out[0], fill, out[2])
+            for g in (face, restriction):
+                assert (g.multiplicatively_convex, g.analytic) == \
+                    (True, False)
+
+
+class TestConjugateOfAZeroTerm:
+    """A geometric mean with a term that is 0 whatever is pinned is 0,
+    since 0 absorbs before inf, so its conjugate is the pole inf and
+    never the 0 that the mirrored mean would give."""
+
+    F = from_exprs([Linear(((0, 2.0), (1, 1.0), (2, 1.0))),
+                    Max((PowerMean(0.0, (0.5, 0.5), (Pole(INF), Pole(0.0))),
+                         Coord(2))),
+                    Coord(1)], 3)
+
+    def test_conjugate_is_the_reciprocal_map(self):
+        x = (1.0, 2.0, 3.0)
+        g = maps.conjugate_map(self.F)
+        assert g.exprs[1] == Min((Pole(INF), Coord(2)))
+        assert g.eval_interior(tuple(1.0 / v for v in x)) == pytest.approx(
+            tuple(1.0 / v for v in self.F.eval_interior(x)), rel=1e-15)
+
+    def test_upper_hypergraph_is_the_conjugates_lower_one(self):
+        # the lambda side stabilizes the conjugate's faces with f's upper
+        # hypergraph (`spectral.FaceSide.probe`)
+        rng = np.random.default_rng(0)
+        corpus = [self.F]
+        while len(corpus) < 150:
+            n = int(rng.integers(2, 6))
+            f = from_exprs([random_tree(rng, n, 3) for _ in range(n)], n)
+            try:
+                maps.reject_pole_outputs(f)
+            except cs.ConespecError:
+                continue
+            corpus.append(f)
+        for f in corpus:
+            n = f.dimension
+            up = HypergraphProbe(f, Side.UPPER)
+            low = HypergraphProbe(maps.conjugate_map(f), Side.LOWER)
+            for tail in range(1 << n):
+                mask = SubsetMask(tail, n)
+                assert up.hyperarc_targets(mask) == low.hyperarc_targets(mask)
 
 
 class TestPinEquivalence:
