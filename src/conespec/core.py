@@ -59,12 +59,16 @@ class ExtVec:
     @staticmethod
     def of(values: Iterable[float]) -> "ExtVec":
         """Build a vector, auto-detecting the side from its poles."""
-        vals = tuple(float(v) for v in values)
-        if any(v == 0.0 for v in vals):
-            return ExtVec(vals, Side.LOWER)
-        if any(v == INF for v in vals):
-            return ExtVec(vals, Side.UPPER)
-        return ExtVec(vals, Side.INTERIOR)
+        v = ExtVec._unchecked(tuple(float(v) for v in values))
+        return ExtVec(v.entries, v.side)
+
+    @staticmethod
+    def _unchecked(vals: Tuple[float, ...]) -> "ExtVec":
+        """`of` without its checks, for the vectors conespec embeds."""
+        v = object.__new__(ExtVec)
+        v.__dict__.update(entries=vals, side=Side.LOWER if 0.0 in vals else
+                          Side.UPPER if INF in vals else Side.INTERIOR)
+        return v
 
     @staticmethod
     def interior(values: Iterable[float]) -> "ExtVec":

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import groupby
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .core import INF, ConeMap, Side, SubsetMask, scatter_bits
 from .errors import DimensionTooLargeError, FlagMissingError
@@ -141,19 +141,19 @@ class Analyzer:
     each face's zero pins.  Only its hypergraphs and structure are read
     from f's expressions; it folds its own upper hypergraph.
 
-    `classify` sweeps the subsets in waves of one popcount, each in
-    increasing bits order: every check of a wave, then the pruning of its
-    passing subsets.  Pruning reaches upward only, as J's proper subsets
-    are all decided by then: when a passing J is invariant in the upper
-    hypergraph and the upper face on J's complement has a bounded
+    `classify` sweeps the subsets, as int masks, in waves of one popcount,
+    each in increasing bits order: every check of a wave, then the pruning
+    of its passing subsets.  Pruning reaches upward only, as J's proper
+    subsets are all decided by then: when a passing J is invariant in the
+    upper hypergraph and the upper face on J's complement has a bounded
     nonempty eigenspace, every proper superset of J not yet pruned is
     `pruned` by J.  A face sub-analysis (`_face_kind`) reads only its
-    verdict's kind, so its certificates carry no brackets.  It still
-    refines every bracket as far as a full analysis would: the states are
-    shared, so the order of the checks shows in the certificates.
+    verdict's kind: it keeps each subset's route, builds no certificate
+    and no mask per subset, and refines every bracket as a full analysis
+    would, as the states are shared.
     """
 
-    #: set on face sub-analyses only: certificates without brackets
+    #: set on face sub-analyses only: routes without certificates
     _kind_only = False
 
     def __init__(self, f: ConeMap, budget: int = DEFAULT_BUDGET,
@@ -173,23 +173,25 @@ class Analyzer:
 
     # -- brackets ---------------------------------------------------------
 
-    def r0_handle(self, J: SubsetMask) -> CWHandle:
+    def r0_handle(self, J: SubsetMask | int) -> CWHandle:
         """Certified bracket for r(f^J_0), after stabilizing the support,
-        refined on demand."""
+        refined on demand; J is a `SubsetMask` or its bits."""
+        full = (1 << self.n) - 1
         return self.r_side.handle(
-            self.r_side.probe().reach(J.complement()).complement().bits)
+            full ^ self.r_side.probe()._reach(full ^ _bits(J, self.n)))
 
-    def linf_handle(self, J: SubsetMask) -> CWHandle:
+    def linf_handle(self, J: SubsetMask | int) -> CWHandle:
         """Certified bracket for lambda(f^{[n]\\J}_inf), refined on demand."""
-        stable = self.upper_probe.reach(J).complement()
+        stable = ~self.upper_probe._reach(_bits(J, self.n)) & (1 << self.n) - 1
         # the root's face, with witnesses in f's coordinates
         return self.l_side.handle(
-            scatter_bits(stable.bits, self.r_side.positions), stable)
+            scatter_bits(stable, self.r_side.positions), stable, self.n)
 
     # -- subset checks ----------------------------------------------------
 
-    def check_subset(self, J: SubsetMask) -> SubsetCertificate:
-        """The route of J, refining both brackets only until they decide.
+    def check_subset(self, J: SubsetMask | int) -> SubsetCertificate | Route:
+        """The route of J (a `SubsetMask` or its bits), refining both
+        brackets only until they decide; a face sub-analysis gets the route.
 
         Each bracket is sound at every iterate and only ever narrows, so a
         strict order seen early holds at the whole budget too: the route is
@@ -197,37 +199,36 @@ class Analyzer:
         the brackets as they were when it was decided.  BOUNDARY needs
         both brackets refined to the end.
         """
-        if J.is_empty() or J.is_full():
+        bits, full = _bits(J, self.n), (1 << self.n) - 1
+        if not 0 < bits < full:
             raise ValueError("subset must be nonempty and proper")
-        upper = self.upper_probe.reach(J)
-        if upper.is_full():
-            return SubsetCertificate(J, Route.REACH_UPPER)
-        lower = self.r_side.probe().reach(J.complement())
-        if lower.is_full():
-            return SubsetCertificate(J, Route.REACH_LOWER)
-        rh = self.r_side.handle(lower.complement().bits)
-        stable = upper.complement()
-        lh = self.l_side.handle(
-            scatter_bits(stable.bits, self.r_side.positions), stable)
-        steps = FIRST_CHUNK
-        while True:
-            r_lo, r_up = rh.bounds()
-            l_lo, l_up = lh.bounds()
-            if _strictly_below(r_up, l_lo, self.tol):
-                route = Route.NUMERIC_STRICT
-                break
-            if _strictly_below(l_up, r_lo, self.tol):
-                route = Route.NUMERIC_REVERSE
-                break
-            if rh.done and lh.done:
-                route = Route.BOUNDARY
-                break
-            rh.refine(steps)
-            lh.refine(steps)
-            steps *= 2
+        rh = lh = None
+        if self.upper_probe._reach(bits) == full:
+            route = Route.REACH_UPPER
+        elif self.r_side.probe()._reach(full ^ bits) == full:
+            route = Route.REACH_LOWER
+        else:
+            rh, lh = self.r0_handle(bits), self.linf_handle(bits)
+            steps = FIRST_CHUNK
+            while True:
+                r_lo, r_up = rh.bounds()
+                l_lo, l_up = lh.bounds()
+                if _strictly_below(r_up, l_lo, self.tol):
+                    route = Route.NUMERIC_STRICT
+                    break
+                if _strictly_below(l_up, r_lo, self.tol):
+                    route = Route.NUMERIC_REVERSE
+                    break
+                if rh.done and lh.done:
+                    route = Route.BOUNDARY
+                    break
+                rh.refine(steps)
+                lh.refine(steps)
+                steps *= 2
         if self._kind_only:
-            return SubsetCertificate(J, route)
-        return SubsetCertificate(J, route, rh.bracket(), lh.bracket())
+            return route
+        return SubsetCertificate(SubsetMask(bits, self.n), route,
+                                 rh and rh.bracket(), lh and lh.bracket())
 
     # -- face classification for pruning ----------------------------------
 
@@ -262,7 +263,7 @@ class Analyzer:
                 f"generic sweep is capped at n = {SUBSET_SWEEP_CAP}; "
                 "use classify_convex for multiplicatively convex maps")
         pruned_by: Dict[int, SubsetMask] = {}
-        certs: List[SubsetCertificate] = []
+        certs: list = []  # certificates, or on a face analysis routes
         reverse_found = False
         # waves of equal popcount, each in increasing bits order; n = 1 has
         # no proper subset and is nonempty and bounded
@@ -270,44 +271,48 @@ class Analyzer:
                                       key=int.bit_count), key=int.bit_count):
             passing = []
             for bits in wave:
-                J = SubsetMask(bits, n)
                 if bits in pruned_by:
-                    certs.append(SubsetCertificate(
-                        J, Route.PRUNED, pruned_by=pruned_by[bits]))
+                    certs.append(Route.PRUNED if self._kind_only else
+                                 SubsetCertificate(SubsetMask(bits, n),
+                                                   Route.PRUNED,
+                                                   pruned_by=pruned_by[bits]))
                     continue
-                cert = self.check_subset(J)
+                cert = self.check_subset(bits)
                 certs.append(cert)
-                if cert.route is Route.NUMERIC_REVERSE:
+                route = cert if self._kind_only else cert.route
+                if route is Route.NUMERIC_REVERSE:
                     reverse_found = True
-                elif cert.route.passing:
-                    passing.append(J)
+                elif route.passing:
+                    passing.append(bits)
             if reverse_found:
                 break
             if self.prune:
                 for J in passing:
                     self._prune_supersets(J, pruned_by)
 
+        routes = certs if self._kind_only else [c.route for c in certs]
         if reverse_found:
             kind = VerdictKind.NO_INTERIOR_EIGENVECTOR
-        elif all(c.route.passing for c in certs):
+        elif all(route.passing for route in routes):
             kind = VerdictKind.NONEMPTY_BOUNDED
         else:
             kind = VerdictKind.INDETERMINATE
-        return self._finish(kind, tuple(certs), solve)
+        return self._finish(kind, () if self._kind_only else tuple(certs),
+                            solve)
 
-    def _prune_supersets(self, J: SubsetMask, pruned_by) -> None:
+    def _prune_supersets(self, J: int, pruned_by) -> None:
         """Prune J's proper supersets not pruned yet, each J plus a nonempty
         proper submask of its complement, when J is invariant and the upper
         face on its complement has a bounded nonempty eigenspace."""
-        rest = J.complement().bits
+        rest = ((1 << self.n) - 1) ^ J
         remaining, s = [], rest & (rest - 1)
         while s:
-            if J.bits | s not in pruned_by:
-                remaining.append(J.bits | s)
+            if J | s not in pruned_by:
+                remaining.append(J | s)
             s = rest & (s - 1)
-        if remaining and self.upper_probe.is_invariant(J):
-            if self._face_kind(J.complement()) is VerdictKind.NONEMPTY_BOUNDED:
-                pruned_by.update(dict.fromkeys(remaining, J))
+        if remaining and not self.upper_probe._hit(J) and self._face_kind(
+                SubsetMask(rest, self.n)) is VerdictKind.NONEMPTY_BOUNDED:
+            pruned_by.update(dict.fromkeys(remaining, SubsetMask(J, self.n)))
 
     def _finish(self, kind: VerdictKind,
                 certs: Tuple[SubsetCertificate, ...], solve: bool) -> Verdict:
@@ -327,6 +332,13 @@ class Analyzer:
         if kind is VerdictKind.NONEMPTY_BOUNDED and solve:
             verdict = _with_eigenvector(self.faces, verdict)
         return verdict
+
+
+def _bits(J: SubsetMask | int, n: int) -> int:
+    """The bits of a subset of [n] given as a `SubsetMask` or as bits."""
+    if type(J) is not int and J.n != n:
+        raise ValueError("mask dimension mismatch")
+    return getattr(J, "bits", J)
 
 
 def _with_eigenvector(faces: Faces, verdict: Verdict, shared=None,
@@ -405,10 +417,7 @@ def _unique_final_class_shortcut(analyzer: Analyzer,
     if len(finals) != 1:
         return None
     C = SubsetMask.of(scc.order[finals[0]], f.dimension)
-    if C.is_full():
-        rest = CWBracket(0.0, 0.0, None, None, 0, True)
-    else:
-        rest = analyzer.r0_handle(C.complement()).finished()
+    rest = analyzer.r0_handle(C.complement()).finished()
     # with solve, f's one trajectory gives the bracket, the eigenvector and
     # the state of f that the sweep reads if the shortcut fails
     shared = _bracket_and_solution(faces) if solve else None

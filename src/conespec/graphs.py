@@ -37,26 +37,30 @@ def _tail_pins(n: int) -> Tuple[int, ...]:
 
 
 class HypergraphProbe:
-    """Memoized hyperarc queries against one side of a map's boundary."""
+    """Memoized hyperarc queries against one side of a map's boundary, on
+    int masks (`_hit`, `_reach`) that the public methods wrap."""
 
     def __init__(self, f: ConeMap, side: Side):
         if side not in (Side.LOWER, Side.UPPER):
             raise ValueError("side must be LOWER or UPPER")
         self.map = f
         self.side = side
-        self._cache: Dict[int, int] = {}
+        self._targets: Dict[int, int] = {}  # per tail
+        self._reached: Dict[int, int] = {}  # per mask
         # per output, bit t set when tail t forces it to the pole
         self._table: Optional[List[int]] = None
 
     def hyperarc_targets(self, tail: SubsetMask) -> SubsetMask:
         """Heads j outside the tail forced to the pole by pinning the tail."""
-        n = self.map.dimension
-        if tail.n != n:
-            raise ValueError("mask dimension mismatch")
-        hit = self._cache.get(tail.bits)
+        self.map.expect_dimension(tail.n, "mask")
+        return SubsetMask(self._hit(tail.bits), tail.n)
+
+    def _hit(self, tail: int) -> int:
+        """`hyperarc_targets` on bits."""
+        hit = self._targets.get(tail)
         if hit is None:
-            hit = self._cache[tail.bits] = self._probe(tail.bits) & ~tail.bits
-        return SubsetMask(hit, n)
+            hit = self._targets[tail] = self._probe(tail) & ~tail
+        return hit
 
     def _probe(self, tail_bits: int) -> int:
         """The outputs forced to the pole by pinning the tail, tail included."""
@@ -105,13 +109,18 @@ class HypergraphProbe:
 
     def reach(self, J: SubsetMask) -> SubsetMask:
         """The smallest invariant superset of J."""
-        current = J
-        for _ in range(self.map.dimension + 1):
-            grown = current.union(self.hyperarc_targets(current))
-            if grown.bits == current.bits:
-                return current
-            current = grown
-        return current
+        self.map.expect_dimension(J.n, "mask")
+        return SubsetMask(self._reach(J.bits), J.n)
+
+    def _reach(self, bits: int) -> int:
+        """`reach` on bits, memoized per mask."""
+        reached = self._reached.get(bits)
+        if reached is None:
+            reached, grown = bits, bits | self._hit(bits)
+            while grown != reached:
+                reached, grown = grown, grown | self._hit(grown)
+            self._reached[bits] = reached
+        return reached
 
     EXHAUSTIVE_SCAN_CAP = 10
 
@@ -124,15 +133,13 @@ class HypergraphProbe:
         bounded and may miss hyperarcs whose minimal tail is neither; the
         result never depends on earlier queries of the probe.
         """
-        n = self.map.dimension
+        n, full = self.map.dimension, (1 << self.map.dimension) - 1
         if n <= self.EXHAUSTIVE_SCAN_CAP:
-            candidates = set(range(1, (1 << n) - 1))
+            candidates = set(range(1, full))
         else:
-            candidates = {SubsetMask.of([j], n).bits for j in range(n)}
-            candidates |= {SubsetMask.of([j], n).complement().bits
-                           for j in range(n)}
+            candidates = {b for j in range(n) for b in (1 << j, full ^ 1 << j)}
         positive = [(bits, j) for bits in sorted(candidates)
-                    for j in self.hyperarc_targets(SubsetMask(bits, n))]
+                    for j in iter_bits(self._hit(bits))]
         result = set()
         for bits, j in positive:
             if not any(o != bits and o & ~bits == 0 for o, h in positive if h == j):

@@ -18,13 +18,13 @@ import functools
 import math
 import operator
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import repeat
 from operator import add, truediv
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .core import (INF, ConeMap, ExtVec, Side, SubsetMask, gather_bits,
-                   iter_bits, reciprocal, scatter_bits, sup_normalized)
+                   iter_bits, scatter_bits, sup_normalized)
 from .errors import ConespecError, NumericRangeError
 from .graphs import (Digraph, HypergraphProbe, SCCDecomposition,
                      digraph_of, scc_decompose)
@@ -45,6 +45,34 @@ UNDERFLOW_GUARD = 1e-300
 ORDER_SLACK = 1e-12
 
 
+class _Witness:
+    """A witness field of `CWBracket` that embeds, when first read, a
+    tuple (values, support, n, dual): `values` (or a callable giving a
+    vector of them) on the face that keeps the mask `support` of n
+    coordinates, reciprocated when `dual`."""
+
+    def __set_name__(self, owner, name):
+        self.name = "_" + name
+
+    def __get__(self, bracket, owner=None):
+        if bracket is None:
+            raise AttributeError(self.name)  # the field has no default
+        w = bracket.__dict__[self.name]
+        if type(w) is tuple:
+            values, support, n, dual = w
+            values = values().entries if callable(values) else values
+            full = [0.0] * n
+            for k, j in enumerate(iter_bits(support)):
+                full[j] = values[k]
+            if dual:  # `reciprocal`: the values are finite
+                full = [INF if v == 0.0 else 1.0 / v for v in full]
+            w = bracket.__dict__[self.name] = ExtVec._unchecked(tuple(full))
+        return w
+
+    def __set__(self, bracket, value):
+        bracket.__dict__[self.name] = value
+
+
 @dataclass(frozen=True)
 class CWBracket:
     """A certified interval [lower, upper] around a Collatz-Wielandt number.
@@ -56,12 +84,15 @@ class CWBracket:
     witnesses are interior points the same interval encloses the whole
     sandwich [lambda(f), r(f)]; component-decomposed brackets have boundary
     witnesses and certify only their targeted number.
+
+    The brackets conespec builds embed each witness when it is first read
+    (`_Witness`); `repr`, `==` and `hash` read both.
     """
 
     lower: float
     upper: float
-    witness_lower: Optional[ExtVec]
-    witness_upper: Optional[ExtVec]
+    witness_lower: Optional[ExtVec] = _Witness()
+    witness_upper: Optional[ExtVec] = _Witness()
     iterations: int
     converged: bool
     collapsed_support: Optional[Tuple[int, ...]] = None
@@ -99,13 +130,6 @@ def ratios_at(f: ConeMap, w: ExtVec) -> Tuple[float, float]:
         idx = [j for j, v in enumerate(w.entries) if v > 0.0]
     vals = [out[j] / w.entries[j] for j in idx]
     return min(vals), max(vals)
-
-
-def _embed_witness(values: Tuple[float, ...], face: SubsetMask) -> ExtVec:
-    full = [0.0] * face.n
-    for k, j in enumerate(face.indices()):
-        full[j] = values[k]
-    return ExtVec.of(full)
 
 
 def _plain_trajectory(g: ConeMap, x: Sequence[float], budget: int, tol: float,
@@ -328,8 +352,9 @@ class Faces:
         return side.fill, inf, kept
 
 
-#: the exact bracket of a face whose whole support collapses
+#: the exact brackets of a face whose whole support collapses
 _COLLAPSED = CWBracket(0.0, 0.0, None, None, 0, True, collapsed_support=())
+_COLLAPSED_DUAL = replace(_COLLAPSED, lower=INF, upper=INF)
 
 
 class FaceSide:
@@ -397,29 +422,30 @@ class FaceSide:
             self._growth = digraph, scc_decompose(digraph)
         return self._growth
 
-    def stable(self) -> SubsetMask:
+    def stable(self) -> int:
         """The complement of the hypergraph's reach of the empty set: the
         coordinates no pin forces to the pole; all of a black-box map's."""
-        n = self.f.dimension
-        if not self.f.is_ast:
-            return SubsetMask.full(n)
-        return self.probe().reach(SubsetMask.empty(n)).complement()
+        full = (1 << self.f.dimension) - 1
+        return full ^ self.probe()._reach(0) if self.f.is_ast else full
 
-    def handle(self, kept: Optional[int] = None,
-               support: Optional[SubsetMask] = None) -> CWHandle:
+    def handle(self, kept: Optional[int] = None, support: Optional[int] = None,
+               n: Optional[int] = None) -> CWHandle:
         """The bracket, refined on demand, of the face that keeps the
         stable mask `kept` (by default `stable`): cw_upper's on the r
-        side, cw_lower's (`dual`) on the lambda side.  Its witnesses are
-        embedded in `support`'s coordinates, by default `kept` in f's.
-        An empty `kept` gives the exact [0, 0] (or [inf, inf])."""
+        side, cw_lower's (`dual`) on the lambda side, with witnesses in the
+        mask `support` of n coordinates, by default `kept` in f's.  An
+        empty `kept` gives the exact [0, 0] (or [inf, inf])."""
         if kept is None:
-            kept = self.stable().bits
+            kept = self.stable()
+        dual = self.fill == INF
+        if not kept:
+            return CWHandle(fixed=_COLLAPSED_DUAL if dual else _COLLAPSED)
         if support is None:
-            support = SubsetMask(kept, self.f.dimension)
-        face = self.face(kept) if kept else _COLLAPSED
+            support, n = kept, self.f.dimension
+        face = self.face(kept)
         if type(face) is BracketState:
-            return CWHandle(face, support, dual=self.fill == INF)
-        return CWHandle(support=support, fixed=face, dual=self.fill == INF)
+            return CWHandle(face, support, n, dual=dual)
+        return CWHandle(support=support, n=n, fixed=face, dual=dual)
 
     def face(self, kept: int):
         """The `BracketState` of the face that keeps the stable mask
@@ -467,37 +493,26 @@ def _dual_bounds(lo: float, up: float) -> Tuple[float, float]:
     return 1.0 / up, INF if lo == 0.0 else 1.0 / lo
 
 
-def _dual_bracket(b: CWBracket) -> CWBracket:
-    """cw_lower's bracket of f from cw_upper's bracket b of L f L."""
-    lower, upper = _dual_bounds(b.lower, b.upper)
-    if b.upper == 0.0:
-        return CWBracket(lower, upper, None, None, b.iterations, True,
-                         collapsed_support=b.collapsed_support)
-    wl = reciprocal(b.witness_upper) if b.witness_upper is not None else None
-    wu = reciprocal(b.witness_lower) if b.witness_lower is not None else None
-    return CWBracket(lower, upper, wl, wu, b.iterations, b.converged,
-                     collapsed_support=b.collapsed_support)
-
-
 class CWHandle:
     """The bracket cw_upper or cw_lower returns, refined on demand.
 
     `FaceSide.handle` makes the handle of each face.  A handle reads the
-    `BracketState` of the map cw_upper iterates and embeds its witnesses
-    in `support`; `dual`, set on the lambda side, turns the conjugate's
-    bracket into cw_lower's.  A bracket that needs no iteration, or comes
-    from the convex decomposition (a `_ConvexRadius`), is `fixed` when the
-    handle is made.  `bounds()` reads the current enclosure as two
-    floats; `bracket()` builds the certificate with its witnesses.
+    `BracketState` of the map cw_upper iterates, whose witnesses go to the
+    mask `support` of `n` coordinates; `dual`, set on the lambda side,
+    turns the conjugate's bracket into cw_lower's.  A bracket that needs
+    no iteration, or a `_ConvexRadius` (turned as a state is), is `fixed`
+    when the handle is made.  `bounds()` reads the current enclosure as
+    two floats; `bracket()` builds the certificate.
     """
 
-    __slots__ = ("state", "support", "fixed", "dual")
+    __slots__ = ("state", "support", "n", "fixed", "dual")
 
     def __init__(self, state: Optional[BracketState] = None,
-                 support: Optional[SubsetMask] = None,
+                 support: int = 0, n: int = 0,
                  fixed: Optional[CWBracket] = None, dual: bool = False):
         self.state = state
         self.support = support
+        self.n = n
         self.fixed = fixed
         self.dual = dual
 
@@ -520,11 +535,11 @@ class CWHandle:
         b = self.fixed
         if b is None:
             s = self.state
-            b = _on_support(self.support, s.lo, s.up, s.wlo, s.wup,
-                            s.iterations, s.converged)
-        elif type(b) is _ConvexRadius:
-            b = b.bracket(self.support)
-        return _dual_bracket(b) if self.dual else b
+            return _on_support(self.support, self.n, s.lo, s.up, s.wlo,
+                               s.wup, s.iterations, s.converged, self.dual)
+        if type(b) is _ConvexRadius:
+            return b.bracket(self.support, self.n, self.dual)
+        return b
 
     def finished(self) -> CWBracket:
         """The bracket refined to the whole budget."""
@@ -566,7 +581,7 @@ def _bracket_and_solution(faces: Faces) -> Optional[
     """
     f, side = faces.f, faces.side(0.0)
     n = f.dimension
-    if not side.stable().is_full():
+    if side.stable() != (1 << n) - 1:
         return None
     run = _trajectory(f, (1.0,) * n, faces.budget, faces.tol, True, True)
     sandwich = _sandwich(run)
@@ -577,19 +592,22 @@ def _bracket_and_solution(faces: Faces) -> Optional[
         # a gap-only run stops at the gap with another last iterate, but a
         # done state never reads it
         state.x, state.done = run[7], True
-    return _on_support(SubsetMask.full(n), *sandwich), _solution(run)
+    return _on_support((1 << n) - 1, n, *sandwich), _solution(run)
 
 
-def _on_support(support: SubsetMask, lo: float, up: float,
-                wlo: Tuple[float, ...], wup: Tuple[float, ...],
-                iterations: int, converged: bool) -> CWBracket:
-    """A sandwich of f's face on `support` as a bracket in f's coordinates."""
-    if support.is_full():
-        return CWBracket(lo, up, ExtVec.of(wlo), ExtVec.of(wup), iterations,
-                         converged)
-    return CWBracket(lo, up, _embed_witness(wlo, support),
-                     _embed_witness(wup, support), iterations, converged,
-                     collapsed_support=support.indices())
+def _on_support(support: int, n: int, lo: float, up: float, wlo, wup,
+                iterations: int, converged: bool,
+                dual: bool = False) -> CWBracket:
+    """A sandwich of f's face on the mask `support` of n coordinates as a
+    bracket in f's coordinates, cw_lower's from the conjugate's if `dual`."""
+    collapsed = None if support == (1 << n) - 1 else tuple(iter_bits(support))
+    if dual:
+        if up == 0.0:
+            return CWBracket(INF, INF, None, None, iterations, True,
+                             collapsed)
+        (lo, up), wlo, wup = _dual_bounds(lo, up), wup, wlo
+    return CWBracket(lo, up, (wlo, support, n, dual), (wup, support, n, dual),
+                     iterations, converged, collapsed)
 
 
 class _ConvexRadius(NamedTuple):
@@ -610,15 +628,16 @@ class _ConvexRadius(NamedTuple):
     converged: bool
     classes: Tuple[CWHandle, ...]
 
-    def bracket(self, support: SubsetMask) -> CWBracket:
+    def bracket(self, support: int, n: int, dual: bool) -> CWBracket:
         if self.top is None:
             ones = (1.0,) * self.dimension
-            return _on_support(support, 0.0, 0.0, ones, ones,
-                               self.iterations, True)
+            return _on_support(support, n, 0.0, 0.0, ones, ones,
+                               self.iterations, True, dual)
         b = self.top.bracket()
-        return _on_support(support, self.lower, self.upper,
-                           b.witness_lower.entries, b.witness_upper.entries,
-                           self.iterations, self.converged)
+        return _on_support(support, n, self.lower, self.upper,
+                           functools.partial(getattr, b, "witness_lower"),
+                           functools.partial(getattr, b, "witness_upper"),
+                           self.iterations, self.converged, dual)
 
 
 def _convex_radius(side: FaceSide, kept: int) -> Optional[_ConvexRadius]:
@@ -638,12 +657,12 @@ def _convex_radius(side: FaceSide, kept: int) -> Optional[_ConvexRadius]:
     all_converged = True
     for comp in scc.order:
         outside = full & ~sum(1 << positions[c] for c in comp)
-        stable = full & ~side.probe().reach(SubsetMask(outside, n)).bits
+        stable = full & ~side.probe()._reach(outside)
         # r of the shape's face on either side, so never dual
         face = side.face(stable) if stable else _COLLAPSED
-        support = SubsetMask(gather_bits(stable, positions), len(positions))
-        h = CWHandle(face, support) if type(face) is BracketState else \
-            CWHandle(support=support, fixed=face)
+        support = gather_bits(stable, positions)
+        h = CWHandle(face, support, len(positions)) if type(face) is \
+            BracketState else CWHandle(None, support, len(positions), face)
         h.refine(side.faces.budget)
         classes.append(h)
         # a state, a fixed bracket and a radius all count the same way

@@ -442,9 +442,11 @@ class _ReferenceAnalyzer(existence.Analyzer):
     `_face_kind` verbatim, except that a face sub-analysis is built as
     `type(self)`, so faces are swept by the reference too, and that an
     upper face is analyzed, and cached, as the root map's face that pins
-    its `inf` coordinates, as `existence.Analyzer._face_kind` does.  Its
-    lower-face branch never runs: waves go by popcount, so every proper
-    subset of a passing subset already has its certificate."""
+    its `inf` coordinates, as `existence.Analyzer._face_kind` does, and
+    that a face sub-analysis keeps its certificates: its checks refine the
+    shared brackets as a route-only one does.  Its lower-face branch never
+    runs: waves go by popcount, so every proper subset of a passing subset
+    already has its certificate."""
 
     def _face_kind(self, keep: SubsetMask, fill: float) -> VerdictKind:
         inf = self.inf | scatter_bits(keep.complement().bits,
@@ -462,7 +464,6 @@ class _ReferenceAnalyzer(existence.Analyzer):
         rooted = {"faces": self.faces, "inf": inf} if fill == INF else {}
         sub = type(self)(face, self.budget, self.tol, prune=self.prune,
                          **rooted)
-        sub._kind_only = True
         kind = sub.classify(solve=False).kind
         if key is not None:
             self.faces.kinds[key] = kind

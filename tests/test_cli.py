@@ -11,11 +11,12 @@ import pytest
 
 import conespec as cs
 import conespec.cli as cli
-from conespec import dsl, maps, topical
+from conespec import dsl, maps, spectral, topical
+from conespec.core import ExtVec
 
 from conftest import game_conjugate_text, reference_iterate
 from test_dsl import GAME_JSON, tensor_text
-from test_existence import SWEEP_MAP
+from test_existence import REVERSE_SWEEP_MAP, SWEEP_MAP
 
 JORDAN = "format: 1\ndim: 2\ncoord 1: x1 + x2\ncoord 2: x2\n"
 DIAG = "format: 1\ndim: 2\ncoord 1: x1\ncoord 2: 2*x2\n"
@@ -372,6 +373,48 @@ class TestOutputStability:
         run([command, other_path])  # another map of the same shape
         shared = run([command, path])
         assert cold == warm == shared
+
+    def test_same_bytes_under_every_hash_seed(self, tmp_path):
+        # no output depends on the order of a hashed set or dict
+        runs = [["analyze", write(tmp_path, "m.conemap", SWEEP_MAP)],
+                ["analyze", write(tmp_path, "r.conemap", REVERSE_SWEEP_MAP)],
+                ["game", write(tmp_path, "g.game.json", GAME_JSON)]]
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        outputs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.pathsep.join(
+                           [src, os.environ.get("PYTHONPATH", "")]))
+            outputs.append([subprocess.run(
+                [sys.executable, "-m", "conespec.cli", *argv],
+                capture_output=True, text=True, env=env, timeout=120)
+                for argv in runs])
+        first, second = ([(p.returncode, p.stdout) for p in procs]
+                         for procs in outputs)
+        assert [code for code, _ in first] == [0, 2, 0]
+        assert first == second
+
+    @pytest.mark.parametrize("command, name, text", [
+        ("analyze", "m.conemap", SWEEP_MAP),
+        ("game", "g.game.json", GAME_JSON)])
+    def test_printed_verdict_embeds_no_witness(self, tmp_path, capsys,
+                                               monkeypatch, command, name,
+                                               text):
+        # the output prints no witness, so no certificate bracket embeds
+        # one; the eigenvector is the iterate itself, not a witness
+        brackets, embedded = [], []
+        on_support, unchecked = spectral._on_support, ExtVec._unchecked
+
+        def counted(*args):
+            brackets.append(on_support(*args))
+            return brackets[-1]
+
+        monkeypatch.setattr(spectral, "_on_support", counted)
+        monkeypatch.setattr(ExtVec, "_unchecked",
+                            lambda v: embedded.append(v) or unchecked(v))
+        assert cli.main([command, write(tmp_path, name, text)]) == 0
+        assert json.loads(capsys.readouterr().out)["eigen"] is not None
+        assert brackets and not embedded
 
     def test_nothing_compiled_at_import(self):
         src = os.path.dirname(os.path.dirname(cli.__file__))

@@ -2,6 +2,7 @@
 
 import gc
 import math
+import pickle
 import random
 import sys
 import weakref
@@ -20,6 +21,7 @@ from conespec.maps import (Coord, Linear, Max, Min, Pole, PowerMean, Scale,
                            Sum, from_exprs)
 from conespec.spectral import NonconvergedError, ratios_at
 
+from test_dsl import GAME_JSON
 from conftest import (block_radius_oracle, game_conjugate_text, make_game,
                       make_schoen, make_tensor_example,
                       random_irreducible_matrix, random_mplus_map,
@@ -438,6 +440,70 @@ coord 5: 0.7347965380482986*x5 + min(x1, 2*x2)
 """
 
 
+#: maps whose sweeps give numeric and boundary certificates on both sides
+WITNESS_MAPS = {
+    "sweep": lambda: cs.parse_map(SWEEP_MAP).cone_map,
+    "reverse": lambda: cs.parse_map(REVERSE_SWEEP_MAP).cone_map,
+    "game": lambda: cs.build_shapley(cs.parse_game(GAME_JSON)).conjugate,
+    "reducible_matrix": lambda: cs.matrix_map(
+        [[1, 1, 0, 0], [1, 1, 0, 0], [0, 1, 2, 1], [0, 0, 1, 2]]),
+}
+
+
+class TestWitnesses:
+    """Every bracket of a certificate re-checks from its witnesses, which
+    are embedded the first time they are read."""
+
+    @staticmethod
+    def _brackets(f):
+        """The brackets of f's numeric and boundary certificates, except
+        the exact r = 0 and lambda = inf of a collapsed face."""
+        return [b for c in cs.Analyzer(f).classify().certificates
+                if c.route in (Route.NUMERIC_STRICT, Route.NUMERIC_REVERSE,
+                               Route.BOUNDARY)
+                for b in (c.r_bracket, c.lambda_bracket)
+                if b.upper != 0.0 and b.lower != INF]
+
+    @pytest.mark.parametrize("name", list(WITNESS_MAPS))
+    def test_numeric_certificates_replay_from_their_witnesses(self, name):
+        f = WITNESS_MAPS[name]()
+        brackets = self._brackets(f)
+        assert len(brackets) >= 4
+        for b in brackets:
+            assert b.witness_lower is not None
+            assert b.witness_upper is not None
+            lo, _ = ratios_at(f, b.witness_lower)
+            _, hi = ratios_at(f, b.witness_upper)
+            assert lo == pytest.approx(b.lower, rel=1e-11)
+            assert hi == pytest.approx(b.upper, rel=1e-11)
+
+    @pytest.mark.parametrize("name", list(WITNESS_MAPS))
+    def test_a_witness_is_embedded_once_as_it_was_eagerly(self, name):
+        brackets = self._brackets(WITNESS_MAPS[name]())
+        duals = {vars(b)["_witness_lower"][3] for b in brackets}
+        for b in brackets:
+            for field in ("witness_lower", "witness_upper"):
+                values, support, n, dual = vars(b)["_" + field]
+                if callable(values):
+                    values = values().entries
+                full = [0.0] * n
+                for k, j in enumerate(SubsetMask(support, n)):
+                    full[j] = values[k]
+                eager = ExtVec.of(full)
+                if dual:
+                    eager = cs.core.reciprocal(eager)
+                w = getattr(b, field)
+                assert w is getattr(b, field)
+                assert w == eager and repr(w) == repr(eager)
+        assert duals == {False, True}
+
+    def test_unread_witnesses_pickle(self):
+        # the game's convex faces give brackets whose witnesses are read
+        # from another bracket's
+        verdict = cs.Analyzer(WITNESS_MAPS["game"]()).classify()
+        assert repr(pickle.loads(pickle.dumps(verdict))) == repr(verdict)
+
+
 class _Forgetful(dict):
     """A dict that stores nothing: every lookup misses."""
 
@@ -727,19 +793,25 @@ class TestOnePassSweep:
                    for v in verdicts for c in v.certificates) > 1000
 
     def test_work_on_the_sweep_map(self, monkeypatch):
-        # each checked subset reads its two reaches once; the checks and
-        # the face analyses, whose order the shared bracket states show,
-        # are those of the reference sweep
+        # the sweep reads reaches on ints, not through `reach`, and each
+        # probe computes a mask's reach once: at most two per checked
+        # subset; the checks and the face analyses, whose order the shared
+        # bracket states show, are those of the reference sweep
         calls = {"check": 0, "reach": 0, "face_kind": 0, "faces": 0}
         check, reach = existence.Analyzer.check_subset, HypergraphProbe.reach
         face_kind = existence.Analyzer._face_kind
         analyzer_classify = existence.Analyzer.classify
+        int_reach, probes = HypergraphProbe._reach, {}
 
         def counted(name, original):
             def wrapper(self, *args):
                 calls[name] += 1
                 return original(self, *args)
             return wrapper
+
+        def reached(self, bits):
+            probes[id(self)] = self
+            return int_reach(self, bits)
 
         def classify(self, solve=True):
             calls["faces"] += self._kind_only
@@ -751,12 +823,14 @@ class TestOnePassSweep:
         monkeypatch.setattr(existence.Analyzer, "_face_kind",
                             counted("face_kind", face_kind))
         monkeypatch.setattr(existence.Analyzer, "classify", classify)
+        monkeypatch.setattr(HypergraphProbe, "_reach", reached)
         verdict = cs.classify(cs.parse_map(SWEEP_MAP).cone_map)
         monkeypatch.undo()
         assert verdict.kind is VerdictKind.NONEMPTY_BOUNDED
-        assert calls == {"check": 62, "reach": 120, "face_kind": 22,
+        assert calls == {"check": 62, "reach": 0, "face_kind": 22,
                          "faces": 14}
-        assert calls["reach"] <= 2 * calls["check"]
+        computed = sum(len(p._reached) for p in probes.values())
+        assert computed == 108 <= 2 * calls["check"]
 
 
 def _count_calls(monkeypatch, name):
@@ -793,10 +867,13 @@ class TestReducedFaces:
     @pytest.mark.parametrize("text", [SWEEP_MAP, REVERSE_SWEEP_MAP],
                              ids=["sweep", "reverse"])
     def test_face_analyses_build_no_brackets(self, monkeypatch, text):
-        # a face sub-analysis reads only its verdict's kind: no bracket, no
-        # vector (a witness or a reciprocal) is built while one runs
-        depth, built = [0], {"top": 0, "faces": 0}
+        # a face sub-analysis reads only its verdict's kind: no certificate,
+        # no bracket, no vector (a witness or a reciprocal) is built while
+        # one runs, and no subset mask per subset; the top level embeds no
+        # witness either until one is read
+        depth, built = [0], {}
         analyzer_classify = existence.Analyzer.classify
+        face_kind = existence.Analyzer._face_kind
 
         def classify(self, solve=True):
             depth[0] += 1
@@ -805,20 +882,32 @@ class TestReducedFaces:
             finally:
                 depth[0] -= 1
 
-        def counted(cls):
-            post_init = cls.__post_init__
+        def counted(cls, name):
+            original = getattr(cls, name)
+            tally = built[cls.__name__ + "." + name] = {"top": 0, "faces": 0}
 
-            def __post_init__(self):
-                built["faces" if depth[0] > 1 else "top"] += 1
-                post_init(self)
-            monkeypatch.setattr(cls, "__post_init__", __post_init__)
+            def wrapper(*args, **kwargs):
+                tally["faces" if depth[0] > 1 else "top"] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(cls, name, wrapper)
 
         monkeypatch.setattr(existence.Analyzer, "classify", classify)
-        counted(spectral.CWBracket)
-        counted(ExtVec)
+        for cls in (spectral.CWBracket, ExtVec, existence.SubsetCertificate,
+                    SubsetMask):
+            counted(cls, "__init__")
+        counted(ExtVec, "_unchecked")
+        counted(existence.Analyzer, "_face_kind")
         cs.classify(cs.parse_map(text).cone_map)
         monkeypatch.undo()
-        assert built["faces"] == 0 < built["top"]
+        faces = {k: v["faces"] for k, v in built.items()}
+        analyses = faces.pop("Analyzer._face_kind")
+        masks = faces.pop("SubsetMask.__init__")
+        assert faces == dict.fromkeys(faces, 0)
+        # a face analysis builds masks only to prune: two to analyze a face
+        # and one for the subset that prunes
+        assert 0 < masks <= 3 * analyses
+        assert built["CWBracket.__init__"]["top"] > 0
+        assert built["ExtVec._unchecked"]["top"] == 0
 
     @pytest.mark.parametrize("side", [Side.LOWER, Side.UPPER])
     def test_probe_folds_each_output_once_up_to_the_cap(self, monkeypatch,

@@ -491,6 +491,43 @@ class TestTruthTableFold:
         assert tables == drawn()
 
 
+class TestIntegerReach:
+    """The sweep's reach on ints (`HypergraphProbe._reach`) is the least
+    fixpoint of adding `hyperarc_targets`, taken on `SubsetMask`s."""
+
+    @staticmethod
+    def _check(f):
+        n = f.dimension
+        for side in (Side.LOWER, Side.UPPER):
+            probe = HypergraphProbe(f, side)
+            reference = HypergraphProbe(f, side)
+            for bits in range(1 << n):
+                J = SubsetMask(bits, n)
+                while True:
+                    grown = J.union(reference.hyperarc_targets(J))
+                    if grown == J:
+                        break
+                    J = grown
+                assert probe._reach(bits) == J.bits
+                assert probe.reach(SubsetMask(bits, n)) == J
+
+    @settings(derandomize=True, deadline=None, database=None,
+              max_examples=200)
+    @given(black_box=st.booleans(), **TestOnePoleFold.CASES)
+    def test_equals_the_mask_fixpoint(self, seed, n, depth, black_box):
+        f = TestOnePoleFold._map(seed, n, depth)
+        if black_box:
+            f = ConeMap(dimension=n, evaluator=f.eval_interior)
+        self._check(f)
+
+    @settings(derandomize=True, deadline=None, database=None,
+              max_examples=5)
+    @given(seed=st.integers(0, 2 ** 32 - 1), depth=st.integers(0, 3))
+    def test_equals_the_mask_fixpoint_beyond_the_cap(self, seed, depth):
+        n = HypergraphProbe.EXHAUSTIVE_SCAN_CAP + 1
+        self._check(TestOnePoleFold._map(seed, n, depth))
+
+
 def _nodes(e):
     """e and all its descendants."""
     yield e
