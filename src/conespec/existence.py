@@ -6,9 +6,13 @@ The generic route sweeps every nonempty proper subset J of coordinates and
 checks the strict order r(f^J_0) < lambda(f^{[n]\\J}_inf): hypergraph
 reachability resolves most subsets exactly (one side collapses to 0 or inf),
 the rest get certified numeric brackets.  A reverse strict order at any
-subset certifies that no interior eigenvector exists at all.  Maps flagged
-multiplicatively convex take the strongly-connected-component route instead,
-which needs only linearly many brackets.
+subset certifies that no interior eigenvector exists at all.  Pruning
+passes the proper supersets of a passing, upper-invariant J without a
+check when the upper face on J's complement has a nonempty bounded
+eigenspace; that face's kind comes from the routes of its own subsets, in
+one pass that prunes nothing.  Maps flagged multiplicatively convex take
+the strongly-connected-component route instead, which needs only linearly
+many brackets.
 """
 
 from __future__ import annotations
@@ -21,8 +25,7 @@ from typing import Dict, Optional, Tuple
 from .core import INF, ConeMap, Side, SubsetMask, scatter_bits
 from .errors import DimensionTooLargeError, FlagMissingError
 from .graphs import Digraph, HypergraphProbe, SCCDecomposition, scc_decompose
-from .maps import (face_exprs, face_map, from_exprs, reject_pole_outputs,
-                   sparsity_probe)
+from .maps import face_map, reject_pole_outputs, sparsity_probe
 from .spectral import (CWBracket, CWHandle, DisplacementInterval,
                        EigenResult, Faces, NonconvergedError,
                        min_displacement, solve_eigenvector,
@@ -123,23 +126,15 @@ class Analyzer:
     """The subset sweep of one map, on the faces of one classification.
 
     `faces` is the classification's one cache (`spectral.Faces`): every
-    route of the classification shares it, the top-level analyzer, its
-    face sub-analyses, the displacement, and in `classify` the convex
-    route that falls back to the sweep, because a restriction of a face
-    is a restriction of f.  Each distinct face is iterated and classified
-    once per classification.  Black-box maps are not cached.
+    route of the classification shares it, the sweep, its pruning faces,
+    the displacement, and in `classify` the convex route that falls back
+    to the sweep, because a restriction of a face is a restriction of f.
+    Each distinct face is iterated once per classification.
 
     Every bracket is `FaceSide.handle` of a stable mask on one of two
     sides that `faces` makes, `r_side` and the root's `l_side`.  A side's
     hypergraph (`FaceSide.probe`) is f's own on the side's pole, so the
     top-level analyzer reads its upper one (`upper_probe`) from `l_side`.
-
-    A face sub-analysis classifies the face f of the root map `faces.f`
-    that pins the root's coordinates in `inf` to inf, and evaluates its
-    own faces by pinning through the root: the lambda side's are the
-    root's, and on the r side the root's body gets the inf pins before
-    each face's zero pins.  Only its hypergraphs and structure are read
-    from f's expressions; it folds its own upper hypergraph.
 
     `classify` sweeps the subsets, as int masks, in waves of one popcount,
     each in increasing bits order: every check of a wave, then the pruning
@@ -147,14 +142,16 @@ class Analyzer:
     subsets are all decided by then: when a passing J is invariant in the
     upper hypergraph and the upper face on J's complement has a bounded
     nonempty eigenspace, every proper superset of J not yet pruned is
-    `pruned` by J.  A face sub-analysis (`_face_kind`) reads only its
-    verdict's kind: it keeps each subset's route, builds no certificate
-    and no mask per subset, and refines every bracket as a full analysis
-    would, as the states are shared.
+    `pruned` by J.  That face's kind (`_face_kind`) comes from the routes
+    (`_route`) of its own subsets in the sweep's order, up to the first
+    numeric reverse, with no pruning and no certificate, read by an
+    analyzer of the face of the root map `faces.f` that pins the
+    coordinates in `inf` to inf.  That analyzer evaluates its faces by
+    pinning through the root: the lambda side's are the root's, and on
+    the r side the root's body gets the inf pins before each face's zero
+    pins.  Only its hypergraphs and structure are read from the face's
+    expressions; it folds its own upper hypergraph.
     """
-
-    #: set on face sub-analyses only: routes without certificates
-    _kind_only = False
 
     def __init__(self, f: ConeMap, budget: int = DEFAULT_BUDGET,
                  tol: float = STRICTNESS_TOL, prune: bool = True,
@@ -165,7 +162,6 @@ class Analyzer:
         self.budget = self.faces.budget
         self.tol = tol
         self.prune = prune
-        self.inf = inf
         self.r_side = self.faces.side(0.0, f, inf)
         self.l_side = self.faces.side(INF)
         self.upper_probe = HypergraphProbe(f, Side.UPPER) if inf else \
@@ -189,70 +185,46 @@ class Analyzer:
 
     # -- subset checks ----------------------------------------------------
 
-    def check_subset(self, J: SubsetMask | int) -> SubsetCertificate | Route:
-        """The route of J (a `SubsetMask` or its bits), refining both
-        brackets only until they decide; a face sub-analysis gets the route.
+    def _route(self, bits: int) -> Tuple[Route, Optional[CWHandle],
+                                         Optional[CWHandle]]:
+        """The route of the nonempty proper subset `bits`, with the handles
+        of the two brackets that decided it (None on a reach route),
+        refining both only until they decide.
 
         Each bracket is sound at every iterate and only ever narrows, so a
         strict order seen early holds at the whole budget too: the route is
-        the one fully refined brackets give, and the certificate carries
-        the brackets as they were when it was decided.  BOUNDARY needs
-        both brackets refined to the end.
+        the one fully refined brackets give.  BOUNDARY needs both brackets
+        refined to the end.
         """
-        bits, full = _bits(J, self.n), (1 << self.n) - 1
-        if not 0 < bits < full:
-            raise ValueError("subset must be nonempty and proper")
-        rh = lh = None
+        full = (1 << self.n) - 1
         if self.upper_probe._reach(bits) == full:
-            route = Route.REACH_UPPER
-        elif self.r_side.probe()._reach(full ^ bits) == full:
-            route = Route.REACH_LOWER
-        else:
-            rh, lh = self.r0_handle(bits), self.linf_handle(bits)
-            steps = FIRST_CHUNK
-            while True:
-                r_lo, r_up = rh.bounds()
-                l_lo, l_up = lh.bounds()
-                if _strictly_below(r_up, l_lo, self.tol):
-                    route = Route.NUMERIC_STRICT
-                    break
-                if _strictly_below(l_up, r_lo, self.tol):
-                    route = Route.NUMERIC_REVERSE
-                    break
-                if rh.done and lh.done:
-                    route = Route.BOUNDARY
-                    break
-                rh.refine(steps)
-                lh.refine(steps)
-                steps *= 2
-        if self._kind_only:
-            return route
+            return Route.REACH_UPPER, None, None
+        if self.r_side.probe()._reach(full ^ bits) == full:
+            return Route.REACH_LOWER, None, None
+        rh, lh = self.r0_handle(bits), self.linf_handle(bits)
+        steps = FIRST_CHUNK
+        while True:
+            r_lo, r_up = rh.bounds()
+            l_lo, l_up = lh.bounds()
+            if _strictly_below(r_up, l_lo, self.tol):
+                return Route.NUMERIC_STRICT, rh, lh
+            if _strictly_below(l_up, r_lo, self.tol):
+                return Route.NUMERIC_REVERSE, rh, lh
+            if rh.done and lh.done:
+                return Route.BOUNDARY, rh, lh
+            rh.refine(steps)
+            lh.refine(steps)
+            steps *= 2
+
+    def check_subset(self, J: SubsetMask | int) -> SubsetCertificate:
+        """The certificate of J (a `SubsetMask` or its bits): its route,
+        with the brackets as they were when it was decided."""
+        bits = _bits(J, self.n)
+        if not 0 < bits < (1 << self.n) - 1:
+            raise ValueError("subset must be nonempty and proper")
+        route, rh, lh = self._route(bits)
         return SubsetCertificate(SubsetMask(bits, self.n), route,
                                  rh and rh.bracket(), lh and lh.bracket())
-
-    # -- face classification for pruning ----------------------------------
-
-    def _face_kind(self, keep: SubsetMask) -> VerdictKind:
-        """The verdict kind of f's upper face on `keep`, analyzed as the
-        root's face that pins the root's coordinates in `inf` to inf."""
-        inf = self.inf | scatter_bits(keep.complement().bits,
-                                      self.r_side.positions)
-        kind = self.faces.kinds.get(inf)
-        if kind is not None:
-            return kind
-        if self.f.is_ast:
-            face = from_exprs(face_exprs(self.f.exprs, keep, INF),
-                              keep.popcount())
-        else:
-            face = face_map(self.f, keep, INF)
-        sub = Analyzer(face, self.budget, self.tol, prune=self.prune,
-                       faces=self.faces, inf=inf)
-        sub._kind_only = True
-        kind = sub.classify(solve=False).kind
-        if self.f.is_ast:
-            # black-box maps are not cached
-            self.faces.kinds[inf] = kind
-        return kind
 
     # -- the sweep ---------------------------------------------------------
 
@@ -263,26 +235,23 @@ class Analyzer:
                 f"generic sweep is capped at n = {SUBSET_SWEEP_CAP}; "
                 "use classify_convex for multiplicatively convex maps")
         pruned_by: Dict[int, SubsetMask] = {}
-        certs: list = []  # certificates, or on a face analysis routes
+        certs: list = []
         reverse_found = False
         # waves of equal popcount, each in increasing bits order; n = 1 has
         # no proper subset and is nonempty and bounded
-        for _, wave in groupby(sorted(range(1, (1 << n) - 1),
-                                      key=int.bit_count), key=int.bit_count):
+        for _, wave in groupby(_sweep_order(n), key=int.bit_count):
             passing = []
             for bits in wave:
                 if bits in pruned_by:
-                    certs.append(Route.PRUNED if self._kind_only else
-                                 SubsetCertificate(SubsetMask(bits, n),
+                    certs.append(SubsetCertificate(SubsetMask(bits, n),
                                                    Route.PRUNED,
                                                    pruned_by=pruned_by[bits]))
                     continue
                 cert = self.check_subset(bits)
                 certs.append(cert)
-                route = cert if self._kind_only else cert.route
-                if route is Route.NUMERIC_REVERSE:
+                if cert.route is Route.NUMERIC_REVERSE:
                     reverse_found = True
-                elif route.passing:
+                elif cert.route.passing:
                     passing.append(bits)
             if reverse_found:
                 break
@@ -290,15 +259,15 @@ class Analyzer:
                 for J in passing:
                     self._prune_supersets(J, pruned_by)
 
-        routes = certs if self._kind_only else [c.route for c in certs]
         if reverse_found:
             kind = VerdictKind.NO_INTERIOR_EIGENVECTOR
-        elif all(route.passing for route in routes):
+        elif all(c.route.passing for c in certs):
             kind = VerdictKind.NONEMPTY_BOUNDED
         else:
             kind = VerdictKind.INDETERMINATE
-        return self._finish(kind, () if self._kind_only else tuple(certs),
-                            solve)
+        return self._finish(kind, tuple(certs), solve)
+
+    # -- pruning -----------------------------------------------------------
 
     def _prune_supersets(self, J: int, pruned_by) -> None:
         """Prune J's proper supersets not pruned yet, each J plus a nonempty
@@ -313,6 +282,23 @@ class Analyzer:
         if remaining and not self.upper_probe._hit(J) and self._face_kind(
                 SubsetMask(rest, self.n)) is VerdictKind.NONEMPTY_BOUNDED:
             pruned_by.update(dict.fromkeys(remaining, SubsetMask(J, self.n)))
+
+    def _face_kind(self, keep: SubsetMask) -> VerdictKind:
+        """The verdict kind of f's upper face on `keep`, from the routes of
+        the face's nonempty proper subsets in the sweep's order, without
+        pruning: no interior eigenvector at the first numeric reverse,
+        nonempty and bounded when every route passes."""
+        face = face_map(self.f, keep, INF)
+        sub = Analyzer(face, tol=self.tol, faces=self.faces,
+                       inf=((1 << self.n) - 1) ^ keep.bits)
+        kind = VerdictKind.NONEMPTY_BOUNDED
+        for bits in _sweep_order(face.dimension):
+            route = sub._route(bits)[0]
+            if route is Route.NUMERIC_REVERSE:
+                return VerdictKind.NO_INTERIOR_EIGENVECTOR
+            if not route.passing:
+                kind = VerdictKind.INDETERMINATE
+        return kind
 
     def _finish(self, kind: VerdictKind,
                 certs: Tuple[SubsetCertificate, ...], solve: bool) -> Verdict:
@@ -332,6 +318,12 @@ class Analyzer:
         if kind is VerdictKind.NONEMPTY_BOUNDED and solve:
             verdict = _with_eigenvector(self.faces, verdict)
         return verdict
+
+
+def _sweep_order(n: int) -> list:
+    """The nonempty proper subsets of [n] as bits, by popcount and then by
+    bits."""
+    return sorted(range(1, (1 << n) - 1), key=int.bit_count)
 
 
 def _bits(J: SubsetMask | int, n: int) -> int:

@@ -305,20 +305,18 @@ class Faces:
     """The faces of one classification of a map f, each evaluated once.
 
     Every route of a classification brackets faces of f (the subset sweep
-    and its pruning's face sub-analyses, the convex route, the
-    displacement) and shares them here: the budget and bracket tolerance,
-    every `FaceSide` (`side`), which hands out its faces' brackets, each
-    face's `BracketState` or `_ConvexRadius` in `states` under its `key`,
-    and in `kinds` the kind of each face that pruning analyzes, under its
-    inf pins.  A black-box map's faces are not kept: nothing tells which
-    pins a face reads.
+    and the faces its pruning checks, the convex route, the displacement)
+    and shares them here: the budget and bracket tolerance, every
+    `FaceSide` (`side`), which hands out its faces' brackets, and each
+    face's `BracketState` or `_ConvexRadius` in `states` under its `key`.
+    A black-box map's faces are not kept: nothing tells which pins a face
+    reads.
     """
 
     def __init__(self, f: ConeMap, budget: int = DEFAULT_BUDGET,
                  tol: float = DEFAULT_TOL):
         self.f, self.budget, self.tol = f, budget, tol
         self.states: dict = {}
-        self.kinds: dict = {}
         self._sides: dict = {}
         # per output of f, the coordinates it reads (`key`)
         self._reads = None
@@ -370,10 +368,10 @@ class FaceSide:
     Faces are evaluated by pinning, not built: each is iterated on a
     compiled body of f on the r side, of `conjugate_map(f)` on the lambda
     side, with the coordinates it drops passed to the body as poles
-    (`maps.face_loop`).  The r side of a face sub-analysis
-    (`existence.Analyzer`) is that of a face f of a root map: it pins
-    through the root, whose coordinates outside f (`inf`) are pinned to
-    inf before each face pins others to 0.  A side whose map has no
+    (`maps.face_loop`).  The r side of a face that pruning checks
+    (`existence.Analyzer._face_kind`) is that of a face f of the root map:
+    it pins through the root, whose coordinates outside f (`inf`) are
+    pinned to inf before each face pins others to 0.  A side whose map has no
     compiled body (a black-box map, one whose outputs are all `Coord`,
     `Pole` or `Linear`, a tree too deep to compile) builds each face as a
     map of its own (`maps.face_map`).

@@ -8,14 +8,13 @@ import numpy as np
 import pytest
 
 import conespec as cs
-from conespec.core import INF, Side, SubsetMask, scatter_bits, sup_normalized
+from conespec.core import INF, Side, SubsetMask, sup_normalized
 from conespec import existence, maps
 from conespec.errors import DimensionTooLargeError
 from conespec.existence import (SUBSET_SWEEP_CAP, Route, SubsetCertificate,
                                 VerdictKind)
 from conespec.maps import (Coord, Linear, Max, Min, Pole, PowerMean, Scale,
-                           Sum, face_exprs, face_map, from_exprs, monomial,
-                           pole_masks)
+                           Sum, face_map, from_exprs, monomial, pole_masks)
 
 # Five fixed seeds for the property suites; CONESPEC_SEED shifts the base.
 _BASE = int(os.environ.get("CONESPEC_SEED", "0"))
@@ -438,36 +437,32 @@ def reference_plain_trajectory(g, x, budget, tol, gap_stop, residual_stop,
 
 class _ReferenceAnalyzer(existence.Analyzer):
     """`existence.Analyzer` with the subset sweep as it was written before
-    it became one pass over integer masks: `classify`, `_try_prune` and
-    `_face_kind` verbatim, except that a face sub-analysis is built as
-    `type(self)`, so faces are swept by the reference too, and that an
-    upper face is analyzed, and cached, as the root map's face that pins
-    its `inf` coordinates, as `existence.Analyzer._face_kind` does, and
-    that a face sub-analysis keeps its certificates: its checks refine the
-    shared brackets as a route-only one does.  Its lower-face branch never
-    runs: waves go by popcount, so every proper subset of a passing subset
-    already has its certificate."""
+    it became one pass over integer masks: `classify` and `_try_prune`
+    verbatim, with a `_face_kind` that checks every nonempty proper subset
+    of the face, as `SubsetMask`s in (popcount, bits) order, until the
+    first numeric reverse.  Its face analyzer is built as `type(self)` on
+    the root map's face that pins the complement of the face to inf, as
+    `existence.Analyzer._face_kind` does, and it prunes nothing; its checks
+    build certificates, and refine the shared brackets as a route-only one
+    does.  Its lower-face branch never runs: waves go by popcount, so
+    every proper subset of a passing subset already has its certificate."""
 
     def _face_kind(self, keep: SubsetMask, fill: float) -> VerdictKind:
-        inf = self.inf | scatter_bits(keep.complement().bits,
-                                      self.r_side.positions)
-        if self.f.is_ast:
-            key = inf if fill == INF else face_exprs(self.f.exprs, keep, fill)
-            kind = self.faces.kinds.get(key)
-            if kind is not None:
-                return kind
-            face = from_exprs(face_exprs(self.f.exprs, keep, fill),
-                              keep.popcount())
-        else:
-            # black-box maps are not cached
-            key, face = None, face_map(self.f, keep, fill)
-        rooted = {"faces": self.faces, "inf": inf} if fill == INF else {}
-        sub = type(self)(face, self.budget, self.tol, prune=self.prune,
-                         **rooted)
-        kind = sub.classify(solve=False).kind
-        if key is not None:
-            self.faces.kinds[key] = kind
-        return kind
+        face = face_map(self.f, keep, fill)
+        rooted = ({"faces": self.faces, "inf": keep.complement().bits}
+                  if fill == INF else {})
+        sub = type(self)(face, self.budget, self.tol, prune=False, **rooted)
+        k = face.dimension
+        routes = []
+        for m in sorted((SubsetMask(bits, k) for bits in range(1, (1 << k) - 1)),
+                        key=lambda m: (m.popcount(), m.bits)):
+            route = sub.check_subset(m).route
+            if route is Route.NUMERIC_REVERSE:
+                return VerdictKind.NO_INTERIOR_EIGENVECTOR
+            routes.append(route)
+        if all(route.passing for route in routes):
+            return VerdictKind.NONEMPTY_BOUNDED
+        return VerdictKind.INDETERMINATE
 
     def classify(self, solve: bool = True) -> existence.Verdict:
         n = self.n

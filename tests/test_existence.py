@@ -25,7 +25,7 @@ from test_dsl import GAME_JSON
 from conftest import (block_radius_oracle, game_conjugate_text, make_game,
                       make_schoen, make_tensor_example,
                       random_irreducible_matrix, random_mplus_map,
-                      reference_sweep, tensor_example_raw)
+                      random_tree, reference_sweep, tensor_example_raw)
 
 
 def mask(ix, n):
@@ -381,14 +381,33 @@ class TestSweepProperties:
                     assert lo == pytest.approx(lb.lower, rel=1e-11)
 
     def test_pruning_never_changes_kind(self, rng):
-        corpus = [random_mplus_map(rng, int(rng.integers(2, 5)))
-                  for _ in range(4)]
-        corpus += [game_conjugate(r1=0.0), game_conjugate(r1=3.0),
-                   make_schoen()]
-        for f in corpus:
-            a = cs.Analyzer(f, prune=True).classify(solve=False)
-            b = cs.Analyzer(f, prune=False).classify(solve=False)
+        # pruning passes a subset only where the unpruned sweep passes it
+        seeds = rng.integers(1 << 16, size=2)
+        corpus = [(_seeded_family(fam, seed, n), existence.DEFAULT_BUDGET)
+                  for seed in seeds for n in (6, 7) for fam in "AB"]
+        twins = [f for f, _ in corpus[:2]] + [cs.parse_map(SWEEP_MAP).cone_map]
+        corpus += [(ConeMap(dimension=f.dimension, evaluator=f.eval_interior),
+                    300) for f in twins]
+        corpus += [(cs.parse_map(text).cone_map, existence.DEFAULT_BUDGET)
+                   for text in (SWEEP_MAP, REVERSE_SWEEP_MAP)]
+        trees = 0
+        while trees < 15:
+            n = 3 + trees % 3
+            f = from_exprs([random_tree(rng, n, 3) for _ in range(n)], n)
+            try:
+                cs.maps.reject_pole_outputs(f)
+            except cs.ConespecError:
+                continue
+            corpus.append((f, existence.DEFAULT_BUDGET))
+            trees += 1
+        for f, budget in corpus:
+            a = cs.Analyzer(f, budget, prune=True).classify(solve=False)
+            b = cs.Analyzer(f, budget, prune=False).classify(solve=False)
             assert a.kind is b.kind
+            unpruned = dict(_routes(b))
+            for bits, route in _routes(a):
+                if route is Route.PRUNED:
+                    assert unpruned[bits].passing
 
 
 class TestLargeConvex:
@@ -512,16 +531,16 @@ class _Forgetful(dict):
 
 
 class TestClassificationMemo:
-    """One classification iterates each face from one bracket state and
-    analyzes each face once: its `spectral.Faces` keeps them."""
+    """One classification iterates each face from one bracket state, and
+    pruning analyzes each face once, in one flat pass over its subsets."""
 
     @staticmethod
     def _counted(monkeypatch, text=SWEEP_MAP, forgetful=False):
         """(verdict, the bracket states made, how many of them the
-        classification's `Faces` keeps, the inf pins of every face
-        analysis); a `forgetful` one keeps nothing."""
+        classification's `Faces` keeps, the face every pruning analysis
+        keeps); a `forgetful` `Faces` keeps nothing."""
         states, faces = [], []
-        analyzer_classify = existence.Analyzer.classify
+        face_kind = existence.Analyzer._face_kind
 
         class State(spectral.BracketState):
             __slots__ = ()
@@ -530,21 +549,17 @@ class TestClassificationMemo:
                 states.append(self)
                 super().__init__(g, *args)
 
-        def classify(self, solve=True):
-            if self.faces is not top.faces:
-                raise AssertionError("a face analysis has its own faces")
-            if self is not top:
-                faces.append(self.inf)
-            return analyzer_classify(self, solve)
+        def recorded(self, keep):
+            faces.append(keep.bits)
+            return face_kind(self, keep)
 
         monkeypatch.setattr(spectral, "BracketState", State)
-        monkeypatch.setattr(existence.Analyzer, "classify", classify)
+        monkeypatch.setattr(existence.Analyzer, "_face_kind", recorded)
         f = cs.parse_map(text).cone_map
         cache = spectral.Faces(f)
         if forgetful:
-            cache.states, cache.kinds = _Forgetful(), _Forgetful()
-        top = existence.Analyzer(f, faces=cache)
-        verdict = top.classify()
+            cache.states = _Forgetful()
+        verdict = existence.Analyzer(f, faces=cache).classify()
         monkeypatch.undo()
         kept = sum(type(v) is State for v in cache.states.values())
         return verdict, states, kept, faces
@@ -554,15 +569,15 @@ class TestClassificationMemo:
         verdict, states, kept, faces = self._counted(monkeypatch)
         assert verdict.kind is VerdictKind.NONEMPTY_BOUNDED
         # with f's own state, filled by the eigenvector's trajectory
-        assert len(states) == kept == 32
-        assert len(faces) == len(set(faces)) == 14
+        assert len(states) == kept == 33
+        assert len(faces) == len(set(faces)) == 5
 
     def test_without_the_memo_the_work_repeats(self, monkeypatch):
         shared, _, _, _ = self._counted(monkeypatch)
         verdict, states, kept, faces = self._counted(monkeypatch,
                                                      forgetful=True)
-        assert (len(states), kept) == (111, 0)
-        assert len(faces) > len(set(faces)) == 14
+        assert (len(states), kept) == (100, 0)
+        assert len(faces) == len(set(faces)) == 5
         # the memo changes the work, never the result
         assert repr(verdict) == repr(shared)
 
@@ -572,10 +587,10 @@ class TestClassificationMemo:
             monkeypatch, REVERSE_SWEEP_MAP)
         verdict, states, _, faces = self._counted(
             monkeypatch, REVERSE_SWEEP_MAP, forgetful=True)
-        assert len(shared_states) == kept == 33
-        assert len(shared_faces) == len(set(shared_faces)) == 10
-        assert len(states) == 75
-        assert len(faces) == len(set(faces)) == 10
+        assert len(shared_states) == kept == 32
+        assert len(shared_faces) == len(set(shared_faces)) == 3
+        assert len(states) == 63
+        assert faces == shared_faces
         # the same verdict, routes and displacement; a certificate keeps its
         # brackets as they stood when it was decided, and the states the
         # shared states stand further refined by then
@@ -588,59 +603,73 @@ class TestClassificationMemo:
         ids=["sweep", "reverse", "black_box_twin"])
     def test_face_kinds_equal_full_analyses(self, monkeypatch, text,
                                             black_box):
-        # a face sub-analysis builds no brackets, yet reads the kind a full
-        # analysis of the face gives
+        # pruning analyzes each face once, by the routes of its subsets
+        # alone: no face analysis classifies or analyzes a face of its own,
+        # yet each reads the kind an unpruned analysis of the face gives
         f = cs.parse_map(text).cone_map
         budget = 100 if black_box else existence.DEFAULT_BUDGET
         if black_box:
             f = ConeMap(dimension=f.dimension, evaluator=f.eval_interior)
-        seen = []
-        face_kind = existence.Analyzer._face_kind
+        seen, depth, nested = [], [0], []
+
+        def watched(name, original):
+            def wrapper(self, *args, **kwargs):
+                if depth[0]:
+                    nested.append(name)
+                depth[0] += name == "_face_kind"
+                try:
+                    return original(self, *args, **kwargs)
+                finally:
+                    depth[0] -= name == "_face_kind"
+            return wrapper
+
+        face_kind = watched("_face_kind", existence.Analyzer._face_kind)
 
         def recorded(self, keep):
             kind = face_kind(self, keep)
-            seen.append((cs.maps.face_map(self.f, keep, INF), kind))
+            seen.append((keep.bits, cs.maps.face_map(self.f, keep, INF),
+                         kind))
             return kind
 
         monkeypatch.setattr(existence.Analyzer, "_face_kind", recorded)
+        monkeypatch.setattr(existence.Analyzer, "classify", watched(
+            "classify", existence.Analyzer.classify))
         existence.Analyzer(f, budget).classify()
         monkeypatch.undo()
-        assert seen
-        for face, kind in seen:
-            full = existence.Analyzer(face, budget).classify(solve=False)
-            assert full.kind is kind
+        assert seen and nested == []
+        keeps = [keep for keep, _, _ in seen]
+        assert len(keeps) == len(set(keeps))
+        for _, face, kind in seen:
+            full = existence.Analyzer(face, budget, prune=False)
+            assert full.classify(solve=False).kind is kind
 
-
-    def test_black_box_faces_are_analyzed_without_the_memo(self,
+    def test_black_box_twin_prunes_by_the_faces_of_its_map(self,
                                                            monkeypatch):
-        # black-box faces have no expressions: keyed by them, every face
-        # would share the first one's verdict
+        # a black-box twin decides each subset as its expression map does,
+        # so its pruning analyzes the same faces, each once
         f = cs.parse_map(SWEEP_MAP).cone_map
         twin = ConeMap(dimension=5, evaluator=f.eval_interior)
-        point = (1.1, 1.3, 1.7, 1.9, 2.3)
-        analyzer_classify = existence.Analyzer.classify
+        face_kind = existence.Analyzer._face_kind
 
         def faces_of(g):
-            faces = []
+            keeps = []
 
-            def classify(self, solve=True):
-                if self.f is not g:
-                    k = self.f.dimension
-                    faces.append((k, self.f.eval_interior(point[:k])))
-                return analyzer_classify(self, solve)
+            def recorded(self, keep):
+                keeps.append(keep.bits)
+                return face_kind(self, keep)
 
-            monkeypatch.setattr(existence.Analyzer, "classify", classify)
+            monkeypatch.setattr(existence.Analyzer, "_face_kind", recorded)
             top = existence.Analyzer(g, budget=100)
             verdict = top.classify()
             monkeypatch.undo()
-            return verdict, set(faces), top.faces
+            return verdict, keeps, top.faces
 
         ast, ast_faces, _ = faces_of(f)
         black, black_faces, kept = faces_of(twin)
-        assert len(ast_faces) == 14 and ast_faces <= black_faces
-        assert not kept.kinds and not kept.states
-        assert [c.route for c in black.certificates] == \
-            [c.route for c in ast.certificates]
+        assert black_faces == ast_faces
+        assert len(set(ast_faces)) == len(ast_faces) == 5
+        assert not kept.states
+        assert _routes(black) == _routes(ast)
         assert Route.PRUNED in {c.route for c in black.certificates}
         unpruned = existence.Analyzer(twin, budget=100, prune=False)
         assert black.kind is unpruned.classify().kind
@@ -716,8 +745,8 @@ class TestOneFaceCache:
         finally:
             gc.enable()
 
-    @pytest.mark.parametrize("source, total", [(SWEEP_MAP, 28),
-                                               (REVERSE_SWEEP_MAP, 20)],
+    @pytest.mark.parametrize("source, total", [(SWEEP_MAP, 12),
+                                               (REVERSE_SWEEP_MAP, 8)],
                              ids=["sweep", "reverse"])
     def test_one_hypergraph_per_side_of_f(self, monkeypatch, source, total):
         # the lambda side's hypergraph is f's upper one, which the sweep
@@ -735,6 +764,20 @@ class TestOneFaceCache:
         assert sorted(side.value for n, side in probes if n == 5) == \
             ["lower", "upper"]
         assert len(probes) == total
+
+
+def _seeded_family(fam, seed, n):
+    """A map of family A (`a_i*x_i + min(x_{i+1}, 2*x_{c_i})`), or of
+    family B, whose first `min` term reads x_{p_i}: a, c and p drawn in
+    that order from `random.Random(f"{fam}/{seed}/{n}")`."""
+    rng = random.Random(f"{fam}/{seed}/{n}")
+    a = [rng.uniform(0.5, 2.0) for _ in range(n)]
+    c = [rng.randrange(n) for _ in range(n)]
+    p = ([rng.randrange(n) for _ in range(n)] if fam == "B"
+         else [(i + 1) % n for i in range(n)])
+    return cs.parse_map(f"format: 1\ndim: {n}\n" + "".join(
+        f"coord {i + 1}: {a[i]!r}*x{i + 1} + min(x{p[i] + 1}, "
+        f"2*x{c[i] + 1})\n" for i in range(n))).cone_map
 
 
 def _family_map(n, seed, free_head):
@@ -794,43 +837,36 @@ class TestOnePassSweep:
 
     def test_work_on_the_sweep_map(self, monkeypatch):
         # the sweep reads reaches on ints, not through `reach`, and each
-        # probe computes a mask's reach once: at most two per checked
+        # probe computes a mask's reach once: at most two per routed
         # subset; the checks and the face analyses, whose order the shared
-        # bracket states show, are those of the reference sweep
-        calls = {"check": 0, "reach": 0, "face_kind": 0, "faces": 0}
-        check, reach = existence.Analyzer.check_subset, HypergraphProbe.reach
-        face_kind = existence.Analyzer._face_kind
-        analyzer_classify = existence.Analyzer.classify
+        # bracket states show, are those of the reference sweep, and a face
+        # analysis routes its subsets without a certificate
+        calls = {"check": 0, "route": 0, "reach": 0, "face_kind": 0}
         int_reach, probes = HypergraphProbe._reach, {}
 
-        def counted(name, original):
+        def counted(cls, name, tally):
+            original = getattr(cls, name)
+
             def wrapper(self, *args):
-                calls[name] += 1
+                calls[tally] += 1
                 return original(self, *args)
-            return wrapper
+            monkeypatch.setattr(cls, name, wrapper)
 
         def reached(self, bits):
             probes[id(self)] = self
             return int_reach(self, bits)
 
-        def classify(self, solve=True):
-            calls["faces"] += self._kind_only
-            return analyzer_classify(self, solve)
-
-        monkeypatch.setattr(existence.Analyzer, "check_subset",
-                            counted("check", check))
-        monkeypatch.setattr(HypergraphProbe, "reach", counted("reach", reach))
-        monkeypatch.setattr(existence.Analyzer, "_face_kind",
-                            counted("face_kind", face_kind))
-        monkeypatch.setattr(existence.Analyzer, "classify", classify)
+        counted(existence.Analyzer, "check_subset", "check")
+        counted(existence.Analyzer, "_route", "route")
+        counted(existence.Analyzer, "_face_kind", "face_kind")
+        counted(HypergraphProbe, "reach", "reach")
         monkeypatch.setattr(HypergraphProbe, "_reach", reached)
         verdict = cs.classify(cs.parse_map(SWEEP_MAP).cone_map)
         monkeypatch.undo()
         assert verdict.kind is VerdictKind.NONEMPTY_BOUNDED
-        assert calls == {"check": 62, "reach": 0, "face_kind": 22,
-                         "faces": 14}
+        assert calls == {"check": 5, "route": 65, "reach": 0, "face_kind": 5}
         computed = sum(len(p._reached) for p in probes.values())
-        assert computed == 108 <= 2 * calls["check"]
+        assert computed == 108 <= 2 * calls["route"]
 
 
 def _count_calls(monkeypatch, name):
@@ -861,51 +897,41 @@ class TestReducedFaces:
         verdict = cs.classify(f)
         monkeypatch.undo()
         assert verdict.kind is VerdictKind.NONEMPTY_BOUNDED
-        # f's conjugate and the 14 faces that pruning analyzes
-        assert (len(restricted), len(built), len(faces)) == (0, 15, 0)
+        # f's conjugate and the 5 faces that pruning analyzes
+        assert (len(restricted), len(built), len(faces)) == (0, 6, 5)
 
     @pytest.mark.parametrize("text", [SWEEP_MAP, REVERSE_SWEEP_MAP],
                              ids=["sweep", "reverse"])
     def test_face_analyses_build_no_brackets(self, monkeypatch, text):
-        # a face sub-analysis reads only its verdict's kind: no certificate,
-        # no bracket, no vector (a witness or a reciprocal) is built while
-        # one runs, and no subset mask per subset; the top level embeds no
+        # a face analysis reads only the routes of the face's subsets: no
+        # certificate, no bracket, no vector (a witness or a reciprocal) and
+        # no subset mask is built while one runs; the top level embeds no
         # witness either until one is read
         depth, built = [0], {}
-        analyzer_classify = existence.Analyzer.classify
-        face_kind = existence.Analyzer._face_kind
 
-        def classify(self, solve=True):
-            depth[0] += 1
-            try:
-                return analyzer_classify(self, solve)
-            finally:
-                depth[0] -= 1
-
-        def counted(cls, name):
+        def counted(cls, name, nests=False):
             original = getattr(cls, name)
             tally = built[cls.__name__ + "." + name] = {"top": 0, "faces": 0}
 
             def wrapper(*args, **kwargs):
-                tally["faces" if depth[0] > 1 else "top"] += 1
-                return original(*args, **kwargs)
+                tally["faces" if depth[0] else "top"] += 1
+                depth[0] += nests
+                try:
+                    return original(*args, **kwargs)
+                finally:
+                    depth[0] -= nests
             monkeypatch.setattr(cls, name, wrapper)
 
-        monkeypatch.setattr(existence.Analyzer, "classify", classify)
         for cls in (spectral.CWBracket, ExtVec, existence.SubsetCertificate,
                     SubsetMask):
             counted(cls, "__init__")
         counted(ExtVec, "_unchecked")
-        counted(existence.Analyzer, "_face_kind")
+        counted(existence.Analyzer, "_face_kind", nests=True)
         cs.classify(cs.parse_map(text).cone_map)
         monkeypatch.undo()
         faces = {k: v["faces"] for k, v in built.items()}
-        analyses = faces.pop("Analyzer._face_kind")
-        masks = faces.pop("SubsetMask.__init__")
         assert faces == dict.fromkeys(faces, 0)
-        # a face analysis builds masks only to prune: two to analyze a face
-        # and one for the subset that prunes
-        assert 0 < masks <= 3 * analyses
+        assert built["Analyzer._face_kind"]["top"] > 0
         assert built["CWBracket.__init__"]["top"] > 0
         assert built["ExtVec._unchecked"]["top"] == 0
 
@@ -960,13 +986,12 @@ class TestReducedFaces:
             built.append(weakref.ref(g))
             return g
 
-        for module in (cs.maps, existence):
-            monkeypatch.setattr(module, "from_exprs", recorded)
+        monkeypatch.setattr(cs.maps, "from_exprs", recorded)
         verdict = cs.classify(f)
         monkeypatch.undo()
         gc.collect()
         assert verdict.kind is VerdictKind.NONEMPTY_BOUNDED
-        assert len(built) == 15
+        assert len(built) == 6
         assert [ref for ref in built if ref() is not None] == []
 
     def test_black_box_matrix_twin_decided_on_faces(self):
@@ -1331,7 +1356,7 @@ class TestAnytimeBrackets:
         verdict, iterations = self._loop_iterations(
             monkeypatch, cs.parse_map(SWEEP_MAP).cone_map)
         assert verdict.kind is VerdictKind.NONEMPTY_BOUNDED
-        assert iterations == 346
+        assert iterations == 367
 
     def test_bracket_iterations_of_a_game_without_eigenvector(self,
                                                               monkeypatch):
