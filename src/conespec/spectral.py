@@ -309,8 +309,6 @@ class Faces:
     and shares them here: the budget and bracket tolerance, every
     `FaceSide` (`side`), which hands out its faces' brackets, and each
     face's `BracketState` or `_ConvexRadius` in `states` under its `key`.
-    A black-box map's faces are not kept: nothing tells which pins a face
-    reads.
     """
 
     def __init__(self, f: ConeMap, budget: int = DEFAULT_BUDGET,
@@ -332,16 +330,17 @@ class Faces:
             side = self._sides[fill] = FaceSide(self, self.f, fill)
         return side
 
-    def key(self, side: FaceSide, kept: int) -> Optional[tuple]:
+    def key(self, side: FaceSide, kept: int) -> tuple:
         """The key of the face of `side` that keeps `kept`, its pins in f's
-        coordinates (fill, inf, kept), None on a black-box map.  `inf`
-        keeps the inf pins a kept output reads: a face that reads none is
-        the top-level face on the same coordinates."""
-        if not side.f.is_ast:
-            return None
+        coordinates (fill, inf, kept).  On an expression map, `inf` keeps
+        only the inf pins a kept output reads: a face that reads none is
+        the top-level face on the same coordinates.  Nothing tells which
+        pins a black-box map's face reads, so its key keeps them all."""
         inf = side.inf
         if inf:
             kept = scatter_bits(kept, side.positions)
+            if not self.f.is_ast:
+                return side.fill, inf, kept
             if self._reads is None:
                 self._reads = [_maps.coordinates_read(e)
                                for e in self.f.exprs]
@@ -451,7 +450,7 @@ class FaceSide:
         and decomposes, made once per `faces`."""
         faces = self.faces
         key = faces.key(self, kept)
-        face = None if key is None else faces.states.get(key)
+        face = faces.states.get(key)
         if face is not None:
             return face
         if self.f.is_ast and kept.bit_count() > 1 and (
@@ -462,8 +461,7 @@ class FaceSide:
         if face is None:
             face = BracketState(self._iterated(kept), faces.budget,
                                 faces.tol)
-        if key is not None:
-            faces.states[key] = face
+        faces.states[key] = face
         return face
 
     def _iterated(self, kept: int):

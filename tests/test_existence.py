@@ -646,7 +646,8 @@ class TestClassificationMemo:
     def test_black_box_twin_prunes_by_the_faces_of_its_map(self,
                                                            monkeypatch):
         # a black-box twin decides each subset as its expression map does,
-        # so its pruning analyzes the same faces, each once
+        # so its pruning analyzes the same faces, each once; its faces are
+        # kept under all their pins, as nothing tells which ones they read
         f = cs.parse_map(SWEEP_MAP).cone_map
         twin = ConeMap(dimension=5, evaluator=f.eval_interior)
         face_kind = existence.Analyzer._face_kind
@@ -665,10 +666,12 @@ class TestClassificationMemo:
             return verdict, keeps, top.faces
 
         ast, ast_faces, _ = faces_of(f)
-        black, black_faces, kept = faces_of(twin)
+        black, black_faces, cache = faces_of(twin)
         assert black_faces == ast_faces
         assert len(set(ast_faces)) == len(ast_faces) == 5
-        assert not kept.states
+        pins = {0b11111 ^ keep for keep in black_faces}
+        assert {inf for _, inf, _ in cache.states} == pins | {0}
+        assert all(not inf & kept for _, inf, kept in cache.states)
         assert _routes(black) == _routes(ast)
         assert Route.PRUNED in {c.route for c in black.certificates}
         unpruned = existence.Analyzer(twin, budget=100, prune=False)
