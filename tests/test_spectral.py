@@ -735,8 +735,8 @@ class TestPinnedFaces:
     trajectory bit for bit, except on faces that `_substitute` rounds its
     way (`_noted_face_exprs`), which agree within DEFAULT_TOL.  This
     covers every stable face of both sides, the lambda side's as faces of
-    the conjugate, and the faces of face sub-analyses, whose inf pins come
-    first."""
+    the conjugate, and the faces of the faces pruning checks, whose inf
+    pins come first."""
 
     BUDGET = 40
 
@@ -777,7 +777,7 @@ class TestPinnedFaces:
                     seen["lambda"] += g is conj
             if f.interior_loop() is None:
                 continue
-            # a sub-analysis of the face on K pins the rest to inf first
+            # a pruning face's analyzer on K pins the rest to inf first
             for outer in _stable_subsets(f, Side.UPPER):
                 outer_exprs, outer_rounded = _noted_face_exprs(
                     monkeypatch, f.exprs, SubsetMask(outer, n), INF)
