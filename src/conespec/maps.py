@@ -624,9 +624,8 @@ def face_loop(f: ConeMap, keep: int, inf: int = 0) -> Optional[Callable]:
     kept outputs alone and guards the means with r <= 0, which would raise
     at a zero term (`_Emitter`).  The points where the body still raises,
     such as a geometric mean that sees both poles, are evaluated on the
-    face map, built at the first of them as `face_exprs` builds the
-    subset faces of a pruning face: the inf pins in a pass before the zero
-    pins.
+    face map, built at the first of them as `face_exprs` builds a pruning
+    face's faces: the inf pins in a pass before the zero pins.
     """
     body = f._faces
     if body is None:

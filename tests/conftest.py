@@ -453,9 +453,9 @@ class _ReferenceAnalyzer(existence.Analyzer):
                   if fill == INF else {})
         sub = type(self)(face, self.budget, self.tol, prune=False, **rooted)
         k = face.dimension
+        masks = (SubsetMask(bits, k) for bits in range(1, (1 << k) - 1))
         routes = []
-        for m in sorted((SubsetMask(bits, k) for bits in range(1, (1 << k) - 1)),
-                        key=lambda m: (m.popcount(), m.bits)):
+        for m in sorted(masks, key=lambda m: (m.popcount(), m.bits)):
             route = sub.check_subset(m).route
             if route is Route.NUMERIC_REVERSE:
                 return VerdictKind.NO_INTERIOR_EIGENVECTOR

@@ -130,7 +130,8 @@ def digests(src: str):
 
 #: prints `digests` of the source directory given as its argument
 _PRINT_DIGESTS = ("import sys, output_digest\n"
-                  "for line in output_digest.digests(sys.argv[1]): print(*line)")
+                  "for line in output_digest.digests(sys.argv[1]):\n"
+                  "    print(*line)")
 
 
 def _worktree_digests(rev: str, directory: str) -> dict:
