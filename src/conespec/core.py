@@ -189,6 +189,10 @@ class ConeMap:
     The capability flags of an AST map are derived from its expressions
     (`maps.map_flags`); a flag passed for one must agree with them.  A
     black-box map has the flags it is given, False by default.
+
+    An AST map evaluates every point with its interpreter, and only its
+    (f + id) iterations run compiled code: its own loop (`interior_loop`)
+    and the loops of the faces pinned through it (`maps.face_loop`).
     """
 
     dimension: int
@@ -196,9 +200,9 @@ class ConeMap:
     evaluator: Optional[Callable[[Tuple[float, ...]], Sequence[float]]] = None
     multiplicatively_convex: Optional[bool] = None
     analytic: Optional[bool] = None
-    # the compiled interior evaluator and (f + id) loop of an AST map,
+    # the compiled (f + id) loop of an AST map (False when it has none),
     # built on first use by `maps.compile_interior`
-    _interior: Optional[Tuple[Callable, Optional[Callable]]] = \
+    _loop: Optional[Callable] = \
         field(default=None, init=False, repr=False, compare=False)
     # the body its faces are pinned through (False when it has none), built
     # on first use by `maps.face_loop`
@@ -246,32 +250,27 @@ class ConeMap:
             raise MixedPolesError("upper-side evaluation produced zero")
         return result
 
-    def _compiled(self) -> Tuple[Callable, Optional[Callable]]:
-        compiled = self._interior
-        if compiled is None:
-            compiled = compile_interior(self.exprs)
-            object.__setattr__(self, "_interior", compiled)
-        return compiled
-
     def eval_interior(self, values: Sequence[float]) -> Tuple[float, ...]:
-        """Evaluate at an interior point given as raw floats.
-
-        An AST map compiles its expressions on the first call
-        (`maps.compile_interior`) and keeps the result; its outputs are
-        bit-identical to `Expr.evaluate`, which still evaluates boundary
-        and extended points through `__call__`.
-        """
+        """Evaluate at an interior point given as raw floats: an AST map by
+        `Expr.evaluate`, as `__call__` does, a black-box map by its
+        evaluator.  A point of another dimension raises ValueError."""
+        x = tuple(values)
+        self.expect_dimension(len(x), "point")
         if self.exprs is None:
-            return tuple(float(v) for v in self.evaluator(tuple(values)))
-        return self._compiled()[0](tuple(values))
+            return tuple(float(v) for v in self.evaluator(x))
+        return tuple(e.evaluate(x) for e in self.exprs)
 
     def interior_loop(self) -> Optional[Callable]:
         """The compiled normalized (f + id) loop of an AST map, or None.
 
+        Compiled on the first call (`maps.compile_interior`) and kept.
         None for black-box maps and for maps `maps.compile_interior` does
         not compile; `spectral` iterates those with its plain-Python loop.
         """
-        return None if self.exprs is None else self._compiled()[1]
+        if self._loop is None:
+            object.__setattr__(self, "_loop", self.is_ast and compile_interior(
+                self.exprs) or False)
+        return self._loop or None
 
 
 def project(x: ExtVec, J: SubsetMask, fill: float) -> ExtVec:

@@ -148,9 +148,10 @@ class Analyzer:
     analyzer of the face of the root map `faces.f` that pins the
     coordinates in `inf` to inf.  That analyzer evaluates its faces by
     pinning through the root: the lambda side's are the root's, and on
-    the r side the root's body gets the inf pins before each face's zero
-    pins.  Only its hypergraphs and structure are read from the face's
-    expressions; it folds its own upper hypergraph.
+    the r side the root's body gets the inf and each face's zero pins at
+    once.  Its hypergraphs, structure, and the points that body cannot
+    evaluate are read from the face, whose inf pins `face_map` applied
+    first; it folds its own upper hypergraph.
     """
 
     def __init__(self, f: ConeMap, budget: int = DEFAULT_BUDGET,
@@ -303,21 +304,16 @@ class Analyzer:
     def _finish(self, kind: VerdictKind,
                 certs: Tuple[SubsetCertificate, ...], solve: bool) -> Verdict:
         verdict = Verdict(kind=kind, certificates=certs)
-        if kind is VerdictKind.NO_INTERIOR_EIGENVECTOR and solve:
-            # the first reverse certificate bounds the displacement below
-            # and carries its brackets as the displacement left them
-            rev = next(c for c in certs if c.route is Route.NUMERIC_REVERSE)
-            rh, lh = self.r0_handle(rev.subset), self.linf_handle(rev.subset)
-            disp = min_displacement(self.f, certificate=(rh, lh),
-                                    faces=self.faces)
-            certs = tuple(replace(c, r_bracket=rh.bracket(),
-                                  lambda_bracket=lh.bracket())
-                          if c is rev else c for c in certs)
-            verdict = replace(verdict, certificates=certs, displacement=disp,
-                              r_bracket=disp.r_bracket)
-        if kind is VerdictKind.NONEMPTY_BOUNDED and solve:
-            verdict = _with_eigenvector(self.faces, verdict)
-        return verdict
+        if kind is not VerdictKind.NO_INTERIOR_EIGENVECTOR or not solve:
+            return _existence(self.faces, verdict, solve)
+        # the first reverse certificate bounds the displacement below and
+        # carries its brackets as the displacement left them
+        rev = next(c for c in certs if c.route is Route.NUMERIC_REVERSE)
+        rh, lh = self.r0_handle(rev.subset), self.linf_handle(rev.subset)
+        verdict = _existence(self.faces, verdict, solve, (rh, lh))
+        return replace(verdict, certificates=tuple(
+            replace(c, r_bracket=rh.bracket(), lambda_bracket=lh.bracket())
+            if c is rev else c for c in certs))
 
 
 def _sweep_order(n: int) -> list:
@@ -333,10 +329,13 @@ def _bits(J: SubsetMask | int, n: int) -> int:
     return getattr(J, "bits", J)
 
 
-def _with_eigenvector(faces: Faces, verdict: Verdict, shared=None,
-                      growth=None) -> Verdict:
-    """A nonempty-bounded verdict of f = `faces.f` with its eigenvector and
-    flags filled in.
+def _existence(faces: Faces, verdict: Verdict, solve: bool,
+               certificate: Optional[Tuple[CWHandle, CWHandle]] = None,
+               shared=None, growth=None) -> Verdict:
+    """`verdict` of f = `faces.f`, with `solve` completed as its kind asks:
+    the displacement of a verdict of no interior eigenvector, bounded below
+    by `certificate` (`min_displacement`), or the eigenvector and flags of
+    a nonempty and bounded one.
 
     The eigenvector and `r_bracket` come from one trajectory: `shared`, as
     `_bracket_and_solution(faces)` gives it, or run here unless f is
@@ -345,6 +344,11 @@ def _with_eigenvector(faces: Faces, verdict: Verdict, shared=None,
     caller has them, is handed on to the flag inference.
     """
     f = faces.f
+    if not solve or verdict.kind is VerdictKind.INDETERMINATE:
+        return verdict
+    if verdict.kind is VerdictKind.NO_INTERIOR_EIGENVECTOR:
+        disp = min_displacement(f, certificate=certificate, faces=faces)
+        return replace(verdict, displacement=disp, r_bracket=disp.r_bracket)
     if shared is None and not f.multiplicatively_convex:
         shared = _bracket_and_solution(faces)
     if shared is None:
@@ -419,9 +423,7 @@ def _unique_final_class_shortcut(analyzer: Analyzer,
     verdict = Verdict(kind=VerdictKind.NONEMPTY_BOUNDED,
                       detail="unique final class with strictly smaller "
                              "complementary spectral radius")
-    if solve:
-        verdict = _with_eigenvector(faces, verdict, shared, (growth, scc))
-    return verdict
+    return _existence(faces, verdict, solve, None, shared, (growth, scc))
 
 
 def classify_convex(f: ConeMap, budget: int = DEFAULT_BUDGET,
@@ -517,16 +519,10 @@ def classify_convex(f: ConeMap, budget: int = DEFAULT_BUDGET,
                                     r_upper - r_lower <= tol * max(1.0, r_upper)),
                           lam)
     verdict = Verdict(kind=kind, detail=detail, convex_report=report)
-    if kind is VerdictKind.NO_INTERIOR_EIGENVECTOR and solve:
-        top = max(brackets, key=lambda b: b.lower)
-        disp = min_displacement(f, certificate=(CWHandle(fixed=top),
-                                                CWHandle(fixed=lam)),
-                                faces=faces)
-        verdict = replace(verdict, displacement=disp,
-                          r_bracket=disp.r_bracket)
-    if kind is VerdictKind.NONEMPTY_BOUNDED and solve:
-        verdict = _with_eigenvector(faces, verdict, shared, (growth, scc))
-    return verdict
+    top = max(brackets, key=lambda b: b.lower)
+    return _existence(faces, verdict, solve,
+                      (CWHandle(fixed=top), CWHandle(fixed=lam)), shared,
+                      (growth, scc))
 
 
 def infer_uniqueness_and_convergence(

@@ -17,8 +17,7 @@ import types
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .core import (INF, ConeMap, ExtVec, Side, SubsetMask, gather_bits,
-                   iter_bits)
+from .core import INF, ConeMap, ExtVec, Side, SubsetMask, iter_bits
 from .errors import EmptySupportError, NumericRangeError, ZeroRowError
 
 #: how far weights and exponents that sum to one may miss it in float
@@ -203,7 +202,7 @@ def _pow_safe(v: float, r: float) -> float:
 
 
 def _plain_sum(terms: Iterable[float]) -> float:
-    # Left to right from 0.0, like the `+` chains of the compiled evaluator;
+    # Left to right from 0.0, like the `+` chains of the compiled bodies;
     # builtin sum compensates float rounding from Python 3.12 on.
     total = 0.0
     for t in terms:
@@ -225,7 +224,7 @@ def eval_mean(r: float, sigma: Sequence[float], values: Sequence[float]) -> floa
 
     The weighted terms are added one at a time from 0.0 in order, so the
     result is the same on every Python version and bit-identical to the
-    compiled interior evaluator (`compile_interior`).
+    compiled bodies of the (f + id) loops (`compile_interior`).
     """
     pairs = [(w, v) for w, v in zip(sigma, values) if w > 0.0]
     if not pairs:
@@ -282,7 +281,7 @@ def from_exprs(exprs: Sequence[Expr], dimension: int) -> ConeMap:
 
 
 # ---------------------------------------------------------------------------
-# Compiled interior evaluation and (f + id) loop
+# Compiled (f + id) loops
 
 def _inlinable(v) -> bool:
     """Whether v is a float that a generated body can take as a constant."""
@@ -507,15 +506,16 @@ def _loop(n: int, face: bool = False) -> Callable:
 def shape_code(source: str, filename: str) -> types.CodeType:
     """The code object of the one function that `source` defines.
 
-    Generated bodies (`compile_interior`) and Shapley operators
-    (`topical._shapley_steps`) take their constants as trailing parameters,
-    so their source depends only on the shape of the map or game, and each
-    shape is compiled once per process.  Every map of that shape builds its
-    own function from the code with `types.FunctionType`, giving its
-    constants as the parameters' defaults (read as fast locals) and its own
-    namespace.  The cache keeps the 128 shapes used last: code objects
-    only, never a map or its constants.  `filename` names the code's kind
-    and dimension, by which profiles tell generated functions apart.
+    The bodies of the (f + id) loops (`_compile_body`) and Shapley
+    operators (`topical._shapley_steps`) take their constants as trailing
+    parameters, so their source depends only on the shape of the map or
+    game, and each shape is compiled once per process.  Every map of that
+    shape builds its own function from the code with `types.FunctionType`,
+    giving its constants as the parameters' defaults (read as fast locals)
+    and its own namespace.  The cache keeps the 128 shapes used last: code
+    objects only, never a map or its constants.  `filename` names the
+    code's kind and dimension, by which profiles tell generated functions
+    apart.
     """
     module = compile(source, filename, "exec")
     return next(c for c in module.co_consts if isinstance(c, types.CodeType))
@@ -555,63 +555,51 @@ def _worth_compiling(exprs: Sequence[Expr]) -> bool:
         type(e) in (Coord, Pole, Linear) for e in exprs)
 
 
-def compile_interior(exprs: Sequence[Expr]
-                     ) -> Tuple[Callable[[Tuple[float, ...]], Tuple[float, ...]],
-                                Optional[Callable]]:
-    """The interior evaluator of a map and its compiled (f + id) loop.
+def compile_interior(exprs: Sequence[Expr]) -> Optional[Callable]:
+    """The compiled (f + id) loop of a map: the dimension's `_loop` bound
+    to the map's body, `_compile_body` of its outputs, and to its
+    interpreter, `Expr.evaluate` of each output.
 
-    The map's body is `_compile_body` of its outputs.  The evaluator,
-    x -> (e(x) for e in exprs), calls the body, and the loop is the
-    dimension's `_loop` bound to it.  Outputs are bit-identical to
-    `Expr.evaluate`: both evaluate a point where the body raises (a zero
-    under a geometric mean's log, 0.0 to a negative power, a power that
-    overflows) again with the interpreter, which applies the exact pole
+    Its iterates are bit-identical to those of `spectral`'s plain-Python
+    loop on the interpreter: a point where the body raises (a zero under a
+    geometric mean's log, 0.0 to a negative power, a power that overflows)
+    is evaluated again with the interpreter, which applies the exact pole
     rules of `eval_mean` and `_pow_safe`; every other point takes the same
     floating-point operations in the same order as the interpreter.
 
     Faces are evaluated by pinning, not built: a map's faces are iterated
     on one more body of it, which computes the kept outputs alone, guards
-    its means with r <= 0 and gets the dropped coordinates as poles, inf
-    pins before zero pins (`face_loop`).  A classification compiles this
-    body for f and for its conjugate, and no face body.  Maps whose
-    outputs are all `Coord`, `Pole` or `Linear` (every `matrix_map`) have
-    nothing worth inlining, a one-dimensional map x -> f(1) x closes its
-    bracket at the first iterate, and trees too deep for the Python
-    compiler cannot be compiled: these keep the interpreter and have no
-    loop, `spectral` iterates them with its plain-Python loop, and their
-    faces are built as maps of their own (`face_map`).
+    its means with r <= 0 and gets the dropped coordinates as poles
+    (`face_loop`).  A classification compiles this body for f and for its
+    conjugate, and no face body.  None for maps whose outputs are all
+    `Coord`, `Pole` or `Linear` (every `matrix_map`), which have nothing
+    worth inlining, for a one-dimensional map x -> f(1) x, whose bracket
+    closes at the first iterate, and for trees too deep for the Python
+    compiler: `spectral` iterates these with its plain-Python loop, and
+    their faces are built as maps of their own (`face_map`).
     """
     exprs = tuple(exprs)
-    n = len(exprs)
+    body = _worth_compiling(exprs) and _compile_body(exprs)
+    if not body:
+        return None
 
     def interpret(x):
         return tuple(e.evaluate(x) for e in exprs)
 
-    if not _worth_compiling(exprs):
-        return interpret, None
-    body = _compile_body(exprs)
-    if body is None:
-        return interpret, None
-
-    def evaluate(x):
-        # the interpreter reads only the coordinates it needs, at any length
-        if len(x) != n:
-            return interpret(x)
-        try:
-            return body(*x)
-        except (ArithmeticError, ValueError):
-            return interpret(x)
-
-    return evaluate, functools.partial(_loop(n), body, interpret)
+    return functools.partial(_loop(len(exprs)), body, interpret)
 
 
 # ---------------------------------------------------------------------------
 # Faces evaluated by pinning
 
-def face_loop(f: ConeMap, keep: int, inf: int = 0) -> Optional[Callable]:
+def face_loop(f: ConeMap, keep: int, inf: int, face: ConeMap,
+              kept: int) -> Optional[Callable]:
     """The (f + id) loop of f's face that keeps the coordinates in `keep`,
     on a compiled body of f, with every other coordinate pinned: to inf
     when it is in `inf`, else to 0; None when f has no compiled body.
+    The same face is the map `face` with its coordinates outside `kept`
+    pinned to 0, where `face` is f when `inf` is 0, and else f's face
+    that pins `inf` to inf.
 
     This is how the faces f^J_0 and, on f's conjugate, f^J_inf are
     iterated: as f with the other coordinates sent to a pole, not as maps
@@ -624,8 +612,7 @@ def face_loop(f: ConeMap, keep: int, inf: int = 0) -> Optional[Callable]:
     kept outputs alone and guards the means with r <= 0, which would raise
     at a zero term (`_Emitter`).  The points where the body still raises,
     such as a geometric mean that sees both poles, are evaluated on the
-    face map, built at the first of them as `face_exprs` builds a pruning
-    face's faces: the inf pins in a pass before the zero pins.
+    face map, `face_exprs` of `face` on `kept`, built at the first of them.
     """
     body = f._faces
     if body is None:
@@ -634,21 +621,15 @@ def face_loop(f: ConeMap, keep: int, inf: int = 0) -> Optional[Callable]:
         object.__setattr__(f, "_faces", body)
     if not body:
         return None
-    n = f.dimension
-    full = (1 << n) - 1
-    face: List[Expr] = []
+    exprs: List[Expr] = []
 
     def interpret(y):
-        if not face:
-            exprs, kept = f.exprs, keep
-            if inf:
-                outer = SubsetMask(full & ~inf, n)
-                exprs = face_exprs(exprs, outer, INF)
-                kept = gather_bits(keep, outer.indices())
-            face.extend(face_exprs(exprs, SubsetMask(kept, len(exprs)), 0.0))
-        return tuple(e.evaluate(y) for e in face)
+        if not exprs:
+            exprs.extend(face_exprs(face.exprs,
+                                    SubsetMask(kept, face.dimension), 0.0))
+        return tuple(e.evaluate(y) for e in exprs)
 
-    point = tuple(INF if inf >> j & 1 else 0.0 for j in range(n))
+    point = tuple(INF if inf >> j & 1 else 0.0 for j in range(f.dimension))
     positions = tuple(iter_bits(keep))
     return functools.partial(_loop(len(positions), True), body, interpret,
                              face=(positions, point, keep))
@@ -657,8 +638,9 @@ def face_loop(f: ConeMap, keep: int, inf: int = 0) -> Optional[Callable]:
 def coordinates_read(e: Expr) -> int:
     """The mask of the coordinates e reads, or -1, every coordinate, when e
     holds a literal `Pole`: whether a face pins any coordinate to inf then
-    decides which pole a geometric mean takes, as `face_exprs` pins the
-    inf coordinates in a pass of their own (`face_loop`)."""
+    decides which pole a geometric mean takes, as the face of a pruning
+    face is built from that face, its inf pins already in
+    (`existence.Analyzer._face_kind`)."""
     kind = type(e)
     if kind is Coord:
         return 1 << e.index

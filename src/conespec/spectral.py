@@ -369,11 +369,12 @@ class FaceSide:
     side, with the coordinates it drops passed to the body as poles
     (`maps.face_loop`).  The r side of a face that pruning checks
     (`existence.Analyzer._face_kind`) is that of a face f of the root map:
-    it pins through the root, whose coordinates outside f (`inf`) are
-    pinned to inf before each face pins others to 0.  A side whose map has no
-    compiled body (a black-box map, one whose outputs are all `Coord`,
-    `Pole` or `Linear`, a tree too deep to compile) builds each face as a
-    map of its own (`maps.face_map`).
+    it pins through the root, the root's coordinates outside f (`inf`) to
+    inf, and where the body raises it evaluates f's own face maps, whose
+    inf pins f already has.  A side whose map has no compiled body (a
+    black-box map, one whose outputs are all `Coord`, `Pole` or `Linear`,
+    a tree too deep to compile) builds each face as a map of its own
+    (`maps.face_map`).
 
     `shape`, f on the r side and its conjugate on the lambda side (None
     for a black-box map's), tells whether a face is multiplicatively
@@ -474,7 +475,8 @@ class FaceSide:
             return self.shape
         if self.body is not None:
             root = scatter_bits(kept, self.positions) if self.inf else kept
-            loop = _maps.face_loop(self.body, root, self.inf)
+            loop = _maps.face_loop(self.body, root, self.inf, self.shape,
+                                   kept)
             if loop is not None:
                 return _Pinned(kept.bit_count(), loop)
         g = self.f if full else _maps.face_map(self.f, SubsetMask(kept, n),

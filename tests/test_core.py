@@ -185,6 +185,18 @@ class TestDimensionChecks:
         with pytest.raises(ValueError, match="dimension mismatch"):
             cs.sparsity_probe(f, ExtVec.interior([1.0] * 5))
 
+    @pytest.mark.parametrize("point", [(1.0,), (1.0, 2.0, 3.0)])
+    @pytest.mark.parametrize("f", [
+        cs.matrix_map([[1, 2], [3, 4]]),
+        cs.from_exprs([cs.maps.Min((cs.maps.Coord(0), cs.maps.Coord(1))),
+                       cs.maps.Coord(0)], 2),
+        cs.ConeMap(dimension=2, evaluator=lambda x: (x[0] + x[1], x[0]))],
+        ids=["matrix", "nonlinear", "black_box"])
+    def test_interior_point(self, f, point):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            f.eval_interior(point)
+        assert len(f.eval_interior((1.0, 2.0))) == 2
+
     @pytest.mark.parametrize("restrict", ["restrict_lower", "restrict_upper"])
     def test_restriction_mask(self, restrict):
         f = cs.matrix_map([[1, 0], [0, 1]])

@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 import re
 
 import pytest
@@ -237,6 +238,24 @@ class TestRoundTrip:
             doc = dsl.parse_map(text)
             again = dsl.parse_map(dsl.serialize_map(doc))
             assert again == doc
+
+    @pytest.mark.parametrize("exprs", [
+        cs.matrix_map([[1.0, 2.5, 0.0], [0.5, 0.0, 3.0], [1.0, 1.0, 1.0]]).exprs,
+        (cs.maps.Scale(2.0, cs.maps.Sum((cs.maps.Coord(0), cs.maps.Min(
+            (cs.maps.Coord(1), cs.maps.Coord(2)))))),
+         cs.maps.Coord(0), cs.maps.Coord(1)),
+        (cs.maps.Scale(3.0, cs.maps.Linear(((0, 1.5), (2, 0.25)))),
+         cs.maps.Coord(2), cs.maps.Coord(0))],
+        ids=["matrix", "scaled_sum", "scaled_linear"])
+    def test_linear_and_scaled_sums_round_trip(self, exprs):
+        f = cs.from_exprs(exprs, 3)
+        text = dsl.serialize_map(dsl.MapDocument(3, (), exprs))
+        g = dsl.parse_map(text).cone_map
+        rng = random.Random(0)
+        for _ in range(20):
+            x = tuple(rng.uniform(0.2, 5.0) for _ in range(3))
+            assert g.eval_interior(x) == f.eval_interior(x)
+        assert cs.classify(g).kind is cs.classify(f).kind
 
     def test_serialized_is_parseable_twice(self):
         doc = dsl.parse_map(self.corpus()[8])

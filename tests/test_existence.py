@@ -86,6 +86,11 @@ class TestCheckSubset:
         with pytest.raises(ValueError):
             cs.check_subset(f, SubsetMask.full(2))
 
+    def test_rejects_a_mask_of_another_dimension(self):
+        analyzer = cs.Analyzer(cs.matrix_map([[1, 1], [1, 1]]))
+        with pytest.raises(ValueError, match="mask dimension mismatch"):
+            analyzer.check_subset(mask([1], 3))
+
 
 class TestClassify:
     def test_geometric_mean_of_both_poles_is_zero_on_the_lambda_side(self):
@@ -322,6 +327,15 @@ class TestInference:
         v = cs.classify(cs.matrix_map([[1, 1], [1, 0]]))
         assert v.uniqueness is Uniqueness.UNIQUE
         assert v.convergence is Convergence.ITERATES_CONVERGE
+
+    def test_nonconverged_solve_keeps_the_verdict(self):
+        f = cs.matrix_map([[1, 1], [0, 3]])
+        v = cs.classify(f, budget=5)
+        assert v.kind is VerdictKind.NONEMPTY_BOUNDED
+        assert v.eigen is None
+        assert v.uniqueness is Uniqueness.UNIQUE
+        assert v.convergence is Convergence.UNKNOWN
+        assert cs.classify(f).eigen.eigenvalue == pytest.approx(3.0)
 
     def test_permutation_unique_but_not_primitive(self):
         v = cs.classify(cs.matrix_map([[0, 1], [1, 0]]))

@@ -11,7 +11,7 @@ from conespec.core import INF, ConeMap, ExtVec, Side, SubsetMask
 from conespec.existence import Uniqueness, VerdictKind
 from conespec.graphs import Digraph, HypergraphProbe, digraph_to_dot, \
     hypergraph_to_dot
-from conespec import maps
+from conespec import dsl, maps
 from conespec.maps import (Coord, Linear, Max, Min, Pole, PowerMean, Scale,
                            Sum, from_exprs, pin)
 
@@ -472,6 +472,15 @@ class TestTruthTableFold:
     def test_beyond_the_cap_each_tail_is_folded(self, seed, depth):
         n = HypergraphProbe.EXHAUSTIVE_SCAN_CAP + 1
         self._check(TestOnePoleFold._map(seed, n, depth))
+
+    @pytest.mark.parametrize("side", [Side.LOWER, Side.UPPER])
+    def test_minimal_tails_beyond_the_cap(self, side):
+        # singletons and their complements only, on the cycle x_i <- x_{i+1}
+        n = HypergraphProbe.EXHAUSTIVE_SCAN_CAP + 1
+        f = dsl.parse_map(f"format: 1\ndim: {n}\n" + "".join(
+            f"coord {i}: x{i % n + 1}\n" for i in range(1, n + 1))).cone_map
+        assert HypergraphProbe(f, side).minimal_tails() == {
+            (frozenset({(i + 1) % n}), i) for i in range(n)}
 
     @pytest.mark.parametrize("side", [Side.LOWER, Side.UPPER])
     def test_minimal_tails_and_dot_unchanged(self, monkeypatch, side):

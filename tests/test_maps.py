@@ -458,8 +458,27 @@ def _outcome(evaluate, x):
         return type(exc).__name__
 
 
+def _loop_evaluator(exprs):
+    """x -> the outputs of `exprs` as their compiled (f + id) loop
+    evaluates them: by its body, and by its interpreter where the body
+    raises; None when nothing is compiled."""
+    loop = compile_interior(exprs)
+    if loop is None:
+        return None
+    body, interpret = loop.args
+
+    def evaluate(x):
+        try:
+            return body(*x)
+        except (ArithmeticError, ValueError):
+            return interpret(x)
+
+    return evaluate
+
+
 class TestCompiledInterior:
-    """The compiled interior evaluator against the interpreter it replaces."""
+    """The body of a compiled (f + id) loop, with its fallback, against
+    the interpreter that evaluates every point of the map."""
 
     @staticmethod
     def _interpreted(exprs):
@@ -472,8 +491,8 @@ class TestCompiledInterior:
                      for _ in range(n)]
             for g in (from_exprs(exprs, n),
                       cs.reciprocal_conjugate(from_exprs(exprs, n))):
-                fast = compile_interior(g.exprs)[0]
                 slow = self._interpreted(g.exprs)
+                fast = _loop_evaluator(g.exprs) or slow
                 for _ in range(6):
                     if rng.random() < 0.5:
                         x = tuple(float(v) for v in
@@ -488,8 +507,8 @@ class TestCompiledInterior:
                  Max((Sum((Coord(1), Pole(0.0))),)),
                  Sum((Pole(INF), Coord(0))),
                  PowerMean(-1.0, (0.5, 0.5), (Pole(INF), Coord(2))))
-        fast = compile_interior(exprs)[0]
-        for x in ((1.0, 2.0, 3.0), (1e-300, 1e300, 5e-324)):
+        fast = _loop_evaluator(exprs)
+        for x in ((1.0, 2.0, 3.0, 4.0), (1e-300, 1e300, 5e-324, 1.0)):
             assert repr(fast(x)) == repr(self._interpreted(exprs)(x))
 
     @pytest.mark.parametrize("node, x", [
@@ -507,7 +526,7 @@ class TestCompiledInterior:
          (1e200, 1e200)),
     ])
     def test_fallback_points(self, monkeypatch, node, x):
-        fast = compile_interior((node, Coord(0)))[0]
+        fast = _loop_evaluator((node, Coord(0)))
         ordinary = repr(self._interpreted((node, Coord(0)))((1.0, 1.0)))
         expected = repr(self._interpreted((node, Coord(0)))(x))
         calls = []
@@ -528,17 +547,22 @@ class TestCompiledInterior:
         e = Coord(0)
         for _ in range(250):
             e = Scale(1.5, Sum((e, Coord(1))))
+        f = from_exprs((e, Coord(0)), 2)
         x = (1.0, 2.0)
-        assert compile_interior((e,))[0](x) == (e.evaluate(x),)
+        assert compile_interior(f.exprs) is None
+        assert f.interior_loop() is None
+        assert f.eval_interior(x) == (e.evaluate(x), 1.0)
 
     def test_cached_on_the_map(self):
         f = make_schoen()
-        x = (1.0, 2.0, 3.0, 4.0)
-        assert f.eval_interior(x) == self._interpreted(f.exprs)(x)
-        evaluator = f._interior
-        assert evaluator is not None
-        f.eval_interior((2.0, 2.0, 2.0, 2.0))
-        assert f._interior is evaluator
+        assert f._loop is None
+        loop = f.interior_loop()
+        assert loop is not None and f._loop is loop
+        cs.solve_eigenvector(f)
+        assert f.interior_loop() is loop
+        # a map without a loop keeps that too
+        g = cs.matrix_map([[1.0, 2.0], [3.0, 4.0]])
+        assert g.interior_loop() is None and g._loop is False
 
     def test_one_compile_per_map_and_one_loop_per_dimension(self,
                                                               monkeypatch):
@@ -557,15 +581,16 @@ class TestCompiledInterior:
         f, g = make_schoen(b=(3, 1, 1, 1)), make_schoen(b=(5, 1, 1, 1))
         h = make_schoen(a=(2, 1, 1, 1), b=(3, 1, 1, 1))
         x = (1.0, 2.0, 3.0, 4.0)
+        # the interpreter evaluates points and compiles nothing
         assert f.eval_interior(x) == self._interpreted(f.exprs)(x)
+        assert sources == []
         loop = f.interior_loop()
         cs.solve_eigenvector(f)
         assert f.interior_loop() is loop
         assert sources == ["<body n=4>"]
         assert g.interior_loop().func is loop.func
-        assert g.eval_interior(x) == self._interpreted(g.exprs)(x)
         assert sources == ["<body n=4>"]
-        assert h.eval_interior(x) == self._interpreted(h.exprs)(x)
+        assert h.interior_loop().func is loop.func
         assert sources == ["<body n=4>"] * 2
 
     def test_large_map_has_a_loop(self):
@@ -589,7 +614,7 @@ class TestCompiledInterior:
         cs.cw_upper(cs.restrict_lower(f, SubsetMask.of([0, 1], 3)))
         # the guard does see compilation: the conjugate has power means
         with pytest.raises(AssertionError):
-            cs.reciprocal_conjugate(f).eval_interior((1.0, 1.0, 1.0))
+            cs.reciprocal_conjugate(f).interior_loop()
 
     def test_compiled_map_freed_by_reference_counting(self):
         import gc
@@ -649,7 +674,7 @@ class TestSharedShapes:
         assert _emitted(twin)[0] == _emitted(exprs)[0]
         f, g = from_exprs(exprs, n), from_exprs(twin, n)
         for h in ((g, f) if twin_first else (f, g)):
-            h.eval_interior((1.0,) * n)
+            h.interior_loop()
         if f.interior_loop() is not None:
             assert f.interior_loop().args[0].__code__ is \
                 g.interior_loop().args[0].__code__
@@ -660,15 +685,16 @@ class TestSharedShapes:
             else:
                 x = tuple(float(v) for v in rng.uniform(0.1, 10.0, size=n))
             for h in (f, g):
-                assert _outcome(h.eval_interior, x) == _outcome(
-                    lambda y: tuple(e.evaluate(y) for e in h.exprs), x)
+                slow = TestCompiledInterior._interpreted(h.exprs)
+                assert _outcome(_loop_evaluator(h.exprs) or slow, x) == \
+                    _outcome(slow, x)
 
     def test_one_parameter_per_distinct_value(self):
         exprs = (Min((Scale(2.0, Coord(0)), Pole(0.0))),
                  Min((Scale(2.0, Coord(1)), Pole(-0.0))))
         assert repr(_emitted(exprs)[1]) == "[2.0, 0.0, -0.0]"
         x = (1.0, 3.0)
-        assert repr(compile_interior(exprs)[0](x)) == "(0.0, -0.0)"
+        assert repr(_loop_evaluator(exprs)(x)) == "(0.0, -0.0)"
 
     def test_each_map_keeps_its_out_of_line_nodes(self):
         rows = (Min((Coord(0), Coord(1))),)
@@ -677,8 +703,8 @@ class TestSharedShapes:
         g = from_exprs((Max((Linear(((1, 5.0),)), Coord(1))),) + rows, 2)
         assert _emitted(f.exprs)[0] == _emitted(g.exprs)[0]
         x = (3.0, 0.5)
-        assert f.eval_interior(x) == (4.0, 0.5)
-        assert g.eval_interior(x) == (2.5, 0.5)
+        assert f.interior_loop().args[0](*x) == (4.0, 0.5)
+        assert g.interior_loop().args[0](*x) == (2.5, 0.5)
         assert f.interior_loop().args[0].__code__ is \
             g.interior_loop().args[0].__code__
 
@@ -696,7 +722,7 @@ class TestSharedShapes:
     def test_at_most_128_shapes_kept(self):
         for k in range(1, 140):
             body = from_exprs([Sum((Coord(0),) * k), Coord(1)], 2)
-            assert body.eval_interior((1.0, 2.0)) == (float(k), 2.0)
+            assert body.interior_loop().args[0](1.0, 2.0) == (float(k), 2.0)
         info = maps.shape_code.cache_info()
         assert info.maxsize == 128 and info.currsize <= 128
 

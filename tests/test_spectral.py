@@ -711,11 +711,13 @@ def _noted_face_exprs(monkeypatch, exprs, keep, fill):
         monkeypatch.undo()
 
 
-def _pinned_run(body_map, keep, inf, k, budget):
+def _pinned_run(body_map, keep, inf, shape, kept, budget):
     """The trajectory of the face of `body_map` on `keep` iterated on its
     compiled body with the others pinned (inf on `inf`, else 0), or the
-    type of the exception raised."""
-    face = spectral._Pinned(k, maps.face_loop(body_map, keep, inf))
+    type of the exception raised; `shape` on `kept` is the same face."""
+    k = kept.bit_count()
+    face = spectral._Pinned(k, maps.face_loop(body_map, keep, inf, shape,
+                                              kept))
     return _run_outcome(face, (1.0,) * k, budget, 1e-10, True, True)
 
 
@@ -772,7 +774,8 @@ class TestPinnedFaces:
                     face, rounded = _noted_face_exprs(
                         monkeypatch, g.exprs, SubsetMask(keep, n), 0.0)
                     k = keep.bit_count()
-                    self._compare(_pinned_run(g, keep, 0, k, self.BUDGET),
+                    self._compare(_pinned_run(g, keep, 0, g, keep,
+                                              self.BUDGET),
                                   from_exprs(face, k), rounded, seen)
                     seen["lambda"] += g is conj
             if f.interior_loop() is None:
@@ -790,7 +793,7 @@ class TestPinnedFaces:
                     k = keep.bit_count()
                     root = cs.core.scatter_bits(keep, positions)
                     self._compare(_pinned_run(f, root, ~outer & ((1 << n) - 1),
-                                              k, self.BUDGET),
+                                              g, keep, self.BUDGET),
                                   from_exprs(face, k),
                                   rounded or outer_rounded, seen)
                     seen["mixed"] += 1
@@ -802,9 +805,9 @@ class TestPinnedFaces:
         # the zero first would make it 0
         f = from_exprs([Min((PowerMean(0.0, (0.5, 0.5), (Coord(1), Coord(2))),
                              Scale(2.0, Coord(0)))), Coord(1), Coord(2)], 3)
-        outer = maps.face_exprs(f.exprs, SubsetMask(0b101, 3), INF)
-        face = from_exprs(maps.face_exprs(outer, SubsetMask(0b01, 2), 0.0), 1)
+        outer = maps.face_map(f, SubsetMask(0b101, 3), INF)
+        face = maps.face_map(outer, SubsetMask(0b01, 2), 0.0)
         assert face.exprs == (Scale(2.0, Coord(0)),)
-        pinned = _pinned_run(f, 0b001, 0b010, 1, 10)
+        pinned = _pinned_run(f, 0b001, 0b010, outer, 0b01, 10)
         assert pinned == _run_outcome(face, (1.0,), 10, 1e-10, True, True)
         assert eval(pinned, {"inf": INF})[1:3] == (2.0, 2.0)
