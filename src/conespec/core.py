@@ -24,6 +24,14 @@ def is_ext_scalar(v: float) -> bool:
     return v == 0.0 or v == INF or (v > 0.0 and not math.isnan(v) and math.isfinite(v))
 
 
+def is_finite(v: float) -> bool:
+    """Whether v is a finite float, or an int that converts to one."""
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
+
+
 class Side(Enum):
     """Which pole a one-sided vector may contain."""
 
@@ -200,13 +208,10 @@ class ConeMap:
     evaluator: Optional[Callable[[Tuple[float, ...]], Sequence[float]]] = None
     multiplicatively_convex: Optional[bool] = None
     analytic: Optional[bool] = None
-    # the compiled (f + id) loop of an AST map (False when it has none),
-    # built on first use by `maps.compile_interior`
-    _loop: Optional[Callable] = \
-        field(default=None, init=False, repr=False, compare=False)
-    # the body its faces are pinned through (False when it has none), built
-    # on first use by `maps.face_loop`
-    _faces: Optional[Callable] = \
+    # the compiled body of an AST map's outputs (False when it has none),
+    # which its own loop and its faces' run, built on first use by
+    # `maps.face_loop`
+    _body: Optional[Callable] = \
         field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -215,8 +220,11 @@ class ConeMap:
                              f"{self.dimension}")
         if (self.exprs is None) == (self.evaluator is None):
             raise ValueError("exactly one of exprs/evaluator must be given")
-        if self.exprs is not None and len(self.exprs) != self.dimension:
-            raise ValueError("one expression per output coordinate required")
+        if self.exprs is not None:
+            if len(self.exprs) != self.dimension:
+                raise ValueError(
+                    "one expression per output coordinate required")
+            check_exprs(self.exprs, self.dimension)
         derived = map_flags(self.exprs) if self.exprs else (False, False)
         for name, value in zip(("analytic", "multiplicatively_convex"),
                                derived):
@@ -261,16 +269,14 @@ class ConeMap:
         return tuple(e.evaluate(x) for e in self.exprs)
 
     def interior_loop(self) -> Optional[Callable]:
-        """The compiled normalized (f + id) loop of an AST map, or None.
-
-        Compiled on the first call (`maps.compile_interior`) and kept.
-        None for black-box maps and for maps `maps.compile_interior` does
-        not compile; `spectral` iterates those with its plain-Python loop.
+        """The compiled normalized (f + id) loop of an AST map, or None:
+        `maps.face_loop` of the face that keeps every coordinate, on the
+        body compiled at the first call and kept.  None for black-box maps
+        and for maps without a compiled body; `spectral` iterates those
+        with its plain-Python loop.
         """
-        if self._loop is None:
-            object.__setattr__(self, "_loop", self.is_ast and compile_interior(
-                self.exprs) or False)
-        return self._loop or None
+        full = (1 << self.dimension) - 1
+        return face_loop(self, full, 0, self, full)
 
 
 def project(x: ExtVec, J: SubsetMask, fill: float) -> ExtVec:
@@ -313,4 +319,4 @@ def sup_normalized(values: Sequence[float]) -> Tuple[float, ...]:
 
 
 # maps builds on the classes above, so it is imported once they exist
-from .maps import compile_interior, map_flags  # noqa: E402
+from .maps import check_exprs, face_loop, map_flags  # noqa: E402

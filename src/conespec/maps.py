@@ -17,7 +17,8 @@ import types
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .core import INF, ConeMap, ExtVec, Side, SubsetMask, iter_bits
+from .core import (INF, ConeMap, ExtVec, Side, SubsetMask, is_finite,
+                   iter_bits)
 from .errors import EmptySupportError, NumericRangeError, ZeroRowError
 
 #: how far weights and exponents that sum to one may miss it in float
@@ -77,7 +78,7 @@ class Scale(Expr):
     child: Expr
 
     def __post_init__(self):
-        if not (self.factor > 0.0 and math.isfinite(self.factor)):
+        if not 0.0 < self.factor < INF:
             raise ValueError("scale factor must be positive and finite")
 
     def evaluate(self, x):
@@ -123,7 +124,7 @@ class Linear(Expr):
             raise ZeroRowError("linear form needs a positive weight")
         last = -1
         for j, w in self.nonzeros:
-            if not (w > 0.0 and math.isfinite(w)):
+            if not 0.0 < w < INF:
                 raise ValueError("linear weights must be finite and positive")
             if j <= last:
                 raise ValueError("linear indices must be increasing")
@@ -224,7 +225,7 @@ def eval_mean(r: float, sigma: Sequence[float], values: Sequence[float]) -> floa
 
     The weighted terms are added one at a time from 0.0 in order, so the
     result is the same on every Python version and bit-identical to the
-    compiled bodies of the (f + id) loops (`compile_interior`).
+    compiled bodies of the (f + id) loops (`_compile_body`).
     """
     pairs = [(w, v) for w, v in zip(sigma, values) if w > 0.0]
     if not pairs:
@@ -275,6 +276,30 @@ def map_flags(exprs: Sequence[Expr]) -> Tuple[bool, bool]:
     return all(a for a, _ in flags), all(v for _, v in flags)
 
 
+def check_exprs(exprs: Sequence[Expr], n: int) -> None:
+    """Raise ValueError for a node that is not an `Expr` or a coordinate
+    that is not an int in [0, n), and NumericRangeError for a constant
+    outside the float range: `ConeMap` checks an AST map's outputs so."""
+    for e in exprs:
+        kind = type(e)
+        if kind is Coord:
+            read, held = (e.index,), ()
+        elif kind is Linear:
+            read, held = zip(*e.nonzeros)
+        elif isinstance(e, Expr):
+            read, held = (), (e.factor,) if kind is Scale else \
+                (e.r, *e.weights) if kind is PowerMean else ()
+        else:
+            raise ValueError(f"{e!r} is not an expression node")
+        for j in read:
+            if type(j) is not int or not 0 <= j < n:
+                raise ValueError(f"coordinate {j!r} is not an int in [0, {n})")
+        if not all(map(is_finite, held)):
+            raise NumericRangeError(f"a {kind.__name__} constant leaves the "
+                                    "float range; rescale the coefficients")
+        check_exprs(e.children(), n)
+
+
 def from_exprs(exprs: Sequence[Expr], dimension: int) -> ConeMap:
     """Package coordinate expressions into a ConeMap."""
     return ConeMap(dimension=dimension, exprs=tuple(exprs))
@@ -307,21 +332,20 @@ class _Emitter:
     object (`shape_code`).  Each parameter costs the compiler more than a
     literal, and each call copies its default, hence one per value.
     Nodes it does not inline (`Linear`, whose loop costs more to compile
-    than it saves, nodes with constants that are not finite floats, and
-    coordinates out of range) are called through their own `evaluate` on
-    the point as a tuple, by a name bound in the map's own `namespace`.
+    than it saves, and nodes with constants that are not finite floats)
+    are called through their own `evaluate` on the point as a tuple, by a
+    name bound in the map's own `namespace`.
 
-    With `guard`, a mean with r <= 0 is 0 when a term is 0, as
+    A mean with r <= 0 is guarded: it is 0 when a term is 0, as
     `eval_mean` has it, instead of raising at `_log(0.0)` or `0.0 ** r`;
     a geometric mean that also has an inf term still raises, since which
     pole absorbs depends on the order of the pins (`face_loop`).  The
-    terms are bound to the locals t0, t1, ..., and the mean is computed
-    from them with the same operations as without the guard.
+    terms are bound to the locals t0, t1, ..., tested, and the mean is
+    computed from them with the operations `eval_mean` performs.
     """
 
-    def __init__(self, n: int, guard: bool = False):
+    def __init__(self, n: int):
         self.n = n
-        self.guard = guard
         self.namespace: Dict[str, object] = {
             "INF": INF, "_exp": math.exp, "_log": math.log}
         self.constants: List[float] = []
@@ -342,7 +366,7 @@ class _Emitter:
         return f"{name}({_point(self.n)})"
 
     def emit(self, e: Expr) -> str:
-        if type(e) is Coord and type(e.index) is int and 0 <= e.index < self.n:
+        if type(e) is Coord:
             return f"x{e.index}"
         if type(e) is Pole and type(e.value) is float:
             return "INF" if e.value == INF else self._constant(e.value)
@@ -367,7 +391,7 @@ class _Emitter:
         r = self._constant(e.r) if e.r != 0.0 else None
         terms = [self.emit(t) for t in e.terms]
         test = None
-        if self.guard and e.r <= 0.0:
+        if e.r <= 0.0:
             names = [f"t{self._locals + k}" for k in range(len(terms))]
             self._locals += len(terms)
             # every term is evaluated, in order, before any is tested
@@ -407,17 +431,19 @@ def _loop_source(n: int, face: bool = False) -> str:
     """The normalized (f + id) iteration in dimension n, over scalar locals.
 
     The generated `_trajectory(body, interpret, x, ..., face=None)` takes a
-    map's compiled body, a function from its coordinates to its outputs,
-    and its interpreter, which evaluates the points where the body raises,
+    map's compiled body (`_compile_body`), a function from the mask of the
+    outputs to compute and the coordinates to the outputs, and its
+    interpreter, which evaluates the points where the body raises,
     followed by the arguments of `spectral._plain_trajectory`, and returns
     what it returns.  Per iterate it performs the same floating-point
     operations and comparisons in the same order, without building a tuple
     except for a new best witness, a point the body cannot evaluate and the
-    last iterate.  With `face`, the loop iterates the n kept coordinates of
-    a face of a larger map (`face_loop`): `face` holds their positions in
-    the map, the map's point with the other coordinates at their pins, and
-    the mask of the kept outputs, which a selective body is passed first
-    and computes alone.  The source depends on n alone either way.
+    last iterate.  Without `face`, the body computes every output, its
+    mask a literal.  With `face`, the loop iterates the n kept coordinates
+    of a face of a larger map (`face_loop`): `face` holds their positions
+    in the map, the map's point with the other coordinates at their pins,
+    and the mask of the kept outputs, which the body computes alone.  The
+    source depends on n alone either way.
     """
     xs = [f"x{i}" for i in range(n)]
     fs = [f"f{i}" for i in range(n)]
@@ -433,7 +459,7 @@ def _loop_source(n: int, face: bool = False) -> str:
                 "; ".join(f"{f} = out[{i}]" for f, i in zip(fs, ids))]
     else:
         setup = []
-        call = [f"{', '.join(fs)}, = body({', '.join(xs)})"]
+        call = [f"{', '.join(fs)}, = body({(1 << n) - 1}, {', '.join(xs)})"]
     lines = [
         "def _trajectory(body, interpret, x, budget, tol, gap_stop, "
         "residual_stop, guard, start=None, face=None):",
@@ -521,27 +547,21 @@ def shape_code(source: str, filename: str) -> types.CodeType:
     return next(c for c in module.co_consts if isinstance(c, types.CodeType))
 
 
-def _compile_body(exprs: Sequence[Expr], face: bool = False
-                  ) -> Optional[Callable]:
-    """The outputs of `exprs` as a lambda of the n coordinates followed by
-    its constants (`_Emitter`), whose code comes from the shape cache and
-    which is bound to the map's constants and namespace; None for a tree
-    too deep for the Python compiler.  The body of `face_loop` takes a
-    mask first and computes only the outputs in it, the others being 0.0,
-    with its means of r <= 0 guarded."""
+def _compile_body(exprs: Sequence[Expr]) -> Optional[Callable]:
+    """The outputs of `exprs` as a lambda of the mask of the outputs to
+    compute, the n coordinates and its constants (`_Emitter`): the outputs
+    outside the mask are 0.0.  Its code comes from the shape cache, and it
+    is bound to the map's constants and namespace; None for a tree too
+    deep for the Python compiler."""
     n = len(exprs)
-    emitter = _Emitter(n, guard=face)
+    emitter = _Emitter(n)
     try:
-        outputs = [emitter.emit(e) for e in exprs]
-        params = [f"x{j}" for j in range(n)]
-        if face:
-            params.insert(0, "keep")
-            outputs = [f"({e} if keep & {1 << i} else 0.0)"
-                       for i, e in enumerate(outputs)]
-        params += (f"c{k}" for k in range(len(emitter.constants)))
-        code = shape_code(f"lambda {', '.join(params)}: "
-                          f"({''.join(e + ', ' for e in outputs)})",
-                          f"<{'face body' if face else 'body'} n={n}>")
+        outputs = "".join(f"({emitter.emit(e)} if keep & {1 << i} else 0.0), "
+                          for i, e in enumerate(exprs))
+        params = ["keep", *(f"x{j}" for j in range(n)),
+                  *(f"c{k}" for k in range(len(emitter.constants)))]
+        code = shape_code(f"lambda {', '.join(params)}: ({outputs})",
+                          f"<body n={n}>")
     except (RecursionError, SyntaxError):
         return None
     return types.FunctionType(code, emitter.namespace, None,
@@ -549,44 +569,12 @@ def _compile_body(exprs: Sequence[Expr], face: bool = False
 
 
 def _worth_compiling(exprs: Sequence[Expr]) -> bool:
-    """Whether a map has a compiled body: two or more coordinates, and an
-    output that is not a `Coord`, `Pole` or `Linear`."""
+    """Whether a map has a compiled body: two or more coordinates (x ->
+    f(1) x closes its bracket at the first iterate), and an output that is
+    not a `Coord`, `Pole` or `Linear` (every `matrix_map`), which have
+    nothing worth inlining."""
     return len(exprs) > 1 and not all(
         type(e) in (Coord, Pole, Linear) for e in exprs)
-
-
-def compile_interior(exprs: Sequence[Expr]) -> Optional[Callable]:
-    """The compiled (f + id) loop of a map: the dimension's `_loop` bound
-    to the map's body, `_compile_body` of its outputs, and to its
-    interpreter, `Expr.evaluate` of each output.
-
-    Its iterates are bit-identical to those of `spectral`'s plain-Python
-    loop on the interpreter: a point where the body raises (a zero under a
-    geometric mean's log, 0.0 to a negative power, a power that overflows)
-    is evaluated again with the interpreter, which applies the exact pole
-    rules of `eval_mean` and `_pow_safe`; every other point takes the same
-    floating-point operations in the same order as the interpreter.
-
-    Faces are evaluated by pinning, not built: a map's faces are iterated
-    on one more body of it, which computes the kept outputs alone, guards
-    its means with r <= 0 and gets the dropped coordinates as poles
-    (`face_loop`).  A classification compiles this body for f and for its
-    conjugate, and no face body.  None for maps whose outputs are all
-    `Coord`, `Pole` or `Linear` (every `matrix_map`), which have nothing
-    worth inlining, for a one-dimensional map x -> f(1) x, whose bracket
-    closes at the first iterate, and for trees too deep for the Python
-    compiler: `spectral` iterates these with its plain-Python loop, and
-    their faces are built as maps of their own (`face_map`).
-    """
-    exprs = tuple(exprs)
-    body = _worth_compiling(exprs) and _compile_body(exprs)
-    if not body:
-        return None
-
-    def interpret(x):
-        return tuple(e.evaluate(x) for e in exprs)
-
-    return functools.partial(_loop(len(exprs)), body, interpret)
 
 
 # ---------------------------------------------------------------------------
@@ -595,11 +583,12 @@ def compile_interior(exprs: Sequence[Expr]) -> Optional[Callable]:
 def face_loop(f: ConeMap, keep: int, inf: int, face: ConeMap,
               kept: int) -> Optional[Callable]:
     """The (f + id) loop of f's face that keeps the coordinates in `keep`,
-    on a compiled body of f, with every other coordinate pinned: to inf
-    when it is in `inf`, else to 0; None when f has no compiled body.
-    The same face is the map `face` with its coordinates outside `kept`
-    pinned to 0, where `face` is f when `inf` is 0, and else f's face
-    that pins `inf` to inf.
+    on f's compiled body, with every other coordinate pinned: to inf when
+    it is in `inf`, else to 0; None when f has no compiled body.  The same
+    face is the map `face` with its coordinates outside `kept` pinned to
+    0, where `face` is f when `inf` is 0, and else f's face that pins
+    `inf` to inf.  Keeping every coordinate with none pinned, it is f's
+    own loop (`ConeMap.interior_loop`), `_loop` of its dimension.
 
     This is how the faces f^J_0 and, on f's conjugate, f^J_inf are
     iterated: as f with the other coordinates sent to a pole, not as maps
@@ -611,17 +600,25 @@ def face_loop(f: ConeMap, keep: int, inf: int, face: ConeMap,
     merges nested scales.  The body, compiled once per map, computes the
     kept outputs alone and guards the means with r <= 0, which would raise
     at a zero term (`_Emitter`).  The points where the body still raises,
-    such as a geometric mean that sees both poles, are evaluated on the
-    face map, `face_exprs` of `face` on `kept`, built at the first of them.
+    such as a geometric mean that sees both poles or a power that
+    overflows, are evaluated on the face map, `face_exprs` of `face` on
+    `kept`, built at the first of them, and on f's own loop by f's
+    outputs.  Every other point takes the floating-point operations of
+    the interpreter in the same order, so iterates are bit-identical to
+    those of `spectral`'s plain-Python loop, which iterates the maps
+    without a body (`_worth_compiling`, and trees too deep for the Python
+    compiler); their faces are built as maps of their own (`face_map`).
     """
-    body = f._faces
+    body = f._body
     if body is None:
         body = f.is_ast and _worth_compiling(f.exprs) and _compile_body(
-            f.exprs, face=True)
-        object.__setattr__(f, "_faces", body)
+            f.exprs) or False
+        object.__setattr__(f, "_body", body)
     if not body:
         return None
-    exprs: List[Expr] = []
+    n = f.dimension
+    whole = keep == (1 << n) - 1 and not inf
+    exprs: List[Expr] = list(f.exprs) if whole else []
 
     def interpret(y):
         if not exprs:
@@ -629,7 +626,9 @@ def face_loop(f: ConeMap, keep: int, inf: int, face: ConeMap,
                                     SubsetMask(kept, face.dimension), 0.0))
         return tuple(e.evaluate(y) for e in exprs)
 
-    point = tuple(INF if inf >> j & 1 else 0.0 for j in range(f.dimension))
+    if whole:
+        return functools.partial(_loop(n), body, interpret)
+    point = tuple(INF if inf >> j & 1 else 0.0 for j in range(n))
     positions = tuple(iter_bits(keep))
     return functools.partial(_loop(len(positions), True), body, interpret,
                              face=(positions, point, keep))

@@ -158,7 +158,7 @@ def _plain_trajectory(g: ConeMap, x: Sequence[float], budget: int, tol: float,
     normalizing it again changes nothing.  Returns None when a map value
     overflows the float range: an interior point has a finite image, so an
     infinite ratio is reported instead of being iterated into inf/inf.  The
-    loop that `maps.compile_interior` binds to an AST map performs the same
+    compiled loop of an AST map (`ConeMap.interior_loop`) performs the same
     float operations in the same order.
     """
     x = sup_normalized(x)
@@ -467,8 +467,8 @@ class FaceSide:
 
     def _iterated(self, kept: int):
         """The map, or the pinned face, that the face on `kept` iterates:
-        on the whole support, f or its conjugate itself, whose own loop
-        runs its unguarded body."""
+        on the whole support, f or its conjugate itself, which runs its
+        own loop (`ConeMap.interior_loop`)."""
         n = self.f.dimension
         full = kept == (1 << n) - 1
         if full and not self.inf and self.shape is not None:

@@ -18,7 +18,7 @@ import types
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
-from .core import INF, ConeMap, SubsetMask
+from .core import INF, ConeMap, SubsetMask, is_finite
 from .errors import NumericRangeError, ValidationError
 from . import existence, maps as _maps
 from .existence import Route, Verdict, VerdictKind
@@ -26,14 +26,6 @@ from .spectral import DEFAULT_BUDGET
 
 MIN_PLAYER = "min"
 MAX_PLAYER = "max"
-
-
-def _is_finite(v: float) -> bool:
-    """Whether v is a finite float, or an int that converts to one."""
-    try:
-        return math.isfinite(v)
-    except OverflowError:
-        return False
 
 
 @dataclass(frozen=True)
@@ -86,7 +78,7 @@ class GameSpec:
                     raise ValidationError(
                         f"transition probabilities sum to {sum(row)!r}, not 1",
                         f"/actions/{i}/{k}/transition")
-                if not _is_finite(act.payoff):
+                if not is_finite(act.payoff):
                     raise ValidationError("payoff must be a finite number",
                                           f"/actions/{i}/{k}/payoff")
 

@@ -98,6 +98,23 @@ class TestSolve:
         assert doc["converged"] is False
         assert doc["bracket"]["lower"] <= 2.0
 
+    def test_human_format(self, tmp_path, capsys):
+        path = write(tmp_path, "perm.conemap", PERMUTATION)
+        assert cli.main(["solve", path, "--format", "human"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == ["eigenvalue: 1.0", "eigenvector: [1.0, 1.0]"]
+        assert re.fullmatch(r"residual: \S+ after \d+ iterations", lines[2])
+        path = write(tmp_path, "diag.conemap", DIAG)
+        assert cli.main(["solve", path, "--budget", "300",
+                         "--format", "human"]) == 4
+        assert re.fullmatch(r"no convergence; bracket \[\S+, \S+\]\n",
+                            capsys.readouterr().out)
+
+    def test_infinite_ends_of_an_additive_bracket(self):
+        bracket = spectral.CWBracket(0.0, math.inf, None, None, 0, False)
+        assert cli._bracket_doc(topical._convert_bracket(bracket)) == {
+            "lower": "-inf", "upper": "inf", "converged": False}
+
     def test_analyze_solve_consistency(self, tmp_path, capsys):
         path = write(tmp_path, "t.conemap",
                      tensor_text(1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1))
@@ -288,16 +305,17 @@ class TestCompileCount:
     @staticmethod
     def _watch(monkeypatch):
         """The names of the bodies and Shapley operators compiled, which
-        carry their kind and dimension, and the (dimension, face) of the
-        loops asked for, from here on, from a cold shape cache."""
+        carry their kind and dimension, the (dimension, face) of the loops
+        asked for, and the dimensions of the bodies emitted, which the
+        shape cache hides, from here on, from a cold shape cache."""
         maps.shape_code.cache_clear()
-        bodies, shapley, loops = [], [], []
-        loop = maps._loop
+        bodies, shapley, loops, emitted = [], [], [], []
+        loop, compile_body = maps._loop, maps._compile_body
 
         def counted(source, filename, mode):
             # the parameters x0, ..., x{n-1} precede the colon or paren
             n = len(re.findall(r"\bx\d+\b", re.split("[:)]", source)[0]))
-            if re.fullmatch(r"<(face )?body n=\d+>", filename):
+            if re.fullmatch(r"<body n=\d+>", filename):
                 bodies.append(filename)
             elif filename.startswith("<shapley operator"):
                 shapley.append(filename)
@@ -309,40 +327,44 @@ class TestCompileCount:
             loops.append((n, face))
             return loop(n, face)
 
+        def counted_body(exprs):
+            emitted.append(len(exprs))
+            return compile_body(exprs)
+
         monkeypatch.setattr(maps, "compile", counted, raising=False)
         monkeypatch.setattr(maps, "_loop", counted_loop)
-        return bodies, shapley, loops
+        monkeypatch.setattr(maps, "_compile_body", counted_body)
+        return bodies, shapley, loops, emitted
 
     def test_sweep_map(self, monkeypatch):
         f = cs.parse_map(SWEEP_MAP).cone_map
-        bodies, _, loops = self._watch(monkeypatch)
+        bodies, _, loops, emitted = self._watch(monkeypatch)
         first = cs.classify(f)
-        # f's body, and the bodies f and its conjugate pin their faces
-        # through: no face compiles a body of its own
-        assert sorted(bodies) == ["<body n=5>", "<face body n=5>",
-                                  "<face body n=5>"]
+        # the bodies of f and its conjugate, which their own loops run and
+        # their faces are pinned through: no face has a body of its own
+        assert bodies == ["<body n=5>"] * 2
+        assert emitted == [5] * 2
         # one loop for f, one per number of kept coordinates for faces
         assert set(loops) == {(5, False)} | {(k, True) for k in range(1, 5)}
         assert repr(cs.classify(cs.parse_map(SWEEP_MAP).cone_map)) == \
             repr(first)
         assert OTHER_SWEEP_MAP != SWEEP_MAP
         cs.classify(cs.parse_map(OTHER_SWEEP_MAP).cone_map)
-        assert len(bodies) == 3
+        assert len(bodies) == 2
 
     def test_game(self, tmp_path, capsys, monkeypatch):
         path = write(tmp_path, "g.game.json", GAME_JSON)
-        bodies, shapley, loops = self._watch(monkeypatch)
+        bodies, shapley, loops, emitted = self._watch(monkeypatch)
         assert cli.main(["game", path]) == 0
-        # the map's body, the bodies it and its conjugate pin their faces
-        # through, and the Shapley operator
-        assert sorted(bodies) == ["<body n=3>", "<face body n=3>",
-                                  "<face body n=3>"]
+        # the bodies of the map and its conjugate, and the Shapley operator
+        assert bodies == ["<body n=3>"] * 2
+        assert emitted == [3] * 2
         assert shapley == ["<shapley operator n=3>"]
         assert set(loops) == {(3, False), (1, True)}
         # other payoffs on the same supports: nothing to compile
         path = write(tmp_path, "h.game.json", OTHER_GAME_JSON)
         assert cli.main(["game", path]) == 0
-        assert len(bodies) == 3 and len(shapley) == 1
+        assert len(bodies) == 2 and len(shapley) == 1
 
 
 class TestOutputStability:

@@ -306,6 +306,13 @@ class TestClassifyConvex:
             f, replace(v, uniqueness=Uniqueness.UNKNOWN,
                        convergence=Convergence.UNKNOWN))
 
+    def test_other_verdicts_left_unchanged(self):
+        f = cs.matrix_map([[1.0, 1.0], [0.0, 2.0]])
+        for kind in VerdictKind:
+            if kind is not VerdictKind.NONEMPTY_BOUNDED:
+                v = existence.Verdict(kind=kind)
+                assert cs.infer_uniqueness_and_convergence(f, v) is v
+
     def test_decomposition_ignored_on_a_collapsed_face(self):
         # coordinate 3 of the restriction is 0, so the bracket runs on the
         # two-dimensional face {1, 2}, not on the digraph handed in

@@ -14,7 +14,7 @@ from conespec.errors import EmptySupportError, NumericRangeError, ZeroRowError
 from conespec import maps
 from conespec.graphs import HypergraphProbe
 from conespec.maps import (Coord, Linear, Max, Min, Pole, PowerMean, Scale,
-                           Sum, compile_interior, eval_mean, from_exprs,
+                           Sum, eval_mean, from_exprs,
                            monomial, pin, theta)
 
 from conftest import (make_game, make_schoen, make_tensor_example,
@@ -460,16 +460,17 @@ def _outcome(evaluate, x):
 
 def _loop_evaluator(exprs):
     """x -> the outputs of `exprs` as their compiled (f + id) loop
-    evaluates them: by its body, and by its interpreter where the body
-    raises; None when nothing is compiled."""
-    loop = compile_interior(exprs)
+    evaluates them: by its body, asked for every output, and by its
+    interpreter where the body raises; None when nothing is compiled."""
+    loop = from_exprs(exprs, len(exprs)).interior_loop()
     if loop is None:
         return None
     body, interpret = loop.args
+    full = (1 << len(exprs)) - 1
 
     def evaluate(x):
         try:
-            return body(*x)
+            return body(full, *x)
         except (ArithmeticError, ValueError):
             return interpret(x)
 
@@ -511,21 +512,23 @@ class TestCompiledInterior:
         for x in ((1.0, 2.0, 3.0, 4.0), (1e-300, 1e300, 5e-324, 1.0)):
             assert repr(fast(x)) == repr(self._interpreted(exprs)(x))
 
-    @pytest.mark.parametrize("node, x", [
-        # an underflowing scale puts a zero under a geometric mean's log
+    @pytest.mark.parametrize("node, x, falls_back", [
+        # an underflowing scale puts a zero under a geometric mean's log,
+        # which the body's guard takes as the mean's zero
         (PowerMean(0.0, (0.5, 0.5), (Scale(1e-200, Coord(0)), Coord(1))),
-         (1e-200, 1.0)),
+         (1e-200, 1.0), False),
         # the same zero raised to a negative power
         (PowerMean(-1.0, (0.5, 0.5), (Scale(1e-200, Coord(0)), Coord(1))),
-         (1e-200, 1.0)),
+         (1e-200, 1.0), False),
         # a power that overflows: the interpreter's _pow_safe gives inf
-        (PowerMean(2.0, (0.5, 0.5), (Coord(0), Coord(1))), (1e200, 1.0)),
+        (PowerMean(2.0, (0.5, 0.5), (Coord(0), Coord(1))), (1e200, 1.0),
+         True),
         # every term of a negative-exponent mean overflows to inf
         (PowerMean(-0.5, (0.5, 0.5), (Scale(1e200, Coord(0)),
                                       Scale(1e200, Coord(1)))),
-         (1e200, 1e200)),
-    ])
-    def test_fallback_points(self, monkeypatch, node, x):
+         (1e200, 1e200), True),
+    ], ids=[f"node{k}-x{k}" for k in range(4)])
+    def test_fallback_points(self, monkeypatch, node, x, falls_back):
         fast = _loop_evaluator((node, Coord(0)))
         ordinary = repr(self._interpreted((node, Coord(0)))((1.0, 1.0)))
         expected = repr(self._interpreted((node, Coord(0)))(x))
@@ -541,7 +544,7 @@ class TestCompiledInterior:
         assert repr(fast((1.0, 1.0))) == ordinary
         assert calls == []
         assert repr(fast(x)) == expected
-        assert calls == [x]
+        assert calls == ([x] if falls_back else [])
 
     def test_tree_too_deep_to_compile(self):
         e = Coord(0)
@@ -549,20 +552,19 @@ class TestCompiledInterior:
             e = Scale(1.5, Sum((e, Coord(1))))
         f = from_exprs((e, Coord(0)), 2)
         x = (1.0, 2.0)
-        assert compile_interior(f.exprs) is None
-        assert f.interior_loop() is None
+        assert f.interior_loop() is None and f._body is False
         assert f.eval_interior(x) == (e.evaluate(x), 1.0)
 
     def test_cached_on_the_map(self):
         f = make_schoen()
-        assert f._loop is None
+        assert f._body is None
         loop = f.interior_loop()
-        assert loop is not None and f._loop is loop
+        assert loop is not None and loop.args[0] is f._body
         cs.solve_eigenvector(f)
-        assert f.interior_loop() is loop
-        # a map without a loop keeps that too
+        assert f.interior_loop().args[0] is f._body
+        # a map without a body keeps that too
         g = cs.matrix_map([[1.0, 2.0], [3.0, 4.0]])
-        assert g.interior_loop() is None and g._loop is False
+        assert g.interior_loop() is None and g._body is False
 
     def test_one_compile_per_map_and_one_loop_per_dimension(self,
                                                               monkeypatch):
@@ -586,7 +588,7 @@ class TestCompiledInterior:
         assert sources == []
         loop = f.interior_loop()
         cs.solve_eigenvector(f)
-        assert f.interior_loop() is loop
+        assert f.interior_loop().args[0] is loop.args[0]
         assert sources == ["<body n=4>"]
         assert g.interior_loop().func is loop.func
         assert sources == ["<body n=4>"]
@@ -703,8 +705,8 @@ class TestSharedShapes:
         g = from_exprs((Max((Linear(((1, 5.0),)), Coord(1))),) + rows, 2)
         assert _emitted(f.exprs)[0] == _emitted(g.exprs)[0]
         x = (3.0, 0.5)
-        assert f.interior_loop().args[0](*x) == (4.0, 0.5)
-        assert g.interior_loop().args[0](*x) == (2.5, 0.5)
+        assert f.interior_loop().args[0](0b11, *x) == (4.0, 0.5)
+        assert g.interior_loop().args[0](0b11, *x) == (2.5, 0.5)
         assert f.interior_loop().args[0].__code__ is \
             g.interior_loop().args[0].__code__
 
@@ -722,9 +724,46 @@ class TestSharedShapes:
     def test_at_most_128_shapes_kept(self):
         for k in range(1, 140):
             body = from_exprs([Sum((Coord(0),) * k), Coord(1)], 2)
-            assert body.interior_loop().args[0](1.0, 2.0) == (float(k), 2.0)
+            assert body.interior_loop().args[0](0b11, 1.0, 2.0) == \
+                (float(k), 2.0)
         info = maps.shape_code.cache_info()
         assert info.maxsize == 128 and info.currsize <= 128
+
+
+class TestMalformedMaps:
+    """A map whose outputs are not expression trees over its coordinates,
+    or hold a constant no float can hold, is refused when it is built."""
+
+    @pytest.mark.parametrize("output", [
+        Coord(5), Coord(-1), Coord(1.0), Linear(((0, 1.0), (7, 1.0))),
+        Sum((Coord(0), Max((Coord(1), Coord(2))))),
+    ])
+    def test_coordinate_outside_the_map(self, output):
+        with pytest.raises(ValueError, match="is not an int in"):
+            cs.ConeMap(dimension=2, exprs=(output, Coord(0)))
+
+    def test_classify_of_an_out_of_range_coordinate(self):
+        with pytest.raises(ValueError, match="coordinate 5"):
+            cs.classify(cs.ConeMap(dimension=2, exprs=(Coord(5), Coord(0))))
+
+    @pytest.mark.parametrize("output", [1.0, Sum((Coord(0), 1.0)),
+                                        Scale(2.0, "x0")])
+    def test_output_that_is_not_a_node(self, output):
+        with pytest.raises(ValueError, match="is not an expression node"):
+            cs.ConeMap(dimension=2, exprs=(Coord(1), output))
+
+    @pytest.mark.parametrize("output", [
+        Scale(10 ** 400, Coord(0)), Linear(((0, 1.0), (1, 10 ** 400))),
+        PowerMean(10 ** 400, (0.5, 0.5), (Coord(0), Coord(1))),
+    ])
+    def test_constant_outside_the_float_range(self, output):
+        with pytest.raises(NumericRangeError, match="float range"):
+            cs.ConeMap(dimension=2, exprs=(output, Coord(0)))
+
+    def test_int_constants_in_range_are_kept(self):
+        f = cs.ConeMap(dimension=2, exprs=(Scale(2, Coord(1)),
+                                           Linear(((0, 3),))))
+        assert f.eval_interior((1.0, 1.0)) == (2.0, 3.0)
 
 
 class TestCoefficientRange:

@@ -244,6 +244,14 @@ class TestIterateNormalized:
         assert gx == pytest.approx(tuple(a + b for a, b in
                                          zip(fx, x.entries)), rel=1e-12)
 
+    def test_plus_identity_of_a_black_box_map(self):
+        f = cs.matrix_map([[0, 1], [2, 0]])
+        black = ConeMap(2, evaluator=f.eval_interior,
+                        multiplicatively_convex=True, analytic=True)
+        g = plus_identity(black)
+        assert not g.is_ast and g.multiplicatively_convex and g.analytic
+        assert g.eval_interior((1.0, 3.0)) == (4.0, 5.0)
+
 
 class TestBracketProperties:
     def _brackets(self, rng):
@@ -396,9 +404,10 @@ class TestCompiledLoop:
         assert compared > 100
 
     def test_interpreter_fallback_inside_the_loop(self, monkeypatch):
-        # an underflowing scale puts a zero under the geometric mean's log
-        # once x1 is small, so the compiled arithmetic raises there
-        node = PowerMean(0.0, (0.5, 0.5), (Scale(1e-200, Coord(0)), Coord(1)))
+        # a tiny scale of a small x1 overflows the harmonic mean's
+        # reciprocal, so the compiled arithmetic raises there
+        node = PowerMean(-1.0, (0.5, 0.5),
+                         (Scale(1e-200, Coord(0)), Coord(1)))
         g = from_exprs((Sum((node, Coord(0))), Min((Coord(0), Coord(1)))), 2)
         calls = []
         original = PowerMean.evaluate
@@ -408,9 +417,10 @@ class TestCompiledLoop:
             return original(self, point)
 
         monkeypatch.setattr(PowerMean, "evaluate", counted)
-        spectral._trajectory(g, (1e-200, 1.0), 5, 1e-10, True, True)
-        assert calls  # the compiled loop fell back to the interpreter
-        self._assert_same(g, (1e-200, 1.0), 5)
+        spectral._trajectory(g, (1e-120, 1.0), 5, 1e-10, True, True)
+        # the compiled loop fell back to the interpreter at every iterate
+        assert len(calls) == 5
+        self._assert_same(g, (1e-120, 1.0), 5)
         self._assert_same(g, (1.0, 1.0), 50)
 
     def test_overflow_raises_range_error(self):
